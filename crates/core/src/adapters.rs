@@ -305,7 +305,7 @@ impl Algorithm for ThreeColorAlgorithm<'_> {
                 changed += 1;
             }
             self.inner.set_color(u, color);
-            self.inner.switch_mut().set_level(u, level);
+            self.inner.set_switch_level(u, level);
         }
         changed
     }

@@ -123,7 +123,7 @@ pub struct VertexClass {
     /// The vertex's update rule may fire in the next round, so it must stay
     /// on the frontier. Always a superset of `active`; e.g. the 3-state
     /// process keeps retiring `black0` vertices pending, and the 3-color
-    /// process keeps gray vertices pending while they wait for their switch.
+    /// process keeps a gray vertex pending while its switch is on.
     pub pending: bool,
 }
 

@@ -188,31 +188,6 @@ pub const DENSE_SWITCH_DIVISOR: usize = 8;
 /// counter-based randomness does not depend on the partition.
 pub(crate) const PAR_WORK_THRESHOLD: usize = 2_048;
 
-/// Splits `len` items into at most `threads` contiguous chunk bounds, or a
-/// single chunk when `len` is below [`PAR_WORK_THRESHOLD`]. Returns the
-/// `(start, end)` pairs, all non-empty.
-pub(crate) fn chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
-    let threads = if len < PAR_WORK_THRESHOLD {
-        1
-    } else {
-        threads.max(1)
-    };
-    let chunks = threads.min(len.max(1));
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut bounds = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        if size == 0 {
-            break;
-        }
-        bounds.push((start, start + size));
-        start += size;
-    }
-    bounds
-}
-
 /// Target chunk multiplicity for the work-stealing sparse phases: each
 /// worker's deque starts with about this many chunks, so a worker that drew
 /// light chunks has something to steal from a worker that drew the hubs.
@@ -225,7 +200,7 @@ pub(crate) const STEAL_MIN_CHUNK: usize = 512;
 /// Splits `len` worklist items into `(start, end)` chunks for a
 /// work-stealing phase: about [`STEAL_CHUNKS_PER_THREAD`] chunks per thread,
 /// none smaller than [`STEAL_MIN_CHUNK`], and a single chunk below
-/// [`PAR_WORK_THRESHOLD`] (same inline cutoff as [`chunk_bounds`]).
+/// [`PAR_WORK_THRESHOLD`].
 pub(crate) fn steal_chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
     if len == 0 {
         return Vec::new();
@@ -266,35 +241,6 @@ mod tests {
         assert_eq!(ExecutionMode::default(), ExecutionMode::Sequential);
         assert_eq!(ExecutionMode::Sequential.label(), "sequential");
         assert_eq!(ExecutionMode::Parallel { threads: 8 }.label(), "parallel");
-    }
-
-    #[test]
-    fn chunk_bounds_cover_exactly() {
-        for &(len, threads) in &[
-            (0usize, 4usize),
-            (1, 4),
-            (PAR_WORK_THRESHOLD - 1, 8),
-            (PAR_WORK_THRESHOLD, 8),
-            (10_001, 3),
-            (8, 16),
-        ] {
-            let bounds = chunk_bounds(len, threads);
-            if len == 0 {
-                assert!(bounds.is_empty() || bounds == vec![(0, 0)]);
-                continue;
-            }
-            assert_eq!(bounds.first().unwrap().0, 0);
-            assert_eq!(bounds.last().unwrap().1, len);
-            for w in bounds.windows(2) {
-                assert_eq!(w[0].1, w[1].0);
-                assert!(w[0].1 > w[0].0);
-            }
-            if len < PAR_WORK_THRESHOLD {
-                assert_eq!(bounds.len(), 1, "small worklists stay on one chunk");
-            } else {
-                assert!(bounds.len() <= threads.max(1));
-            }
-        }
     }
 
     #[test]

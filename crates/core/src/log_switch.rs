@@ -1,10 +1,9 @@
 use std::sync::Arc;
 
-use mis_graph::{Graph, VertexId};
+use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
 use crate::counter_rng::{CounterRng, DRAW_SWITCH};
-use crate::exec::chunk_bounds;
 use crate::init::InitStrategy;
 use crate::mutation::{GraphRef, MutationError};
 
@@ -41,15 +40,30 @@ pub trait SwitchProcess: Sync {
     /// Executes one synchronous round of the switch.
     fn step(&mut self, rng: &mut dyn RngCore);
 
+    /// Executes one synchronous round by a naive full sweep over every
+    /// vertex: the same levels and draws as [`step`](Self::step), retained
+    /// as the oracle for differential tests. The default is `step`.
+    fn step_reference(&mut self, rng: &mut dyn RngCore) {
+        self.step(rng);
+    }
+
     /// Executes one synchronous round with counter-based randomness: every
     /// coin is the pure function `counter(vertex, round, DRAW_SWITCH)` of
     /// the switch's own round number, so the result is independent of
-    /// evaluation order and `threads`. The level update is data-parallel
-    /// over vertex ranges.
-    fn step_counter(&mut self, counter: &CounterRng, threads: usize);
+    /// evaluation order and of the caller's thread count.
+    fn step_counter(&mut self, counter: &CounterRng);
 
     /// The switch output `σ_t(u)` for the current round: `true` means `on`.
     fn is_on(&self, u: VertexId) -> bool;
+
+    /// Calls `f` for every vertex whose output [`is_on`](Self::is_on) may
+    /// have changed in the most recent step (a superset is allowed). The
+    /// 3-color process re-queues exactly these gray vertices, which wait
+    /// off its frontier while their switch is off. The default reports
+    /// every vertex, which is always correct.
+    fn for_each_changed(&self, f: &mut dyn FnMut(VertexId)) {
+        (0..self.n()).for_each(f);
+    }
 
     /// Number of distinct states the switch keeps per vertex.
     fn states_per_vertex(&self) -> usize;
@@ -86,6 +100,19 @@ pub trait SwitchProcess: Sync {
 /// as a local, non-synchronized counter, and is run on graphs of arbitrary
 /// unknown diameter.
 ///
+/// # Incremental rounds
+///
+/// A vertex below level 5 can change level only if a level in its closed
+/// neighborhood `N⁺(u)` changed since its last evaluation: that evaluation
+/// left it at `max N⁺(u) − 1` (or at 5, from 0), a fixed point of the rule.
+/// So [`step`](SwitchProcess::step) and
+/// [`step_counter`](SwitchProcess::step_counter) evaluate only the level-5
+/// vertices, which draw their coin in ascending vertex order (the same
+/// stream and counter draws as a full sweep), and `N⁺` of the vertices whose
+/// level changed. A round costs `O(|L₅| + vol(N⁺(Δ)) + n/64)` for the
+/// level-5 set `L₅` and the changed set `Δ`, instead of `O(n + m)`;
+/// [`step_reference`](SwitchProcess::step_reference) keeps the full sweep.
+///
 /// # Example
 ///
 /// ```
@@ -103,7 +130,15 @@ pub trait SwitchProcess: Sync {
 pub struct RandomizedLogSwitch<'g> {
     graph: GraphRef<'g>,
     levels: Vec<u8>,
+    /// Scratch: the next level of every vertex the current step evaluates.
     next: Vec<u8>,
+    /// The vertices at level 5; each draws a coin every step.
+    at_five: VertexSet,
+    /// The vertices whose level changed since the previous step; the next
+    /// step evaluates their closed neighborhoods.
+    changed: VertexSet,
+    /// Scratch: the vertices the current step evaluates.
+    eval: VertexSet,
     zeta: f64,
     round: usize,
     random_bits: u64,
@@ -127,14 +162,19 @@ impl<'g> RandomizedLogSwitch<'g> {
             zeta > 0.0 && zeta < 1.0,
             "zeta must be in (0, 1), got {zeta}"
         );
-        RandomizedLogSwitch {
+        let mut sw = RandomizedLogSwitch {
             next: levels.clone(),
             graph: GraphRef::Borrowed(graph),
             levels,
+            at_five: VertexSet::new(0),
+            changed: VertexSet::new(0),
+            eval: VertexSet::new(0),
             zeta,
             round: 0,
             random_bits: 0,
-        }
+        };
+        sw.reevaluate_all();
+        sw
     }
 
     /// Creates the switch with levels drawn from an [`InitStrategy`].
@@ -166,15 +206,117 @@ impl<'g> RandomizedLogSwitch<'g> {
         self.round
     }
 
-    /// Overwrites the level of one vertex (fault injection).
+    /// Overwrites the level of one vertex (fault injection). The next step
+    /// evaluates the vertex and its neighbors.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range or `level > 5`.
     pub fn set_level(&mut self, u: VertexId, level: u8) {
         assert!(level <= 5, "levels must be in 0..=5");
-        self.levels[u] = level;
+        self.record_level(u, level);
     }
+
+    /// Moves `u` to `level`, keeping the level-5 set and the changed set in
+    /// step with it.
+    fn record_level(&mut self, u: VertexId, level: u8) {
+        if self.levels[u] == level {
+            return;
+        }
+        self.levels[u] = level;
+        self.changed.insert(u);
+        if level == 5 {
+            self.at_five.insert(u);
+        } else {
+            self.at_five.remove(u);
+        }
+    }
+
+    /// Rebuilds the incremental bookkeeping from the levels alone and marks
+    /// every vertex changed, so the next step evaluates all of them.
+    fn reevaluate_all(&mut self) {
+        let n = self.levels.len();
+        let levels = &self.levels;
+        self.at_five = VertexSet::from_indices(n, (0..n).filter(|&u| levels[u] == 5));
+        self.changed = VertexSet::full(n);
+        self.eval = VertexSet::new(n);
+    }
+
+    /// One incremental round, shared by both randomness models: `fires(u)`
+    /// is the ζ-coin of level-5 vertex `u`, called in ascending vertex
+    /// order.
+    fn advance(&mut self, mut fires: impl FnMut(VertexId) -> bool) {
+        let graph = self.graph.get();
+        for u in self.changed.iter() {
+            self.eval.insert(u);
+            for v in graph.neighbors(u) {
+                self.eval.insert(v);
+            }
+        }
+        self.changed.clear();
+        self.eval.union_with(&self.at_five);
+        for u in self.eval.iter() {
+            let lvl = self.levels[u];
+            self.next[u] = if lvl == 5 {
+                // A fired coin moves u to max N⁺(u) − 1 = 4: its own 5 is
+                // the maximum, so no neighbor needs reading.
+                self.random_bits += 7; // ζ = 2⁻⁷ needs at most 7 bits
+                if fires(u) {
+                    4
+                } else {
+                    5
+                }
+            } else if lvl == 0 {
+                5
+            } else {
+                max_closed(graph, &self.levels, u) - 1
+            };
+        }
+        let eval = std::mem::replace(&mut self.eval, VertexSet::new(0));
+        for u in eval.iter() {
+            self.record_level(u, self.next[u]);
+        }
+        self.eval = eval;
+        self.eval.clear();
+        self.round += 1;
+    }
+
+    /// One naive round: every vertex evaluated by Definition 26 in
+    /// ascending order. `fires` is as in [`advance`](Self::advance).
+    fn full_sweep(&mut self, mut fires: impl FnMut(VertexId) -> bool) {
+        let graph = self.graph.get();
+        for u in graph.vertices() {
+            let lvl = self.levels[u];
+            let reset = if lvl == 5 {
+                // b = 0 with probability ζ; b = 1 keeps the vertex at level 5.
+                self.random_bits += 7; // ζ = 2⁻⁷ needs at most 7 bits
+                !fires(u)
+            } else {
+                false
+            };
+            self.next[u] = if reset || lvl == 0 {
+                5
+            } else {
+                max_closed(graph, &self.levels, u) - 1
+            };
+        }
+        std::mem::swap(&mut self.levels, &mut self.next);
+        self.round += 1;
+        // The sweep tracked no changes: the next incremental step starts
+        // from scratch.
+        self.reevaluate_all();
+    }
+}
+
+/// `max{levels[v] : v ∈ N⁺(u)}`.
+fn max_closed(graph: &Graph, levels: &[u8], u: VertexId) -> u8 {
+    graph
+        .neighbors(u)
+        .iter()
+        .map(|v| levels[v])
+        .max()
+        .unwrap_or(0)
+        .max(levels[u])
 }
 
 impl SwitchProcess for RandomizedLogSwitch<'_> {
@@ -183,103 +325,26 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
-        for u in self.graph.get().vertices() {
-            let lvl = self.levels[u];
-            let reset = if lvl == 5 {
-                // b = 0 with probability ζ; b = 1 keeps the vertex at level 5.
-                self.random_bits += 7; // ζ = 2⁻⁷ needs at most 7 bits
-                !rng.gen_bool(self.zeta)
-            } else {
-                false
-            };
-            self.next[u] = if reset || lvl == 0 {
-                5
-            } else {
-                let max_nbr = self
-                    .graph
-                    .get()
-                    .neighbors(u)
-                    .iter()
-                    .map(|v| self.levels[v])
-                    .max()
-                    .unwrap_or(0)
-                    .max(lvl);
-                max_nbr - 1
-            };
-        }
-        std::mem::swap(&mut self.levels, &mut self.next);
-        self.round += 1;
+        let zeta = self.zeta;
+        self.advance(|_| rng.gen_bool(zeta));
     }
 
-    fn step_counter(&mut self, counter: &CounterRng, threads: usize) {
-        let round = self.round as u64;
+    fn step_reference(&mut self, rng: &mut dyn RngCore) {
         let zeta = self.zeta;
-        let bounds = chunk_bounds(self.n(), threads);
-        let total_draws = {
-            let levels = &self.levels;
-            let graph = self.graph.get();
-            let counter = *counter;
-            let advance = |lo: usize, chunk: &mut [u8]| -> u64 {
-                let mut draws = 0u64;
-                for (i, slot) in chunk.iter_mut().enumerate() {
-                    let u = lo + i;
-                    let lvl = levels[u];
-                    let reset = if lvl == 5 {
-                        draws += 7; // ζ = 2⁻⁷ needs at most 7 bits
-                        !counter.gen_bool(zeta, u as u64, round, DRAW_SWITCH)
-                    } else {
-                        false
-                    };
-                    *slot = if reset || lvl == 0 {
-                        5
-                    } else {
-                        let max_nbr = graph
-                            .neighbors(u)
-                            .iter()
-                            .map(|v| levels[v])
-                            .max()
-                            .unwrap_or(0)
-                            .max(lvl);
-                        max_nbr - 1
-                    };
-                }
-                draws
-            };
-            if bounds.len() <= 1 {
-                bounds
-                    .first()
-                    .map_or(0, |&(lo, hi)| advance(lo, &mut self.next[lo..hi]))
-            } else {
-                // Hand each persistent-pool participant its disjoint
-                // `(offset, &mut chunk)` pair through a per-slot mutex —
-                // exclusive writes without `unsafe` under the crate's
-                // `forbid(unsafe_code)`.
-                use std::sync::Mutex;
-                let mut rest: &mut [u8] = &mut self.next;
-                let mut slots = Vec::with_capacity(bounds.len());
-                for &(lo, hi) in &bounds {
-                    let (chunk, tail) = rest.split_at_mut(hi - lo);
-                    rest = tail;
-                    slots.push(Mutex::new(Some((lo, chunk))));
-                }
-                let pool = rayon::global_pool(bounds.len());
-                pool.broadcast(|ctx| {
-                    slots
-                        .get(ctx.index())
-                        .and_then(|s| s.lock().unwrap().take())
-                        .map_or(0u64, |(lo, chunk)| advance(lo, chunk))
-                })
-                .into_iter()
-                .sum()
-            }
-        };
-        self.random_bits += total_draws;
-        std::mem::swap(&mut self.levels, &mut self.next);
-        self.round += 1;
+        self.full_sweep(|_| rng.gen_bool(zeta));
+    }
+
+    fn step_counter(&mut self, counter: &CounterRng) {
+        let (zeta, round) = (self.zeta, self.round as u64);
+        self.advance(|u| counter.gen_bool(zeta, u as u64, round, DRAW_SWITCH));
     }
 
     fn is_on(&self, u: VertexId) -> bool {
         self.levels[u] <= 2
+    }
+
+    fn for_each_changed(&self, f: &mut dyn FnMut(VertexId)) {
+        self.changed.iter().for_each(f);
     }
 
     fn states_per_vertex(&self) -> usize {
@@ -294,11 +359,13 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
         // Joined vertices start at level 5 (the waiting level, and the
         // state a level-0 vertex resets to) — any level in 0..=5 is valid
         // since the switch is self-stabilizing, but 5 keeps their output
-        // `off` until the clock synchronizes them.
+        // `off` until the clock synchronizes them. New edges can break any
+        // vertex's fixed point, so the next step evaluates every vertex.
         let new_n = graph.n();
         self.levels.resize(new_n, 5);
         self.next.resize(new_n, 5);
         self.graph = GraphRef::Owned(Arc::clone(graph));
+        self.reevaluate_all();
         Ok(())
     }
 }
@@ -334,6 +401,11 @@ impl FixedPeriodSwitch {
             round: 0,
         }
     }
+
+    /// The clock's output in round `round`.
+    fn on_at(&self, round: usize) -> bool {
+        round % (self.on_rounds + self.off_rounds) < self.on_rounds
+    }
 }
 
 impl SwitchProcess for FixedPeriodSwitch {
@@ -345,13 +417,20 @@ impl SwitchProcess for FixedPeriodSwitch {
         self.round += 1;
     }
 
-    fn step_counter(&mut self, _counter: &CounterRng, _threads: usize) {
+    fn step_counter(&mut self, _counter: &CounterRng) {
         // The oracle switch is deterministic: counter mode is the same step.
         self.round += 1;
     }
 
     fn is_on(&self, _u: VertexId) -> bool {
-        self.round % (self.on_rounds + self.off_rounds) < self.on_rounds
+        self.on_at(self.round)
+    }
+
+    fn for_each_changed(&self, f: &mut dyn FnMut(VertexId)) {
+        // One global clock: every output flips in the same round, or none.
+        if self.round > 0 && self.on_at(self.round) != self.on_at(self.round - 1) {
+            (0..self.n).for_each(f);
+        }
     }
 
     fn states_per_vertex(&self) -> usize {
@@ -373,7 +452,8 @@ impl SwitchProcess for FixedPeriodSwitch {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_graph::generators;
+    use mis_graph::{generators, GraphDelta};
+    use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -514,25 +594,22 @@ mod tests {
     }
 
     #[test]
-    fn counter_step_is_thread_count_invariant() {
-        // n above the parallel-work threshold so the chunking actually
-        // differs between thread counts.
-        let g = generators::path(5000);
-        let mut r = rng(9);
-        let base = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, 0.25, &mut r);
-        let counter = CounterRng::new(5);
-        let mut outputs = Vec::new();
-        for threads in [1usize, 2, 4] {
-            let mut sw = base.clone();
-            for _ in 0..40 {
-                sw.step_counter(&counter, threads);
+    fn changed_report_covers_every_output_flip() {
+        let g = generators::gnp(300, 0.02, &mut rng(5));
+        let mut r = rng(6);
+        let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, 0.25, &mut r);
+        for _ in 0..200 {
+            let before: Vec<bool> = g.vertices().map(|u| sw.is_on(u)).collect();
+            sw.step(&mut r);
+            let mut reported = vec![false; g.n()];
+            sw.for_each_changed(&mut |u| reported[u] = true);
+            for u in g.vertices() {
+                assert!(
+                    reported[u] || sw.is_on(u) == before[u],
+                    "vertex {u} flipped unreported"
+                );
             }
-            outputs.push((sw.levels.clone(), sw.random_bits_used(), sw.round()));
         }
-        assert_eq!(outputs[0], outputs[1]);
-        assert_eq!(outputs[0], outputs[2]);
-        // Counter rounds keep levels in range.
-        assert!(outputs[0].0.iter().all(|&l| l <= 5));
     }
 
     #[test]
@@ -540,14 +617,20 @@ mod tests {
         let mut sw = FixedPeriodSwitch::new(5, 2, 3);
         let mut r = rng(0);
         let mut pattern = Vec::new();
+        let mut reported = Vec::new();
         for _ in 0..10 {
             pattern.push(sw.is_on(0));
+            let mut count = 0;
+            sw.for_each_changed(&mut |_| count += 1);
+            reported.push(count);
             sw.step(&mut r);
         }
         assert_eq!(
             pattern,
             vec![true, true, false, false, false, true, true, false, false, false]
         );
+        // Every vertex is reported exactly in the rounds whose output flipped.
+        assert_eq!(reported, vec![0, 0, 5, 0, 0, 5, 0, 5, 0, 0]);
         assert_eq!(sw.states_per_vertex(), 5);
         assert_eq!(sw.random_bits_used(), 0);
         assert_eq!(sw.n(), 5);
@@ -557,5 +640,76 @@ mod tests {
     #[should_panic(expected = "period must be positive")]
     fn zero_period_panics() {
         FixedPeriodSwitch::new(3, 0, 0);
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// The incremental step, in both randomness models, matches the full
+        /// sweep under arbitrary interleavings of steps, level faults, and
+        /// graph growth: equal levels and random-bit tallies after every
+        /// operation. Sizes straddle the 64-bit word boundary, and sparse
+        /// graphs and unwired joiners leave isolated vertices.
+        #[test]
+        fn incremental_step_matches_full_sweep(
+            seed in 0u64..10_000,
+            n in 1usize..140,
+            p_edge in 0.0f64..0.08,
+            ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..80),
+        ) {
+            let g = generators::gnp(n, p_edge, &mut rng(seed));
+            let zeta = 0.25;
+            let mut fast =
+                RandomizedLogSwitch::with_init(&g, InitStrategy::Random, zeta, &mut rng(seed + 1));
+            let mut slow = fast.clone();
+            let (mut r_fast, mut r_slow) = (rng(seed + 2), rng(seed + 2));
+            let counter = CounterRng::new(seed);
+            for (i, &(kind, x)) in ops.iter().enumerate() {
+                match kind {
+                    0 => {
+                        fast.step(&mut r_fast);
+                        slow.step_reference(&mut r_slow);
+                    }
+                    1 => {
+                        let round = slow.round() as u64;
+                        fast.step_counter(&counter);
+                        slow.full_sweep(|u| counter.gen_bool(zeta, u as u64, round, DRAW_SWITCH));
+                    }
+                    2 => {
+                        let u = (x % fast.n() as u64) as usize;
+                        let level = ((x >> 32) % 6) as u8;
+                        fast.set_level(u, level);
+                        slow.set_level(u, level);
+                    }
+                    _ => {
+                        // One joiner, wired to two existing vertices or (x
+                        // even) to none, plus one edge between existing ones.
+                        let old_n = fast.n() as u64;
+                        let wires = if x % 2 == 0 {
+                            Vec::new()
+                        } else {
+                            vec![((x >> 8) % old_n) as usize, ((x >> 24) % old_n) as usize]
+                        };
+                        let mut delta = GraphDelta::new();
+                        delta.add_vertex(wires);
+                        let (a, b) = (((x >> 40) % old_n) as usize, ((x >> 52) % old_n) as usize);
+                        if a != b {
+                            delta.add_edge(a, b);
+                        }
+                        let (grown, _) = fast.graph.get().apply_delta(&delta).expect("valid delta");
+                        let grown = Arc::new(grown);
+                        fast.rebind_graph(&grown).unwrap();
+                        slow.rebind_graph(&grown).unwrap();
+                    }
+                }
+                prop_assert!(fast.levels == slow.levels, "levels diverged after op {} (kind {})", i, kind);
+                prop_assert!(
+                    fast.random_bits_used() == slow.random_bits_used(),
+                    "random bits diverged after op {} (kind {})",
+                    i,
+                    kind
+                );
+            }
+        }
     }
 }

@@ -224,7 +224,9 @@ mod tests {
         }
     }
 
+    // `get` checks the range with `debug_assert!` only (see its docs).
     #[test]
+    #[cfg(debug_assertions)]
     #[should_panic(expected = "out of range")]
     fn out_of_range_get_panics() {
         PackedStates::new(3).get(3);

@@ -319,31 +319,4 @@ mod tests {
             }
         });
     }
-
-    #[test]
-    fn disjoint_chunk_handout_through_broadcast() {
-        // The pattern the engine uses for disjoint-range parallel writes
-        // under `forbid(unsafe_code)`: pre-split a `&mut` slice and hand
-        // each broadcast participant its chunk through a per-slot mutex.
-        use std::sync::Mutex;
-        type Slot<'a> = Mutex<Option<(usize, &'a mut [usize])>>;
-        let mut data = vec![0usize; 1000];
-        let pool = rayon::global_pool(4);
-        let slots: Vec<Slot<'_>> = data
-            .chunks_mut(250)
-            .enumerate()
-            .map(|(i, c)| Mutex::new(Some((i, c))))
-            .collect();
-        pool.broadcast(|ctx| {
-            if let Some((i, chunk)) = slots
-                .get(ctx.index())
-                .and_then(|s| s.lock().unwrap().take())
-            {
-                for (j, slot) in chunk.iter_mut().enumerate() {
-                    *slot = (i * 250 + j) * 3;
-                }
-            }
-        });
-        assert!(data.iter().enumerate().all(|(i, &v)| v == i * 3));
-    }
 }

@@ -61,9 +61,14 @@ impl ThreeColor {
 }
 
 /// The 3-color local rule. Black/white vertices are active (and pending) by
-/// the 2-state rule; gray vertices never draw but stay pending while they
-/// wait for their switch to release them to white.
-fn classify(colors: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sync + '_ {
+/// the 2-state rule; gray vertices never draw and are pending only while
+/// their switch is on, the one condition under which they turn white. A
+/// parked gray vertex is re-queued when its switch output changes (see
+/// [`SwitchProcess::for_each_changed`]).
+fn classify<'a, S: SwitchProcess>(
+    colors: &'a PackedStates,
+    switch: &'a S,
+) -> impl Fn(VertexId, u32) -> VertexClass + Sync + 'a {
     move |u, black_nbrs| match ThreeColor::from_code(colors.get(u)) {
         ThreeColor::Black => {
             let a = black_nbrs > 0;
@@ -81,7 +86,7 @@ fn classify(colors: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
         }
         ThreeColor::Gray => VertexClass {
             active: false,
-            pending: true,
+            pending: switch.is_on(u),
         },
     }
 }
@@ -103,14 +108,17 @@ fn classify(colors: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// for **every** `0 ≤ p ≤ 1` (Theorem 3 / Theorem 32).
 ///
 /// Colors are stored bit-packed (2 bits per vertex) and the color update
-/// runs through the incremental [`FrontierEngine`]
-/// (`O(|A_t| + |Γ_t| + vol(A_t))` per round, `O(1)`
-/// [`is_stabilized`](Process::is_stabilized)); the switch sub-process is a
-/// phase clock that advances every vertex every round, so its `O(n)` step
-/// dominates once the color dynamics are quiet (in parallel mode that `O(n)`
-/// is data-parallel too).
-/// [`step_reference`](ThreeColorProcess::step_reference) retains the naive
-/// full-scan color update for differential testing.
+/// runs through the incremental [`FrontierEngine`]. Its frontier `F_t` holds
+/// the active vertices and the gray vertices whose switch is on; a gray
+/// vertex whose switch is off waits off the frontier until the switch
+/// reports that its output changed. With the [`RandomizedLogSwitch`], which
+/// also steps incrementally, a round costs
+/// `O(|F_t| + vol(C_t) + |L₅| + vol(N⁺(Δ_t)) + n/64)`: the frontier, the
+/// volume of the color changes `C_t`, one coin per level-5 vertex, the
+/// closed neighborhoods of the level changes `Δ_t`, and one pass over the
+/// switch's bitset words. [`is_stabilized`](Process::is_stabilized) is
+/// `O(1)`. [`step_reference`](ThreeColorProcess::step_reference) retains
+/// the naive full scan of colors and levels for differential testing.
 ///
 /// # Execution modes
 ///
@@ -167,6 +175,22 @@ impl<'g> ThreeColorProcess<'g, RandomizedLogSwitch<'g>> {
         let colors = init.three_color(graph.n(), rng);
         let switch = RandomizedLogSwitch::with_init(graph, init, DEFAULT_ZETA, rng);
         Self::new(graph, colors, switch)
+    }
+}
+
+impl ThreeColorProcess<'_, RandomizedLogSwitch<'_>> {
+    /// Overwrites the switch level of one vertex (transient-fault
+    /// injection) and reclassifies the vertex, whose frontier membership
+    /// follows its switch output while it is gray.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u` is out of range or `level > 5`.
+    pub fn set_switch_level(&mut self, u: VertexId, level: u8) {
+        self.switch.set_level(u, level);
+        self.engine.mark_dirty(u);
+        self.engine
+            .flush(self.graph.get(), classify(&self.colors, &self.switch));
     }
 }
 
@@ -271,20 +295,14 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             self.engine.edge_update(u, v, true);
         }
         self.graph = GraphRef::Owned(arc);
-        let colors = &self.colors;
-        self.engine.flush(self.graph.get(), classify(colors));
+        self.engine
+            .flush(self.graph.get(), classify(&self.colors, &self.switch));
         Ok(committed)
     }
 
     /// The switch sub-process.
     pub fn switch(&self) -> &S {
         &self.switch
-    }
-
-    /// Mutable access to the switch sub-process, e.g. to inject faults into
-    /// its per-vertex state.
-    pub fn switch_mut(&mut self) -> &mut S {
-        &mut self.switch
     }
 
     /// Read-only view of the incremental engine bookkeeping, for tests and
@@ -337,8 +355,8 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         }
         self.colors.set(u, color.code());
         self.engine.set_black(self.graph.get(), u, color.is_black());
-        let colors = &self.colors;
-        self.engine.flush(self.graph.get(), classify(colors));
+        self.engine
+            .flush(self.graph.get(), classify(&self.colors, &self.switch));
     }
 
     /// `true` if `u` is active: black with a black neighbor, or white with no
@@ -361,7 +379,8 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     /// Executes one synchronous round with the naive full-scan reference
     /// implementation (`O(n + m)`): identical colors, switch evolution, and
     /// RNG stream as a sequential-mode [`step`](Process::step), retained as
-    /// the oracle for the engine's trace-equality tests.
+    /// the oracle for the engine's trace-equality tests. The switch takes its
+    /// own full-sweep [`step_reference`](SwitchProcess::step_reference).
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
         let mut black_nbrs = vec![0u32; self.n()];
         for u in self.graph.get().vertices() {
@@ -396,7 +415,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             next.set(u, new.code());
         }
         self.colors = next;
-        self.switch.step(rng);
+        self.switch.step_reference(rng);
         self.rebuild_engine();
         self.round += 1;
     }
@@ -406,8 +425,22 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         self.engine.rebuild(
             self.graph.get(),
             |u| ThreeColor::from_code(colors.get(u)).is_black(),
-            classify(colors),
+            classify(colors, &self.switch),
         );
+    }
+
+    /// Runs after a sparse round's switch step: re-queues every gray vertex
+    /// whose switch output may have changed, then flushes the engine, so a
+    /// gray vertex is on the frontier exactly while its switch is on.
+    fn flush_after_switch_step(&mut self) {
+        let (colors, engine) = (&self.colors, &mut self.engine);
+        self.switch.for_each_changed(&mut |u| {
+            if colors.get(u) == ThreeColor::Gray.code() {
+                engine.mark_dirty(u);
+            }
+        });
+        self.engine
+            .flush(self.graph.get(), classify(&self.colors, &self.switch));
     }
 
     /// One sequential round: ascending-order draws from the shared stream,
@@ -416,9 +449,9 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         // The color update of round t uses the switch values σ_{t-1} (the
         // switch output of the *previous* round); the two sub-processes then
         // advance in parallel. The frontier holds the active vertices plus
-        // every gray vertex (waiting for its switch); draws happen only at
-        // active vertices, in ascending vertex order — the same RNG stream
-        // as the full-scan reference.
+        // the gray vertices whose switch is on; draws happen only at active
+        // vertices, in ascending vertex order — the same RNG stream as the
+        // full-scan reference.
         self.engine.begin_round(&mut self.worklist);
         self.changes.clear();
         for &u in &self.worklist {
@@ -449,8 +482,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             self.engine.set_black(self.graph.get(), u, color.is_black());
         }
         self.switch.step(rng);
-        let colors = &self.colors;
-        self.engine.flush(self.graph.get(), classify(colors));
+        self.flush_after_switch_step();
         self.round += 1;
     }
 
@@ -498,15 +530,15 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         }
         self.random_bits += draws;
         self.switch.step(rng);
-        let colors = &self.colors;
-        self.engine.recount(self.graph.get(), classify(colors));
+        self.engine
+            .recount(self.graph.get(), classify(&self.colors, &self.switch));
         self.round += 1;
     }
 
     /// One **dense** counter-based round on `threads` threads: chunked
-    /// decide sweep, the switch's data-parallel counter step, and the
-    /// parallel engine recount. Bit-identical for every thread count and to
-    /// the sparse parallel path.
+    /// decide sweep, the switch's counter step, and the parallel engine
+    /// recount. Bit-identical for every thread count and to the sparse
+    /// parallel path.
     fn step_dense_parallel(&mut self, threads: usize) {
         let round = self.round as u64;
         let counter = self.counter;
@@ -545,9 +577,12 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             draws
         });
         self.random_bits += draws;
-        self.switch.step_counter(&self.counter, threads);
-        let colors = &self.colors;
-        self.engine.recount_par(graph, threads, classify(colors));
+        self.switch.step_counter(&self.counter);
+        self.engine.recount_par(
+            self.graph.get(),
+            threads,
+            classify(&self.colors, &self.switch),
+        );
         self.round += 1;
     }
 
@@ -555,10 +590,10 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     /// bit-identical for every thread count. The phase structure lives in
     /// [`FrontierEngine::par_round`]; this supplies the 3-color decide
     /// (black/white vertices draw their coin; gray vertices consult the
-    /// *previous* round's switch output) and scatter. The switch then
-    /// advances with its own counter-based, data-parallel step — after the
-    /// flush, which is equivalent: the color flush never reads switch state
-    /// and the switch never reads engine state.
+    /// *previous* round's switch output) and scatter. The fused flush
+    /// inside `par_round` classifies gray vertices by that previous output,
+    /// so after the switch's counter step a small sequential flush
+    /// re-queues the gray vertices whose output changed.
     fn step_parallel(&mut self, threads: usize) {
         self.engine.begin_round_unsorted(&mut self.worklist);
         let round = self.round as u64;
@@ -602,11 +637,12 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                 draws
             },
             |engine, &(u, color), sink| engine.scatter_black(graph, u, color.is_black(), sink),
-            classify(colors),
+            classify(colors, switch),
             change_pool,
         );
         self.random_bits += draws;
-        self.switch.step_counter(&self.counter, threads);
+        self.switch.step_counter(&self.counter);
+        self.flush_after_switch_step();
         self.round += 1;
     }
 }
@@ -735,7 +771,7 @@ mod tests {
                 self.0
             }
             fn step(&mut self, _rng: &mut dyn RngCore) {}
-            fn step_counter(&mut self, _counter: &CounterRng, _threads: usize) {}
+            fn step_counter(&mut self, _counter: &CounterRng) {}
             fn is_on(&self, _u: VertexId) -> bool {
                 true
             }
@@ -805,6 +841,66 @@ mod tests {
         let mut r = rng(1);
         p.step(&mut r);
         assert_ne!(p.color(0), ThreeColor::Gray);
+    }
+
+    #[test]
+    fn parked_gray_vertex_turns_white_one_round_after_its_clock_turns_on() {
+        // Vertex 1 is stable black, so gray vertex 0 only waits for its
+        // switch. The clock is on in rounds ≡ 0 (mod 4) and starts at round
+        // 1, off. Every step path must keep vertex 0 off the frontier while
+        // the clock is off and release it the round after it turns on.
+        let g = generators::path(2);
+        for mode in [
+            ExecutionMode::Sequential,
+            ExecutionMode::Parallel { threads: 2 },
+        ] {
+            for strategy in [RoundStrategy::Sparse, RoundStrategy::Dense] {
+                let ctx = format!("{mode:?}, {strategy:?}");
+                let mut switch = FixedPeriodSwitch::new(2, 1, 3);
+                switch.step(&mut rng(0));
+                let mut p =
+                    ThreeColorProcess::new(&g, vec![ThreeColor::Gray, ThreeColor::Black], switch);
+                p.set_execution(mode, 5);
+                p.set_strategy(strategy);
+                let mut r = rng(1);
+                for _ in 0..3 {
+                    assert!(!p.engine().is_pending(0), "parked while off: {ctx}");
+                    assert_eq!(p.engine().frontier_len(), 0, "{ctx}");
+                    p.step(&mut r);
+                    assert_eq!(p.color(0), ThreeColor::Gray, "{ctx}");
+                }
+                assert!(p.switch().is_on(0), "{ctx}");
+                assert!(p.engine().is_pending(0), "re-queued when on: {ctx}");
+                p.step(&mut r);
+                assert_eq!(p.color(0), ThreeColor::White, "{ctx}");
+                assert_eq!(p.engine().frontier_len(), 0, "{ctx}");
+            }
+        }
+    }
+
+    #[test]
+    fn switch_level_fault_parks_or_requeues_a_gray_vertex() {
+        let g = generators::path(2);
+        let switch = RandomizedLogSwitch::new(&g, vec![5, 5], DEFAULT_ZETA);
+        let mut p = ThreeColorProcess::new(&g, vec![ThreeColor::Gray, ThreeColor::Black], switch);
+        p.set_strategy(RoundStrategy::Sparse);
+        let mut r = rng(2);
+        assert!(!p.engine().is_pending(0), "level 5 is off: parked");
+        p.set_switch_level(0, 2);
+        assert!(p.engine().is_pending(0), "an on level re-queues it at once");
+        p.set_switch_level(0, 3);
+        assert!(!p.engine().is_pending(0), "an off level parks it again");
+        p.step(&mut r);
+        assert_eq!(p.color(0), ThreeColor::Gray);
+        assert!(!p.switch().is_on(0));
+        p.set_switch_level(0, 1);
+        assert!(p.engine().is_pending(0));
+        p.step(&mut r);
+        assert_eq!(
+            p.color(0),
+            ThreeColor::White,
+            "white one round after the fault turned its switch on"
+        );
     }
 
     #[test]

@@ -77,7 +77,7 @@ impl Corruptible for ThreeColorProcess<'_, RandomizedLogSwitch<'_>> {
         // fraction of them (independently chosen victims).
         for u in victims(self.n(), fraction, rng) {
             let level = rng.gen_range(0..=5u8);
-            self.switch_mut().set_level(u, level);
+            self.set_switch_level(u, level);
         }
     }
 }

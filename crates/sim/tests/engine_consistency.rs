@@ -11,7 +11,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    ExecutionMode, FrontierEngine, Process, RoundStrategy, StateCounts, ThreeColor,
+    ExecutionMode, FrontierEngine, Process, RoundStrategy, StateCounts, SwitchProcess, ThreeColor,
     ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
@@ -298,7 +298,8 @@ proptest! {
                     ThreeColor::Gray => false,
                 }
             };
-            let pending = |u: usize| active(u) || colors[u] == ThreeColor::Gray;
+            let pending =
+                |u: usize| active(u) || (colors[u] == ThreeColor::Gray && proc.switch().is_on(u));
             let o = oracle(&g, |u| colors[u].is_black(), active, pending);
             let ctx = format!(
                 "switching par op {i} ({}), seed {seed}",
@@ -423,7 +424,8 @@ proptest! {
                     ThreeColor::Gray => false,
                 }
             };
-            let pending = |u: usize| active(u) || colors[u] == ThreeColor::Gray;
+            let pending =
+                |u: usize| active(u) || (colors[u] == ThreeColor::Gray && proc.switch().is_on(u));
             let o = oracle(&g, |u| colors[u].is_black(), active, pending);
             let ctx = format!("par op {i} ({}), seed {seed}", if kind == 0 { "step" } else { "corrupt" });
             assert_engine_matches(proc.engine(), &o, &ctx)?;
@@ -431,7 +433,7 @@ proptest! {
     }
 
     /// 3-color process (colors + switch levels corrupted): same property;
-    /// pending additionally covers gray vertices waiting for their switch.
+    /// pending additionally covers gray vertices whose switch is on.
     #[test]
     fn three_color_engine_consistent_under_interleavings(
         seed in 0u64..5_000,
@@ -456,7 +458,8 @@ proptest! {
                     ThreeColor::Gray => false,
                 }
             };
-            let pending = |u: usize| active(u) || colors[u] == ThreeColor::Gray;
+            let pending =
+                |u: usize| active(u) || (colors[u] == ThreeColor::Gray && proc.switch().is_on(u));
             let o = oracle(&g, |u| colors[u].is_black(), active, pending);
             let ctx = format!("op {i} ({}), seed {seed}", if kind == 0 { "step" } else { "corrupt" });
             assert_engine_matches(proc.engine(), &o, &ctx)?;
