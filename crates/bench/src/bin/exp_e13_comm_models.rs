@@ -2,6 +2,9 @@
 //! adaptations are trace-equivalent to the direct processes.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin exp_e13_comm_models [-- --quick]`
+//!
+//! Exits non-zero if any co-simulation diverges (states, random bits drawn,
+//! or stabilization verdict in some round) or ends on an invalid MIS.
 
 use mis_bench::experiments::lemmas::{comm_csv, e13_comm_models, e13_registry_harness};
 use mis_bench::report::{print_section, write_results_file};
@@ -28,5 +31,19 @@ fn main() {
     );
     if let Ok(path) = write_results_file("e13_registry_harness.csv", &table.to_csv()) {
         println!("wrote {}", path.display());
+    }
+
+    let failed: Vec<_> = rows
+        .iter()
+        .filter(|r| !(r.traces_identical && r.valid_mis))
+        .collect();
+    for r in &failed {
+        eprintln!(
+            "GATE FAILED: {} on {}: traces_identical={} valid_mis={}",
+            r.adaptation, r.graph, r.traces_identical, r.valid_mis
+        );
+    }
+    if !failed.is_empty() {
+        std::process::exit(1);
     }
 }

@@ -171,7 +171,10 @@ pub fn e13_comm_models(scale: Scale) -> Vec<CommEquivalenceRow> {
                 &mut net,
                 seed,
                 |a: &ThreeColorProcess<'_, RandomizedLogSwitch<'_>>,
-                 b: &StoneAgeThreeColorMis<'_>| { a.colors() == b.colors() },
+                 b: &StoneAgeThreeColorMis<'_>| {
+                    a.colors() == b.colors()
+                        && g.vertices().all(|u| a.switch().level(u) == b.level(u))
+                },
             );
             rows.push(CommEquivalenceRow {
                 adaptation: "stoneage-3color".into(),
@@ -186,26 +189,32 @@ pub fn e13_comm_models(scale: Scale) -> Vec<CommEquivalenceRow> {
 }
 
 /// Steps both processes with identical RNG streams until both stabilize (or a
-/// large cap), checking state equality each round.
+/// large cap), checking each round that the states, the random bits drawn so
+/// far, and the stabilization verdicts are equal.
 fn co_simulate<A: Process, B: Process>(
     a: &mut A,
     b: &mut B,
     seed: u64,
     states_equal: impl Fn(&A, &B) -> bool,
 ) -> (usize, bool) {
+    let same = |a: &A, b: &B| {
+        states_equal(a, b)
+            && a.random_bits_used() == b.random_bits_used()
+            && a.is_stabilized() == b.is_stabilized()
+    };
     let mut rng_a = ChaCha8Rng::seed_from_u64(50_000 + seed);
     let mut rng_b = ChaCha8Rng::seed_from_u64(50_000 + seed);
     let mut identical = true;
     let cap = 1_000_000;
     while !(a.is_stabilized() && b.is_stabilized()) && a.round() < cap {
-        if !states_equal(a, b) {
+        if !same(a, b) {
             identical = false;
             break;
         }
         a.step(&mut rng_a);
         b.step(&mut rng_b);
     }
-    identical = identical && states_equal(a, b);
+    identical = identical && same(a, b);
     (a.round(), identical)
 }
 

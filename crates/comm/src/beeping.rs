@@ -7,6 +7,8 @@ use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::partition::{self, NodeView};
+
 /// What a node does in one beeping round.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum BeepAction {
@@ -16,41 +18,45 @@ pub enum BeepAction {
     Listen,
 }
 
-/// Simulates one synchronous round of the beeping channel: every node in
-/// `beeping` beeps, and the result tells each node whether **at least one of
-/// its neighbors** beeped. With sender collision detection (the full-duplex
-/// model assumed by the paper) beeping nodes receive this feedback too.
+/// Simulates one synchronous round of the beeping channel: every node `u`
+/// with `beeps(u)` beeps, and the round writes into `heard[v]` whether **at
+/// least one neighbor** of `v` beeped. With sender collision detection (the
+/// full-duplex model assumed by the paper) beeping nodes receive this
+/// feedback too. The pass costs `O(n + m)` and allocates nothing.
 ///
-/// The channel deliberately returns a single bit per node — nothing about
+/// The channel deliberately gives a single bit per node — nothing about
 /// *which* or *how many* neighbors beeped.
 ///
 /// # Panics
 ///
-/// Panics if `beeping.universe() != g.n()`.
+/// Panics if `heard.len() != g.n()`.
 ///
 /// # Example
 ///
 /// ```
 /// use mis_comm::beeping::beep_round;
-/// use mis_graph::{Graph, VertexSet};
+/// use mis_graph::Graph;
 ///
 /// let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-/// let heard = beep_round(&g, &VertexSet::from_indices(3, [0]));
-/// assert_eq!(heard, vec![false, true, false]);
+/// let mut heard = [false; 3];
+/// beep_round(&g, |u| u == 0, &mut heard);
+/// assert_eq!(heard, [false, true, false]);
 /// ```
-pub fn beep_round(g: &Graph, beeping: &VertexSet) -> Vec<bool> {
+pub fn beep_round(g: &Graph, beeps: impl Fn(VertexId) -> bool, heard: &mut [bool]) {
     assert_eq!(
-        beeping.universe(),
+        heard.len(),
         g.n(),
-        "beeping set universe must match the graph"
+        "heard buffer length must equal the number of vertices"
     );
-    let mut heard = vec![false; g.n()];
-    for u in beeping.iter() {
-        for v in g.neighbors(u) {
-            heard[v] = true;
-        }
+    for (v, h) in heard.iter_mut().enumerate() {
+        *h = hears_beep(g, v, &beeps);
     }
-    heard
+}
+
+/// Whether node `v` hears a beep: the rule [`beep_round`] applies to every
+/// node, and the network applies to the neighbors of a node it overwrote.
+fn hears_beep(g: &Graph, v: VertexId, beeps: &impl Fn(VertexId) -> bool) -> bool {
+    g.neighbors(v).iter().any(beeps)
 }
 
 /// The 2-state MIS process implemented as a **beeping algorithm**: black
@@ -62,6 +68,13 @@ pub fn beep_round(g: &Graph, beeping: &VertexSet) -> Vec<bool> {
 /// * a white node that hears silence (no neighbor is black) re-randomizes;
 /// * all other nodes keep their state.
 ///
+/// The network keeps each node's heard bit of the current round in one
+/// buffer. A round ([`step`](Process::step) or
+/// [`step_scheduled`](Self::step_scheduled)) updates the colors in place and
+/// refreshes the buffer with one [`beep_round`] (`O(n + m)`, no allocation);
+/// [`set_color`](Self::set_color) refreshes only the neighbors of the node,
+/// in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the buffer.
+///
 /// The node-local rule never inspects neighbor states, only the channel
 /// feedback; nevertheless it is *trace equivalent* to
 /// [`mis_core::TwoStateProcess`] (same seed, same initial states, same state
@@ -70,6 +83,8 @@ pub fn beep_round(g: &Graph, beeping: &VertexSet) -> Vec<bool> {
 pub struct BeepingTwoStateMis<'g> {
     graph: &'g Graph,
     states: Vec<Color>,
+    /// Whether each node heard a beep from the current `states`.
+    heard: Vec<bool>,
     round: usize,
     random_bits: u64,
 }
@@ -86,12 +101,15 @@ impl<'g> BeepingTwoStateMis<'g> {
             graph.n(),
             "initial state vector length must equal the number of vertices"
         );
-        BeepingTwoStateMis {
+        let mut net = BeepingTwoStateMis {
             graph,
             states,
+            heard: vec![false; graph.n()],
             round: 0,
             random_bits: 0,
-        }
+        };
+        net.listen();
+        net
     }
 
     /// Creates the beeping network with states drawn from an [`InitStrategy`].
@@ -129,13 +147,21 @@ impl<'g> BeepingTwoStateMis<'g> {
     }
 
     /// Overwrites the color of node `u` in place, modelling a transient
-    /// fault that corrupts the node's memory.
+    /// fault that corrupts the node's memory, and refreshes what the
+    /// neighbors of `u` hear in `O(Σ_{v ∈ N(u)} deg v)`.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     pub fn set_color(&mut self, u: VertexId, color: Color) {
+        if self.states[u] == color {
+            return;
+        }
         self.states[u] = color;
+        let (g, states) = (self.graph, &self.states);
+        for v in g.neighbors(u) {
+            self.heard[v] = hears_beep(g, v, &|w| states[w].is_black());
+        }
     }
 
     /// Executes one beeping round in which only the nodes of `scheduled`
@@ -153,33 +179,47 @@ impl<'g> BeepingTwoStateMis<'g> {
             self.graph.n(),
             "scheduled set universe must match the graph"
         );
-        let heard = self.heard();
         for u in scheduled.iter() {
-            if Self::node_is_active(self.states[u], heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-            }
+            self.update(u, rng);
         }
         self.round += 1;
+        self.listen();
     }
 
-    fn heard(&self) -> Vec<bool> {
-        let beeping = VertexSet::from_indices(
-            self.graph.n(),
-            self.graph.vertices().filter(|&u| self.states[u].is_black()),
-        );
-        beep_round(self.graph, &beeping)
-    }
-
-    fn node_is_active(color: Color, heard_beep: bool) -> bool {
-        match color {
-            Color::Black => heard_beep,
-            Color::White => !heard_beep,
+    /// Applies the 2-state rule to node `u` from what it heard this round.
+    fn update(&mut self, u: VertexId, rng: &mut dyn RngCore) {
+        if self.is_active(u) {
+            self.random_bits += 1;
+            self.states[u] = if rng.gen_bool(0.5) {
+                Color::Black
+            } else {
+                Color::White
+            };
         }
+    }
+
+    /// Runs the channel round of the current colors into `heard`.
+    fn listen(&mut self) {
+        let states = &self.states;
+        beep_round(self.graph, |u| states[u].is_black(), &mut self.heard);
+    }
+}
+
+impl NodeView for BeepingTwoStateMis<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn is_black(&self, u: VertexId) -> bool {
+        self.states[u].is_black()
+    }
+
+    fn hears_black(&self, u: VertexId) -> bool {
+        self.heard[u]
+    }
+
+    fn is_active(&self, u: VertexId) -> bool {
+        self.is_black(u) == self.hears_black(u)
     }
 }
 
@@ -193,96 +233,35 @@ impl Process for BeepingTwoStateMis<'_> {
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
         for u in self.graph.vertices() {
-            if Self::node_is_active(self.states[u], heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-            }
+            self.update(u, rng);
         }
         self.round += 1;
+        self.listen();
     }
 
     fn is_stabilized(&self) -> bool {
-        let heard = self.heard();
-        self.graph
-            .vertices()
-            .all(|u| !Self::node_is_active(self.states[u], heard[u]))
+        partition::is_stabilized(self)
     }
 
     fn black_set(&self) -> VertexSet {
-        VertexSet::from_indices(
-            self.n(),
-            self.graph.vertices().filter(|&u| self.states[u].is_black()),
-        )
+        partition::select(self, |u| self.is_black(u))
     }
 
     fn active_set(&self) -> VertexSet {
-        let heard = self.heard();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .vertices()
-                .filter(|&u| Self::node_is_active(self.states[u], heard[u])),
-        )
+        partition::select(self, |u| self.is_active(u))
     }
 
     fn stable_black_set(&self) -> VertexSet {
-        let heard = self.heard();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .vertices()
-                .filter(|&u| self.states[u].is_black() && !heard[u]),
-        )
+        partition::select(self, |u| partition::is_stable_black(self, u))
     }
 
     fn unstable_set(&self) -> VertexSet {
-        let stable_black = self.stable_black_set();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph.vertices().filter(|&u| {
-                !stable_black.contains(u)
-                    && !self
-                        .graph
-                        .neighbors(u)
-                        .iter()
-                        .any(|v| stable_black.contains(v))
-            }),
-        )
+        partition::select(self, |u| partition::is_unstable(self, u))
     }
 
     fn counts(&self) -> StateCounts {
-        let heard = self.heard();
-        let stable_black = self.stable_black_set();
-        let mut c = StateCounts::default();
-        for u in self.graph.vertices() {
-            if self.states[u].is_black() {
-                c.black += 1;
-            } else {
-                c.non_black += 1;
-            }
-            if Self::node_is_active(self.states[u], heard[u]) {
-                c.active += 1;
-            }
-            if stable_black.contains(u) {
-                c.stable_black += 1;
-            }
-            if !stable_black.contains(u)
-                && !self
-                    .graph
-                    .neighbors(u)
-                    .iter()
-                    .any(|v| stable_black.contains(v))
-            {
-                c.unstable += 1;
-            }
-        }
-        c
+        partition::counts(self)
     }
 
     fn states_per_vertex(&self) -> usize {
@@ -310,15 +289,18 @@ mod tests {
     #[test]
     fn beep_round_reports_neighbor_beeps_only() {
         let g = generators::star(5);
+        // The buffer starts dirty: the round overwrites every bit.
+        let mut heard = [true; 5];
         // Only a leaf beeps: the hub hears it, other leaves do not.
-        let heard = beep_round(&g, &VertexSet::from_indices(5, [1]));
-        assert_eq!(heard, vec![true, false, false, false, false]);
+        beep_round(&g, |u| u == 1, &mut heard);
+        assert_eq!(heard, [true, false, false, false, false]);
         // The hub beeps: every leaf hears it, the hub itself does not
         // (sender collision detection reports *neighbor* beeps only).
-        let heard = beep_round(&g, &VertexSet::from_indices(5, [0]));
-        assert_eq!(heard, vec![false, true, true, true, true]);
+        beep_round(&g, |u| u == 0, &mut heard);
+        assert_eq!(heard, [false, true, true, true, true]);
         // Nobody beeps.
-        assert!(beep_round(&g, &VertexSet::new(5)).iter().all(|h| !h));
+        beep_round(&g, |_| false, &mut heard);
+        assert_eq!(heard, [false; 5]);
     }
 
     #[test]
@@ -391,10 +373,10 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "universe must match")]
-    fn beep_round_rejects_mismatched_universe() {
+    #[should_panic(expected = "heard buffer length")]
+    fn beep_round_rejects_mismatched_buffer() {
         let g = generators::path(3);
-        beep_round(&g, &VertexSet::new(4));
+        beep_round(&g, |_| true, &mut [false; 4]);
     }
 
     proptest! {

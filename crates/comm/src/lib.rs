@@ -14,12 +14,21 @@
 //!   "no neighbor sent it" from "at least one neighbor sent it".
 //!
 //! This crate provides the two channel primitives ([`beeping::beep_round`]
-//! and [`stone_age::stone_age_round`]) and node-local adapters that
-//! re-implement the processes **using only the channel feedback** — they
-//! never read a neighbor's state directly. Each adapter implements
-//! [`mis_core::Process`], and the test suites prove *trace equivalence*: fed
-//! the same seed and initial states, an adapter visits exactly the same
-//! state sequence as the corresponding direct process from `mis-core`.
+//! and [`stone_age::stone_age_round`]), which fill a caller-owned buffer with
+//! what every node hears, and node-local adapters that re-implement the
+//! processes **using only the channel feedback** — they never read a
+//! neighbor's state directly. Each adapter implements [`mis_core::Process`],
+//! and the test suites prove *trace equivalence*: fed the same seed and
+//! initial states, an adapter visits exactly the same state sequence as the
+//! corresponding direct process from `mis-core`.
+//!
+//! Each network keeps what its nodes heard in the current round in one flat
+//! buffer (a bit per node for beeping, a letter mask per node for stone
+//! age). It runs the channel once per round, after the state update, so a
+//! round costs `O(n + m)` and allocates nothing; the fault setters refresh
+//! only the neighbors of the overwritten node. The stabilization check,
+//! the vertex sets, and the counts read the buffer and never re-run the
+//! channel; the stabilization check is `O(n)`.
 //!
 //! # Example
 //!
@@ -41,6 +50,7 @@
 
 pub mod adapters;
 pub mod beeping;
+mod partition;
 pub mod stone_age;
 
 pub use adapters::{

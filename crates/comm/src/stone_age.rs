@@ -12,15 +12,19 @@ use mis_core::{Process, StateCounts, ThreeColor, ThreeState, DEFAULT_ZETA};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
+use crate::partition::{self, NodeView};
+
 /// Simulates one synchronous round of the stone age channel.
 ///
-/// `transmit[u]` is the letter node `u` broadcasts this round (or `None` for
-/// silence). The result gives each node, for every letter of the alphabet,
-/// whether **at least one neighbor** transmitted that letter.
+/// `transmit(u)` is the letter node `u` broadcasts this round (or `None` for
+/// silence). The round writes into `heard[v]` the letters node `v` hears, as
+/// a mask: bit `l` is set iff **at least one neighbor** of `v` transmitted
+/// letter `l`. The pass costs `O(n + m)` and allocates nothing.
 ///
 /// # Panics
 ///
-/// Panics if `transmit.len() != g.n()` or some letter is `>= alphabet`.
+/// Panics if `heard.len() != g.n()`, if `alphabet > 32` (the width of a
+/// mask), or if some node hears a letter `>= alphabet`.
 ///
 /// # Example
 ///
@@ -29,29 +33,50 @@ use rand::{Rng, RngCore};
 /// use mis_graph::Graph;
 ///
 /// let g = Graph::from_edges(3, [(0, 1), (1, 2)]).unwrap();
-/// let heard = stone_age_round(&g, &[Some(0), None, Some(1)], 2);
-/// assert_eq!(heard[1], vec![true, true]);  // middle node hears both letters
-/// assert_eq!(heard[0], vec![false, false]); // endpoint hears only silence
+/// let letters = [Some(0), None, Some(1)];
+/// let mut heard = [0u32; 3];
+/// stone_age_round(&g, |u| letters[u], 2, &mut heard);
+/// assert_eq!(heard[1], 0b11); // middle node hears both letters
+/// assert_eq!(heard[0], 0);    // endpoint hears only silence
 /// ```
-pub fn stone_age_round(g: &Graph, transmit: &[Option<u8>], alphabet: usize) -> Vec<Vec<bool>> {
+pub fn stone_age_round(
+    g: &Graph,
+    transmit: impl Fn(VertexId) -> Option<u8>,
+    alphabet: usize,
+    heard: &mut [u32],
+) {
     assert_eq!(
-        transmit.len(),
+        heard.len(),
         g.n(),
-        "transmission vector length must equal the number of vertices"
+        "heard buffer length must equal the number of vertices"
     );
-    let mut heard = vec![vec![false; alphabet]; g.n()];
-    for u in g.vertices() {
-        if let Some(letter) = transmit[u] {
+    assert!(
+        alphabet <= 32,
+        "alphabet of size {alphabet} does not fit a 32-bit letter mask"
+    );
+    for (v, mask) in heard.iter_mut().enumerate() {
+        *mask = hear(g, v, &transmit, alphabet);
+    }
+}
+
+/// The letters node `v` hears: the rule [`stone_age_round`] applies to every
+/// node, and a network applies to the neighbors of a node it overwrote.
+fn hear(
+    g: &Graph,
+    v: VertexId,
+    transmit: &impl Fn(VertexId) -> Option<u8>,
+    alphabet: usize,
+) -> u32 {
+    g.neighbors(v)
+        .iter()
+        .filter_map(transmit)
+        .fold(0, |mask, letter| {
             assert!(
                 (letter as usize) < alphabet,
                 "letter {letter} outside alphabet of size {alphabet}"
             );
-            for v in g.neighbors(u) {
-                heard[v][letter as usize] = true;
-            }
-        }
-    }
-    heard
+            mask | 1 << letter
+        })
 }
 
 /// The 3-state MIS process as a stone age algorithm with a 2-letter alphabet.
@@ -62,12 +87,21 @@ pub fn stone_age_round(g: &Graph, transmit: &[Option<u8>], alphabet: usize) -> V
 /// 3-state rule needs: whether some neighbor is `black1`, and whether some
 /// neighbor is black at all.
 ///
+/// The network keeps each node's heard letters of the current round in one
+/// buffer. A round ([`step`](Process::step) or
+/// [`step_scheduled`](Self::step_scheduled)) updates the states in place and
+/// refreshes the buffer with one [`stone_age_round`] (`O(n + m)`, no
+/// allocation); [`set_state`](Self::set_state) refreshes only the neighbors
+/// of the node, in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the buffer.
+///
 /// Trace equivalent to [`mis_core::ThreeStateProcess`] given the same seed
 /// and initial states.
 #[derive(Debug, Clone)]
 pub struct StoneAgeThreeStateMis<'g> {
     graph: &'g Graph,
     states: Vec<ThreeState>,
+    /// Letter mask each node heard from the current `states`.
+    heard: Vec<u32>,
     round: usize,
     random_bits: u64,
 }
@@ -75,6 +109,15 @@ pub struct StoneAgeThreeStateMis<'g> {
 /// Alphabet used by [`StoneAgeThreeStateMis`]: letter 0 = "I am black1",
 /// letter 1 = "I am black0".
 pub const THREE_STATE_ALPHABET: usize = 2;
+
+/// The letter a node in `state` transmits.
+fn three_state_letter(state: ThreeState) -> Option<u8> {
+    match state {
+        ThreeState::Black1 => Some(0),
+        ThreeState::Black0 => Some(1),
+        ThreeState::White => None,
+    }
+}
 
 impl<'g> StoneAgeThreeStateMis<'g> {
     /// Creates the network with the given initial states.
@@ -88,12 +131,15 @@ impl<'g> StoneAgeThreeStateMis<'g> {
             graph.n(),
             "initial state vector length must equal the number of vertices"
         );
-        StoneAgeThreeStateMis {
+        let mut net = StoneAgeThreeStateMis {
             graph,
             states,
+            heard: vec![0; graph.n()],
             round: 0,
             random_bits: 0,
-        }
+        };
+        net.listen();
+        net
     }
 
     /// Creates the network with states drawn from an [`InitStrategy`].
@@ -122,21 +168,30 @@ impl<'g> StoneAgeThreeStateMis<'g> {
 
     /// The letter node `u` transmits in the next round (`None` = silence).
     pub fn transmission(&self, u: VertexId) -> Option<u8> {
-        match self.states[u] {
-            ThreeState::Black1 => Some(0),
-            ThreeState::Black0 => Some(1),
-            ThreeState::White => None,
-        }
+        three_state_letter(self.states[u])
     }
 
     /// Overwrites the state of node `u` in place, modelling a transient
-    /// fault that corrupts the node's memory.
+    /// fault that corrupts the node's memory, and refreshes what the
+    /// neighbors of `u` hear in `O(Σ_{v ∈ N(u)} deg v)`.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range.
     pub fn set_state(&mut self, u: VertexId, state: ThreeState) {
+        if self.states[u] == state {
+            return;
+        }
         self.states[u] = state;
+        let (g, states) = (self.graph, &self.states);
+        for v in g.neighbors(u) {
+            self.heard[v] = hear(
+                g,
+                v,
+                &|w| three_state_letter(states[w]),
+                THREE_STATE_ALPHABET,
+            );
+        }
     }
 
     /// Executes one stone-age round in which only the nodes of `scheduled`
@@ -155,43 +210,59 @@ impl<'g> StoneAgeThreeStateMis<'g> {
             self.graph.n(),
             "scheduled set universe must match the graph"
         );
-        let heard = self.heard();
         for u in scheduled.iter() {
-            if Self::node_is_active(self.states[u], &heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-            } else if self.states[u] == ThreeState::Black0 {
-                self.states[u] = ThreeState::White;
-            }
+            self.update(u, rng);
         }
         self.round += 1;
+        self.listen();
     }
 
-    fn heard(&self) -> Vec<Vec<bool>> {
-        let transmit: Vec<Option<u8>> = self
-            .graph
-            .vertices()
-            .map(|u| self.transmission(u))
-            .collect();
-        stone_age_round(self.graph, &transmit, THREE_STATE_ALPHABET)
-    }
-
-    fn node_is_active(state: ThreeState, heard: &[bool]) -> bool {
-        let heard_black1 = heard[0];
-        let heard_black = heard[0] || heard[1];
-        match state {
-            ThreeState::Black1 => true,
-            ThreeState::Black0 => !heard_black1,
-            ThreeState::White => !heard_black,
+    /// Applies the 3-state rule to node `u` from what it heard this round.
+    fn update(&mut self, u: VertexId, rng: &mut dyn RngCore) {
+        if self.is_active(u) {
+            self.random_bits += 1;
+            self.states[u] = if rng.gen_bool(0.5) {
+                ThreeState::Black1
+            } else {
+                ThreeState::Black0
+            };
+        } else if self.states[u] == ThreeState::Black0 {
+            self.states[u] = ThreeState::White;
         }
     }
 
-    fn stable_black(&self, heard: &[Vec<bool>], u: VertexId) -> bool {
-        self.states[u].is_black() && !heard[u][0] && !heard[u][1]
+    /// Runs the channel round of the current states into `heard`.
+    fn listen(&mut self) {
+        let states = &self.states;
+        stone_age_round(
+            self.graph,
+            |u| three_state_letter(states[u]),
+            THREE_STATE_ALPHABET,
+            &mut self.heard,
+        );
+    }
+}
+
+impl NodeView for StoneAgeThreeStateMis<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
+    }
+
+    fn is_black(&self, u: VertexId) -> bool {
+        self.states[u].is_black()
+    }
+
+    fn hears_black(&self, u: VertexId) -> bool {
+        self.heard[u] != 0
+    }
+
+    fn is_active(&self, u: VertexId) -> bool {
+        match self.states[u] {
+            ThreeState::Black1 => true,
+            // No black1 neighbor (letter 0).
+            ThreeState::Black0 => self.heard[u] & 1 == 0,
+            ThreeState::White => !self.hears_black(u),
+        }
     }
 }
 
@@ -205,103 +276,35 @@ impl Process for StoneAgeThreeStateMis<'_> {
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
         for u in self.graph.vertices() {
-            if Self::node_is_active(self.states[u], &heard[u]) {
-                self.random_bits += 1;
-                self.states[u] = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-            } else if self.states[u] == ThreeState::Black0 {
-                self.states[u] = ThreeState::White;
-            }
+            self.update(u, rng);
         }
         self.round += 1;
+        self.listen();
     }
 
     fn is_stabilized(&self) -> bool {
-        let heard = self.heard();
-        self.graph.vertices().all(|u| {
-            self.stable_black(&heard, u)
-                || self
-                    .graph
-                    .neighbors(u)
-                    .iter()
-                    .any(|v| self.stable_black(&heard, v))
-        })
+        partition::is_stabilized(self)
     }
 
     fn black_set(&self) -> VertexSet {
-        VertexSet::from_indices(
-            self.n(),
-            self.graph.vertices().filter(|&u| self.states[u].is_black()),
-        )
+        partition::select(self, |u| self.is_black(u))
     }
 
     fn active_set(&self) -> VertexSet {
-        let heard = self.heard();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .vertices()
-                .filter(|&u| Self::node_is_active(self.states[u], &heard[u])),
-        )
+        partition::select(self, |u| self.is_active(u))
     }
 
     fn stable_black_set(&self) -> VertexSet {
-        let heard = self.heard();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .vertices()
-                .filter(|&u| self.stable_black(&heard, u)),
-        )
+        partition::select(self, |u| partition::is_stable_black(self, u))
     }
 
     fn unstable_set(&self) -> VertexSet {
-        let stable_black = self.stable_black_set();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph.vertices().filter(|&u| {
-                !stable_black.contains(u)
-                    && !self
-                        .graph
-                        .neighbors(u)
-                        .iter()
-                        .any(|v| stable_black.contains(v))
-            }),
-        )
+        partition::select(self, |u| partition::is_unstable(self, u))
     }
 
     fn counts(&self) -> StateCounts {
-        let heard = self.heard();
-        let stable_black = self.stable_black_set();
-        let mut c = StateCounts::default();
-        for u in self.graph.vertices() {
-            if self.states[u].is_black() {
-                c.black += 1;
-            } else {
-                c.non_black += 1;
-            }
-            if Self::node_is_active(self.states[u], &heard[u]) {
-                c.active += 1;
-            }
-            if stable_black.contains(u) {
-                c.stable_black += 1;
-            }
-            if !stable_black.contains(u)
-                && !self
-                    .graph
-                    .neighbors(u)
-                    .iter()
-                    .any(|v| stable_black.contains(v))
-            {
-                c.unstable += 1;
-            }
-        }
-        c
+        partition::counts(self)
     }
 
     fn states_per_vertex(&self) -> usize {
@@ -320,6 +323,13 @@ impl Process for StoneAgeThreeStateMis<'_> {
 /// "heard" bits to recover "some neighbor is black" and "the maximum level
 /// among my neighbors" — the two aggregates the process needs.
 ///
+/// The network keeps each node's heard letters of the current round in one
+/// buffer. [`step`](Process::step) updates colors and levels in place and
+/// refreshes the buffer with one [`stone_age_round`] (`O(n + m)`, no
+/// allocation); [`set_node_state`](Self::set_node_state) refreshes only the
+/// neighbors of the node, in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the
+/// buffer.
+///
 /// Trace equivalent to
 /// [`mis_core::ThreeColorProcess`]`<`[`mis_core::RandomizedLogSwitch`]`>`
 /// given the same seed and initial states.
@@ -328,6 +338,8 @@ pub struct StoneAgeThreeColorMis<'g> {
     graph: &'g Graph,
     colors: Vec<ThreeColor>,
     levels: Vec<u8>,
+    /// Letter mask each node heard from the current `colors` and `levels`.
+    heard: Vec<u32>,
     zeta: f64,
     round: usize,
     random_bits: u64,
@@ -336,6 +348,26 @@ pub struct StoneAgeThreeColorMis<'g> {
 /// Alphabet used by [`StoneAgeThreeColorMis`]: `color_index * 6 + level` with
 /// color indices black = 0, white = 1, gray = 2 and levels `0..=5`.
 pub const THREE_COLOR_ALPHABET: usize = 18;
+
+/// The letters a black node can send (levels 0..=5 of color index 0); the
+/// white and gray letters are these shifted by 6 and 12.
+const BLACK_LETTERS: u32 = 0x3F;
+
+/// The letter a node with `color` and switch `level` transmits.
+fn three_color_letter(color: ThreeColor, level: u8) -> u8 {
+    let color_index = match color {
+        ThreeColor::Black => 0u8,
+        ThreeColor::White => 1,
+        ThreeColor::Gray => 2,
+    };
+    color_index * 6 + level
+}
+
+/// The levels present in a heard mask, whatever the sender's color: bit `l`
+/// is set iff some neighbor is at level `l`.
+fn heard_levels(mask: u32) -> u32 {
+    (mask | mask >> 6 | mask >> 12) & BLACK_LETTERS
+}
 
 impl<'g> StoneAgeThreeColorMis<'g> {
     /// Creates the network with explicit colors and switch levels.
@@ -355,14 +387,17 @@ impl<'g> StoneAgeThreeColorMis<'g> {
             "initial level vector length must equal the number of vertices"
         );
         assert!(levels.iter().all(|&l| l <= 5), "levels must be in 0..=5");
-        StoneAgeThreeColorMis {
+        let mut net = StoneAgeThreeColorMis {
             graph,
             colors,
             levels,
+            heard: vec![0; graph.n()],
             zeta: DEFAULT_ZETA,
             round: 0,
             random_bits: 0,
-        }
+        };
+        net.listen();
+        net
     }
 
     /// Creates the network with colors and levels drawn from an [`InitStrategy`].
@@ -401,59 +436,66 @@ impl<'g> StoneAgeThreeColorMis<'g> {
     }
 
     /// Overwrites the color and switch level of node `u` in place, modelling
-    /// a transient fault that corrupts the node's memory.
+    /// a transient fault that corrupts the node's memory, and refreshes what
+    /// the neighbors of `u` hear in `O(Σ_{v ∈ N(u)} deg v)`.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range or `level > 5`.
     pub fn set_node_state(&mut self, u: VertexId, color: ThreeColor, level: u8) {
         assert!(level <= 5, "levels must be in 0..=5");
+        if (self.colors[u], self.levels[u]) == (color, level) {
+            return;
+        }
         self.colors[u] = color;
         self.levels[u] = level;
+        let (g, colors, levels) = (self.graph, &self.colors, &self.levels);
+        for v in g.neighbors(u) {
+            self.heard[v] = hear(
+                g,
+                v,
+                &|w| Some(three_color_letter(colors[w], levels[w])),
+                THREE_COLOR_ALPHABET,
+            );
+        }
     }
 
     /// The letter node `u` transmits: its full `(color, level)` state.
     pub fn transmission(&self, u: VertexId) -> Option<u8> {
-        let color_index = match self.colors[u] {
-            ThreeColor::Black => 0u8,
-            ThreeColor::White => 1,
-            ThreeColor::Gray => 2,
-        };
-        Some(color_index * 6 + self.levels[u])
+        Some(three_color_letter(self.colors[u], self.levels[u]))
     }
 
-    fn heard(&self) -> Vec<Vec<bool>> {
-        let transmit: Vec<Option<u8>> = self
-            .graph
-            .vertices()
-            .map(|u| self.transmission(u))
-            .collect();
-        stone_age_round(self.graph, &transmit, THREE_COLOR_ALPHABET)
+    /// Runs the channel round of the current colors and levels into `heard`.
+    fn listen(&mut self) {
+        let (colors, levels) = (&self.colors, &self.levels);
+        stone_age_round(
+            self.graph,
+            |u| Some(three_color_letter(colors[u], levels[u])),
+            THREE_COLOR_ALPHABET,
+            &mut self.heard,
+        );
+    }
+}
+
+impl NodeView for StoneAgeThreeColorMis<'_> {
+    fn graph(&self) -> &Graph {
+        self.graph
     }
 
-    /// Whether any *black* letter (color index 0, any level) was heard.
-    fn heard_black(heard: &[bool]) -> bool {
-        heard[..6].iter().any(|&h| h)
+    fn is_black(&self, u: VertexId) -> bool {
+        self.colors[u].is_black()
     }
 
-    /// Maximum level over all letters heard, or `None` if silence.
-    fn heard_max_level(heard: &[bool]) -> Option<u8> {
-        (0..18u8)
-            .filter(|&l| heard[l as usize])
-            .map(|l| l % 6)
-            .max()
+    fn hears_black(&self, u: VertexId) -> bool {
+        self.heard[u] & BLACK_LETTERS != 0
     }
 
-    fn node_is_active(color: ThreeColor, heard: &[bool]) -> bool {
-        match color {
-            ThreeColor::Black => Self::heard_black(heard),
-            ThreeColor::White => !Self::heard_black(heard),
+    fn is_active(&self, u: VertexId) -> bool {
+        match self.colors[u] {
+            ThreeColor::Black => self.hears_black(u),
+            ThreeColor::White => !self.hears_black(u),
             ThreeColor::Gray => false,
         }
-    }
-
-    fn stable_black(&self, heard: &[Vec<bool>], u: VertexId) -> bool {
-        self.colors[u].is_black() && !Self::heard_black(&heard[u])
     }
 }
 
@@ -467,13 +509,12 @@ impl Process for StoneAgeThreeColorMis<'_> {
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
-        let heard = self.heard();
         // Color update (uses the switch output of the previous round, i.e.
         // the current levels), drawing coins in vertex order exactly like the
         // direct 3-color process.
         for u in self.graph.vertices() {
             self.colors[u] = match self.colors[u] {
-                ThreeColor::Black if Self::heard_black(&heard[u]) => {
+                ThreeColor::Black if self.hears_black(u) => {
                     self.random_bits += 1;
                     if rng.gen_bool(0.5) {
                         ThreeColor::Black
@@ -481,7 +522,7 @@ impl Process for StoneAgeThreeColorMis<'_> {
                         ThreeColor::Gray
                     }
                 }
-                ThreeColor::White if !Self::heard_black(&heard[u]) => {
+                ThreeColor::White if !self.hears_black(u) => {
                     self.random_bits += 1;
                     if rng.gen_bool(0.5) {
                         ThreeColor::Black
@@ -493,9 +534,9 @@ impl Process for StoneAgeThreeColorMis<'_> {
                 other => other,
             };
         }
-        // Switch (level) update, using the maximum level heard over the
-        // neighbors plus the node's own level.
-        let mut next_levels = self.levels.clone();
+        // Switch (level) update, using the maximum level over the closed
+        // neighborhood. The heard masks hold the neighbors' levels from
+        // before this round, so the levels can be overwritten in place.
         for u in self.graph.vertices() {
             let lvl = self.levels[u];
             let reset = if lvl == 5 {
@@ -504,98 +545,39 @@ impl Process for StoneAgeThreeColorMis<'_> {
             } else {
                 false
             };
-            next_levels[u] = if reset || lvl == 0 {
+            self.levels[u] = if reset || lvl == 0 {
                 5
             } else {
-                let max_nbr = Self::heard_max_level(&heard[u]).unwrap_or(0).max(lvl);
-                max_nbr - 1
+                let max_level = (heard_levels(self.heard[u]) | 1 << lvl).ilog2() as u8;
+                max_level - 1
             };
         }
-        self.levels = next_levels;
         self.round += 1;
+        self.listen();
     }
 
     fn is_stabilized(&self) -> bool {
-        let heard = self.heard();
-        self.graph.vertices().all(|u| {
-            self.stable_black(&heard, u)
-                || self
-                    .graph
-                    .neighbors(u)
-                    .iter()
-                    .any(|v| self.stable_black(&heard, v))
-        })
+        partition::is_stabilized(self)
     }
 
     fn black_set(&self) -> VertexSet {
-        VertexSet::from_indices(
-            self.n(),
-            self.graph.vertices().filter(|&u| self.colors[u].is_black()),
-        )
+        partition::select(self, |u| self.is_black(u))
     }
 
     fn active_set(&self) -> VertexSet {
-        let heard = self.heard();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .vertices()
-                .filter(|&u| Self::node_is_active(self.colors[u], &heard[u])),
-        )
+        partition::select(self, |u| self.is_active(u))
     }
 
     fn stable_black_set(&self) -> VertexSet {
-        let heard = self.heard();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .vertices()
-                .filter(|&u| self.stable_black(&heard, u)),
-        )
+        partition::select(self, |u| partition::is_stable_black(self, u))
     }
 
     fn unstable_set(&self) -> VertexSet {
-        let stable_black = self.stable_black_set();
-        VertexSet::from_indices(
-            self.n(),
-            self.graph.vertices().filter(|&u| {
-                !stable_black.contains(u)
-                    && !self
-                        .graph
-                        .neighbors(u)
-                        .iter()
-                        .any(|v| stable_black.contains(v))
-            }),
-        )
+        partition::select(self, |u| partition::is_unstable(self, u))
     }
 
     fn counts(&self) -> StateCounts {
-        let heard = self.heard();
-        let stable_black = self.stable_black_set();
-        let mut c = StateCounts::default();
-        for u in self.graph.vertices() {
-            if self.colors[u].is_black() {
-                c.black += 1;
-            } else {
-                c.non_black += 1;
-            }
-            if Self::node_is_active(self.colors[u], &heard[u]) {
-                c.active += 1;
-            }
-            if stable_black.contains(u) {
-                c.stable_black += 1;
-            }
-            if !stable_black.contains(u)
-                && !self
-                    .graph
-                    .neighbors(u)
-                    .iter()
-                    .any(|v| stable_black.contains(v))
-            {
-                c.unstable += 1;
-            }
-        }
-        c
+        partition::counts(self)
     }
 
     fn states_per_vertex(&self) -> usize {
@@ -623,17 +605,27 @@ mod tests {
     #[test]
     fn stone_age_round_reports_per_letter_bits() {
         let g = generators::star(4);
-        // Leaves send letters 0, 1, 1; hub is silent.
-        let heard = stone_age_round(&g, &[None, Some(0), Some(1), Some(1)], 3);
-        assert_eq!(heard[0], vec![true, true, false]);
-        assert_eq!(heard[1], vec![false, false, false]);
+        // Leaves send letters 0, 1, 1; hub is silent. The buffer starts
+        // dirty: the round overwrites every mask.
+        let letters = [None, Some(0), Some(1), Some(1)];
+        let mut heard = [u32::MAX; 4];
+        stone_age_round(&g, |u| letters[u], 3, &mut heard);
+        assert_eq!(heard, [0b011, 0, 0, 0]);
     }
 
     #[test]
     #[should_panic(expected = "outside alphabet")]
     fn stone_age_round_rejects_bad_letter() {
         let g = generators::path(2);
-        stone_age_round(&g, &[Some(5), None], 2);
+        let letters = [Some(5), None];
+        stone_age_round(&g, |u| letters[u], 2, &mut [0; 2]);
+    }
+
+    #[test]
+    #[should_panic(expected = "does not fit a 32-bit letter mask")]
+    fn stone_age_round_rejects_alphabet_wider_than_a_mask() {
+        let g = generators::path(2);
+        stone_age_round(&g, |_| None, 33, &mut [0; 2]);
     }
 
     #[test]

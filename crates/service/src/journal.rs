@@ -562,6 +562,10 @@ impl Journal {
     /// Appends one record and `fsync`s it. Returns only after the bytes are
     /// durable — callers acknowledge the client strictly after this.
     ///
+    /// The file lock covers the write, not the `fsync`: concurrent appends
+    /// write while this one waits on the disk, and the file system can
+    /// commit their syncs together.
+    ///
     /// # Errors
     ///
     /// Fails if the journal has been [sealed](Journal::seal) or on I/O
@@ -570,24 +574,32 @@ impl Journal {
         if self.sealed.load(Ordering::SeqCst) {
             return Err(io::Error::other("journal sealed"));
         }
-        let mut file = crate::sync::lock(&self.file);
-        // Re-check under the lock: `seal` waits on this lock as a barrier,
-        // so no append may start writing once it has returned.
-        if self.sealed.load(Ordering::SeqCst) {
-            return Err(io::Error::other("journal sealed"));
-        }
-        // Sequence numbers are assigned under the file lock so on-disk
-        // order matches sequence order.
-        let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-        let envelope = Value::Object(vec![
-            ("seq".to_string(), seq.to_value()),
-            ("record".to_string(), record.to_value()),
-        ]);
-        let json = serde_json::to_string(&envelope)
-            .map_err(|e| io::Error::other(format!("journal encode: {e}")))?;
-        let line = format!("{} {:08x} {}\n", json.len(), crc32(json.as_bytes()), json);
-        file.write_all(line.as_bytes())?;
-        file.sync_data()?;
+        let (seq, written_to) = {
+            let mut file = crate::sync::lock(&self.file);
+            // Re-check under the lock: `seal` waits on this lock as a
+            // barrier, so no append may start writing once it has returned.
+            if self.sealed.load(Ordering::SeqCst) {
+                return Err(io::Error::other("journal sealed"));
+            }
+            // Sequence numbers are assigned under the file lock so on-disk
+            // order matches sequence order.
+            let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
+            let envelope = Value::Object(vec![
+                ("seq".to_string(), seq.to_value()),
+                ("record".to_string(), record.to_value()),
+            ]);
+            let json = serde_json::to_string(&envelope)
+                .map_err(|e| io::Error::other(format!("journal encode: {e}")))?;
+            let line = format!("{} {:08x} {}\n", json.len(), crc32(json.as_bytes()), json);
+            file.write_all(line.as_bytes())?;
+            (seq, file.try_clone()?)
+        };
+        // The clone names the file the record went to, even if a snapshot
+        // install swaps the journal before this sync: syncing it makes the
+        // record durable there, and the install syncs its own copy of every
+        // record it carries over (or covers it by the snapshot). Syncing
+        // also covers every record written before this one.
+        written_to.sync_data()?;
         self.since_snapshot.fetch_add(1, Ordering::Relaxed);
         Ok(seq)
     }
@@ -1214,6 +1226,35 @@ mod tests {
         journal.seal();
         assert!(journal.append(&Record::JobStarted { id: 2 }).is_err());
         assert!(journal.install_snapshot(&SnapshotDoc::default()).is_err());
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn concurrent_appends_all_replay() {
+        let dir = tmpdir("concurrent");
+        {
+            let (journal, _) = Journal::open(&dir).unwrap();
+            std::thread::scope(|scope| {
+                for t in 0..4u64 {
+                    let journal = &journal;
+                    scope.spawn(move || {
+                        for i in 0..25 {
+                            journal
+                                .append(&Record::JobSubmitted {
+                                    id: t * 100 + i + 1,
+                                    request: JobRequest::new(1, "two-state"),
+                                })
+                                .unwrap();
+                        }
+                    });
+                }
+            });
+            assert_eq!(journal.current_seq(), 100);
+        }
+        let (_, recovery) = Journal::open(&dir).unwrap();
+        assert!(!recovery.torn_tail);
+        assert_eq!(recovery.replayed, 100);
+        assert_eq!(recovery.jobs.len(), 100);
         let _ = fs::remove_dir_all(&dir);
     }
 

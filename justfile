@@ -113,6 +113,8 @@ ci:
     cargo run --release -p mis-sim --bin list_algorithms
     cargo run --release -p mis-bench --bin exp_e1_clique -- --quick
     test -s results/e1_clique.csv
+    cargo run --release -p mis-bench --bin exp_e13_comm_models -- --quick
+    test -s results/e13_comm_models.csv
     cargo run --release -p mis-bench --bin exp_scale -- --quick --strategy auto
     test -s results/exp_scale.json
     cargo run --release -p mis-bench --bin exp_churn -- --quick
