@@ -96,6 +96,19 @@ pub struct SwitchRow {
     pub max_on_run_after_sync: usize,
 }
 
+impl SwitchRow {
+    /// (S1): no observed off-run is longer than `a ln n`.
+    pub fn s1_holds(&self) -> bool {
+        self.max_off_run as f64 <= self.s1_bound
+    }
+
+    /// (S3): on a diameter-≤2 graph, no on-run after the warm-up is longer
+    /// than 3. Vacuous on other graphs.
+    pub fn s3_holds(&self) -> bool {
+        !self.diameter_at_most_2 || self.max_on_run_after_sync <= 3
+    }
+}
+
 /// E8 — Lemma 27: the randomized logarithmic switch satisfies (S1) on every
 /// graph and (S2)/(S3) on diameter-2 graphs. Measures run lengths of vertex 0
 /// over a long execution on a clique (diameter 1), a dense `G(n,p)`
@@ -225,14 +238,14 @@ mod tests {
         assert_eq!(rows.len(), 3);
         for row in &rows {
             assert!(
-                (row.max_off_run as f64) <= row.s1_bound + 6.0,
+                row.s1_holds(),
                 "{}: S1 violated ({} > {})",
                 row.graph,
                 row.max_off_run,
                 row.s1_bound
             );
+            assert!(row.s3_holds(), "{}: S3 violated", row.graph);
             if row.diameter_at_most_2 {
-                assert!(row.max_on_run_after_sync <= 3, "{}: S3 violated", row.graph);
                 // S2 is an asymptotic w.h.p. bound; at n = 64 the minimum
                 // observed off-run fluctuates to ~0.8x the bound across RNG
                 // seeds, so allow constant-factor slack rather than an

@@ -100,17 +100,22 @@
 //! The whole sparse round is therefore **two pool dispatches** (two full
 //! barriers plus one internal barrier), down from the historical four-phase
 //! spawn-per-broadcast structure, and every pass buffer (change lists,
-//! sinks, flush scratch, recount segments) is drawn from a recycled pool so
-//! steady-state rounds allocate nothing. All dispatches run on the
-//! process-wide persistent worker pool ([`rayon::global_pool`]); see that
-//! function's docs for the pool lifecycle. The chunk→worker assignment made
-//! by work stealing is scheduling-dependent, but every merge is commutative
-//! and every random draw is counter-based, so results (states, black sets,
-//! counts, draw tallies) stay **bit-identical for every thread count**.
+//! sinks, flush scratch, recount segments) is drawn from a recycled pool. A
+//! round that runs inline (sequential mode, one thread, or a worklist below
+//! the parallel threshold, as in the sparse tail) therefore allocates
+//! nothing once its buffers are warm, which `tests/round_allocations.rs`
+//! gates; a round that dispatches still allocates its broadcast result
+//! vector and chunk queues, and a dense one its `balanced_ranges` split.
+//! All dispatches run on the process-wide persistent worker pool
+//! ([`rayon::global_pool`]); see that function's docs for the pool
+//! lifecycle. The chunk→worker assignment made by work stealing is
+//! scheduling-dependent, but every merge is commutative and every random
+//! draw is counter-based, so results (states, black sets, counts, draw
+//! tallies) stay **bit-identical for every thread count**.
 
 use mis_graph::{Graph, VertexId, VertexSet};
 
-use crate::exec::{steal_chunk_bounds, DENSE_SWITCH_DIVISOR, PAR_WORK_THRESHOLD};
+use crate::exec::{StealChunks, DENSE_SWITCH_DIVISOR, PAR_WORK_THRESHOLD};
 use crate::process::StateCounts;
 use crate::sync::{AtomicFlagVec, AtomicU32Vec, AtomicU8Vec};
 
@@ -162,7 +167,7 @@ struct FlushDeltas {
 /// Recycled per-worker buffers of the fused `par_flush` dispatch: the
 /// second-wave vertices this worker won the dirty-mark race for in the
 /// stable-black half, and the frontier entries it added in the
-/// reclassification half. Pooled so steady-state flushes allocate nothing.
+/// reclassification half. Pooled so their capacity survives across rounds.
 #[derive(Debug, Default, Clone)]
 struct FlushScratch {
     wave2: Vec<VertexId>,
@@ -895,7 +900,8 @@ impl FrontierEngine {
     /// worklists (e.g. the near-empty late stabilization tail) run inline
     /// with no dispatch. Change buffers are recycled through the
     /// caller-owned `change_pool` and sinks through the engine's own pool,
-    /// so steady-state rounds allocate nothing.
+    /// so an inline round allocates nothing once they are warm; a
+    /// dispatched one still allocates its result vector and chunk queue.
     #[allow(clippy::too_many_arguments)]
     pub fn par_round<Ch, D, S, C>(
         &mut self,
@@ -913,9 +919,9 @@ impl FrontierEngine {
         S: Fn(&Self, &Ch, &mut ScatterSink) + Sync,
         C: Fn(VertexId, u32) -> VertexClass + Sync,
     {
-        let bounds = steal_chunk_bounds(worklist.len(), threads);
+        let chunks = StealChunks::new(worklist.len(), threads);
         let mut draws_total = 0u64;
-        if bounds.len() == 1 {
+        if chunks.count() == 1 {
             // Inline path: no dispatch, same logic.
             let mut changes = change_pool.pop().unwrap_or_default();
             let mut sink = self.sink_pool.pop().unwrap_or_default();
@@ -928,12 +934,11 @@ impl FrontierEngine {
             changes.clear();
             change_pool.push(changes);
             self.apply_black_delta(delta);
-        } else if !bounds.is_empty() {
+        } else if chunks.count() > 1 {
             let pool = rayon::global_pool(threads);
-            let queue = rayon::ChunkQueue::new(bounds.len(), pool.current_num_threads());
+            let queue = rayon::ChunkQueue::new(chunks.count(), pool.current_num_threads());
             let sink_source = std::sync::Mutex::new(std::mem::take(&mut self.sink_pool));
             let change_source = std::sync::Mutex::new(std::mem::take(change_pool));
-            let bounds_ref = &bounds;
             let engine = &*self;
             let parts: Vec<(u64, Vec<Ch>, ScatterSink)> = pool.broadcast(|ctx| {
                 // Buffers come from the recycled pools (one uncontended
@@ -951,9 +956,8 @@ impl FrontierEngine {
                     .unwrap_or_default();
                 let mut draws = 0u64;
                 while let Some(chunk) = queue.pop(ctx.index()) {
-                    let (lo, hi) = bounds_ref[chunk];
                     let before = changes.len();
-                    draws += decide(engine, &worklist[lo..hi], &mut changes);
+                    draws += decide(engine, &worklist[chunks.range(chunk)], &mut changes);
                     for change in &changes[before..] {
                         scatter(engine, change, &mut sink);
                     }
@@ -1004,16 +1008,16 @@ impl FrontierEngine {
         if self.dirty.is_empty() {
             return;
         }
-        let bounds = steal_chunk_bounds(self.dirty.len(), threads);
-        if bounds.len() <= 1 {
+        let chunks = StealChunks::new(self.dirty.len(), threads);
+        if chunks.count() <= 1 {
             return self.flush(graph, classify);
         }
         let dirty = std::mem::take(&mut self.dirty);
         let pool = rayon::global_pool(threads);
         let workers = pool.current_num_threads();
         // Independent claim queues for the two passes over the same chunks.
-        let q1 = rayon::ChunkQueue::new(bounds.len(), workers);
-        let q2 = rayon::ChunkQueue::new(bounds.len(), workers);
+        let q1 = rayon::ChunkQueue::new(chunks.count(), workers);
+        let q2 = rayon::ChunkQueue::new(chunks.count(), workers);
         let scratch_source = std::sync::Mutex::new(std::mem::take(&mut self.flush_scratch_pool));
         let black = &self.black;
         let black_nbrs = &self.black_nbrs;
@@ -1021,7 +1025,6 @@ impl FrontierEngine {
         let flags = &self.flags;
         let dirty_mark = &self.dirty_mark;
         let frontier_contains = &self.frontier_contains;
-        let bounds_ref = &bounds;
         let dirty_ref = &dirty;
         let classify = &classify;
         let parts: Vec<(FlushDeltas, FlushScratch)> = pool.broadcast(|ctx| {
@@ -1033,8 +1036,7 @@ impl FrontierEngine {
             let mut deltas = FlushDeltas::default();
             // Pass 1: stable-black recompute + neighbor-delta scatter.
             while let Some(chunk) = q1.pop(ctx.index()) {
-                let (lo, hi) = bounds_ref[chunk];
-                for &u in &dirty_ref[lo..hi] {
+                for &u in &dirty_ref[chunks.range(chunk)] {
                     let stable_black = black.get(u) && black_nbrs.get(u) == 0;
                     if stable_black != (flags.get(u) & STABLE_BLACK != 0) {
                         flags.xor(u, STABLE_BLACK);
@@ -1098,8 +1100,7 @@ impl FrontierEngine {
                     }
                 };
                 while let Some(chunk) = q2.pop(ctx.index()) {
-                    let (lo, hi) = bounds_ref[chunk];
-                    for &u in &dirty_ref[lo..hi] {
+                    for &u in &dirty_ref[chunks.range(chunk)] {
                         reclassify(u);
                     }
                 }

@@ -197,29 +197,44 @@ pub(crate) const STEAL_CHUNKS_PER_THREAD: usize = 4;
 /// claim overhead (one CAS) stops being noise.
 pub(crate) const STEAL_MIN_CHUNK: usize = 512;
 
-/// Splits `len` worklist items into `(start, end)` chunks for a
-/// work-stealing phase: about [`STEAL_CHUNKS_PER_THREAD`] chunks per thread,
-/// none smaller than [`STEAL_MIN_CHUNK`], and a single chunk below
-/// [`PAR_WORK_THRESHOLD`].
-pub(crate) fn steal_chunk_bounds(len: usize, threads: usize) -> Vec<(usize, usize)> {
-    if len == 0 {
-        return Vec::new();
+/// The chunks a work-stealing phase splits `len` worklist items into: about
+/// [`STEAL_CHUNKS_PER_THREAD`] chunks per thread, none smaller than
+/// [`STEAL_MIN_CHUNK`], and a single chunk below [`PAR_WORK_THRESHOLD`] or
+/// on one thread. Ranges are computed on demand, so a round that runs its
+/// single chunk inline allocates nothing.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct StealChunks {
+    len: usize,
+    count: usize,
+}
+
+impl StealChunks {
+    /// Splits `len` worklist items for a phase on `threads` threads.
+    pub(crate) fn new(len: usize, threads: usize) -> Self {
+        let count = if len == 0 {
+            0
+        } else if len < PAR_WORK_THRESHOLD || threads <= 1 {
+            1
+        } else {
+            (threads * STEAL_CHUNKS_PER_THREAD)
+                .min(len / STEAL_MIN_CHUNK)
+                .max(1)
+        };
+        StealChunks { len, count }
     }
-    if len < PAR_WORK_THRESHOLD || threads <= 1 {
-        return vec![(0, len)];
+
+    /// Number of chunks; 0 for an empty worklist.
+    pub(crate) fn count(&self) -> usize {
+        self.count
     }
-    let want = threads * STEAL_CHUNKS_PER_THREAD;
-    let chunks = want.min(len / STEAL_MIN_CHUNK).max(1);
-    let base = len / chunks;
-    let extra = len % chunks;
-    let mut bounds = Vec::with_capacity(chunks);
-    let mut start = 0;
-    for i in 0..chunks {
-        let size = base + usize::from(i < extra);
-        bounds.push((start, start + size));
-        start += size;
+
+    /// Item range of chunk `i`; the first `len % count` chunks hold one
+    /// extra item.
+    pub(crate) fn range(&self, i: usize) -> std::ops::Range<usize> {
+        let (base, extra) = (self.len / self.count, self.len % self.count);
+        let start = i * base + i.min(extra);
+        start..start + base + usize::from(i < extra)
     }
-    bounds
 }
 
 #[cfg(test)]
@@ -267,28 +282,30 @@ mod tests {
             (0usize, 4usize),
             (PAR_WORK_THRESHOLD - 1, 8),
             (PAR_WORK_THRESHOLD, 8),
+            (PAR_WORK_THRESHOLD, 1),
             (100_000, 4),
             (3_000, 2),
             (1_000_000, 8),
         ] {
-            let bounds = steal_chunk_bounds(len, threads);
+            let chunks = StealChunks::new(len, threads);
+            let ranges: Vec<_> = (0..chunks.count()).map(|i| chunks.range(i)).collect();
             if len == 0 {
-                assert!(bounds.is_empty());
+                assert!(ranges.is_empty());
                 continue;
             }
-            assert_eq!(bounds.first().unwrap().0, 0);
-            assert_eq!(bounds.last().unwrap().1, len);
-            for w in bounds.windows(2) {
-                assert_eq!(w[0].1, w[1].0);
-                assert!(w[0].1 > w[0].0);
+            assert_eq!(ranges.first().unwrap().start, 0);
+            assert_eq!(ranges.last().unwrap().end, len);
+            for w in ranges.windows(2) {
+                assert_eq!(w[0].end, w[1].start);
+                assert!(w[0].end > w[0].start);
             }
-            if len < PAR_WORK_THRESHOLD {
-                assert_eq!(bounds.len(), 1, "small worklists stay on one chunk");
+            if len < PAR_WORK_THRESHOLD || threads == 1 {
+                assert_eq!(ranges.len(), 1, "small worklists stay on one chunk");
             } else {
-                assert!(bounds.len() <= threads * STEAL_CHUNKS_PER_THREAD);
+                assert!(ranges.len() <= threads * STEAL_CHUNKS_PER_THREAD);
                 // No chunk under the floor unless the whole list is tiny.
-                for &(s, e) in &bounds {
-                    assert!(e - s >= STEAL_MIN_CHUNK.min(len));
+                for r in &ranges {
+                    assert!(r.len() >= STEAL_MIN_CHUNK.min(len));
                 }
             }
         }

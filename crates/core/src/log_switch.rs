@@ -102,16 +102,25 @@ pub trait SwitchProcess: Sync {
 ///
 /// # Incremental rounds
 ///
-/// A vertex below level 5 can change level only if a level in its closed
-/// neighborhood `N⁺(u)` changed since its last evaluation: that evaluation
-/// left it at `max N⁺(u) − 1` (or at 5, from 0), a fixed point of the rule.
-/// So [`step`](SwitchProcess::step) and
-/// [`step_counter`](SwitchProcess::step_counter) evaluate only the level-5
-/// vertices, which draw their coin in ascending vertex order (the same
-/// stream and counter draws as a full sweep), and `N⁺` of the vertices whose
-/// level changed. A round costs `O(|L₅| + vol(N⁺(Δ)) + n/64)` for the
-/// level-5 set `L₅` and the changed set `Δ`, instead of `O(n + m)`;
-/// [`step_reference`](SwitchProcess::step_reference) keeps the full sweep.
+/// A step evaluates only the vertices that can move. Every level-5 vertex
+/// draws its coin, in ascending vertex order (the same stream and counter
+/// draws as a full sweep); a fired coin moves it to 4 without reading
+/// neighbors. Below level 5, the max rule runs only on the *pending* set
+/// `P`, which the moves build: when `u` moves from level `a` to level `b`,
+/// it marks itself and each neighbor `v` at level `ℓ_v` with `b > ℓ_v + 1`
+/// (the maximum over `N⁺(v)` rose) or `a = ℓ_v + 1` (`v` lost a holder of
+/// its maximum). This is exact under one invariant: every unmarked vertex
+/// at levels 1–4 already sits at `max N⁺(v) − 1`, the rule's fixed point,
+/// and no other move can change that maximum. A level-0 vertex is always
+/// marked, because reaching level 0 is itself a move.
+/// [`set_level`](Self::set_level) marks the same way; construction,
+/// [`rebind_graph`](SwitchProcess::rebind_graph) and a full sweep mark
+/// every vertex.
+///
+/// A step costs `O(|L₅| + Σ_{v∈P} deg v + Σ_{u moved} deg u + n/64)` for
+/// the level-5 set `L₅`, instead of the `O(n + m)` of
+/// [`step_reference`](SwitchProcess::step_reference), which keeps the full
+/// sweep.
 ///
 /// # Example
 ///
@@ -130,16 +139,21 @@ pub trait SwitchProcess: Sync {
 pub struct RandomizedLogSwitch<'g> {
     graph: GraphRef<'g>,
     levels: Vec<u8>,
-    /// Scratch: the next level of every vertex the current step evaluates.
+    /// Scratch: during a step, the next level of every vertex that moves;
+    /// once the step has applied its moves, their old level.
     next: Vec<u8>,
     /// The vertices at level 5; each draws a coin every step.
     at_five: VertexSet,
-    /// The vertices whose level changed since the previous step; the next
-    /// step evaluates their closed neighborhoods.
+    /// The vertices whose level moved in the most recent step (every vertex
+    /// after construction, a graph rebind, or a full sweep).
     changed: VertexSet,
-    /// Scratch: the vertices the current step evaluates.
-    eval: VertexSet,
+    /// The vertices the next step runs the max rule on: those a move may
+    /// have pushed off `max N⁺(v) − 1` (see the type-level docs). Level-5
+    /// vertices in it are skipped; their coin decides.
+    pending: VertexSet,
     zeta: f64,
+    /// Random bits one ζ-coin costs: `⌈log₂(1/ζ)⌉`.
+    coin_bits: u64,
     round: usize,
     random_bits: u64,
 }
@@ -168,12 +182,13 @@ impl<'g> RandomizedLogSwitch<'g> {
             levels,
             at_five: VertexSet::new(0),
             changed: VertexSet::new(0),
-            eval: VertexSet::new(0),
+            pending: VertexSet::new(0),
             zeta,
+            coin_bits: (1.0 / zeta).log2().ceil() as u64,
             round: 0,
             random_bits: 0,
         };
-        sw.reevaluate_all();
+        sw.mark_all();
         sw
     }
 
@@ -206,40 +221,36 @@ impl<'g> RandomizedLogSwitch<'g> {
         self.round
     }
 
-    /// Overwrites the level of one vertex (fault injection). The next step
-    /// evaluates the vertex and its neighbors.
+    /// Overwrites the level of one vertex (fault injection). The vertex is
+    /// marked as if it had moved, so the next step evaluates it and the
+    /// neighbors whose maximum the new level may have changed.
     ///
     /// # Panics
     ///
     /// Panics if `u` is out of range or `level > 5`.
     pub fn set_level(&mut self, u: VertexId, level: u8) {
         assert!(level <= 5, "levels must be in 0..=5");
-        self.record_level(u, level);
-    }
-
-    /// Moves `u` to `level`, keeping the level-5 set and the changed set in
-    /// step with it.
-    fn record_level(&mut self, u: VertexId, level: u8) {
-        if self.levels[u] == level {
-            return;
-        }
-        self.levels[u] = level;
-        self.changed.insert(u);
-        if level == 5 {
-            self.at_five.insert(u);
-        } else {
-            self.at_five.remove(u);
+        let from = std::mem::replace(&mut self.levels[u], level);
+        if from != level {
+            record_move(
+                self.graph.get(),
+                &self.levels,
+                &mut self.at_five,
+                &mut self.pending,
+                u,
+                from,
+            );
         }
     }
 
-    /// Rebuilds the incremental bookkeeping from the levels alone and marks
-    /// every vertex changed, so the next step evaluates all of them.
-    fn reevaluate_all(&mut self) {
+    /// Rebuilds the level-5 set from the levels and marks every vertex
+    /// pending and changed, so the next step evaluates all of them.
+    fn mark_all(&mut self) {
         let n = self.levels.len();
         let levels = &self.levels;
         self.at_five = VertexSet::from_indices(n, (0..n).filter(|&u| levels[u] == 5));
         self.changed = VertexSet::full(n);
-        self.eval = VertexSet::new(n);
+        self.pending = VertexSet::full(n);
     }
 
     /// One incremental round, shared by both randomness models: `fires(u)`
@@ -247,37 +258,42 @@ impl<'g> RandomizedLogSwitch<'g> {
     /// order.
     fn advance(&mut self, mut fires: impl FnMut(VertexId) -> bool) {
         let graph = self.graph.get();
-        for u in self.changed.iter() {
-            self.eval.insert(u);
-            for v in graph.neighbors(u) {
-                self.eval.insert(v);
+        let RandomizedLogSwitch {
+            levels,
+            next,
+            at_five,
+            changed,
+            pending,
+            ..
+        } = self;
+        changed.clear();
+        // A fired coin moves u to max N⁺(u) − 1 = 4: its own 5 is the
+        // maximum, so no neighbor needs reading.
+        for u in at_five.iter() {
+            if fires(u) {
+                next[u] = 4;
+                changed.insert(u);
             }
         }
-        self.changed.clear();
-        self.eval.union_with(&self.at_five);
-        for u in self.eval.iter() {
-            let lvl = self.levels[u];
-            self.next[u] = if lvl == 5 {
-                // A fired coin moves u to max N⁺(u) − 1 = 4: its own 5 is
-                // the maximum, so no neighbor needs reading.
-                self.random_bits += 7; // ζ = 2⁻⁷ needs at most 7 bits
-                if fires(u) {
-                    4
-                } else {
-                    5
-                }
-            } else if lvl == 0 {
-                5
-            } else {
-                max_closed(graph, &self.levels, u) - 1
+        self.random_bits += self.coin_bits * at_five.len() as u64;
+        for u in pending.iter() {
+            let new = match levels[u] {
+                5 => continue,
+                0 => 5,
+                _ => max_closed(graph, levels, u) - 1,
             };
+            if new != levels[u] {
+                next[u] = new;
+                changed.insert(u);
+            }
         }
-        let eval = std::mem::replace(&mut self.eval, VertexSet::new(0));
-        for u in eval.iter() {
-            self.record_level(u, self.next[u]);
+        pending.clear();
+        // Every level this step read is decided: apply the moves, leaving
+        // each mover's old level in `next`.
+        for u in changed.iter() {
+            std::mem::swap(&mut levels[u], &mut next[u]);
+            record_move(graph, levels, at_five, pending, u, next[u]);
         }
-        self.eval = eval;
-        self.eval.clear();
         self.round += 1;
     }
 
@@ -289,7 +305,7 @@ impl<'g> RandomizedLogSwitch<'g> {
             let lvl = self.levels[u];
             let reset = if lvl == 5 {
                 // b = 0 with probability ζ; b = 1 keeps the vertex at level 5.
-                self.random_bits += 7; // ζ = 2⁻⁷ needs at most 7 bits
+                self.random_bits += self.coin_bits;
                 !fires(u)
             } else {
                 false
@@ -302,9 +318,36 @@ impl<'g> RandomizedLogSwitch<'g> {
         }
         std::mem::swap(&mut self.levels, &mut self.next);
         self.round += 1;
-        // The sweep tracked no changes: the next incremental step starts
-        // from scratch.
-        self.reevaluate_all();
+        // The sweep tracked no moves: the next step evaluates every vertex.
+        self.mark_all();
+    }
+}
+
+/// Books the move of `u` from level `from` to its current level: updates
+/// the level-5 set and marks `u` plus each neighbor `v` whose maximum over
+/// `N⁺(v)` the move may have changed — it rose above `ℓ_v + 1`, or a holder
+/// of `ℓ_v + 1` left. A neighbor that also moved is marked by its own move,
+/// so reading its level before or after that move is equally correct.
+fn record_move(
+    graph: &Graph,
+    levels: &[u8],
+    at_five: &mut VertexSet,
+    pending: &mut VertexSet,
+    u: VertexId,
+    from: u8,
+) {
+    let to = levels[u];
+    if to == 5 {
+        at_five.insert(u);
+    } else if from == 5 {
+        at_five.remove(u);
+    }
+    pending.insert(u);
+    for v in graph.neighbors(u) {
+        let lv = levels[v];
+        if to > lv + 1 || from == lv + 1 {
+            pending.insert(v);
+        }
     }
 }
 
@@ -365,7 +408,7 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
         self.levels.resize(new_n, 5);
         self.next.resize(new_n, 5);
         self.graph = GraphRef::Owned(Arc::clone(graph));
-        self.reevaluate_all();
+        self.mark_all();
         Ok(())
     }
 }
@@ -613,6 +656,70 @@ mod tests {
     }
 
     #[test]
+    fn coin_bits_follow_zeta() {
+        let g = generators::path(10);
+        let levels = vec![5, 5, 1, 5, 0, 2, 5, 3, 4, 5];
+        for (zeta, bits) in [(DEFAULT_ZETA, 7), (1.0 / 16.0, 4), (0.25, 2), (0.3, 2)] {
+            assert_eq!(
+                RandomizedLogSwitch::new(&g, levels.clone(), zeta).coin_bits,
+                bits
+            );
+        }
+        // With ζ = 1/8, one step charges 3 bits per level-5 vertex, in both
+        // the incremental step and the full sweep.
+        let mut fast = RandomizedLogSwitch::new(&g, levels.clone(), 1.0 / 8.0);
+        let mut slow = fast.clone();
+        fast.step(&mut rng(0));
+        slow.step_reference(&mut rng(0));
+        assert_eq!(fast.random_bits_used(), 3 * 5);
+        assert_eq!(slow.random_bits_used(), 3 * 5);
+    }
+
+    /// `N⁺(set)`: the set plus every neighbor of a member.
+    fn closed_neighborhood(g: &Graph, set: &VertexSet) -> VertexSet {
+        let mut closed = set.clone();
+        for u in set.iter() {
+            for v in g.neighbors(u) {
+                closed.insert(v);
+            }
+        }
+        closed
+    }
+
+    /// The marking rule's saving, pinned as deterministic counts over 2,000
+    /// steps on `gnp_counter(10⁴, 8/n)`: max-rule evaluations against the
+    /// `|N⁺(changed) \ L₅|` that re-evaluating the closed neighborhoods of
+    /// the moves would cost, plus the coins and moves that pin the
+    /// trajectory. The first step evaluates every vertex under either rule,
+    /// so the work counts cover the 1,999 steps after it. Every step's
+    /// pending set lies inside `N⁺(changed)`.
+    #[test]
+    fn pending_marks_halve_max_rule_evaluations() {
+        let n = 10_000;
+        let g = generators::gnp_counter(n, 8.0 / n as f64, 5);
+        let mut r = rng(9);
+        let mut sw = RandomizedLogSwitch::with_init(&g, InitStrategy::Random, DEFAULT_ZETA, &mut r);
+        let (mut evaluations, mut neighborhood_evaluations, mut coins, mut moves) = (0, 0, 0, 0);
+        let mut moved_closed = VertexSet::full(n);
+        for i in 0..2_000 {
+            if i > 0 {
+                evaluations += sw.pending.iter().filter(|&v| sw.levels[v] != 5).count();
+                moved_closed.difference_with(&sw.at_five);
+                neighborhood_evaluations += moved_closed.len();
+                coins += sw.at_five.len();
+            }
+            sw.step(&mut r);
+            moves += sw.changed.len();
+            moved_closed = closed_neighborhood(&g, &sw.changed);
+            assert!(sw.pending.is_subset(&moved_closed));
+        }
+        assert_eq!(
+            (evaluations, neighborhood_evaluations, coins, moves),
+            (439_013, 976_694, 559_375, 142_617)
+        );
+    }
+
+    #[test]
     fn fixed_period_switch_cycles() {
         let mut sw = FixedPeriodSwitch::new(5, 2, 3);
         let mut r = rng(0);
@@ -648,14 +755,18 @@ mod tests {
         /// The incremental step, in both randomness models, matches the full
         /// sweep under arbitrary interleavings of steps, level faults, and
         /// graph growth: equal levels and random-bit tallies after every
-        /// operation. Sizes straddle the 64-bit word boundary, and sparse
-        /// graphs and unwired joiners leave isolated vertices.
+        /// operation. Sizes straddle the 64-bit word boundary; sparse graphs
+        /// and unwired joiners leave isolated vertices, and dense ones give
+        /// a maximum several holders. Ops are mostly steps, so levels cycle
+        /// through 0–5. After every op the marking invariant holds (an
+        /// unmarked vertex at levels 1–4 sits at `max N⁺(v) − 1`), and after
+        /// a step `for_each_changed` reports exactly the vertices that moved.
         #[test]
         fn incremental_step_matches_full_sweep(
             seed in 0u64..10_000,
             n in 1usize..140,
-            p_edge in 0.0f64..0.08,
-            ops in proptest::collection::vec((0u8..4, any::<u64>()), 1..80),
+            p_edge in 0.0f64..0.3,
+            ops in proptest::collection::vec((0u8..16, any::<u64>()), 1..120),
         ) {
             let g = generators::gnp(n, p_edge, &mut rng(seed));
             let zeta = 0.25;
@@ -665,17 +776,18 @@ mod tests {
             let (mut r_fast, mut r_slow) = (rng(seed + 2), rng(seed + 2));
             let counter = CounterRng::new(seed);
             for (i, &(kind, x)) in ops.iter().enumerate() {
+                let before = fast.levels.clone();
                 match kind {
-                    0 => {
+                    0..=6 => {
                         fast.step(&mut r_fast);
                         slow.step_reference(&mut r_slow);
                     }
-                    1 => {
+                    7..=13 => {
                         let round = slow.round() as u64;
                         fast.step_counter(&counter);
                         slow.full_sweep(|u| counter.gen_bool(zeta, u as u64, round, DRAW_SWITCH));
                     }
-                    2 => {
+                    14 => {
                         let u = (x % fast.n() as u64) as usize;
                         let level = ((x >> 32) % 6) as u8;
                         fast.set_level(u, level);
@@ -709,6 +821,32 @@ mod tests {
                     i,
                     kind
                 );
+                if kind <= 13 {
+                    let mut reported = VertexSet::new(fast.n());
+                    fast.for_each_changed(&mut |u| {
+                        reported.insert(u);
+                    });
+                    let moved = (0..fast.n()).filter(|&u| fast.levels[u] != before[u]);
+                    prop_assert!(
+                        reported == VertexSet::from_indices(fast.n(), moved),
+                        "changed report is not the moved set after op {}",
+                        i
+                    );
+                }
+                let graph = fast.graph.get();
+                for u in graph.vertices() {
+                    let level = fast.levels[u];
+                    prop_assert!(
+                        fast.pending.contains(u)
+                            || !(1..=4).contains(&level)
+                            || level + 1 == max_closed(graph, &fast.levels, u),
+                        "unmarked vertex {} at level {} is off its fixed point after op {} (kind {})",
+                        u,
+                        level,
+                        i,
+                        kind
+                    );
+                }
             }
         }
     }

@@ -62,14 +62,14 @@ pub struct StateCounts {
 /// `O(1)` reads of cached counters. Once a region of the graph is quiet, no
 /// work happens there; a fully stabilized 2-state instance steps in
 /// (near-)constant time. (A 3-color round adds its logarithmic switch, a
-/// phase clock stepped incrementally: one coin per level-5 vertex, the
-/// closed neighborhoods of the vertices whose level changed, and `n/64`
-/// bitset words, while gray vertices wait off the frontier until their
-/// switch turns on. The 3-state process keeps its stable black vertices
-/// alternating by definition, so its steady state costs
-/// `O(|I_t| + vol(I_t))`.) The
-/// set-returning accessors ([`black_set`], [`active_set`], …) materialize a
-/// bitset and remain `O(n)`.
+/// phase clock stepped incrementally: one coin per level-5 vertex, the max
+/// rule at the vertices a level change may have moved, the neighbor lists
+/// of the movers, and `n/64` bitset words, while gray vertices wait off the
+/// frontier until their switch turns on. The 3-state process keeps its
+/// stable black vertices alternating by definition, so its steady state
+/// costs `O(|I_t| + vol(I_t))`.) The set-returning accessors
+/// ([`black_set`], [`active_set`], …) materialize a bitset and remain
+/// `O(n)`.
 ///
 /// [`step`]: Process::step
 /// [`is_stabilized`]: Process::is_stabilized

@@ -115,6 +115,8 @@ ci:
     test -s results/e1_clique.csv
     cargo run --release -p mis-bench --bin exp_e13_comm_models -- --quick
     test -s results/e13_comm_models.csv
+    cargo run --release -p mis-bench --bin exp_e8_log_switch -- --quick
+    test -s results/e8_log_switch.csv
     cargo run --release -p mis-bench --bin exp_scale -- --quick --strategy auto
     test -s results/exp_scale.json
     cargo run --release -p mis-bench --bin exp_churn -- --quick
