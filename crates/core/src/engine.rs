@@ -40,29 +40,47 @@
 //! counter-based path skips the sort, because order-independent randomness
 //! makes the draw order irrelevant.)
 //!
-//! # How processes use it (sequential rounds)
+//! # How processes use it
 //!
 //! The engine owns the *state-independent* bookkeeping: the black/non-black
 //! projection, black-neighbor counters, stability tracking, the frontier, and
-//! the cached counts. The process owns its state vector (and any extra
-//! counters, e.g. the `black1` counters of the 3-state process) and describes
-//! its local rule to the engine through a classifier closure
-//! `Fn(VertexId, u32) -> VertexClass` that maps a vertex and its current
-//! black-neighbor count to "is it active?" (will draw a random state) and
-//! "is it pending?" (may change state at all; a superset of active). A round
-//! then is:
+//! the cached counts. A process is a [`LocalRule`](crate::LocalRule) run by
+//! [`RuleProcess`](crate::RuleProcess), which owns the packed states and the
+//! rule's own data (the 3-state rule's `black1` counters, the 3-color rule's
+//! switch). The engine sees the rule only through a classifier
+//! `Fn(VertexId, u32) -> VertexClass` built from
+//! [`LocalRule::classify`](crate::LocalRule::classify): is the vertex active
+//! (it will draw a coin), and is it pending (it may change state at all; a
+//! superset of active)? Every round moves exactly the pending vertices, to
+//! [`LocalRule::decide`](crate::LocalRule::decide) of their state, with a
+//! coin exactly at the active ones. `RuleProcess` has two round drivers:
 //!
-//! 1. [`begin_round`](FrontierEngine::begin_round) — snapshot the frontier in
-//!    ascending vertex order;
-//! 2. decide every frontier vertex's next state from the *old* state and
-//!    counters, drawing randomness only for active vertices (ascending order
-//!    keeps the stream identical to a full scan);
-//! 3. apply the changed states: [`set_black`](FrontierEngine::set_black) for
-//!    blackness flips (delta-propagates the counters and marks the
-//!    neighborhood dirty), [`mark_dirty`](FrontierEngine::mark_dirty) for
-//!    same-blackness changes;
-//! 4. [`flush`](FrontierEngine::flush) — reclassify the dirty vertices,
-//!    update the cached counts, and repair the frontier.
+//! * the **stream-model driver** (sequential rounds) draws coins from one
+//!   shared stream in ascending vertex order, which keeps the stream
+//!   identical to a full scan:
+//!   1. [`begin_round`](FrontierEngine::begin_round) snapshots the frontier
+//!      in ascending order (a scheduled round walks its activation set
+//!      instead, a dense round `0..n`);
+//!   2. each pending vertex is decided from its old state and the cached
+//!      flags, so its change can be applied at once:
+//!      [`set_black`](FrontierEngine::set_black) delta-propagates the
+//!      counters and marks the neighborhood dirty, and the rule's scatter
+//!      hook updates its own counters and
+//!      [`mark_dirty`](FrontierEngine::mark_dirty)s what they move;
+//!   3. [`flush`](FrontierEngine::flush) reclassifies the dirty vertices,
+//!      updates the cached counts, and repairs the frontier. A dense round
+//!      instead stages blackness with
+//!      [`stage_black`](FrontierEngine::stage_black) and ends in one fused
+//!      [`recount`](FrontierEngine::recount).
+//! * the **counter-model driver** (parallel rounds, below) runs a sparse
+//!   round as [`par_round`](FrontierEngine::par_round) and a dense one as
+//!   [`dense_sweep`](FrontierEngine::dense_sweep) plus
+//!   [`recount_par`](FrontierEngine::recount_par), with the rule's counter
+//!   hook fused into the recount.
+//!
+//! A sub-process (the 3-color switch) steps after the decide phase; on a
+//! sparse round the vertices whose classification that step may have
+//! changed are marked dirty before the final flush.
 //!
 //! # Parallel rounds (counter-based randomness)
 //!
@@ -143,8 +161,7 @@ const PENDING: u8 = 1 << 3;
 
 /// Per-thread scratch of the concurrent scatter phase: locally collected
 /// dirty vertices and the thread's contribution to the black-count delta.
-/// Merged deterministically by
-/// [`commit_scatter`](FrontierEngine::commit_scatter).
+/// Merged deterministically by [`par_round`](FrontierEngine::par_round).
 #[derive(Debug, Default, Clone)]
 pub struct ScatterSink {
     /// Vertices this thread won the dirty-mark race for.
@@ -383,23 +400,18 @@ impl FrontierEngine {
     /// commutative atomic adds and every flag is written by its range's
     /// owner, so the result is bit-identical for every thread count; the
     /// frontier is assembled from the per-range segments in range order and
-    /// therefore comes out sorted, same as the sequential recount.
-    pub fn recount_par<C>(&mut self, graph: &Graph, threads: usize, classify: C)
-    where
-        C: Fn(VertexId, u32) -> VertexClass + Sync,
-    {
-        self.recount_par_with(graph, threads, classify, |_| {});
-    }
-
-    /// [`recount_par`](Self::recount_par) with a process hook: `pre` runs
-    /// over every vertex range during the first (counter-scatter) pass, so a
-    /// process can rebuild its own auxiliary counters (e.g. the 3-state
-    /// process's `black1` neighbor counts) in the same dispatch — its
-    /// output is settled before the classification pass reads it, because
-    /// two barriers separate them. `pre` must only scatter commutative
-    /// atomic updates keyed off per-vertex data (never read engine counters
-    /// being rebuilt in the same pass).
-    pub fn recount_par_with<C, P>(&mut self, graph: &Graph, threads: usize, classify: C, pre: P)
+    /// therefore comes out sorted, same as the sequential recount. Below the
+    /// parallel threshold or on one thread it runs `pre(0..n)` and the
+    /// sequential recount inline.
+    ///
+    /// `pre` is the process's counter hook: it runs over every vertex range
+    /// during the first (counter-scatter) pass, so a process can rebuild its
+    /// own auxiliary counters (e.g. the 3-state process's `black1` neighbor
+    /// counts) in the same dispatch — its output is settled before the
+    /// classification pass reads it, because two barriers separate them.
+    /// `pre` must not read the engine counters being rebuilt in the same
+    /// pass.
+    pub fn recount_par<C, P>(&mut self, graph: &Graph, threads: usize, classify: C, pre: P)
     where
         C: Fn(VertexId, u32) -> VertexClass + Sync,
         P: Fn(std::ops::Range<VertexId>) + Sync,
@@ -738,8 +750,8 @@ impl FrontierEngine {
     /// must be submitted by exactly one thread. Counter updates are
     /// commutative atomics, dirty vertices are deduplicated through the
     /// shared mark and collected into the caller's [`ScatterSink`], and the
-    /// black-count delta is accumulated locally; pass the sinks to
-    /// [`commit_scatter`](Self::commit_scatter) afterwards.
+    /// black-count delta is accumulated locally; [`par_round`](Self::par_round)
+    /// merges the sinks afterwards.
     pub fn scatter_black(&self, graph: &Graph, u: VertexId, black: bool, sink: &mut ScatterSink) {
         self.mark_dirty_concurrent(u, sink);
         if self.black.get(u) == black {
@@ -765,18 +777,6 @@ impl FrontierEngine {
         if !self.dirty_mark.test_and_set(u) {
             sink.dirty.push(u);
         }
-    }
-
-    /// Merges the per-thread [`ScatterSink`]s of one scatter phase into the
-    /// engine: applies the black-count delta and queues the collected dirty
-    /// vertices. Deterministic regardless of how the work was partitioned
-    /// (the delta is a sum; the dirty set is mark-deduplicated).
-    pub fn commit_scatter<I: IntoIterator<Item = ScatterSink>>(&mut self, sinks: I) {
-        let mut delta = 0isize;
-        for mut sink in sinks {
-            delta += self.drain_sink(&mut sink);
-        }
-        self.apply_black_delta(delta);
     }
 
     /// Drains one sink's dirty vertices into the engine's queue (keeping the
@@ -876,10 +876,11 @@ impl FrontierEngine {
     /// round in total. Returns the total number of random draws reported by
     /// the decide closures.
     ///
-    /// This is the shared driver behind every process's parallel `step`; it
-    /// keeps the phase ordering and the empty-worklist handling in one
-    /// place. `decide` maps one worklist chunk to its state changes (of the
-    /// process-specific change type `Ch`), writing new states as it goes,
+    /// This is the sparse round of the counter-model driver of
+    /// [`RuleProcess`](crate::RuleProcess); it keeps the phase ordering and
+    /// the empty-worklist handling in one place. `decide` maps one worklist
+    /// chunk to its state changes (of the change type `Ch`), writing new
+    /// states as it goes,
     /// and returns its draw count; `scatter` applies one change's neighbor
     /// deltas through the engine's concurrent primitives
     /// ([`scatter_black`](Self::scatter_black) /
@@ -1156,6 +1157,16 @@ impl FrontierEngine {
         self.black_nbrs.get(u) as usize
     }
 
+    /// The cached classification of `u`, as of the last flush or recount.
+    #[inline]
+    pub fn class(&self, u: VertexId) -> VertexClass {
+        let f = self.flags.get(u);
+        VertexClass {
+            active: f & ACTIVE != 0,
+            pending: f & PENDING != 0,
+        }
+    }
+
     /// Whether `u` is active (cached classification).
     #[inline]
     pub fn is_active(&self, u: VertexId) -> bool {
@@ -1377,7 +1388,7 @@ mod tests {
             for (u, &b) in black.iter().enumerate() {
                 parallel.stage_black(u, b);
             }
-            parallel.recount_par(&g, threads, two_state_like(&black));
+            parallel.recount_par(&g, threads, two_state_like(&black), |_| {});
             assert_engines_agree(&sequential, &parallel, &format!("threads {threads}"));
             let mut wl_seq = Vec::new();
             let mut wl_par = Vec::new();
@@ -1474,8 +1485,8 @@ mod tests {
     #[test]
     fn scatter_and_par_flush_match_sequential_path() {
         // Apply the same batch of blackness flips through set_black + flush
-        // and through scatter_black + commit_scatter + par_flush (at several
-        // thread counts); all bookkeeping must agree.
+        // and through scatter_black + the sink merge of par_round + par_flush
+        // (at several thread counts); all bookkeeping must agree.
         let g = generators::grid(5, 5);
         let black = vec![false; 25];
         let batch: Vec<(VertexId, bool)> = vec![(0, true), (6, true), (12, true), (13, true)];
@@ -1498,7 +1509,8 @@ mod tests {
             for &(u, b) in &batch {
                 parallel.scatter_black(&g, u, b, &mut sink);
             }
-            parallel.commit_scatter([sink]);
+            let delta = parallel.drain_sink(&mut sink);
+            parallel.apply_black_delta(delta);
             parallel.par_flush(&g, threads, two_state_like(&after));
 
             for u in 0..25 {

@@ -22,13 +22,17 @@
 //! expose the per-round vertex partitions used throughout the paper's
 //! analysis (`B_t`, `A_t`, `I_t`, `V_t`).
 //!
-//! Rounds execute through the shared incremental [`engine`]: per-vertex
-//! black-neighbor counters updated by delta propagation, a maintained
-//! active-frontier worklist, and cached counts, so one round costs
-//! `O(|A_t| + vol(A_t))` instead of `O(n + m)` and the stabilization check is
-//! `O(1)`. Every process also retains a naive `step_reference` full-scan
-//! path that is bit-identical (same states, same RNG stream) and serves as
-//! the oracle for the engine's trace-equality tests.
+//! Each process states its local rule once, as a [`LocalRule`]: its states,
+//! which vertices are active or pending, and where a pending vertex moves
+//! given its coin. One generic [`RuleProcess`] runs every rule (the process
+//! types are aliases of it), with one round driver per randomness model on
+//! the shared incremental [`engine`]: per-vertex black-neighbor counters
+//! updated by delta propagation, a maintained active-frontier worklist, and
+//! cached counts, so one round costs `O(|A_t| + vol(A_t))` instead of
+//! `O(n + m)` and the stabilization check is `O(1)`. Every process also
+//! retains a naive `step_reference` full-scan path that is bit-identical
+//! (same states, same RNG stream) and serves as the oracle for the engine's
+//! trace-equality tests.
 //!
 //! On top of that, rounds are **direction-optimizing** ([`RoundStrategy`]):
 //! when the frontier is a constant fraction of the graph (the dense early
@@ -77,6 +81,7 @@ mod log_switch;
 mod mutation;
 pub mod packed;
 mod process;
+pub mod rule;
 pub mod scheduler;
 pub mod sync;
 mod three_color;
@@ -98,7 +103,8 @@ pub use log_switch::{FixedPeriodSwitch, RandomizedLogSwitch, SwitchProcess, DEFA
 pub use mutation::MutationError;
 pub use packed::PackedStates;
 pub use process::{Process, StabilizationTimeout, StateCounts};
+pub use rule::{LocalRule, PartialActivation, RuleProcess};
 pub use scheduler::{Activation, CentralDaemon, RandomSubset, Scheduler, Synchronous};
-pub use three_color::{ThreeColor, ThreeColorProcess, LOG_SWITCH_A};
-pub use three_state::{ThreeState, ThreeStateProcess};
-pub use two_state::{Color, TwoStateProcess};
+pub use three_color::{ThreeColor, ThreeColorProcess, ThreeColorRule, LOG_SWITCH_A};
+pub use three_state::{ThreeState, ThreeStateProcess, ThreeStateRule};
+pub use two_state::{Color, TwoStateProcess, TwoStateRule};

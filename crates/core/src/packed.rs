@@ -11,7 +11,7 @@
 //! compose exactly); the sequential paths use the same storage uncontended.
 //!
 //! The mapping between a process's state enum and its 2-bit code is owned by
-//! the process (see `code`/`from_code` on each state enum).
+//! its rule (see [`LocalRule::code`](crate::LocalRule::code)).
 
 use std::sync::atomic::{AtomicU64, Ordering};
 

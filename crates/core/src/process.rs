@@ -55,8 +55,9 @@ pub struct StateCounts {
 ///
 /// # Per-round complexity contract
 ///
-/// The processes of this crate execute rounds through the incremental
-/// [`engine`](crate::engine): [`step`] costs `O(|A_t| + vol(A_t))` — the
+/// The processes of this crate are [`RuleProcess`](crate::RuleProcess)es,
+/// whose round drivers run on the incremental [`engine`](crate::engine):
+/// [`step`] costs `O(|A_t| + vol(A_t))` — the
 /// number of frontier vertices plus the degree sum of the vertices that
 /// changed — **not** `O(n + m)`, and [`is_stabilized`] and [`counts`] are
 /// `O(1)` reads of cached counters. Once a region of the graph is quiet, no

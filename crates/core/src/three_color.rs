@@ -1,17 +1,17 @@
 use std::sync::Arc;
 
-use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
+use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::counter_rng::{CounterRng, DRAW_STATE};
-use crate::engine::{FrontierEngine, VertexClass};
-use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
+use crate::counter_rng::CounterRng;
+use crate::engine::VertexClass;
 use crate::init::InitStrategy;
 use crate::log_switch::{RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
-use crate::mutation::{GraphRef, MutationError};
+use crate::mutation::MutationError;
 use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
+use crate::process::Process;
+use crate::rule::{LocalRule, RuleProcess};
 
 /// The switch parameter `a` used by the paper when instantiating the 3-color
 /// process (Definition 28): the logarithmic switch is an `(a, 3)`-switch with
@@ -37,20 +37,34 @@ impl ThreeColor {
     pub fn is_black(self) -> bool {
         matches!(self, ThreeColor::Black)
     }
+}
 
-    /// The 2-bit code used by the packed state storage.
-    #[inline]
-    pub(crate) fn code(self) -> u8 {
-        match self {
+/// The 3-color local rule (Definition 28), with its switch sub-process `S`.
+///
+/// Black/white vertices are active (and pending) by the 2-state rule; on
+/// tails an active black vertex retreats to gray. Gray vertices never draw
+/// and are pending only while their switch is on, the one condition under
+/// which they turn white. The color update of round `t` reads the switch
+/// output of round `t − 1`; the switch then steps, and a parked gray vertex
+/// is re-queued when its output changes (see
+/// [`SwitchProcess::for_each_changed`]).
+#[derive(Debug, Clone)]
+pub struct ThreeColorRule<S> {
+    switch: S,
+}
+
+impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
+    type State = ThreeColor;
+
+    fn code(state: ThreeColor) -> u8 {
+        match state {
             ThreeColor::White => 0,
             ThreeColor::Black => 1,
             ThreeColor::Gray => 2,
         }
     }
 
-    /// Inverse of [`code`](Self::code).
-    #[inline]
-    pub(crate) fn from_code(code: u8) -> Self {
+    fn from_code(code: u8) -> ThreeColor {
         match code {
             0 => ThreeColor::White,
             1 => ThreeColor::Black,
@@ -58,36 +72,66 @@ impl ThreeColor {
             other => unreachable!("invalid 3-color code {other}"),
         }
     }
-}
 
-/// The 3-color local rule. Black/white vertices are active (and pending) by
-/// the 2-state rule; gray vertices never draw and are pending only while
-/// their switch is on, the one condition under which they turn white. A
-/// parked gray vertex is re-queued when its switch output changes (see
-/// [`SwitchProcess::for_each_changed`]).
-fn classify<'a, S: SwitchProcess>(
-    colors: &'a PackedStates,
-    switch: &'a S,
-) -> impl Fn(VertexId, u32) -> VertexClass + Sync + 'a {
-    move |u, black_nbrs| match ThreeColor::from_code(colors.get(u)) {
-        ThreeColor::Black => {
-            let a = black_nbrs > 0;
-            VertexClass {
-                active: a,
-                pending: a,
+    fn is_black(state: ThreeColor) -> bool {
+        state.is_black()
+    }
+
+    fn classify(&self, u: VertexId, state: ThreeColor, black_nbrs: u32) -> VertexClass {
+        let active = match state {
+            ThreeColor::Black => black_nbrs > 0,
+            ThreeColor::White => black_nbrs == 0,
+            ThreeColor::Gray => {
+                return VertexClass {
+                    active: false,
+                    pending: self.switch.is_on(u),
+                }
             }
+        };
+        VertexClass {
+            active,
+            pending: active,
         }
-        ThreeColor::White => {
-            let a = black_nbrs == 0;
-            VertexClass {
-                active: a,
-                pending: a,
+    }
+
+    fn decide(state: ThreeColor, coin: Option<bool>) -> ThreeColor {
+        match (state, coin) {
+            (_, Some(true)) => ThreeColor::Black,
+            (ThreeColor::Black, Some(false)) => ThreeColor::Gray,
+            (_, Some(false)) => ThreeColor::White,
+            // Pending but not active: gray with its switch on. Gray behaves
+            // like white for its neighbors, so blackness is unchanged.
+            (_, None) => ThreeColor::White,
+        }
+    }
+
+    fn states_per_vertex(&self) -> usize {
+        3 * self.switch.states_per_vertex()
+    }
+
+    fn rebind(&mut self, graph: &Arc<Graph>) -> Result<(), MutationError> {
+        self.switch.rebind_graph(graph)
+    }
+
+    fn advance(&mut self, rng: &mut dyn RngCore) {
+        self.switch.step(rng);
+    }
+
+    fn advance_counter(&mut self, counter: &CounterRng) {
+        self.switch.step_counter(counter);
+    }
+
+    fn for_each_requeue(&self, states: &PackedStates, mut mark: impl FnMut(VertexId)) {
+        let gray = Self::code(ThreeColor::Gray);
+        self.switch.for_each_changed(&mut |u| {
+            if states.get(u) == gray {
+                mark(u);
             }
-        }
-        ThreeColor::Gray => VertexClass {
-            active: false,
-            pending: switch.is_on(u),
-        },
+        });
+    }
+
+    fn sub_random_bits(&self) -> u64 {
+        self.switch.random_bits_used()
     }
 }
 
@@ -107,10 +151,9 @@ fn classify<'a, S: SwitchProcess>(
 /// 3 × 6 = 18 states per vertex and stabilizes in polylog rounds on `G(n,p)`
 /// for **every** `0 ≤ p ≤ 1` (Theorem 3 / Theorem 32).
 ///
-/// Colors are stored bit-packed (2 bits per vertex) and the color update
-/// runs through the incremental [`FrontierEngine`]. Its frontier `F_t` holds
-/// the active vertices and the gray vertices whose switch is on; a gray
-/// vertex whose switch is off waits off the frontier until the switch
+/// It is the [`ThreeColorRule`] run by [`RuleProcess`]. Its frontier `F_t`
+/// holds the active vertices and the gray vertices whose switch is on; a
+/// gray vertex whose switch is off waits off the frontier until the switch
 /// reports that its output changed. With the [`RandomizedLogSwitch`], which
 /// also steps incrementally, a round costs
 /// `O(|F_t| + vol(C_t) + |L₅| + vol(P_t) + vol(Δ_t) + n/64)`: the frontier,
@@ -119,17 +162,10 @@ fn classify<'a, S: SwitchProcess>(
 /// the level changes `Δ_t`, and one pass over the switch's bitset words.
 /// [`is_stabilized`](Process::is_stabilized) is `O(1)`.
 /// [`step_reference`](ThreeColorProcess::step_reference) retains the naive
-/// full scan of colors and levels for differential testing.
-///
-/// # Execution modes
-///
-/// Sequential mode (the default) draws all coins — colors and switch — from
-/// the shared stream in ascending vertex order; after
-/// [`set_execution`](Self::set_execution) with
-/// [`ExecutionMode::Parallel`], both sub-processes use counter-based draws
-/// (`DRAW_STATE` for colors, `DRAW_SWITCH` for the switch), the shared RNG
-/// argument is ignored, and results are bit-identical for every thread
-/// count.
+/// full scan of colors and levels for differential testing. Under
+/// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel) both
+/// sub-processes use counter-based draws (`DRAW_STATE` for colors,
+/// `DRAW_SWITCH` for the switch).
 ///
 /// # Example
 ///
@@ -145,24 +181,7 @@ fn classify<'a, S: SwitchProcess>(
 /// p.run_to_stabilization(&mut rng, 50_000).unwrap();
 /// assert!(mis_check::is_mis(&g, &p.black_set()));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ThreeColorProcess<'g, S> {
-    graph: GraphRef<'g>,
-    colors: PackedStates,
-    engine: FrontierEngine,
-    switch: S,
-    mode: ExecutionMode,
-    strategy: RoundStrategy,
-    /// Whether the most recent full synchronous round ran the dense path.
-    last_round_dense: bool,
-    counter: CounterRng,
-    round: usize,
-    random_bits: u64,
-    worklist: Vec<VertexId>,
-    changes: Vec<(VertexId, ThreeColor)>,
-    /// Recycled per-chunk change buffers for the parallel round path.
-    change_pool: Vec<Vec<(VertexId, ThreeColor)>>,
-}
+pub type ThreeColorProcess<'g, S> = RuleProcess<'g, ThreeColorRule<S>>;
 
 impl<'g> ThreeColorProcess<'g, RandomizedLogSwitch<'g>> {
     /// Creates the process with the paper's instantiation: the randomized
@@ -188,10 +207,9 @@ impl ThreeColorProcess<'_, RandomizedLogSwitch<'_>> {
     ///
     /// Panics if `u` is out of range or `level > 5`.
     pub fn set_switch_level(&mut self, u: VertexId, level: u8) {
-        self.switch.set_level(u, level);
+        self.rule.switch.set_level(u, level);
         self.engine.mark_dirty(u);
-        self.engine
-            .flush(self.graph.get(), classify(&self.colors, &self.switch));
+        self.flush();
     }
 }
 
@@ -204,112 +222,16 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     /// different number of vertices.
     pub fn new(graph: &'g Graph, colors: Vec<ThreeColor>, switch: S) -> Self {
         assert_eq!(
-            colors.len(),
-            graph.n(),
-            "initial color vector length must equal the number of vertices"
-        );
-        assert_eq!(
             switch.n(),
             graph.n(),
             "switch must be defined over the same vertex set"
         );
-        let mut p = ThreeColorProcess {
-            engine: FrontierEngine::new(graph.n()),
-            graph: GraphRef::Borrowed(graph),
-            colors: PackedStates::from_codes(colors.into_iter().map(ThreeColor::code)),
-            switch,
-            mode: ExecutionMode::Sequential,
-            strategy: RoundStrategy::Auto,
-            last_round_dense: false,
-            counter: CounterRng::new(0),
-            round: 0,
-            random_bits: 0,
-            worklist: Vec::new(),
-            changes: Vec::new(),
-            change_pool: Vec::new(),
-        };
-        p.rebuild_engine();
-        p
-    }
-
-    /// Selects the execution mode for subsequent rounds and (re-)keys the
-    /// counter-based RNG with `run_seed` (shared by the color and switch
-    /// sub-processes, which draw on disjoint draw indices).
-    pub fn set_execution(&mut self, mode: ExecutionMode, run_seed: u64) {
-        self.mode = mode;
-        self.counter = CounterRng::new(run_seed);
-    }
-
-    /// The current execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Selects how full synchronous rounds traverse the graph; see
-    /// [`RoundStrategy`]. The choice never changes results.
-    pub fn set_strategy(&mut self, strategy: RoundStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The current round strategy.
-    pub fn strategy(&self) -> RoundStrategy {
-        self.strategy
-    }
-
-    /// `true` if the most recent [`step`](Process::step) ran the dense
-    /// full-sweep path.
-    pub fn last_round_was_dense(&self) -> bool {
-        self.last_round_dense
-    }
-
-    /// The underlying graph (the mutated one after
-    /// [`apply_mutation`](Self::apply_mutation)).
-    pub fn graph(&self) -> &Graph {
-        self.graph.get()
-    }
-
-    /// Applies a batch of topology mutations and incrementally re-derives
-    /// the engine bookkeeping, so the process re-stabilizes from the
-    /// current configuration instead of restarting. The mutated graph is
-    /// built **once** and the same `Arc` is handed to the switch's
-    /// [`rebind_graph`](SwitchProcess::rebind_graph), keeping both
-    /// sub-processes on one identical topology. New vertices start white
-    /// with their switch at its waiting state.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`MutationError::Unsupported`] (state untouched) if the
-    /// switch implementation cannot follow topology changes, or with
-    /// [`MutationError::Graph`] for an invalid delta.
-    pub fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
-        let (new_graph, committed) = self.graph.get().apply_delta(delta)?;
-        let arc = Arc::new(new_graph);
-        // Rebind the switch first: if it declines, nothing was mutated yet
-        // (`apply_delta` is pure) and the error propagates cleanly.
-        self.switch.rebind_graph(&arc)?;
-        self.colors.grow(committed.new_n);
-        self.engine.grow(committed.new_n);
-        for &(u, v) in &committed.removed {
-            self.engine.edge_update(u, v, false);
-        }
-        for &(u, v) in &committed.inserted {
-            self.engine.edge_update(u, v, true);
-        }
-        self.graph = GraphRef::Owned(arc);
-        self.engine
-            .flush(self.graph.get(), classify(&self.colors, &self.switch));
-        Ok(committed)
+        RuleProcess::from_parts(graph, colors, ThreeColorRule { switch })
     }
 
     /// The switch sub-process.
     pub fn switch(&self) -> &S {
-        &self.switch
-    }
-
-    /// Read-only view of the incremental engine bookkeeping, for tests and
-    /// diagnostics.
-    pub fn engine(&self) -> &FrontierEngine {
-        &self.engine
+        &self.rule.switch
     }
 
     /// Current color of vertex `u`.
@@ -318,18 +240,12 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     ///
     /// Panics if `u` is out of range.
     pub fn color(&self, u: VertexId) -> ThreeColor {
-        assert!(u < self.n(), "vertex {u} out of range");
-        ThreeColor::from_code(self.colors.get(u))
+        self.state_of(u)
     }
 
     /// The full color vector, materialized from the packed storage in `O(n)`.
     pub fn colors(&self) -> Vec<ThreeColor> {
-        self.colors.decode(ThreeColor::from_code)
-    }
-
-    /// Number of black neighbors of `u` (delta-maintained).
-    pub fn black_neighbor_count(&self, u: VertexId) -> usize {
-        self.engine.black_neighbor_count(u)
+        self.state_vec()
     }
 
     /// The current set of gray vertices `Γ_t`.
@@ -351,30 +267,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     ///
     /// Panics if `u` is out of range.
     pub fn set_color(&mut self, u: VertexId, color: ThreeColor) {
-        if self.color(u) == color {
-            return;
-        }
-        self.colors.set(u, color.code());
-        self.engine.set_black(self.graph.get(), u, color.is_black());
-        self.engine
-            .flush(self.graph.get(), classify(&self.colors, &self.switch));
-    }
-
-    /// `true` if `u` is active: black with a black neighbor, or white with no
-    /// black neighbor. (Gray vertices are never active; they wait for their
-    /// switch.)
-    pub fn is_active(&self, u: VertexId) -> bool {
-        self.engine.is_active(u)
-    }
-
-    /// `true` if `u` is stable black (black with no black neighbor).
-    pub fn is_stable_black(&self, u: VertexId) -> bool {
-        self.engine.is_stable_black(u)
-    }
-
-    /// `true` if `u` is stable: stable black or adjacent to a stable black vertex.
-    pub fn is_stable(&self, u: VertexId) -> bool {
-        self.engine.is_stable(u)
+        self.overwrite(u, color);
     }
 
     /// Executes one synchronous round with the naive full-scan reference
@@ -385,15 +278,15 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
         let mut black_nbrs = vec![0u32; self.n()];
         for u in self.graph.get().vertices() {
-            if ThreeColor::from_code(self.colors.get(u)).is_black() {
+            if ThreeColorRule::<S>::from_code(self.states.get(u)).is_black() {
                 for v in self.graph.get().neighbors(u) {
                     black_nbrs[v] += 1;
                 }
             }
         }
-        let next = self.colors.clone();
+        let next = self.states.clone();
         for u in self.graph.get().vertices() {
-            let new = match ThreeColor::from_code(self.colors.get(u)) {
+            let new = match ThreeColorRule::<S>::from_code(self.states.get(u)) {
                 ThreeColor::Black if black_nbrs[u] > 0 => {
                     self.random_bits += 1;
                     if rng.gen_bool(0.5) {
@@ -410,317 +303,59 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
                         ThreeColor::White
                     }
                 }
-                ThreeColor::Gray if self.switch.is_on(u) => ThreeColor::White,
+                ThreeColor::Gray if self.rule.switch.is_on(u) => ThreeColor::White,
                 other => other,
             };
-            next.set(u, new.code());
+            next.set(u, ThreeColorRule::<S>::code(new));
         }
-        self.colors = next;
-        self.switch.step_reference(rng);
+        self.states = next;
+        self.rule.switch.step_reference(rng);
         self.rebuild_engine();
         self.round += 1;
-    }
-
-    fn rebuild_engine(&mut self) {
-        let colors = &self.colors;
-        self.engine.rebuild(
-            self.graph.get(),
-            |u| ThreeColor::from_code(colors.get(u)).is_black(),
-            classify(colors, &self.switch),
-        );
-    }
-
-    /// Runs after a sparse round's switch step: re-queues every gray vertex
-    /// whose switch output may have changed, then flushes the engine, so a
-    /// gray vertex is on the frontier exactly while its switch is on.
-    fn flush_after_switch_step(&mut self) {
-        let (colors, engine) = (&self.colors, &mut self.engine);
-        self.switch.for_each_changed(&mut |u| {
-            if colors.get(u) == ThreeColor::Gray.code() {
-                engine.mark_dirty(u);
-            }
-        });
-        self.engine
-            .flush(self.graph.get(), classify(&self.colors, &self.switch));
-    }
-
-    /// One sequential round: ascending-order draws from the shared stream,
-    /// bit-identical to [`step_reference`](Self::step_reference).
-    fn step_sequential(&mut self, rng: &mut dyn RngCore) {
-        // The color update of round t uses the switch values σ_{t-1} (the
-        // switch output of the *previous* round); the two sub-processes then
-        // advance in parallel. The frontier holds the active vertices plus
-        // the gray vertices whose switch is on; draws happen only at active
-        // vertices, in ascending vertex order — the same RNG stream as the
-        // full-scan reference.
-        self.engine.begin_round(&mut self.worklist);
-        self.changes.clear();
-        for &u in &self.worklist {
-            match ThreeColor::from_code(self.colors.get(u)) {
-                ThreeColor::Black => {
-                    debug_assert!(self.engine.is_active(u));
-                    self.random_bits += 1;
-                    if !rng.gen_bool(0.5) {
-                        self.changes.push((u, ThreeColor::Gray));
-                    }
-                }
-                ThreeColor::White => {
-                    debug_assert!(self.engine.is_active(u));
-                    self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
-                        self.changes.push((u, ThreeColor::Black));
-                    }
-                }
-                ThreeColor::Gray => {
-                    if self.switch.is_on(u) {
-                        self.changes.push((u, ThreeColor::White));
-                    }
-                }
-            }
-        }
-        for &(u, color) in &self.changes {
-            self.colors.set(u, color.code());
-            self.engine.set_black(self.graph.get(), u, color.is_black());
-        }
-        self.switch.step(rng);
-        self.flush_after_switch_step();
-        self.round += 1;
-    }
-
-    /// One **dense** sequential round: flat sweep deciding from the cached
-    /// activity flags (active black/white vertices draw; gray vertices
-    /// consult the previous round's switch output), then the switch advances
-    /// and the engine recounts in full. Same coins in the same ascending
-    /// order as the sparse path, hence bit-identical.
-    fn step_dense_sequential(&mut self, rng: &mut dyn RngCore) {
-        let n = self.graph.get().n();
-        let mut draws = 0u64;
-        {
-            let colors = &mut self.colors;
-            let engine = &self.engine;
-            let switch = &self.switch;
-            for u in 0..n {
-                match ThreeColor::from_code(colors.get(u)) {
-                    ThreeColor::Black => {
-                        if engine.is_active(u) {
-                            draws += 1;
-                            if !rng.gen_bool(0.5) {
-                                colors.set_mut(u, ThreeColor::Gray.code());
-                                engine.stage_black(u, false);
-                            }
-                        }
-                    }
-                    ThreeColor::White => {
-                        if engine.is_active(u) {
-                            draws += 1;
-                            if rng.gen_bool(0.5) {
-                                colors.set_mut(u, ThreeColor::Black.code());
-                                engine.stage_black(u, true);
-                            }
-                        }
-                    }
-                    ThreeColor::Gray => {
-                        if switch.is_on(u) {
-                            // Gray behaves like white for its neighbors, so
-                            // the blackness projection is unchanged.
-                            colors.set_mut(u, ThreeColor::White.code());
-                        }
-                    }
-                }
-            }
-        }
-        self.random_bits += draws;
-        self.switch.step(rng);
-        self.engine
-            .recount(self.graph.get(), classify(&self.colors, &self.switch));
-        self.round += 1;
-    }
-
-    /// One **dense** counter-based round on `threads` threads: chunked
-    /// decide sweep, the switch's counter step, and the parallel engine
-    /// recount. Bit-identical for every thread count and to the sparse
-    /// parallel path.
-    fn step_dense_parallel(&mut self, threads: usize) {
-        let round = self.round as u64;
-        let counter = self.counter;
-        let colors = &self.colors;
-        let switch = &self.switch;
-        let graph = self.graph.get();
-        let draws = self.engine.dense_sweep(graph, threads, |engine, range| {
-            let mut draws = 0u64;
-            for u in range {
-                match ThreeColor::from_code(colors.get(u)) {
-                    ThreeColor::Black => {
-                        if engine.is_active(u) {
-                            draws += 1;
-                            if !counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                                colors.set(u, ThreeColor::Gray.code());
-                                engine.stage_black(u, false);
-                            }
-                        }
-                    }
-                    ThreeColor::White => {
-                        if engine.is_active(u) {
-                            draws += 1;
-                            if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                                colors.set(u, ThreeColor::Black.code());
-                                engine.stage_black(u, true);
-                            }
-                        }
-                    }
-                    ThreeColor::Gray => {
-                        if switch.is_on(u) {
-                            colors.set(u, ThreeColor::White.code());
-                        }
-                    }
-                }
-            }
-            draws
-        });
-        self.random_bits += draws;
-        self.switch.step_counter(&self.counter);
-        self.engine.recount_par(
-            self.graph.get(),
-            threads,
-            classify(&self.colors, &self.switch),
-        );
-        self.round += 1;
-    }
-
-    /// One counter-based round on `threads` threads; results are
-    /// bit-identical for every thread count. The phase structure lives in
-    /// [`FrontierEngine::par_round`]; this supplies the 3-color decide
-    /// (black/white vertices draw their coin; gray vertices consult the
-    /// *previous* round's switch output) and scatter. The fused flush
-    /// inside `par_round` classifies gray vertices by that previous output,
-    /// so after the switch's counter step a small sequential flush
-    /// re-queues the gray vertices whose output changed.
-    fn step_parallel(&mut self, threads: usize) {
-        self.engine.begin_round_unsorted(&mut self.worklist);
-        let round = self.round as u64;
-        let counter = self.counter;
-        let colors = &self.colors;
-        let switch = &self.switch;
-        let graph = self.graph.get();
-        let change_pool = &mut self.change_pool;
-        let draws = self.engine.par_round(
-            graph,
-            &self.worklist,
-            threads,
-            |engine, chunk, changes: &mut Vec<(VertexId, ThreeColor)>| {
-                let mut draws = 0u64;
-                for &u in chunk {
-                    match ThreeColor::from_code(colors.get(u)) {
-                        ThreeColor::Black => {
-                            debug_assert!(engine.is_active(u));
-                            draws += 1;
-                            if !counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                                colors.set(u, ThreeColor::Gray.code());
-                                changes.push((u, ThreeColor::Gray));
-                            }
-                        }
-                        ThreeColor::White => {
-                            debug_assert!(engine.is_active(u));
-                            draws += 1;
-                            if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                                colors.set(u, ThreeColor::Black.code());
-                                changes.push((u, ThreeColor::Black));
-                            }
-                        }
-                        ThreeColor::Gray => {
-                            if switch.is_on(u) {
-                                colors.set(u, ThreeColor::White.code());
-                                changes.push((u, ThreeColor::White));
-                            }
-                        }
-                    }
-                }
-                draws
-            },
-            |engine, &(u, color), sink| engine.scatter_black(graph, u, color.is_black(), sink),
-            classify(colors, switch),
-            change_pool,
-        );
-        self.random_bits += draws;
-        self.switch.step_counter(&self.counter);
-        self.flush_after_switch_step();
-        self.round += 1;
-    }
-}
-
-impl<S: SwitchProcess> Process for ThreeColorProcess<'_, S> {
-    fn n(&self) -> usize {
-        self.graph.get().n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let dense = match self.strategy {
-            RoundStrategy::Sparse => false,
-            RoundStrategy::Dense => true,
-            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
-        };
-        self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
-        }
-    }
-
-    fn is_stabilized(&self) -> bool {
-        // O(1): the engine caches the unstable count.
-        self.engine.is_stabilized()
-    }
-
-    fn black_set(&self) -> VertexSet {
-        self.engine.black_set()
-    }
-
-    fn active_set(&self) -> VertexSet {
-        self.engine.active_set()
-    }
-
-    fn stable_black_set(&self) -> VertexSet {
-        self.engine.stable_black_set()
-    }
-
-    fn unstable_set(&self) -> VertexSet {
-        self.engine.unstable_set()
-    }
-
-    fn counts(&self) -> StateCounts {
-        self.engine.counts()
-    }
-
-    fn states_per_vertex(&self) -> usize {
-        3 * self.switch.states_per_vertex()
-    }
-
-    fn random_bits_used(&self) -> u64 {
-        self.random_bits + self.switch.random_bits_used()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::exec::{ExecutionMode, RoundStrategy};
     use crate::log_switch::FixedPeriodSwitch;
-    use mis_graph::{generators, mis_check, Graph};
+    use mis_graph::{generators, mis_check, GraphDelta};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// The rule against Definition 28: black and white vertices follow the
+    /// 2-state rule, except that tails send a black vertex to gray; a gray
+    /// vertex never draws, and is pending (turning white) exactly while its
+    /// switch is on.
+    #[test]
+    fn rule_follows_definition_28() {
+        use ThreeColor::{Black, Gray, White};
+        type Rule = ThreeColorRule<FixedPeriodSwitch>;
+        let class = |active, pending| VertexClass { active, pending };
+        let always = |on: bool| ThreeColorRule {
+            switch: FixedPeriodSwitch::new(1, usize::from(on), usize::from(!on)),
+        };
+        assert_eq!(always(true).classify(0, Gray, 0), class(false, true));
+        assert_eq!(always(false).classify(0, Gray, 0), class(false, false));
+        let rule = always(true);
+        assert_eq!(rule.classify(0, Black, 1), class(true, true));
+        assert_eq!(rule.classify(0, Black, 0), class(false, false));
+        assert_eq!(rule.classify(0, White, 0), class(true, true));
+        assert_eq!(rule.classify(0, White, 2), class(false, false));
+        assert_eq!(Rule::decide(Black, Some(true)), Black);
+        assert_eq!(Rule::decide(Black, Some(false)), Gray);
+        assert_eq!(Rule::decide(White, Some(true)), Black);
+        assert_eq!(Rule::decide(White, Some(false)), White);
+        assert_eq!(Rule::decide(Gray, None), White);
+        for color in [Black, White, Gray] {
+            assert_eq!(Rule::from_code(Rule::code(color)), color);
+        }
     }
 
     #[test]

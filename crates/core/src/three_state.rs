@@ -1,16 +1,16 @@
+use std::ops::Range;
 use std::sync::Arc;
 
-use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
+use mis_graph::{Graph, VertexId};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::counter_rng::{CounterRng, DRAW_STATE};
-use crate::engine::{FrontierEngine, VertexClass};
-use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
+use crate::engine::VertexClass;
 use crate::init::InitStrategy;
-use crate::mutation::{GraphRef, MutationError};
+use crate::mutation::MutationError;
 use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
+use crate::process::Process;
+use crate::rule::{LocalRule, PartialActivation, RuleProcess};
 use crate::sync::AtomicU32Vec;
 
 /// Vertex state of the 3-state MIS process (Definition 5).
@@ -34,20 +34,34 @@ impl ThreeState {
     pub fn is_black(self) -> bool {
         matches!(self, ThreeState::Black1 | ThreeState::Black0)
     }
+}
 
-    /// The 2-bit code used by the packed state storage.
-    #[inline]
-    pub(crate) fn code(self) -> u8 {
-        match self {
+/// The 3-state local rule (Definition 5), with the number of `black1`
+/// neighbors of every vertex, delta-maintained beside the engine's
+/// black-neighbor counters (atomically typed so the counter-model scatter
+/// can update it concurrently).
+///
+/// Active vertices re-draw from `{black1, black0}`; a non-active `black0`
+/// vertex (one with a `black1` neighbor) retires to white, so every black
+/// vertex is pending. A white vertex is pending iff it is active (no black
+/// neighbor).
+#[derive(Debug, Clone)]
+pub struct ThreeStateRule {
+    black1_nbrs: AtomicU32Vec,
+}
+
+impl LocalRule for ThreeStateRule {
+    type State = ThreeState;
+
+    fn code(state: ThreeState) -> u8 {
+        match state {
             ThreeState::White => 0,
             ThreeState::Black1 => 1,
             ThreeState::Black0 => 2,
         }
     }
 
-    /// Inverse of [`code`](Self::code).
-    #[inline]
-    pub(crate) fn from_code(code: u8) -> Self {
+    fn from_code(code: u8) -> ThreeState {
         match code {
             0 => ThreeState::White,
             1 => ThreeState::Black1,
@@ -55,20 +69,15 @@ impl ThreeState {
             other => unreachable!("invalid 3-state code {other}"),
         }
     }
-}
 
-/// The 3-state local rule. Active vertices re-draw from `{black1, black0}`;
-/// a non-active `black0` vertex (one with a `black1` neighbor) retires to
-/// white, so every black vertex is pending. A white vertex is pending iff it
-/// is active (no black neighbor).
-fn classify<'a>(
-    states: &'a PackedStates,
-    black1_nbrs: &'a AtomicU32Vec,
-) -> impl Fn(VertexId, u32) -> VertexClass + Sync + 'a {
-    move |u, black_nbrs| {
-        let (active, pending) = match ThreeState::from_code(states.get(u)) {
+    fn is_black(state: ThreeState) -> bool {
+        state.is_black()
+    }
+
+    fn classify(&self, u: VertexId, state: ThreeState, black_nbrs: u32) -> VertexClass {
+        let (active, pending) = match state {
             ThreeState::Black1 => (true, true),
-            ThreeState::Black0 => (black1_nbrs.get(u) == 0, true),
+            ThreeState::Black0 => (self.black1_nbrs.get(u) == 0, true),
             ThreeState::White => {
                 let a = black_nbrs == 0;
                 (a, a)
@@ -76,7 +85,74 @@ fn classify<'a>(
         };
         VertexClass { active, pending }
     }
+
+    fn decide(_state: ThreeState, coin: Option<bool>) -> ThreeState {
+        match coin {
+            Some(true) => ThreeState::Black1,
+            Some(false) => ThreeState::Black0,
+            // Pending but not active: black0 with a black1 neighbor retires.
+            None => ThreeState::White,
+        }
+    }
+
+    fn states_per_vertex(&self) -> usize {
+        3
+    }
+
+    fn scatter(
+        &self,
+        graph: &Graph,
+        u: VertexId,
+        old: ThreeState,
+        new: ThreeState,
+        mut mark: impl FnMut(VertexId),
+    ) {
+        let is_black1 = new == ThreeState::Black1;
+        if (old == ThreeState::Black1) == is_black1 {
+            return;
+        }
+        for v in graph.neighbors(u) {
+            if is_black1 {
+                self.black1_nbrs.add(v, 1);
+            } else {
+                self.black1_nbrs.sub(v, 1);
+            }
+            mark(v);
+        }
+    }
+
+    fn recount(&self, graph: &Graph, states: &PackedStates, range: Range<VertexId>) {
+        let black1 = Self::code(ThreeState::Black1);
+        for v in range {
+            let count = graph
+                .neighbors(v)
+                .iter()
+                .filter(|&w| states.get(w) == black1)
+                .count();
+            self.black1_nbrs.set(v, count as u32);
+        }
+    }
+
+    fn edge_update(&mut self, states: &PackedStates, u: VertexId, v: VertexId, inserted: bool) {
+        let black1 = Self::code(ThreeState::Black1);
+        for (a, b) in [(u, v), (v, u)] {
+            if states.get(a) == black1 {
+                if inserted {
+                    self.black1_nbrs.add_mut(b, 1);
+                } else {
+                    self.black1_nbrs.sub_mut(b, 1);
+                }
+            }
+        }
+    }
+
+    fn rebind(&mut self, graph: &Arc<Graph>) -> Result<(), MutationError> {
+        self.black1_nbrs.grow(graph.n());
+        Ok(())
+    }
 }
+
+impl PartialActivation for ThreeStateRule {}
 
 /// The **3-state MIS process** of Definition 5.
 ///
@@ -100,24 +176,13 @@ fn classify<'a>(
 /// neighbor is black", which coincides with the paper on every vertex that
 /// has at least one neighbor and makes isolated vertices join the MIS.
 ///
-/// States are stored bit-packed (2 bits per vertex) and rounds run through
-/// the incremental [`FrontierEngine`]: a [`step`](Process::step) touches
-/// only the frontier (black vertices and active whites — stable black
-/// vertices keep alternating by definition, so they stay on it) and the
-/// neighborhoods of vertices that changed, and
+/// It is the [`ThreeStateRule`] run by [`RuleProcess`]: a
+/// [`step`](Process::step) touches only the frontier (black vertices and
+/// active whites — stable black vertices keep alternating by definition, so
+/// they stay on it) and the neighborhoods of vertices that changed, and
 /// [`is_stabilized`](Process::is_stabilized)/[`counts`](Process::counts) are
 /// `O(1)`. [`step_reference`](ThreeStateProcess::step_reference) retains the
 /// naive full-scan path for differential testing.
-///
-/// # Execution modes
-///
-/// Sequential mode (the default) draws all coins from the shared stream in
-/// ascending vertex order (bit-identical to the reference); after
-/// [`set_execution`](Self::set_execution) with
-/// [`ExecutionMode::Parallel`], coins are counter-based pure functions of
-/// `(run_seed, vertex, round)`, rounds run in data-parallel phases, the
-/// shared RNG argument is ignored, and results are bit-identical for every
-/// thread count.
 ///
 /// # Example
 ///
@@ -132,27 +197,7 @@ fn classify<'a>(
 /// p.run_to_stabilization(&mut rng, 10_000).unwrap();
 /// assert!(mis_check::is_mis(&g, &p.black_set()));
 /// ```
-#[derive(Debug, Clone)]
-pub struct ThreeStateProcess<'g> {
-    graph: GraphRef<'g>,
-    states: PackedStates,
-    /// Number of `black1` neighbors per vertex, delta-maintained alongside
-    /// the engine's black-neighbor counters (atomically typed so the
-    /// parallel scatter phase can update it concurrently).
-    black1_nbrs: AtomicU32Vec,
-    engine: FrontierEngine,
-    mode: ExecutionMode,
-    strategy: RoundStrategy,
-    /// Whether the most recent full synchronous round ran the dense path.
-    last_round_dense: bool,
-    counter: CounterRng,
-    round: usize,
-    random_bits: u64,
-    worklist: Vec<VertexId>,
-    changes: Vec<(VertexId, ThreeState)>,
-    /// Recycled per-worker change buffers of the parallel round path.
-    change_pool: Vec<Vec<(VertexId, ThreeState, ThreeState)>>,
-}
+pub type ThreeStateProcess<'g> = RuleProcess<'g, ThreeStateRule>;
 
 impl<'g> ThreeStateProcess<'g> {
     /// Creates the process on `graph` with the given initial state vector.
@@ -161,114 +206,15 @@ impl<'g> ThreeStateProcess<'g> {
     ///
     /// Panics if `states.len() != graph.n()`.
     pub fn new(graph: &'g Graph, states: Vec<ThreeState>) -> Self {
-        assert_eq!(
-            states.len(),
-            graph.n(),
-            "initial state vector length must equal the number of vertices"
-        );
-        let mut p = ThreeStateProcess {
+        let rule = ThreeStateRule {
             black1_nbrs: AtomicU32Vec::new(graph.n()),
-            engine: FrontierEngine::new(graph.n()),
-            graph: GraphRef::Borrowed(graph),
-            states: PackedStates::from_codes(states.into_iter().map(ThreeState::code)),
-            mode: ExecutionMode::Sequential,
-            strategy: RoundStrategy::Auto,
-            last_round_dense: false,
-            counter: CounterRng::new(0),
-            round: 0,
-            random_bits: 0,
-            worklist: Vec::new(),
-            changes: Vec::new(),
-            change_pool: Vec::new(),
         };
-        p.rebuild_engine();
-        p
+        RuleProcess::from_parts(graph, states, rule)
     }
 
     /// Creates the process with states drawn from an [`InitStrategy`].
     pub fn with_init<R: Rng + ?Sized>(graph: &'g Graph, init: InitStrategy, rng: &mut R) -> Self {
         Self::new(graph, init.three_state(graph.n(), rng))
-    }
-
-    /// Selects the execution mode for subsequent rounds and (re-)keys the
-    /// counter-based RNG with `run_seed`.
-    pub fn set_execution(&mut self, mode: ExecutionMode, run_seed: u64) {
-        self.mode = mode;
-        self.counter = CounterRng::new(run_seed);
-    }
-
-    /// The current execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Selects how full synchronous rounds traverse the graph; see
-    /// [`RoundStrategy`]. The choice never changes results.
-    pub fn set_strategy(&mut self, strategy: RoundStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The current round strategy.
-    pub fn strategy(&self) -> RoundStrategy {
-        self.strategy
-    }
-
-    /// `true` if the most recent [`step`](Process::step) ran the dense
-    /// full-sweep path.
-    pub fn last_round_was_dense(&self) -> bool {
-        self.last_round_dense
-    }
-
-    /// The underlying graph (the mutated one after
-    /// [`apply_mutation`](Self::apply_mutation)).
-    pub fn graph(&self) -> &Graph {
-        self.graph.get()
-    }
-
-    /// Applies a batch of topology mutations and incrementally re-derives
-    /// all bookkeeping — the engine's black-neighbor counters *and* the
-    /// process-owned `black1` counters — so the process re-stabilizes from
-    /// the current configuration instead of restarting. New vertices start
-    /// white; the self-stabilizing rule absorbs them. Bit-identical to a
-    /// from-scratch engine rebuild on the new graph with the current states.
-    ///
-    /// On error (an invalid delta) the process state is untouched.
-    pub fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
-        let (new_graph, committed) = self.graph.get().apply_delta(delta)?;
-        self.states.grow(committed.new_n);
-        self.black1_nbrs.grow(committed.new_n);
-        self.engine.grow(committed.new_n);
-        let black1 = ThreeState::Black1.code();
-        for &(u, v) in &committed.removed {
-            self.engine.edge_update(u, v, false);
-            if self.states.get(u) == black1 {
-                self.black1_nbrs.sub_mut(v, 1);
-            }
-            if self.states.get(v) == black1 {
-                self.black1_nbrs.sub_mut(u, 1);
-            }
-        }
-        for &(u, v) in &committed.inserted {
-            self.engine.edge_update(u, v, true);
-            if self.states.get(u) == black1 {
-                self.black1_nbrs.add_mut(v, 1);
-            }
-            if self.states.get(v) == black1 {
-                self.black1_nbrs.add_mut(u, 1);
-            }
-        }
-        self.graph = GraphRef::Owned(Arc::new(new_graph));
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .flush(self.graph.get(), classify(states, black1_nbrs));
-        Ok(committed)
-    }
-
-    /// Read-only view of the incremental engine bookkeeping, for tests and
-    /// diagnostics.
-    pub fn engine(&self) -> &FrontierEngine {
-        &self.engine
     }
 
     /// Current state of vertex `u`.
@@ -277,23 +223,17 @@ impl<'g> ThreeStateProcess<'g> {
     ///
     /// Panics if `u` is out of range.
     pub fn state(&self, u: VertexId) -> ThreeState {
-        assert!(u < self.n(), "vertex {u} out of range");
-        ThreeState::from_code(self.states.get(u))
+        self.state_of(u)
     }
 
     /// The full state vector, materialized from the packed storage in `O(n)`.
     pub fn states(&self) -> Vec<ThreeState> {
-        self.states.decode(ThreeState::from_code)
-    }
-
-    /// Number of black (`black1` or `black0`) neighbors of `u`.
-    pub fn black_neighbor_count(&self, u: VertexId) -> usize {
-        self.engine.black_neighbor_count(u)
+        self.state_vec()
     }
 
     /// Number of `black1` neighbors of `u` (delta-maintained).
     pub fn black1_neighbor_count(&self, u: VertexId) -> usize {
-        self.black1_nbrs.get(u) as usize
+        self.rule.black1_nbrs.get(u) as usize
     }
 
     /// Overwrites the state of one vertex (transient-fault injection). All
@@ -304,34 +244,7 @@ impl<'g> ThreeStateProcess<'g> {
     ///
     /// Panics if `u` is out of range.
     pub fn set_state(&mut self, u: VertexId, state: ThreeState) {
-        let old = self.state(u);
-        if old == state {
-            return;
-        }
-        self.states.set(u, state.code());
-        self.apply_black1_delta(u, old, state);
-        self.engine.set_black(self.graph.get(), u, state.is_black());
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .flush(self.graph.get(), classify(states, black1_nbrs));
-    }
-
-    /// Whether `u` will re-randomize its state in the next round.
-    pub fn is_active(&self, u: VertexId) -> bool {
-        self.engine.is_active(u)
-    }
-
-    /// `true` if `u` is stable black: black with no black neighbor. Its state
-    /// keeps alternating between `black1` and `black0` but its *blackness*
-    /// never changes.
-    pub fn is_stable_black(&self, u: VertexId) -> bool {
-        self.engine.is_stable_black(u)
-    }
-
-    /// `true` if `u` is stable: stable black or adjacent to a stable black vertex.
-    pub fn is_stable(&self, u: VertexId) -> bool {
-        self.engine.is_stable(u)
+        self.overwrite(u, state);
     }
 
     /// Executes one synchronous round with the naive full-scan reference
@@ -343,7 +256,7 @@ impl<'g> ThreeStateProcess<'g> {
         let mut black_nbrs = vec![0u32; n];
         let mut black1_nbrs = vec![0u32; n];
         for u in self.graph.get().vertices() {
-            let s = ThreeState::from_code(self.states.get(u));
+            let s = ThreeStateRule::from_code(self.states.get(u));
             if s.is_black() {
                 for v in self.graph.get().neighbors(u) {
                     black_nbrs[v] += 1;
@@ -355,7 +268,7 @@ impl<'g> ThreeStateProcess<'g> {
         }
         let next = self.states.clone();
         for u in self.graph.get().vertices() {
-            let s = ThreeState::from_code(self.states.get(u));
+            let s = ThreeStateRule::from_code(self.states.get(u));
             let active = match s {
                 ThreeState::Black1 => true,
                 ThreeState::Black0 => black1_nbrs[u] == 0,
@@ -368,381 +281,55 @@ impl<'g> ThreeStateProcess<'g> {
                 } else {
                     ThreeState::Black0
                 };
-                next.set(u, drawn.code());
+                next.set(u, ThreeStateRule::code(drawn));
             } else if s == ThreeState::Black0 {
                 // black0 with a black1 neighbor retires to white.
-                next.set(u, ThreeState::White.code());
+                next.set(u, ThreeStateRule::code(ThreeState::White));
             }
         }
         self.states = next;
         self.rebuild_engine();
         self.round += 1;
     }
-
-    /// Delta-updates the `black1` neighbor counters (and the affected
-    /// activity classifications) after `u` changed `old -> new`.
-    fn apply_black1_delta(&mut self, u: VertexId, old: ThreeState, new: ThreeState) {
-        let was_black1 = old == ThreeState::Black1;
-        let is_black1 = new == ThreeState::Black1;
-        if was_black1 == is_black1 {
-            return;
-        }
-        for v in self.graph.get().neighbors(u) {
-            if is_black1 {
-                self.black1_nbrs.add(v, 1);
-            } else {
-                self.black1_nbrs.sub(v, 1);
-            }
-            self.engine.mark_dirty(v);
-        }
-    }
-
-    fn rebuild_engine(&mut self) {
-        self.recount_black1();
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine.rebuild(
-            self.graph.get(),
-            |u| ThreeState::from_code(states.get(u)).is_black(),
-            classify(states, black1_nbrs),
-        );
-    }
-
-    /// Recomputes the `black1` neighbor counters from scratch with plain
-    /// (non-atomic) adds; the process-owned half of a dense recount.
-    fn recount_black1(&mut self) {
-        self.black1_nbrs.clear_all();
-        let states = &self.states;
-        let black1_nbrs = &mut self.black1_nbrs;
-        for u in self.graph.get().vertices() {
-            if states.get(u) == ThreeState::Black1.code() {
-                for &v in self.graph.get().neighbors(u).as_compact() {
-                    black1_nbrs.add_mut(v.index(), 1);
-                }
-            }
-        }
-    }
-
-    /// One **dense** sequential round: flat sweep deciding from the cached
-    /// activity flags (active vertices draw from `{black1, black0}`,
-    /// non-active `black0` vertices retire to white), then a full recount of
-    /// the `black1` counters and the engine bookkeeping. Same coins in the
-    /// same ascending order as the sparse path, hence bit-identical.
-    fn step_dense_sequential(&mut self, rng: &mut dyn RngCore) {
-        let n = self.graph.get().n();
-        let mut draws = 0u64;
-        {
-            let states = &mut self.states;
-            let engine = &self.engine;
-            for u in 0..n {
-                if engine.is_active(u) {
-                    draws += 1;
-                    let new = if rng.gen_bool(0.5) {
-                        ThreeState::Black1
-                    } else {
-                        ThreeState::Black0
-                    };
-                    if new.code() != states.get(u) {
-                        states.set_mut(u, new.code());
-                        engine.stage_black(u, true);
-                    }
-                } else if states.get(u) == ThreeState::Black0.code() {
-                    // black0 with a black1 neighbor retires to white.
-                    states.set_mut(u, ThreeState::White.code());
-                    engine.stage_black(u, false);
-                }
-            }
-        }
-        self.random_bits += draws;
-        self.recount_black1();
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .recount(self.graph.get(), classify(states, black1_nbrs));
-        self.round += 1;
-    }
-
-    /// One **dense** counter-based round on `threads` threads: a
-    /// volume-balanced decide sweep dispatch, then a single fused recount
-    /// dispatch whose first pass also rebuilds the `black1` counters (the
-    /// process hook of [`FrontierEngine::recount_par_with`]) — two pool
-    /// dispatches per dense round. Bit-identical for every thread count and
-    /// to the sparse parallel path.
-    fn step_dense_parallel(&mut self, threads: usize) {
-        let round = self.round as u64;
-        let counter = self.counter;
-        let states = &self.states;
-        let graph = self.graph.get();
-        let draws = self.engine.dense_sweep(graph, threads, |engine, range| {
-            let mut draws = 0u64;
-            for u in range {
-                if engine.is_active(u) {
-                    draws += 1;
-                    let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                        ThreeState::Black1
-                    } else {
-                        ThreeState::Black0
-                    };
-                    if new.code() != states.get(u) {
-                        states.set(u, new.code());
-                        engine.stage_black(u, true);
-                    }
-                } else if states.get(u) == ThreeState::Black0.code() {
-                    states.set(u, ThreeState::White.code());
-                    engine.stage_black(u, false);
-                }
-            }
-            draws
-        });
-        self.random_bits += draws;
-        self.black1_nbrs.clear_all();
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .recount_par_with(graph, threads, classify(states, black1_nbrs), |range| {
-                // Process hook, fused into the recount's scatter pass:
-                // rebuild the black1 neighbor counters (commutative atomic
-                // adds keyed off the already-settled states).
-                for u in range {
-                    if states.get(u) == ThreeState::Black1.code() {
-                        for &v in graph.neighbors(u).as_compact() {
-                            black1_nbrs.add(v.index(), 1);
-                        }
-                    }
-                }
-            });
-        self.round += 1;
-    }
-
-    /// One sequential round: ascending-order draws from the shared stream,
-    /// bit-identical to [`step_reference`](Self::step_reference).
-    fn step_sequential(&mut self, rng: &mut dyn RngCore) {
-        // The frontier holds every vertex whose rule may fire: all black
-        // vertices plus active whites. Only active vertices draw, in
-        // ascending vertex order — the same RNG stream as the full scan.
-        self.engine.begin_round(&mut self.worklist);
-        self.changes.clear();
-        for &u in &self.worklist {
-            if self.engine.is_active(u) {
-                self.random_bits += 1;
-                let new = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-                if new != ThreeState::from_code(self.states.get(u)) {
-                    self.changes.push((u, new));
-                }
-            } else {
-                // Pending but not active: black0 with a black1 neighbor
-                // retires to white.
-                debug_assert_eq!(self.state(u), ThreeState::Black0);
-                self.changes.push((u, ThreeState::White));
-            }
-        }
-        for i in 0..self.changes.len() {
-            let (u, state) = self.changes[i];
-            let old = ThreeState::from_code(self.states.get(u));
-            self.states.set(u, state.code());
-            self.apply_black1_delta(u, old, state);
-            self.engine.set_black(self.graph.get(), u, state.is_black());
-        }
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .flush(self.graph.get(), classify(states, black1_nbrs));
-        self.round += 1;
-    }
-
-    /// Executes one round in which only the vertices of `scheduled` are
-    /// activated: a scheduled *active* vertex re-draws from
-    /// `{black1, black0}`, a scheduled non-active `black0` vertex (one with
-    /// a `black1` neighbor) retires to white, and every other vertex keeps
-    /// its state. All decisions are made against the pre-round
-    /// configuration, in ascending vertex order.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheduled.universe() != n`.
-    pub fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
-        assert_eq!(
-            scheduled.universe(),
-            self.n(),
-            "scheduled set universe must match the graph"
-        );
-        self.changes.clear();
-        for u in scheduled.iter() {
-            let old = ThreeState::from_code(self.states.get(u));
-            if self.engine.is_active(u) {
-                self.random_bits += 1;
-                let new = if rng.gen_bool(0.5) {
-                    ThreeState::Black1
-                } else {
-                    ThreeState::Black0
-                };
-                if new != old {
-                    self.changes.push((u, new));
-                }
-            } else if old == ThreeState::Black0 {
-                // black0 with a black1 neighbor retires to white.
-                self.changes.push((u, ThreeState::White));
-            }
-        }
-        for i in 0..self.changes.len() {
-            let (u, state) = self.changes[i];
-            let old = ThreeState::from_code(self.states.get(u));
-            self.states.set(u, state.code());
-            self.apply_black1_delta(u, old, state);
-            self.engine.set_black(self.graph.get(), u, state.is_black());
-        }
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        self.engine
-            .flush(self.graph.get(), classify(states, black1_nbrs));
-        self.round += 1;
-    }
-
-    /// One counter-based round on `threads` threads; results are
-    /// bit-identical for every thread count. The phase structure lives in
-    /// [`FrontierEngine::par_round`]; this supplies the 3-state decide
-    /// (active vertices draw, pending-but-not-active black0 vertices retire
-    /// deterministically) and scatter (blackness flips through the engine,
-    /// black1 deltas through the process-owned counters, shared dirty
-    /// marks).
-    fn step_parallel(&mut self, threads: usize) {
-        self.engine.begin_round_unsorted(&mut self.worklist);
-        let round = self.round as u64;
-        let counter = self.counter;
-        let states = &self.states;
-        let black1_nbrs = &self.black1_nbrs;
-        let graph = self.graph.get();
-        type Change = (VertexId, ThreeState, ThreeState);
-        let change_pool = &mut self.change_pool;
-        let draws = self.engine.par_round(
-            graph,
-            &self.worklist,
-            threads,
-            |engine, chunk, changes: &mut Vec<Change>| {
-                let mut draws = 0u64;
-                for &u in chunk {
-                    let old = ThreeState::from_code(states.get(u));
-                    if engine.is_active(u) {
-                        draws += 1;
-                        let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                            ThreeState::Black1
-                        } else {
-                            ThreeState::Black0
-                        };
-                        if new != old {
-                            states.set(u, new.code());
-                            changes.push((u, old, new));
-                        }
-                    } else {
-                        debug_assert_eq!(old, ThreeState::Black0);
-                        states.set(u, ThreeState::White.code());
-                        changes.push((u, old, ThreeState::White));
-                    }
-                }
-                draws
-            },
-            |engine, &(u, old, new), sink| {
-                let was_black1 = old == ThreeState::Black1;
-                let is_black1 = new == ThreeState::Black1;
-                if was_black1 != is_black1 {
-                    for v in graph.neighbors(u) {
-                        if is_black1 {
-                            black1_nbrs.add(v, 1);
-                        } else {
-                            black1_nbrs.sub(v, 1);
-                        }
-                        engine.mark_dirty_concurrent(v, sink);
-                    }
-                }
-                engine.scatter_black(graph, u, new.is_black(), sink);
-            },
-            classify(states, black1_nbrs),
-            change_pool,
-        );
-        self.random_bits += draws;
-        self.round += 1;
-    }
-}
-
-impl Process for ThreeStateProcess<'_> {
-    fn n(&self) -> usize {
-        self.graph.get().n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let dense = match self.strategy {
-            RoundStrategy::Sparse => false,
-            RoundStrategy::Dense => true,
-            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
-        };
-        self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
-        }
-    }
-
-    fn is_stabilized(&self) -> bool {
-        // Stabilized (on the black/non-black projection) iff every vertex is
-        // stable: the black set is then an MIS and blackness never changes,
-        // even though stable black vertices keep flipping black1/black0. The
-        // engine caches the unstable count, so this is O(1).
-        self.engine.is_stabilized()
-    }
-
-    fn black_set(&self) -> VertexSet {
-        self.engine.black_set()
-    }
-
-    fn active_set(&self) -> VertexSet {
-        self.engine.active_set()
-    }
-
-    fn stable_black_set(&self) -> VertexSet {
-        self.engine.stable_black_set()
-    }
-
-    fn unstable_set(&self) -> VertexSet {
-        self.engine.unstable_set()
-    }
-
-    fn counts(&self) -> StateCounts {
-        self.engine.counts()
-    }
-
-    fn states_per_vertex(&self) -> usize {
-        3
-    }
-
-    fn random_bits_used(&self) -> u64 {
-        self.random_bits
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_graph::{generators, mis_check};
+    use crate::exec::ExecutionMode;
+    use mis_graph::{generators, mis_check, GraphDelta};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// The rule against Definition 5: black1 always draws; black0 draws
+    /// without a black1 neighbor and retires to white with one; white draws
+    /// iff no neighbor is black. A draw picks black1 or black0.
+    #[test]
+    fn rule_follows_definition_5() {
+        use ThreeState::{Black0, Black1, White};
+        // Path 0 - 1 - 2: vertex 1 has a black1 neighbor, vertex 2 none.
+        let g = generators::path(3);
+        let p = ThreeStateProcess::new(&g, vec![Black1, Black0, Black0]);
+        let class = |active, pending| VertexClass { active, pending };
+        assert_eq!(p.rule.classify(0, Black1, 1), class(true, true));
+        assert_eq!(p.rule.classify(1, Black0, 2), class(false, true));
+        assert_eq!(p.rule.classify(2, Black0, 1), class(true, true));
+        assert_eq!(p.rule.classify(2, White, 0), class(true, true));
+        assert_eq!(p.rule.classify(2, White, 1), class(false, false));
+        for state in [Black1, Black0, White] {
+            assert_eq!(ThreeStateRule::decide(state, Some(true)), Black1);
+            assert_eq!(ThreeStateRule::decide(state, Some(false)), Black0);
+            assert_eq!(
+                ThreeStateRule::from_code(ThreeStateRule::code(state)),
+                state
+            );
+        }
+        assert_eq!(ThreeStateRule::decide(Black0, None), White);
     }
 
     #[test]

@@ -1,16 +1,11 @@
-use std::sync::Arc;
-
-use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
+use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
-use crate::counter_rng::{CounterRng, DRAW_STATE};
-use crate::engine::{FrontierEngine, VertexClass};
-use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
+use crate::engine::VertexClass;
 use crate::init::InitStrategy;
-use crate::mutation::{GraphRef, MutationError};
-use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
+use crate::process::Process;
+use crate::rule::{LocalRule, PartialActivation, RuleProcess};
 
 /// Vertex state of the 2-state MIS process: black indicates (tentative)
 /// membership in the MIS.
@@ -27,33 +22,39 @@ impl Color {
     pub fn is_black(self) -> bool {
         matches!(self, Color::Black)
     }
+}
 
-    /// The 2-bit code used by the packed state storage.
-    #[inline]
-    pub(crate) fn code(self) -> u8 {
-        match self {
+/// The 2-state local rule (Definition 4): a vertex is active (and pending —
+/// the two coincide for this rule) iff it is black with a black neighbor or
+/// white with no black neighbor, and an active vertex takes the color its
+/// coin shows.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct TwoStateRule;
+
+impl LocalRule for TwoStateRule {
+    type State = Color;
+
+    fn code(state: Color) -> u8 {
+        match state {
             Color::White => 0,
             Color::Black => 1,
         }
     }
 
-    /// Inverse of [`code`](Self::code).
-    #[inline]
-    pub(crate) fn from_code(code: u8) -> Self {
+    fn from_code(code: u8) -> Color {
         match code {
             0 => Color::White,
             1 => Color::Black,
             other => unreachable!("invalid 2-state code {other}"),
         }
     }
-}
 
-/// The 2-state local rule: a vertex is active (and pending — the two coincide
-/// for this process) iff it is black with a black neighbor or white with no
-/// black neighbor.
-fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sync + '_ {
-    move |u, black_nbrs| {
-        let active = match Color::from_code(states.get(u)) {
+    fn is_black(state: Color) -> bool {
+        state.is_black()
+    }
+
+    fn classify(&self, _u: VertexId, state: Color, black_nbrs: u32) -> VertexClass {
+        let active = match state {
             Color::Black => black_nbrs > 0,
             Color::White => black_nbrs == 0,
         };
@@ -62,7 +63,21 @@ fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
             pending: active,
         }
     }
+
+    fn decide(state: Color, coin: Option<bool>) -> Color {
+        match coin {
+            Some(true) => Color::Black,
+            Some(false) => Color::White,
+            None => state,
+        }
+    }
+
+    fn states_per_vertex(&self) -> usize {
+        2
+    }
 }
+
+impl PartialActivation for TwoStateRule {}
 
 /// The **2-state MIS process** of Definition 4.
 ///
@@ -74,30 +89,18 @@ fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// reaches, with probability 1, a configuration where the black vertices form
 /// a maximal independent set and no state ever changes again.
 ///
-/// The struct also exposes the vertex partitions used in the paper's
+/// The process also exposes the vertex partitions used in the paper's
 /// analysis: active vertices `A_t`, stable black vertices `I_t`, and
 /// non-stable vertices `V_t` (Section 2.1).
 ///
-/// States are stored bit-packed (2 bits per vertex, see
-/// [`PackedStates`]), and rounds are executed through the incremental
-/// [`FrontierEngine`], so a [`step`](Process::step) costs
-/// `O(|A_t| + vol(A_t))` rather than `O(n + m)`, and
-/// [`is_stabilized`](Process::is_stabilized) and [`counts`](Process::counts)
-/// are `O(1)`; [`step_reference`] retains the naive full-scan path for
-/// differential testing.
-///
-/// # Execution modes
-///
-/// Under the default [`ExecutionMode::Sequential`], all coins come from the
-/// shared RNG stream passed to `step`, drawn in ascending vertex order —
-/// bit-identical to [`step_reference`]. After
-/// [`set_execution`](Self::set_execution) with
-/// [`ExecutionMode::Parallel`], each vertex's coin is the pure function
-/// `CounterRng(run_seed)(vertex, round, draw)` and the round executes in
-/// data-parallel phases; the shared RNG argument is **ignored** and the
-/// results are bit-identical for every thread count.
-///
-/// [`step_reference`]: TwoStateProcess::step_reference
+/// It is the [`TwoStateRule`] run by [`RuleProcess`]: states are stored
+/// bit-packed, a [`step`](Process::step) costs `O(|A_t| + vol(A_t))` rather
+/// than `O(n + m)`, and [`is_stabilized`](Process::is_stabilized) and
+/// [`counts`](Process::counts) are `O(1)`;
+/// [`step_reference`](TwoStateProcess::step_reference) retains the naive
+/// full-scan path for differential testing. See
+/// [`set_execution`](RuleProcess::set_execution) for the two randomness
+/// models.
 ///
 /// # Example
 ///
@@ -113,26 +116,7 @@ fn classify(states: &PackedStates) -> impl Fn(VertexId, u32) -> VertexClass + Sy
 /// assert_eq!(p.black_set().len(), 1); // an MIS of a clique is a single vertex
 /// assert!(mis_check::is_mis(&g, &p.black_set()));
 /// ```
-#[derive(Debug, Clone)]
-pub struct TwoStateProcess<'g> {
-    graph: GraphRef<'g>,
-    states: PackedStates,
-    /// Incremental counters, frontier, and cached counts.
-    engine: FrontierEngine,
-    mode: ExecutionMode,
-    strategy: RoundStrategy,
-    /// Whether the most recent full synchronous round ran the dense path.
-    last_round_dense: bool,
-    counter: CounterRng,
-    round: usize,
-    random_bits: u64,
-    /// Scratch: the frontier snapshot of the round being executed.
-    worklist: Vec<VertexId>,
-    /// Scratch: the state changes decided in the current round.
-    changes: Vec<(VertexId, Color)>,
-    /// Recycled per-chunk change buffers for the parallel round path.
-    change_pool: Vec<Vec<(VertexId, bool)>>,
-}
+pub type TwoStateProcess<'g> = RuleProcess<'g, TwoStateRule>;
 
 impl<'g> TwoStateProcess<'g> {
     /// Creates the process on `graph` with the given initial state vector.
@@ -141,104 +125,12 @@ impl<'g> TwoStateProcess<'g> {
     ///
     /// Panics if `states.len() != graph.n()`.
     pub fn new(graph: &'g Graph, states: Vec<Color>) -> Self {
-        assert_eq!(
-            states.len(),
-            graph.n(),
-            "initial state vector length must equal the number of vertices"
-        );
-        let mut p = TwoStateProcess {
-            engine: FrontierEngine::new(graph.n()),
-            graph: GraphRef::Borrowed(graph),
-            states: PackedStates::from_codes(states.into_iter().map(Color::code)),
-            mode: ExecutionMode::Sequential,
-            strategy: RoundStrategy::Auto,
-            last_round_dense: false,
-            counter: CounterRng::new(0),
-            round: 0,
-            random_bits: 0,
-            worklist: Vec::new(),
-            changes: Vec::new(),
-            change_pool: Vec::new(),
-        };
-        p.rebuild_engine();
-        p
+        RuleProcess::from_parts(graph, states, TwoStateRule)
     }
 
     /// Creates the process with states drawn from an [`InitStrategy`].
     pub fn with_init<R: Rng + ?Sized>(graph: &'g Graph, init: InitStrategy, rng: &mut R) -> Self {
         Self::new(graph, init.two_state(graph.n(), rng))
-    }
-
-    /// Selects the execution mode for subsequent rounds and (re-)keys the
-    /// counter-based RNG with `run_seed`. See the struct docs for the two
-    /// randomness models.
-    pub fn set_execution(&mut self, mode: ExecutionMode, run_seed: u64) {
-        self.mode = mode;
-        self.counter = CounterRng::new(run_seed);
-    }
-
-    /// The current execution mode.
-    pub fn execution_mode(&self) -> ExecutionMode {
-        self.mode
-    }
-
-    /// Selects how full synchronous rounds traverse the graph: the adaptive
-    /// dense/sparse choice (default), or one path forced. The choice never
-    /// changes results — see [`RoundStrategy`].
-    pub fn set_strategy(&mut self, strategy: RoundStrategy) {
-        self.strategy = strategy;
-    }
-
-    /// The current round strategy.
-    pub fn strategy(&self) -> RoundStrategy {
-        self.strategy
-    }
-
-    /// `true` if the most recent [`step`](Process::step) ran the dense
-    /// full-sweep path (reporting hook for the scale experiment, which
-    /// records the round where `auto` switches dense → sparse).
-    pub fn last_round_was_dense(&self) -> bool {
-        self.last_round_dense
-    }
-
-    /// The underlying graph (the mutated one after
-    /// [`apply_mutation`](Self::apply_mutation)).
-    pub fn graph(&self) -> &Graph {
-        self.graph.get()
-    }
-
-    /// Applies a batch of topology mutations and incrementally re-derives
-    /// the engine bookkeeping, so the process **re-stabilizes from the
-    /// current configuration** instead of restarting: the delta is compacted
-    /// into a fresh CSR graph, state storage and counters grow to cover
-    /// joined vertices (new vertices start white, the self-stabilizing
-    /// rules absorb them), each net edge change delta-updates the
-    /// black-neighbor counters, and one flush against the new adjacency
-    /// re-classifies every touched vertex. The result is bit-identical to
-    /// rebuilding the engine from scratch on the new graph with the current
-    /// states.
-    ///
-    /// On error (an invalid delta) the process state is untouched.
-    pub fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
-        let (new_graph, committed) = self.graph.get().apply_delta(delta)?;
-        self.states.grow(committed.new_n);
-        self.engine.grow(committed.new_n);
-        for &(u, v) in &committed.removed {
-            self.engine.edge_update(u, v, false);
-        }
-        for &(u, v) in &committed.inserted {
-            self.engine.edge_update(u, v, true);
-        }
-        self.graph = GraphRef::Owned(Arc::new(new_graph));
-        let states = &self.states;
-        self.engine.flush(self.graph.get(), classify(states));
-        Ok(committed)
-    }
-
-    /// Read-only view of the incremental engine bookkeeping (counters,
-    /// frontier, cached counts), for tests and diagnostics.
-    pub fn engine(&self) -> &FrontierEngine {
-        &self.engine
     }
 
     /// Current color of vertex `u`.
@@ -247,14 +139,13 @@ impl<'g> TwoStateProcess<'g> {
     ///
     /// Panics if `u` is out of range.
     pub fn color(&self, u: VertexId) -> Color {
-        assert!(u < self.n(), "vertex {u} out of range");
-        Color::from_code(self.states.get(u))
+        self.state_of(u)
     }
 
     /// The full state vector (indexed by vertex id), materialized from the
     /// packed storage in `O(n)`.
     pub fn states(&self) -> Vec<Color> {
-        self.states.decode(Color::from_code)
+        self.state_vec()
     }
 
     /// Overwrites the state of a single vertex, e.g. to model a transient
@@ -265,37 +156,7 @@ impl<'g> TwoStateProcess<'g> {
     ///
     /// Panics if `u` is out of range.
     pub fn set_color(&mut self, u: VertexId, color: Color) {
-        assert!(u < self.n(), "vertex {u} out of range");
-        if Color::from_code(self.states.get(u)) == color {
-            return;
-        }
-        self.states.set(u, color.code());
-        self.engine.set_black(self.graph.get(), u, color.is_black());
-        let states = &self.states;
-        self.engine.flush(self.graph.get(), classify(states));
-    }
-
-    /// `true` if vertex `u` is active at the end of the current round:
-    /// black with a black neighbor, or white with no black neighbor.
-    pub fn is_active(&self, u: VertexId) -> bool {
-        self.engine.is_active(u)
-    }
-
-    /// `true` if vertex `u` is *stable black*: black with no black neighbor
-    /// (i.e. `u ∈ I_t`).
-    pub fn is_stable_black(&self, u: VertexId) -> bool {
-        self.engine.is_stable_black(u)
-    }
-
-    /// `true` if vertex `u` is stable: stable black, or adjacent to a stable
-    /// black vertex.
-    pub fn is_stable(&self, u: VertexId) -> bool {
-        self.engine.is_stable(u)
-    }
-
-    /// Number of black neighbors of `u`.
-    pub fn black_neighbor_count(&self, u: VertexId) -> usize {
-        self.engine.black_neighbor_count(u)
+        self.overwrite(u, color);
     }
 
     /// The set `A^k_t` of *k-active* vertices: active vertices with at most
@@ -330,7 +191,7 @@ impl<'g> TwoStateProcess<'g> {
         // rely on the bookkeeping it is meant to check.
         let mut black_nbrs = vec![0u32; self.n()];
         for u in self.graph.get().vertices() {
-            if Color::from_code(self.states.get(u)).is_black() {
+            if TwoStateRule::from_code(self.states.get(u)).is_black() {
                 for v in self.graph.get().neighbors(u) {
                     black_nbrs[v] += 1;
                 }
@@ -338,7 +199,7 @@ impl<'g> TwoStateProcess<'g> {
         }
         let next = self.states.clone();
         for u in self.graph.get().vertices() {
-            let active = match Color::from_code(self.states.get(u)) {
+            let active = match TwoStateRule::from_code(self.states.get(u)) {
                 Color::Black => black_nbrs[u] > 0,
                 Color::White => black_nbrs[u] == 0,
             };
@@ -349,277 +210,48 @@ impl<'g> TwoStateProcess<'g> {
                 } else {
                     Color::White
                 };
-                next.set(u, color.code());
+                next.set(u, TwoStateRule::code(color));
             }
         }
         self.states = next;
         self.rebuild_engine();
         self.round += 1;
     }
-
-    fn rebuild_engine(&mut self) {
-        let states = &self.states;
-        self.engine.rebuild(
-            self.graph.get(),
-            |u| Color::from_code(states.get(u)).is_black(),
-            classify(states),
-        );
-    }
-
-    /// One sequential round: ascending-order draws from the shared stream,
-    /// bit-identical to [`step_reference`](Self::step_reference).
-    fn step_sequential(&mut self, rng: &mut dyn RngCore) {
-        // For the 2-state process the frontier is exactly the active set, so
-        // every worklist vertex re-draws; ascending order keeps the RNG
-        // stream identical to the full-scan reference.
-        self.engine.begin_round(&mut self.worklist);
-        self.changes.clear();
-        for &u in &self.worklist {
-            debug_assert!(self.engine.is_active(u));
-            self.random_bits += 1;
-            let new = if rng.gen_bool(0.5) {
-                Color::Black
-            } else {
-                Color::White
-            };
-            if new != Color::from_code(self.states.get(u)) {
-                self.changes.push((u, new));
-            }
-        }
-        for &(u, color) in &self.changes {
-            self.states.set(u, color.code());
-            self.engine.set_black(self.graph.get(), u, color.is_black());
-        }
-        let states = &self.states;
-        self.engine.flush(self.graph.get(), classify(states));
-        self.round += 1;
-    }
-
-    /// Executes one round in which only the vertices of `scheduled` are
-    /// activated (a partial-activation round under a non-synchronous
-    /// scheduler): every scheduled *active* vertex re-draws its state
-    /// uniformly at random against the pre-round configuration, all other
-    /// vertices keep their state. Draws happen in ascending vertex order
-    /// from the shared stream; a full `scheduled` set consumes exactly the
-    /// coins of a sequential [`step`](Process::step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheduled.universe() != n`.
-    pub fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
-        assert_eq!(
-            scheduled.universe(),
-            self.n(),
-            "scheduled set universe must match the graph"
-        );
-        // Decide against the pre-round configuration, then apply: the
-        // engine's activity bits are only mutated after every coin is drawn.
-        self.changes.clear();
-        for u in scheduled.iter() {
-            if self.engine.is_active(u) {
-                self.random_bits += 1;
-                let new = if rng.gen_bool(0.5) {
-                    Color::Black
-                } else {
-                    Color::White
-                };
-                if new != Color::from_code(self.states.get(u)) {
-                    self.changes.push((u, new));
-                }
-            }
-        }
-        for i in 0..self.changes.len() {
-            let (u, color) = self.changes[i];
-            self.states.set(u, color.code());
-            self.engine.set_black(self.graph.get(), u, color.is_black());
-        }
-        let states = &self.states;
-        self.engine.flush(self.graph.get(), classify(states));
-        self.round += 1;
-    }
-
-    /// One **dense** sequential round: a flat sweep over the packed state
-    /// array deciding from the cached activity flags (no worklist, no sort,
-    /// no delta scatter), followed by the engine's fused full recount. Same
-    /// coins for the same vertices in the same ascending order as
-    /// [`step_sequential`](Self::step_sequential), hence bit-identical.
-    fn step_dense_sequential(&mut self, rng: &mut dyn RngCore) {
-        let n = self.graph.get().n();
-        let mut draws = 0u64;
-        {
-            let states = &mut self.states;
-            let engine = &self.engine;
-            for u in 0..n {
-                if engine.is_active(u) {
-                    draws += 1;
-                    let new = if rng.gen_bool(0.5) {
-                        Color::Black
-                    } else {
-                        Color::White
-                    };
-                    if new.code() != states.get(u) {
-                        states.set_mut(u, new.code());
-                        engine.stage_black(u, new.is_black());
-                    }
-                }
-            }
-        }
-        self.random_bits += draws;
-        let states = &self.states;
-        self.engine.recount(self.graph.get(), classify(states));
-        self.round += 1;
-    }
-
-    /// One **dense** counter-based round on `threads` threads: the decide
-    /// sweep is chunked over `0..n` (order-independent counter draws) and
-    /// the recount runs through
-    /// [`recount_par`](FrontierEngine::recount_par); bit-identical for every
-    /// thread count and to the sparse parallel path.
-    fn step_dense_parallel(&mut self, threads: usize) {
-        let round = self.round as u64;
-        let counter = self.counter;
-        let states = &self.states;
-        let graph = self.graph.get();
-        let draws = self.engine.dense_sweep(graph, threads, |engine, range| {
-            let mut draws = 0u64;
-            for u in range {
-                if engine.is_active(u) {
-                    draws += 1;
-                    let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                        Color::Black
-                    } else {
-                        Color::White
-                    };
-                    if new.code() != states.get(u) {
-                        states.set(u, new.code());
-                        engine.stage_black(u, new.is_black());
-                    }
-                }
-            }
-            draws
-        });
-        self.random_bits += draws;
-        let states = &self.states;
-        self.engine.recount_par(graph, threads, classify(states));
-        self.round += 1;
-    }
-
-    /// One counter-based round on `threads` threads; results are
-    /// bit-identical for every thread count. The phase structure lives in
-    /// [`FrontierEngine::par_round`]; this only supplies the 2-state decide
-    /// (every worklist vertex is active and draws its own coin) and scatter
-    /// (plain blackness flips).
-    fn step_parallel(&mut self, threads: usize) {
-        self.engine.begin_round_unsorted(&mut self.worklist);
-        let round = self.round as u64;
-        let counter = self.counter;
-        let states = &self.states;
-        let graph = self.graph.get();
-        let change_pool = &mut self.change_pool;
-        let draws = self.engine.par_round(
-            graph,
-            &self.worklist,
-            threads,
-            |engine, chunk, changes: &mut Vec<(VertexId, bool)>| {
-                let mut draws = 0u64;
-                for &u in chunk {
-                    debug_assert!(engine.is_active(u));
-                    draws += 1;
-                    let new = if counter.gen_bool(0.5, u as u64, round, DRAW_STATE) {
-                        Color::Black
-                    } else {
-                        Color::White
-                    };
-                    if new.code() != states.get(u) {
-                        states.set(u, new.code());
-                        changes.push((u, new.is_black()));
-                    }
-                }
-                draws
-            },
-            |engine, &(u, black), sink| engine.scatter_black(graph, u, black, sink),
-            classify(states),
-            change_pool,
-        );
-        self.random_bits += draws;
-        self.round += 1;
-    }
-}
-
-impl Process for TwoStateProcess<'_> {
-    fn n(&self) -> usize {
-        self.graph.get().n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        let dense = match self.strategy {
-            RoundStrategy::Sparse => false,
-            RoundStrategy::Dense => true,
-            RoundStrategy::Auto => self.engine.prefers_dense(self.graph.get()),
-        };
-        self.last_round_dense = dense;
-        match (self.mode, dense) {
-            (ExecutionMode::Sequential, false) => self.step_sequential(rng),
-            (ExecutionMode::Sequential, true) => self.step_dense_sequential(rng),
-            (ExecutionMode::Parallel { threads }, false) => {
-                self.step_parallel(resolve_threads(threads))
-            }
-            (ExecutionMode::Parallel { threads }, true) => {
-                self.step_dense_parallel(resolve_threads(threads))
-            }
-        }
-    }
-
-    fn is_stabilized(&self) -> bool {
-        // A configuration is stabilized iff no vertex is active, which holds
-        // iff every vertex is stable (Section 2); the engine caches the
-        // unstable count, so this is O(1).
-        self.engine.is_stabilized()
-    }
-
-    fn black_set(&self) -> VertexSet {
-        self.engine.black_set()
-    }
-
-    fn active_set(&self) -> VertexSet {
-        self.engine.active_set()
-    }
-
-    fn stable_black_set(&self) -> VertexSet {
-        self.engine.stable_black_set()
-    }
-
-    fn unstable_set(&self) -> VertexSet {
-        self.engine.unstable_set()
-    }
-
-    fn counts(&self) -> StateCounts {
-        self.engine.counts()
-    }
-
-    fn states_per_vertex(&self) -> usize {
-        2
-    }
-
-    fn random_bits_used(&self) -> u64 {
-        self.random_bits
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_graph::{generators, mis_check};
+    use crate::exec::{ExecutionMode, RoundStrategy};
+    use mis_graph::{generators, mis_check, GraphDelta};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// The rule against Definition 4: a vertex is active (and pending) iff
+    /// it is black with a black neighbor or white with none, and an active
+    /// vertex takes the color its coin shows.
+    #[test]
+    fn rule_follows_definition_4() {
+        for (state, black_nbrs, active) in [
+            (Color::Black, 0, false),
+            (Color::Black, 3, true),
+            (Color::White, 0, true),
+            (Color::White, 1, false),
+        ] {
+            let pending = active;
+            let class = TwoStateRule.classify(0, state, black_nbrs);
+            assert_eq!(class, VertexClass { active, pending }, "{state:?}");
+        }
+        for state in [Color::Black, Color::White] {
+            assert_eq!(TwoStateRule::decide(state, Some(true)), Color::Black);
+            assert_eq!(TwoStateRule::decide(state, Some(false)), Color::White);
+            assert_eq!(TwoStateRule::from_code(TwoStateRule::code(state)), state);
+        }
     }
 
     #[test]

@@ -12,10 +12,17 @@
 //! vertex's randomness is a pure function of `(seed, vertex, round, draw)`
 //! and all merges are commutative, the partition must be unobservable.
 //!
-//! All parallel rounds here dispatch onto the **persistent worker pool**
-//! (`rayon::global_pool`); interleaving rounds with graph mutations also
-//! proves the pool is safely reused across topology changes — workers hold
-//! no per-graph state between dispatches.
+//! The proptests use graphs below 60 vertices, far below the parallel-work
+//! threshold, so every phase of their rounds runs inline on the calling
+//! thread: they check the chunk-independent logic under arbitrary
+//! interleavings, not cross-thread execution. The rounds that really
+//! dispatch onto the **persistent worker pool** (`rayon::global_pool`) are
+//! those of `large_instance_runs_identically_across_thread_counts` below
+//! (the 2-state process on 20,000 vertices, across a churn burst, which
+//! also shows the pool is safely reused across a topology change) and of
+//! `counter_model_rounds_agree_across_threads_and_strategies` in
+//! `crates/core/tests/work_counts.rs` (all three processes, every round
+//! strategy).
 
 use mis_core::init::InitStrategy;
 use mis_core::{
@@ -29,10 +36,10 @@ use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
-/// Thread counts the contract is checked over. 1 is the inline path, 2 and
-/// 8 exercise real cross-thread interleavings (8 deliberately exceeds the
-/// host's core count on small CI machines — oversubscription must not
-/// change results either).
+/// Thread counts the contract is checked over. 1 is the inline path; on the
+/// large instance, 2 and 8 exercise real cross-thread interleavings (8
+/// deliberately exceeds the host's core count on small CI machines —
+/// oversubscription must not change results either).
 const THREAD_COUNTS: [usize; 3] = [1, 2, 8];
 
 fn graph_for(seed: u64, n: usize, p_edge: f64) -> Graph {

@@ -4,7 +4,7 @@
 default:
     @just --list
 
-# Release build of every target (libs, 17 exp_* bins, 3 benches, examples, tests).
+# Release build of every target (libs, 17 exp_* bins, 5 benches, examples, tests).
 build:
     cargo build --release --workspace --all-targets
 
