@@ -404,9 +404,9 @@ impl FrontierEngine {
     /// parallel threshold or on one thread it runs `pre(0..n)` and the
     /// sequential recount inline.
     ///
-    /// `pre` is the process's counter hook: it runs over every vertex range
-    /// during the first (counter-scatter) pass, so a process can rebuild its
-    /// own auxiliary counters (e.g. the 3-state process's `black1` neighbor
+    /// `pre` is the rule's counter hook: it runs over every vertex range
+    /// during the first (counter-scatter) pass, so a rule can rebuild its
+    /// own auxiliary counters (e.g. the 3-state rule's `black1` neighbor
     /// counts) in the same dispatch — its output is settled before the
     /// classification pass reads it, because two barriers separate them.
     /// `pre` must not read the engine counters being rebuilt in the same
@@ -880,9 +880,8 @@ impl FrontierEngine {
     /// [`RuleProcess`](crate::RuleProcess); it keeps the phase ordering and
     /// the empty-worklist handling in one place. `decide` maps one worklist
     /// chunk to its state changes (of the change type `Ch`), writing new
-    /// states as it goes,
-    /// and returns its draw count; `scatter` applies one change's neighbor
-    /// deltas through the engine's concurrent primitives
+    /// states as it goes, and returns its draw count; `scatter` applies one
+    /// change's neighbor deltas through the engine's concurrent primitives
     /// ([`scatter_black`](Self::scatter_black) /
     /// [`mark_dirty_concurrent`](Self::mark_dirty_concurrent)) into the
     /// per-worker sink.
