@@ -27,6 +27,7 @@ use std::time::{Duration, Instant};
 use mis_core::{AlgorithmConfig, StepCtx};
 use mis_graph::{mis_check, GraphDelta};
 use mis_sim::builtin_registry;
+use mis_sim::runner::COUNTER_SEED_SALT;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 
@@ -34,11 +35,6 @@ use crate::api::{JobGauges, JobInfo, JobOutcome, JobRequest, JobStatus};
 use crate::graphs::GraphEntry;
 use crate::journal::{Journal, Record, RecoveredJob};
 use crate::sync;
-
-/// Salt decorrelating the counter-RNG key from the trial seed; a frozen copy
-/// of the (private) constant in `mis_sim::runner`, kept bit-identical so a
-/// service job and a `run_trial` with the same seed share coin streams.
-const COUNTER_SEED_SALT: u64 = 0x0005_EEDC_0DE0_FC01;
 
 /// Cap on buffered event lines per job; one `truncated` marker is appended
 /// when a job would exceed it.

@@ -38,8 +38,10 @@ use crate::stats::Summary;
 
 /// Salt mixed into the per-trial seed to key the counter-based RNG of
 /// parallel-mode runs (so the counter key is decorrelated from the ChaCha
-/// stream that draws the graph and the initial states).
-const COUNTER_SEED_SALT: u64 = 0x0005_EEDC_0DE0_FC01;
+/// stream that draws the graph and the initial states). Service jobs key
+/// their counter RNG the same way, so a job and a trial with the same seed
+/// share coin streams.
+pub const COUNTER_SEED_SALT: u64 = 0x0005_EEDC_0DE0_FC01;
 
 /// BFS radius around the Byzantine set within which instability is the
 /// adversary's prerogative: a trial under a [`ByzantineOverlay`] terminates
