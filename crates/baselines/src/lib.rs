@@ -24,21 +24,22 @@
 //! Every algorithm validates its output against
 //! [`mis_graph::mis_check::is_mis`] in its tests, and reports the resource
 //! metrics (rounds/moves, random bits) used by the comparison experiment
-//! (E10 in `EXPERIMENTS.md`).
+//! (E10 in `EXPERIMENTS.md`). [`registry`] holds their registry entries:
+//! random-priority implements [`mis_core::Algorithm`] itself, and the
+//! one-shot baselines run inside their entry's `init` and return a
+//! terminated [`FinishedMis`].
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod greedy;
 pub mod luby;
 pub mod random_priority;
+pub mod registry;
 pub mod sequential_selfstab;
 
-pub use adapters::{
-    register_baseline_algorithms, FinishedMis, OneShotAlgorithm, RandomPriorityAlgorithm,
-};
 pub use greedy::{greedy_mis, greedy_mis_random_order};
 pub use luby::{luby_mis, LubyOutcome};
 pub use random_priority::{RandomPriorityMis, RandomPriorityOutcome};
+pub use registry::{register_baseline_algorithms, FinishedMis};
 pub use sequential_selfstab::{SequentialOutcome, SequentialScheduler, SequentialSelfStabMis};

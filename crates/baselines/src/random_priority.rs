@@ -4,7 +4,7 @@
 //! round and `Θ(log n)`-bit messages — the cost that the paper's
 //! constant-state, one-random-bit processes eliminate.
 
-use mis_core::{Process, StateCounts};
+use mis_core::{Algorithm, StateCounts};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -41,7 +41,7 @@ pub struct RandomPriorityOutcome {
 ///
 /// The rule only depends on the current round's priorities and the current
 /// membership vector, so the algorithm is self-stabilizing; it stabilizes in
-/// `O(log n)` rounds w.h.p. Because it implements [`Process`], the same
+/// `O(log n)` rounds w.h.p. Because it implements [`Algorithm`], the same
 /// experiment harness that measures the paper's processes can measure it.
 #[derive(Debug, Clone)]
 pub struct RandomPriorityMis<'g> {
@@ -122,7 +122,7 @@ impl<'g> RandomPriorityMis<'g> {
         rng: &mut R,
         max_rounds: usize,
     ) -> Result<RandomPriorityOutcome, mis_core::StabilizationTimeout> {
-        let rounds = Process::run_to_stabilization(self, rng, max_rounds)?;
+        let rounds = Algorithm::run_to_stabilization(self, rng, max_rounds)?;
         Ok(RandomPriorityOutcome {
             mis: self.black_set(),
             rounds,
@@ -141,7 +141,7 @@ impl<'g> RandomPriorityMis<'g> {
     }
 }
 
-impl Process for RandomPriorityMis<'_> {
+impl Algorithm for RandomPriorityMis<'_> {
     fn n(&self) -> usize {
         self.graph.n()
     }
@@ -253,6 +253,24 @@ impl Process for RandomPriorityMis<'_> {
     fn random_bits_used(&self) -> u64 {
         self.random_bits
     }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        // A fault flips a fair coin for membership; the per-round
+        // priorities are fresh anyway, so membership is all the memory.
+        victims
+            .iter()
+            .filter(|&&u| {
+                let membership = if rng.gen_bool(0.5) {
+                    Membership::In
+                } else {
+                    Membership::Out
+                };
+                let changed = self.membership(u) != membership;
+                self.set_membership(u, membership);
+                changed
+            })
+            .count()
+    }
 }
 
 #[cfg(test)]
@@ -301,7 +319,7 @@ mod tests {
             if alg.is_stabilized() {
                 break;
             }
-            Process::step(&mut alg, &mut r);
+            Algorithm::step(&mut alg, &mut r);
         }
     }
 

@@ -14,7 +14,7 @@
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mis_core::init::InitStrategy;
-use mis_core::{Process, RoundStrategy, TwoStateProcess};
+use mis_core::{Algorithm, RoundStrategy, TwoStateProcess};
 use mis_graph::generators;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -11,7 +11,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mis_core::init::InitStrategy;
 use mis_core::{
-    CounterRng, ExecutionMode, Process, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
+    Algorithm, CounterRng, ExecutionMode, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::generators;
 use rand::{RngCore, SeedableRng};

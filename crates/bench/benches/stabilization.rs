@@ -6,7 +6,7 @@
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
 use mis_baselines::luby_mis;
 use mis_core::init::InitStrategy;
-use mis_core::{Process, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use mis_core::{Algorithm, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use mis_graph::{generators, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

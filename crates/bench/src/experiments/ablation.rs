@@ -4,7 +4,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    FixedPeriodSwitch, Process, RandomizedLogSwitch, ThreeColorProcess, TwoStateProcess,
+    Algorithm, FixedPeriodSwitch, RandomizedLogSwitch, ThreeColorProcess, TwoStateProcess,
 };
 use mis_graph::generators;
 use mis_sim::stats::Summary;

@@ -26,7 +26,7 @@
 //! as the burst approaches a full topology replacement.
 
 use mis_core::init::InitStrategy;
-use mis_core::{AlgorithmConfig, ExecutionMode, RoundStrategy, StepCtx};
+use mis_core::{AlgorithmConfig, ExecutionMode, RoundStrategy};
 use mis_graph::{generators, mis_check};
 use mis_sim::spec::ChurnScenario;
 use mis_sim::{builtin_registry, generate_burst};
@@ -195,7 +195,7 @@ pub fn churn_measurement(n: usize, avg_degree: f64, fractions: &[f64], seed: u64
             // Phase 1: stabilize from scratch on the pristine graph.
             let mut alg = factory.init(&g, &config, &mut rng);
             while !alg.is_stabilized() && alg.round() < MAX_ROUNDS {
-                alg.step(StepCtx::synchronous(&mut rng));
+                alg.step(&mut rng);
             }
             assert!(alg.is_stabilized(), "{key} did not stabilize initially");
             let initial_rounds = alg.round();
@@ -212,7 +212,7 @@ pub fn churn_measurement(n: usize, avg_degree: f64, fractions: &[f64], seed: u64
             // Phase 3: incremental re-stabilization.
             let round_at_burst = alg.round();
             while !alg.is_stabilized() && alg.round() < round_at_burst + MAX_ROUNDS {
-                alg.step(StepCtx::synchronous(&mut rng));
+                alg.step(&mut rng);
             }
             assert!(
                 alg.is_stabilized(),
@@ -230,7 +230,7 @@ pub fn churn_measurement(n: usize, avg_degree: f64, fractions: &[f64], seed: u64
             let mut restart_rng = ChaCha8Rng::seed_from_u64(seed ^ 0xCC ^ fi as u64);
             let mut fresh = factory.init(&mutated, &config, &mut restart_rng);
             while !fresh.is_stabilized() && fresh.round() < MAX_ROUNDS {
-                fresh.step(StepCtx::synchronous(&mut restart_rng));
+                fresh.step(&mut restart_rng);
             }
             assert!(fresh.is_stabilized(), "{key} restart did not stabilize");
             let restart_rounds = fresh.round();

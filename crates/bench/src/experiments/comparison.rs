@@ -2,10 +2,15 @@
 //! transient-fault recovery (E11).
 
 use mis_core::init::InitStrategy;
-use mis_sim::fault::{three_color_recovery, two_state_recovery};
-use mis_sim::runner::run_experiment;
-use mis_sim::spec::{ExecutionMode, ExperimentSpec, GraphSpec};
+use mis_core::{AlgorithmConfig, RoundStrategy, Synchronous};
+use mis_graph::{mis_check, Graph};
+use mis_sim::observer::ObserverEvent;
+use mis_sim::runner::{run_experiment, COUNTER_SEED_SALT};
+use mis_sim::spec::{ExecutionMode, ExperimentSpec, FaultSpec, GraphSpec};
 use mis_sim::stats::Summary;
+use mis_sim::{builtin_registry, drive_algorithm, EventLogObserver};
+use rand::SeedableRng;
+use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
 use crate::Scale;
@@ -136,10 +141,54 @@ pub struct RecoveryRow {
     pub recovered_fraction: f64,
 }
 
+/// One fault-recovery run: `key` from a random start on `graph`, driven
+/// with [`FaultSpec::after_stabilization`]`(fraction)` on the trial stream
+/// seeded by `seed`. Returns the initial stabilization rounds (the round of
+/// the fault event), the recovery rounds after it, and whether the run
+/// ended in a valid MIS.
+///
+/// # Panics
+///
+/// Panics if the process does not stabilize within the round budget, so
+/// the fault never fires.
+fn recovery_run(key: &str, graph: &Graph, fraction: f64, seed: u64) -> (usize, usize, bool) {
+    let factory = builtin_registry().get(key).expect("registry key");
+    let mut rng = ChaCha8Rng::seed_from_u64(seed);
+    let config = AlgorithmConfig {
+        init: InitStrategy::Random,
+        execution: ExecutionMode::Sequential,
+        strategy: RoundStrategy::Auto,
+        counter_seed: seed ^ COUNTER_SEED_SALT,
+    };
+    let mut alg = factory.init(graph, &config, &mut rng);
+    let mut log = EventLogObserver::new();
+    let out = drive_algorithm(
+        alg.as_mut(),
+        &mut Synchronous,
+        &mut rng,
+        2_000_000,
+        Some(FaultSpec::after_stabilization(fraction)),
+        None,
+        None,
+        &mut [&mut log],
+    );
+    let initial_rounds = log
+        .events
+        .iter()
+        .find_map(|e| match e {
+            ObserverEvent::FaultInjection { round, .. } => Some(*round),
+            _ => None,
+        })
+        .expect("initial stabilization failed");
+    let valid = out.stabilized && mis_check::is_mis(graph, &out.black_set);
+    (initial_rounds, out.rounds - initial_rounds, valid)
+}
+
 /// E11 — self-stabilization under transient faults: stabilize, corrupt a
-/// fraction of the states, and measure re-stabilization time. Recovery from
-/// a small corruption should be no slower than stabilizing from scratch
-/// (and typically much faster).
+/// fraction of the vertices' memory ([`FaultSpec`] through
+/// `drive_algorithm`), and measure re-stabilization time. Recovery from a
+/// small corruption should be no slower than stabilizing from scratch (and
+/// typically much faster).
 pub fn e11_fault_recovery(scale: Scale) -> Vec<RecoveryRow> {
     let n = match scale {
         Scale::Quick => 150,
@@ -158,19 +207,12 @@ pub fn e11_fault_recovery(scale: Scale) -> Vec<RecoveryRow> {
         let mut recovery = Vec::new();
         let mut recovered = 0usize;
         for t in 0..trials {
-            let mut rng =
-                <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed + t as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed + t as u64);
             let g = mis_graph::generators::gnp(n, 8.0 / n as f64, &mut rng);
-            let out = two_state_recovery(
-                &g,
-                InitStrategy::Random,
-                fraction,
-                seed + 100 + t as u64,
-                1_000_000,
-            );
-            initial.push(out.initial_rounds);
-            recovery.push(out.recovery_rounds);
-            recovered += usize::from(out.recovered_to_mis);
+            let (init, rec, valid) = recovery_run("two-state", &g, fraction, seed + 100 + t as u64);
+            initial.push(init);
+            recovery.push(rec);
+            recovered += usize::from(valid);
         }
         rows.push(RecoveryRow {
             process: "two-state".into(),
@@ -186,19 +228,13 @@ pub fn e11_fault_recovery(scale: Scale) -> Vec<RecoveryRow> {
         let mut recovery = Vec::new();
         let mut recovered = 0usize;
         for t in 0..trials {
-            let mut rng =
-                <rand_chacha::ChaCha8Rng as rand::SeedableRng>::seed_from_u64(seed + t as u64);
+            let mut rng = ChaCha8Rng::seed_from_u64(seed + t as u64);
             let g = mis_graph::generators::gnp(n, 0.2, &mut rng);
-            let out = three_color_recovery(
-                &g,
-                InitStrategy::Random,
-                fraction,
-                seed + 100 + t as u64,
-                1_000_000,
-            );
-            initial.push(out.initial_rounds);
-            recovery.push(out.recovery_rounds);
-            recovered += usize::from(out.recovered_to_mis);
+            let (init, rec, valid) =
+                recovery_run("three-color", &g, fraction, seed + 100 + t as u64);
+            initial.push(init);
+            recovery.push(rec);
+            recovered += usize::from(valid);
         }
         rows.push(RecoveryRow {
             process: "three-color".into(),

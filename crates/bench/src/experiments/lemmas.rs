@@ -5,8 +5,8 @@ use mis_comm::beeping::BeepingTwoStateMis;
 use mis_comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Color, Process, RandomizedLogSwitch, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
-    DEFAULT_ZETA,
+    Algorithm, Color, RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess,
+    TwoStateProcess, DEFAULT_ZETA,
 };
 use mis_graph::generators;
 use rand::SeedableRng;
@@ -191,7 +191,7 @@ pub fn e13_comm_models(scale: Scale) -> Vec<CommEquivalenceRow> {
 /// Steps both processes with identical RNG streams until both stabilize (or a
 /// large cap), checking each round that the states, the random bits drawn so
 /// far, and the stabilization verdicts are equal.
-fn co_simulate<A: Process, B: Process>(
+fn co_simulate<A: Algorithm, B: Algorithm>(
     a: &mut A,
     b: &mut B,
     seed: u64,

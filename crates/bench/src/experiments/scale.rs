@@ -31,7 +31,7 @@
 use std::time::{Duration, Instant};
 
 use mis_core::init::InitStrategy;
-use mis_core::{ExecutionMode, Process, RoundStrategy, TwoStateProcess};
+use mis_core::{Algorithm, ExecutionMode, RoundStrategy, TwoStateProcess};
 use mis_graph::generators;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;

@@ -2,7 +2,7 @@
 //! detection) and the beeping adaptation of the 2-state MIS process.
 
 use mis_core::init::InitStrategy;
-use mis_core::{Color, Process, StateCounts};
+use mis_core::{corrupt, Algorithm, Color, FaultState, StateCounts};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -69,8 +69,8 @@ fn hears_beep(g: &Graph, v: VertexId, beeps: &impl Fn(VertexId) -> bool) -> bool
 /// * all other nodes keep their state.
 ///
 /// The network keeps each node's heard bit of the current round in one
-/// buffer. A round ([`step`](Process::step) or
-/// [`step_scheduled`](Self::step_scheduled)) updates the colors in place and
+/// buffer. A round ([`step`](Algorithm::step) or
+/// [`step_scheduled`](Algorithm::step_scheduled)) updates the colors in place and
 /// refreshes the buffer with one [`beep_round`] (`O(n + m)`, no allocation);
 /// [`set_color`](Self::set_color) refreshes only the neighbors of the node,
 /// in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the buffer.
@@ -164,28 +164,6 @@ impl<'g> BeepingTwoStateMis<'g> {
         }
     }
 
-    /// Executes one beeping round in which only the nodes of `scheduled`
-    /// are activated: the channel round happens as usual (every black node
-    /// beeps), but only scheduled nodes apply the update rule; all others
-    /// keep their color. A full `scheduled` set is exactly a synchronous
-    /// [`step`](Process::step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheduled.universe() != n`.
-    pub fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
-        assert_eq!(
-            scheduled.universe(),
-            self.graph.n(),
-            "scheduled set universe must match the graph"
-        );
-        for u in scheduled.iter() {
-            self.update(u, rng);
-        }
-        self.round += 1;
-        self.listen();
-    }
-
     /// Applies the 2-state rule to node `u` from what it heard this round.
     fn update(&mut self, u: VertexId, rng: &mut dyn RngCore) {
         if self.is_active(u) {
@@ -223,7 +201,7 @@ impl NodeView for BeepingTwoStateMis<'_> {
     }
 }
 
-impl Process for BeepingTwoStateMis<'_> {
+impl Algorithm for BeepingTwoStateMis<'_> {
     fn n(&self) -> usize {
         self.graph.n()
     }
@@ -234,6 +212,21 @@ impl Process for BeepingTwoStateMis<'_> {
 
     fn step(&mut self, rng: &mut dyn RngCore) {
         for u in self.graph.vertices() {
+            self.update(u, rng);
+        }
+        self.round += 1;
+        self.listen();
+    }
+
+    /// The channel round happens as usual (every black node beeps), but
+    /// only scheduled nodes apply the update rule.
+    fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
+        assert_eq!(
+            scheduled.universe(),
+            self.graph.n(),
+            "scheduled set universe must match the graph"
+        );
+        for u in scheduled.iter() {
             self.update(u, rng);
         }
         self.round += 1;
@@ -270,6 +263,25 @@ impl Process for BeepingTwoStateMis<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        corrupt(victims, rng, |u, color| {
+            let old = self.color(u);
+            self.set_color(u, color);
+            old
+        })
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let old = self.color(u);
+        let shown = old.displayed(black);
+        self.set_color(u, shown);
+        old != shown
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph)
     }
 }
 

@@ -15,11 +15,13 @@
 //!
 //! This crate provides the two channel primitives ([`beeping::beep_round`]
 //! and [`stone_age::stone_age_round`]), which fill a caller-owned buffer with
-//! what every node hears, and node-local adapters that re-implement the
+//! what every node hears, and node-local networks that re-implement the
 //! processes **using only the channel feedback** — they never read a
-//! neighbor's state directly. Each adapter implements [`mis_core::Process`],
-//! and the test suites prove *trace equivalence*: fed the same seed and
-//! initial states, an adapter visits exactly the same state sequence as the
+//! neighbor's state directly. Each network implements
+//! [`mis_core::Algorithm`] itself, sharing its state family's fault and
+//! Byzantine memory ([`mis_core::FaultState`]) with the direct process, and
+//! the test suites prove *trace equivalence*: fed the same seed and
+//! initial states, a network visits exactly the same state sequence as the
 //! corresponding direct process from `mis-core`.
 //!
 //! Each network keeps what its nodes heard in the current round in one flat
@@ -34,7 +36,7 @@
 //!
 //! ```
 //! use mis_comm::beeping::BeepingTwoStateMis;
-//! use mis_core::{Process, init::InitStrategy};
+//! use mis_core::{Algorithm, init::InitStrategy};
 //! use mis_graph::{generators, mis_check};
 //! use rand::SeedableRng;
 //!
@@ -48,12 +50,9 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod beeping;
 mod partition;
+pub mod registry;
 pub mod stone_age;
 
-pub use adapters::{
-    register_comm_algorithms, BeepingTwoStateAlgorithm, StoneAgeThreeColorAlgorithm,
-    StoneAgeThreeStateAlgorithm,
-};
+pub use registry::register_comm_algorithms;

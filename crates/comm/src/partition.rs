@@ -1,7 +1,7 @@
 //! The vertex partition of Section 2 of the paper (`B_t`, `A_t`, `I_t`,
 //! `V_t`), read off what each node of a network holds locally: its own state
 //! and the channel feedback it heard in the current round. The three
-//! networks of this crate answer the [`Process`](mis_core::Process) queries
+//! networks of this crate answer the [`Algorithm`](mis_core::Algorithm) queries
 //! through these functions, so no query re-simulates the channel.
 
 use mis_core::StateCounts;

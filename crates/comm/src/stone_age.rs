@@ -8,7 +8,7 @@
 //! There is no collision detection and no sender identity.
 
 use mis_core::init::InitStrategy;
-use mis_core::{Process, StateCounts, ThreeColor, ThreeState, DEFAULT_ZETA};
+use mis_core::{corrupt, Algorithm, FaultState, StateCounts, ThreeColor, ThreeState, DEFAULT_ZETA};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
@@ -88,8 +88,8 @@ fn hear(
 /// neighbor is black at all.
 ///
 /// The network keeps each node's heard letters of the current round in one
-/// buffer. A round ([`step`](Process::step) or
-/// [`step_scheduled`](Self::step_scheduled)) updates the states in place and
+/// buffer. A round ([`step`](Algorithm::step) or
+/// [`step_scheduled`](Algorithm::step_scheduled)) updates the states in place and
 /// refreshes the buffer with one [`stone_age_round`] (`O(n + m)`, no
 /// allocation); [`set_state`](Self::set_state) refreshes only the neighbors
 /// of the node, in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the buffer.
@@ -194,29 +194,6 @@ impl<'g> StoneAgeThreeStateMis<'g> {
         }
     }
 
-    /// Executes one stone-age round in which only the nodes of `scheduled`
-    /// are activated: the channel round happens as usual, but only
-    /// scheduled nodes apply the update rule (re-draw when active, retire
-    /// `black0 → white` under a `black1` neighbor); all others keep their
-    /// state. A full `scheduled` set is exactly a synchronous
-    /// [`step`](Process::step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheduled.universe() != n`.
-    pub fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
-        assert_eq!(
-            scheduled.universe(),
-            self.graph.n(),
-            "scheduled set universe must match the graph"
-        );
-        for u in scheduled.iter() {
-            self.update(u, rng);
-        }
-        self.round += 1;
-        self.listen();
-    }
-
     /// Applies the 3-state rule to node `u` from what it heard this round.
     fn update(&mut self, u: VertexId, rng: &mut dyn RngCore) {
         if self.is_active(u) {
@@ -266,7 +243,7 @@ impl NodeView for StoneAgeThreeStateMis<'_> {
     }
 }
 
-impl Process for StoneAgeThreeStateMis<'_> {
+impl Algorithm for StoneAgeThreeStateMis<'_> {
     fn n(&self) -> usize {
         self.graph.n()
     }
@@ -277,6 +254,22 @@ impl Process for StoneAgeThreeStateMis<'_> {
 
     fn step(&mut self, rng: &mut dyn RngCore) {
         for u in self.graph.vertices() {
+            self.update(u, rng);
+        }
+        self.round += 1;
+        self.listen();
+    }
+
+    /// The channel round happens as usual, but only scheduled nodes apply
+    /// the update rule (re-draw when active, retire `black0 → white` under
+    /// a `black1` neighbor).
+    fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
+        assert_eq!(
+            scheduled.universe(),
+            self.graph.n(),
+            "scheduled set universe must match the graph"
+        );
+        for u in scheduled.iter() {
             self.update(u, rng);
         }
         self.round += 1;
@@ -314,6 +307,25 @@ impl Process for StoneAgeThreeStateMis<'_> {
     fn random_bits_used(&self) -> u64 {
         self.random_bits
     }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        corrupt(victims, rng, |u, state| {
+            let old = self.state(u);
+            self.set_state(u, state);
+            old
+        })
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let old = self.state(u);
+        let shown = old.displayed(black);
+        self.set_state(u, shown);
+        old != shown
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph)
+    }
 }
 
 /// The 3-color MIS process (with its randomized logarithmic switch) as a
@@ -324,7 +336,7 @@ impl Process for StoneAgeThreeStateMis<'_> {
 /// among my neighbors" — the two aggregates the process needs.
 ///
 /// The network keeps each node's heard letters of the current round in one
-/// buffer. [`step`](Process::step) updates colors and levels in place and
+/// buffer. [`step`](Algorithm::step) updates colors and levels in place and
 /// refreshes the buffer with one [`stone_age_round`] (`O(n + m)`, no
 /// allocation); [`set_node_state`](Self::set_node_state) refreshes only the
 /// neighbors of the node, in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the
@@ -499,7 +511,7 @@ impl NodeView for StoneAgeThreeColorMis<'_> {
     }
 }
 
-impl Process for StoneAgeThreeColorMis<'_> {
+impl Algorithm for StoneAgeThreeColorMis<'_> {
     fn n(&self) -> usize {
         self.graph.n()
     }
@@ -587,12 +599,31 @@ impl Process for StoneAgeThreeColorMis<'_> {
     fn random_bits_used(&self) -> u64 {
         self.random_bits
     }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        corrupt(victims, rng, |u, (color, level)| {
+            let old = (self.color(u), self.level(u));
+            self.set_node_state(u, color, level);
+            old
+        })
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let old = (self.color(u), self.level(u));
+        let (color, level) = old.displayed(black);
+        self.set_node_state(u, color, level);
+        old != (color, level)
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph)
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_core::{RandomizedLogSwitch, ThreeColorProcess, ThreeStateProcess};
+    use mis_core::{RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess};
     use mis_graph::{generators, mis_check};
     use proptest::prelude::*;
     use rand::SeedableRng;

@@ -12,7 +12,7 @@ use std::cell::Cell;
 use mis_comm::beeping::BeepingTwoStateMis;
 use mis_comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
 use mis_core::init::InitStrategy;
-use mis_core::Process;
+use mis_core::Algorithm;
 use mis_graph::generators;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -79,7 +79,7 @@ fn rounds_allocate_nothing_and_stone_age_three_color_counts_are_pinned() {
     let mut beeping = BeepingTwoStateMis::with_init(&g, InitStrategy::Random, &mut rng);
     let mut three_state = StoneAgeThreeStateMis::with_init(&g, InitStrategy::Random, &mut rng);
     let mut three_color = StoneAgeThreeColorMis::with_init(&g, InitStrategy::Random, &mut rng);
-    let networks: [(&str, &mut dyn Process); 3] = [
+    let networks: [(&str, &mut dyn Algorithm); 3] = [
         ("beeping-two-state", &mut beeping),
         ("stone-age-three-state", &mut three_state),
         ("stone-age-three-color", &mut three_color),

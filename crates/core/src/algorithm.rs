@@ -1,30 +1,32 @@
-//! The unified, object-safe [`Algorithm`] interface and the string-keyed
+//! The one object-safe [`Algorithm`] trait and the string-keyed
 //! [`Registry`] behind the experiment harness.
 //!
-//! Everything the harness can run — the paper's three processes, the four
-//! baselines, and the weak-communication adaptations — is exposed through
-//! one dyn-compatible trait, so schedulers, observers, fault injection, and
+//! Everything the harness can run — the paper's three processes, the
+//! weak-communication networks, and the baselines — implements
+//! [`Algorithm`] directly, so schedulers, observers, fault injection, and
 //! metric collection are written once and algorithms plug in by name:
 //!
-//! * [`Algorithm`] wraps a [`Process`] (or a terminated run) and adds the
-//!   capabilities the harness needs: scheduled (partial-activation) steps,
-//!   in-place fault injection, and capability flags
-//!   ([`supports_parallel`](Algorithm::supports_parallel),
-//!   [`supports_counter_rng`](Algorithm::supports_counter_rng),
-//!   [`communication_model`](Algorithm::communication_model), …).
-//! * [`AlgorithmFactory`] is the `init(graph, init_strategy, rng)` entry
-//!   point: it builds a boxed algorithm instance for one trial from an
-//!   [`AlgorithmConfig`].
+//! * [`Algorithm`] is a synchronous process with the per-round vertex
+//!   partitions the paper's analysis reasons about, plus the hooks that
+//!   really vary per type: a partial-activation step, targeted fault
+//!   injection, Byzantine overrides, and topology mutation. A hook the type
+//!   does not support panics at the call (mutation declines with
+//!   [`MutationError::Unsupported`]).
+//! * [`AlgorithmFactory`] is one registry entry: a key, a description, the
+//!   [`CommunicationModel`], the declared [`Capabilities`], and the
+//!   `init(graph, config, rng)` entry point that builds a boxed instance
+//!   for one trial from an [`AlgorithmConfig`].
 //! * [`Registry`] maps stable string keys (`"two-state"`,
 //!   `"beeping-two-state"`, …) to factories. Crates register their
 //!   algorithms (`mis_core::register_core_algorithms`, and the comm/baseline
 //!   equivalents); the sim crate composes the builtin registry and resolves
 //!   experiment specs through it.
 //!
-//! External algorithms join the harness by implementing the two traits and
-//! registering a factory — no enum needs to grow.
+//! External algorithms join the harness by implementing [`Algorithm`] and
+//! registering an [`AlgorithmFactory`] — no enum needs to grow.
 
 use std::collections::BTreeMap;
+use std::error::Error;
 use std::fmt;
 
 use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
@@ -34,8 +36,6 @@ use serde::{Deserialize, Serialize};
 use crate::exec::{ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::MutationError;
-use crate::process::{Process, StateCounts};
-use crate::scheduler::Activation;
 
 /// The weakest communication model an algorithm's local rule needs.
 ///
@@ -77,143 +77,227 @@ impl fmt::Display for CommunicationModel {
     }
 }
 
-/// Everything an [`Algorithm::step`] may use: the trial RNG stream and the
-/// activation chosen by the scheduler for this round.
-pub struct StepCtx<'a> {
-    /// The shared RNG stream of the trial.
-    pub rng: &'a mut dyn RngCore,
-    /// Which vertices the scheduler activated this round.
-    pub activation: &'a Activation,
-}
-
-impl<'a> StepCtx<'a> {
-    /// A context that activates every vertex (the synchronous model).
-    pub fn synchronous(rng: &'a mut dyn RngCore) -> Self {
-        StepCtx {
-            rng,
-            activation: &Activation::All,
-        }
-    }
-}
-
-/// A runnable MIS algorithm instance, bound to one graph for one trial.
+/// Error returned by [`Algorithm::run_to_stabilization`] when the algorithm
+/// did not stabilize within the allowed number of rounds.
 ///
-/// This is the object-safe seam between the experiment harness and the
-/// algorithm implementations: the harness only ever holds a
-/// `Box<dyn Algorithm + 'g>`. Most accessors have default implementations
-/// that delegate to the wrapped [`Process`]; adapters override the methods
-/// where they have extra capabilities (scheduled steps, fault injection) and
-/// the capability flags that advertise them.
+/// All processes in this workspace stabilize with probability 1, so hitting
+/// this error in practice means either the round budget was too small for
+/// the graph or the process is being run on an adversarially chosen budget.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+pub struct StabilizationTimeout {
+    /// Number of rounds executed before giving up.
+    pub rounds_executed: usize,
+}
+
+impl fmt::Display for StabilizationTimeout {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        write!(
+            f,
+            "process did not stabilize within {} rounds",
+            self.rounds_executed
+        )
+    }
+}
+
+impl Error for StabilizationTimeout {}
+
+/// Per-round summary of the vertex partition maintained by a process, using
+/// the notation of Section 2 of the paper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default, Serialize, Deserialize)]
+pub struct StateCounts {
+    /// `|B_t|` — vertices currently black.
+    pub black: usize,
+    /// `|W_t|` (plus gray vertices in the 3-color process) — vertices not black.
+    pub non_black: usize,
+    /// `|A_t|` — active vertices (those that will re-randomize next round).
+    pub active: usize,
+    /// `|I_t|` — stable black vertices (black with no black neighbor).
+    pub stable_black: usize,
+    /// `|V_t|` — vertices that are not yet stable.
+    pub unstable: usize,
+}
+
+/// Panics for a capability the algorithm does not have.
+pub(crate) fn unsupported(capability: &str) -> ! {
+    panic!("this algorithm does not support {capability}")
+}
+
+/// A synchronous, self-stabilizing MIS algorithm bound to one graph for one
+/// trial: the object-safe seam between the harness and every
+/// implementation (the harness holds a `Box<dyn Algorithm + 'g>`).
+///
+/// Implementations update all vertex states in parallel each
+/// [`step`](Self::step) (Section 2 of the paper) and expose the evolving
+/// vertex partitions that the analysis reasons about. An algorithm is
+/// **stabilized** when every vertex is stable, at which point the set of
+/// black vertices is a maximal independent set of the underlying graph and
+/// no state changes any more.
+///
+/// The hooks — [`step_scheduled`](Self::step_scheduled), the fault and
+/// Byzantine hooks, [`apply_mutation`](Self::apply_mutation) and
+/// [`current_graph`](Self::current_graph) — are what varies per type. Which
+/// of them a registry key supports is declared once, on its
+/// [`AlgorithmFactory`] ([`Capabilities`]); an unsupported call panics
+/// rather than silently doing nothing.
+///
+/// # Per-round complexity contract
+///
+/// The paper's processes are [`RuleProcess`](crate::RuleProcess)es, whose
+/// round drivers run on the incremental [`engine`](crate::engine):
+/// [`step`](Self::step) costs `O(|A_t| + vol(A_t))` — the number of
+/// frontier vertices plus the degree sum of the vertices that changed —
+/// **not** `O(n + m)`, and [`is_stabilized`](Self::is_stabilized) and
+/// [`counts`](Self::counts) are `O(1)` reads of cached counters. Once a
+/// region of the graph is quiet, no work happens there; a fully stabilized
+/// 2-state instance steps in (near-)constant time. (A 3-color round adds
+/// its logarithmic switch, a phase clock stepped incrementally: one coin
+/// per level-5 vertex, the max rule at the vertices a level change may have
+/// moved, the neighbor lists of the movers, and `n/64` bitset words, while
+/// gray vertices wait off the frontier until their switch turns on. The
+/// 3-state process keeps its stable black vertices alternating by
+/// definition, so its steady state costs `O(|I_t| + vol(I_t))`.) The
+/// set-returning accessors ([`black_set`](Self::black_set),
+/// [`active_set`](Self::active_set), …) materialize a bitset and remain
+/// `O(n)`. The weak-communication networks run their channel once per
+/// round, `O(n + m)`.
 pub trait Algorithm {
-    /// The registry key / display name of the algorithm.
-    fn name(&self) -> &'static str;
-
-    /// The weakest communication model the algorithm's rule needs.
-    fn communication_model(&self) -> CommunicationModel;
-
-    /// The wrapped process (read-only).
-    fn process(&self) -> &dyn Process;
-
-    /// The wrapped process (mutable).
-    fn process_mut(&mut self) -> &mut dyn Process;
-
     /// Number of vertices of the underlying graph.
-    fn n(&self) -> usize {
-        self.process().n()
-    }
+    fn n(&self) -> usize;
 
-    /// Rounds executed so far.
-    fn round(&self) -> usize {
-        self.process().round()
-    }
+    /// Number of rounds executed so far (the `t` of the paper; 0 initially).
+    /// One-shot baselines report the cost their run inside
+    /// [`AlgorithmFactory::init`] already paid.
+    fn round(&self) -> usize;
 
-    /// Executes one round under the activation in `ctx`.
+    /// Executes one synchronous round, updating every vertex in parallel.
+    fn step(&mut self, rng: &mut dyn RngCore);
+
+    /// Executes one round in which only the vertices of `scheduled` are
+    /// activated (a partial-activation round under a non-synchronous
+    /// scheduler); all other vertices keep their state. A full `scheduled`
+    /// set draws exactly the coins of a sequential [`step`](Self::step).
     ///
     /// # Panics
     ///
-    /// Panics if `ctx.activation` is a subset but the algorithm does not
-    /// support partial activation (see
-    /// [`supports_partial_activation`](Self::supports_partial_activation)).
-    fn step(&mut self, ctx: StepCtx<'_>) {
-        match ctx.activation {
-            Activation::All => self.process_mut().step(ctx.rng),
-            Activation::Subset(_) => panic!(
-                "algorithm '{}' does not support partial activation; \
-                 use the synchronous scheduler",
-                self.name()
-            ),
+    /// Panics if the algorithm does not support partial activation (the
+    /// default), or if `scheduled.universe() != n`.
+    fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
+        let _ = (scheduled, rng);
+        unsupported("partial activation; use the synchronous scheduler")
+    }
+
+    /// Returns `true` if every vertex is stable (the black set is an MIS and
+    /// no state will ever change again; for the 3-state process: no
+    /// *blackness* will change again).
+    fn is_stabilized(&self) -> bool;
+
+    /// The current set of black vertices `B_t`.
+    fn black_set(&self) -> VertexSet;
+
+    /// The current set of active vertices `A_t` (vertices that will draw a
+    /// random state in the next round).
+    fn active_set(&self) -> VertexSet;
+
+    /// The current set of stable black vertices `I_t` (black vertices with no
+    /// black neighbor). `I_t` is always an independent set and a subset of
+    /// the final MIS.
+    fn stable_black_set(&self) -> VertexSet;
+
+    /// The current set of non-stable vertices `V_t = V \ N⁺(I_t)`.
+    fn unstable_set(&self) -> VertexSet;
+
+    /// Aggregate counts of the current partition.
+    fn counts(&self) -> StateCounts;
+
+    /// Number of distinct states each vertex can be in (2, 3, or 18 for the
+    /// processes of the paper; `usize::MAX` for baselines with
+    /// super-constant state). This is the "few states" headline metric.
+    fn states_per_vertex(&self) -> usize;
+
+    /// Total number of random bits drawn so far across all vertices, used by
+    /// the baseline-comparison experiments ("constant random bits per round").
+    fn random_bits_used(&self) -> u64;
+
+    /// Runs the algorithm until it stabilizes, executing at most
+    /// `max_rounds` additional rounds.
+    ///
+    /// Returns the total number of rounds executed so far (i.e. the
+    /// stabilization time when starting from round 0).
+    ///
+    /// # Errors
+    ///
+    /// Returns [`StabilizationTimeout`] if the algorithm has not stabilized
+    /// after `max_rounds` additional rounds.
+    fn run_to_stabilization(
+        &mut self,
+        rng: &mut dyn RngCore,
+        max_rounds: usize,
+    ) -> Result<usize, StabilizationTimeout> {
+        for _ in 0..max_rounds {
+            if self.is_stabilized() {
+                return Ok(self.round());
+            }
+            self.step(rng);
+        }
+        if self.is_stabilized() {
+            Ok(self.round())
+        } else {
+            Err(StabilizationTimeout {
+                rounds_executed: self.round(),
+            })
         }
     }
 
-    /// `true` if the black set is an MIS and no state will change again
-    /// (for the 3-state process: no *blackness* will change again).
-    fn is_stabilized(&self) -> bool {
-        self.process().is_stabilized()
-    }
-
-    /// Aggregate counts of the current vertex partition.
-    fn counts(&self) -> StateCounts {
-        self.process().counts()
-    }
-
-    /// The current set of black vertices.
-    fn black_set(&self) -> VertexSet {
-        self.process().black_set()
-    }
-
-    /// States per vertex (the paper's "few states" metric); `usize::MAX`
-    /// for algorithms with super-constant state.
-    fn states_per_vertex(&self) -> usize {
-        self.process().states_per_vertex()
-    }
-
-    /// Total random bits drawn so far.
-    fn random_bits_used(&self) -> u64 {
-        self.process().random_bits_used()
-    }
-
-    /// Overwrites the states of `ceil(fraction · n)` uniformly chosen
-    /// vertices with uniformly random states (a transient fault) and returns
-    /// the number of vertices whose state actually changed.
+    /// Overwrites the memory of `ceil(fraction · n)` uniformly chosen
+    /// vertices with uniformly random memory (a transient fault) and returns
+    /// the number of vertices whose memory actually changed: the
+    /// [`fault_victims`] sample, then
+    /// [`inject_faults_targeted`](Self::inject_faults_targeted) on the same
+    /// RNG stream. Not meant to be overridden.
     ///
-    /// The default implementation does nothing and returns 0; algorithms
-    /// that can be corrupted override it and set
-    /// [`supports_fault_injection`](Self::supports_fault_injection).
-    /// Overriders are expected to delegate to
-    /// [`inject_faults_targeted`](Self::inject_faults_targeted) on a
-    /// [`fault_victims`] sample, so random-count and targeted faults share
-    /// one corruption recipe (and one RNG-stream shape).
-    fn inject_faults(&mut self, _fraction: f64, _rng: &mut dyn RngCore) -> usize {
-        0
-    }
-
-    /// Overwrites the states of exactly the given `victims` with uniformly
-    /// random states (a *targeted* transient fault) and returns the number
-    /// of vertices whose state actually changed.
+    /// # Panics
     ///
-    /// The default implementation does nothing and returns 0; algorithms
-    /// that can be corrupted override it together with
-    /// [`inject_faults`](Self::inject_faults) under the same
-    /// [`supports_fault_injection`](Self::supports_fault_injection) flag.
-    fn inject_faults_targeted(&mut self, _victims: &[VertexId], _rng: &mut dyn RngCore) -> usize {
-        0
+    /// Panics if `fraction` is not in `[0, 1]`, or if the algorithm does not
+    /// support fault injection.
+    fn inject_faults(&mut self, fraction: f64, rng: &mut dyn RngCore) -> usize {
+        let victims = fault_victims(self.n(), fraction, rng);
+        self.inject_faults_targeted(&victims, rng)
     }
 
-    /// Forces vertex `u`'s protocol-visible state to black (or white),
+    /// Overwrites the memory of exactly the given `victims`, in order, with
+    /// uniformly random memory (a *targeted* transient fault) and returns
+    /// the number of vertices whose memory actually changed. Implementations
+    /// go through [`corrupt`], so every algorithm shares one recipe and one
+    /// RNG-stream shape.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the algorithm does not support fault injection (the
+    /// default).
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        let _ = (victims, rng);
+        unsupported("fault injection")
+    }
+
+    /// Forces vertex `u`'s protocol-visible blackness to `black`,
     /// delta-repairing any incremental bookkeeping (frontier membership,
     /// black/black1 neighbor counters) exactly like the
-    /// [`apply_mutation`](Self::apply_mutation) state-carryover path.
-    /// Returns whether the state actually changed.
+    /// [`apply_mutation`](Self::apply_mutation) state-carryover path, and
+    /// returns whether the memory actually changed. The vertex shows
+    /// [`FaultState::displayed`] of its memory, so richer state (the 3-color
+    /// switch level) is left untouched and the adversary controls exactly
+    /// the blackness neighbors observe.
     ///
     /// This is the seam [`crate::byzantine::ByzantineOverlay`] drives after
-    /// every round; richer per-algorithm state (the 3-color switch level,
-    /// stone-age letters) is deliberately left untouched so the adversary
-    /// controls exactly the blackness neighbors observe. The default does
-    /// nothing and returns `false`; algorithms that support adversarial
-    /// overrides implement it and set
-    /// [`supports_byzantine`](Self::supports_byzantine).
-    fn set_byzantine_state(&mut self, _u: VertexId, _black: bool) -> bool {
-        false
+    /// every round.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the algorithm does not support Byzantine overrides (the
+    /// default).
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let _ = (u, black);
+        unsupported("Byzantine overrides")
     }
 
     /// Applies a batch of topology mutations (edge insert/delete, vertex
@@ -222,18 +306,12 @@ pub trait Algorithm {
     /// of restarting. Returns the normalized [`CommittedDelta`] (net edge
     /// changes, old/new vertex counts).
     ///
-    /// The default declines with [`MutationError::Unsupported`] and leaves
-    /// the state untouched; algorithms that can follow topology changes
-    /// override it and set
-    /// [`supports_topology_change`](Self::supports_topology_change). The
-    /// harness consults that flag before scheduling churn.
-    ///
     /// # Errors
     ///
-    /// [`MutationError::Unsupported`] if the algorithm (or a sub-process)
-    /// cannot follow topology changes; [`MutationError::Graph`] if the
-    /// delta is invalid against the current graph. Either way the
-    /// algorithm's state is unchanged.
+    /// [`MutationError::Unsupported`] if the algorithm cannot follow
+    /// topology changes (the default); [`MutationError::Graph`] if the delta
+    /// is invalid against the current graph. Either way the algorithm's
+    /// state is unchanged.
     fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
         let _ = delta;
         Err(MutationError::Unsupported)
@@ -241,56 +319,68 @@ pub trait Algorithm {
 
     /// The graph the algorithm is currently running on, if it exposes one —
     /// after [`apply_mutation`](Self::apply_mutation) this is the *mutated*
-    /// graph, which the harness needs for churn generation and final MIS
-    /// validation. Algorithms without topology-change support may return
-    /// `None` (the harness falls back to the trial's original graph).
+    /// graph, which the harness needs for churn generation, Byzantine
+    /// containment and final MIS validation. The default is `None` (the
+    /// harness falls back to the trial's original graph).
     fn current_graph(&self) -> Option<&Graph> {
         None
     }
+}
 
-    /// `true` if [`apply_mutation`](Self::apply_mutation) actually applies
-    /// topology changes (rather than declining with
-    /// [`MutationError::Unsupported`]).
-    fn supports_topology_change(&self) -> bool {
-        false
-    }
+/// One vertex's memory as transient faults and Byzantine adversaries see
+/// it. Each state family states both once, on its state type, and a direct
+/// process and its weak-communication network share them.
+pub trait FaultState: Copy + Eq {
+    /// A uniformly random memory: what a transient fault leaves behind.
+    fn random(rng: &mut dyn RngCore) -> Self;
 
-    /// `true` if rounds can run in intra-round data-parallel phases
-    /// ([`ExecutionMode::Parallel`]).
-    fn supports_parallel(&self) -> bool {
-        false
-    }
+    /// `self` with the blackness its neighbors observe forced to `black`:
+    /// what a Byzantine vertex shows. Memory neighbors do not read as
+    /// blackness (a switch level) is kept.
+    fn displayed(self, black: bool) -> Self;
+}
 
-    /// `true` if coins can come from the counter-based per-vertex RNG
-    /// (thread-count-invariant parallel trajectories).
-    fn supports_counter_rng(&self) -> bool {
-        false
-    }
+/// The one transient-fault recipe: overwrites each of `victims`, in order,
+/// with a fresh [`FaultState::random`] memory through `replace` (which
+/// writes the memory and returns the previous one), and returns how many
+/// victims' memory actually changed.
+pub fn corrupt<M: FaultState>(
+    victims: &[VertexId],
+    rng: &mut dyn RngCore,
+    mut replace: impl FnMut(VertexId, M) -> M,
+) -> usize {
+    victims
+        .iter()
+        .filter(|&&u| {
+            let memory = M::random(rng);
+            replace(u, memory) != memory
+        })
+        .count()
+}
 
-    /// `true` if [`step`](Self::step) accepts [`Activation::Subset`].
-    fn supports_partial_activation(&self) -> bool {
-        false
-    }
-
-    /// `true` if [`inject_faults`](Self::inject_faults) actually corrupts
-    /// state.
-    fn supports_fault_injection(&self) -> bool {
-        false
-    }
-
-    /// `true` if [`set_byzantine_state`](Self::set_byzantine_state)
-    /// actually overrides state (so the harness may attach a
-    /// [`crate::byzantine::ByzantineOverlay`]).
-    fn supports_byzantine(&self) -> bool {
-        false
-    }
-
-    /// `true` if per-round [`counts`](Self::counts) traces are meaningful.
-    /// One-shot baselines (greedy, Luby, the sequential self-stabilizing
-    /// algorithm) run to completion inside their factory and report `false`.
-    fn supports_trace(&self) -> bool {
-        true
-    }
+/// What a registry key supports beyond synchronous rounds, declared once on
+/// its [`AlgorithmFactory`]. The runner, the service's job worker and
+/// `GET /v1/algorithms` read these flags; the instance's hooks agree with
+/// them (an unsupported hook panics).
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+pub struct Capabilities {
+    /// [`Algorithm::apply_mutation`] follows topology changes.
+    pub topology_change: bool,
+    /// Rounds run in intra-round data-parallel phases under
+    /// [`ExecutionMode::Parallel`], with counter-based coins
+    /// (thread-count-invariant trajectories).
+    pub parallel: bool,
+    /// [`Algorithm::step_scheduled`] accepts a subset of the vertices.
+    pub partial_activation: bool,
+    /// [`Algorithm::inject_faults_targeted`] corrupts memory.
+    pub fault_injection: bool,
+    /// [`Algorithm::set_byzantine_state`] overrides memory, so the harness
+    /// may attach a [`crate::byzantine::ByzantineOverlay`].
+    pub byzantine: bool,
+    /// Per-round [`Algorithm::counts`] traces are meaningful. One-shot
+    /// baselines (greedy, Luby, the sequential self-stabilizing algorithm)
+    /// run to completion inside their factory and declare `false`.
+    pub trace: bool,
 }
 
 /// Per-trial construction parameters handed to an [`AlgorithmFactory`].
@@ -309,28 +399,72 @@ pub struct AlgorithmConfig {
     pub counter_seed: u64,
 }
 
-/// Builds [`Algorithm`] instances for one registry key.
+/// Builds one [`Algorithm`] instance on a graph for one trial.
+pub type InitFn =
+    for<'g> fn(&'g Graph, &AlgorithmConfig, &mut dyn RngCore) -> Box<dyn Algorithm + 'g>;
+
+/// One registry entry: the key, its description and communication model,
+/// what its instances support, and how to build one.
 ///
-/// `init` is the single entry point the harness calls per trial; it may
-/// consume randomness (initial states, or even a whole run for one-shot
-/// baselines), which is why it receives the trial RNG.
-pub trait AlgorithmFactory: Send + Sync {
+/// [`init`](Self::init) is the single entry point the harness calls per
+/// trial; it may consume randomness (initial states, or even a whole run
+/// for one-shot baselines), which is why it receives the trial RNG.
+#[derive(Debug, Clone, Copy)]
+pub struct AlgorithmFactory {
+    key: &'static str,
+    description: &'static str,
+    model: CommunicationModel,
+    capabilities: Capabilities,
+    init: InitFn,
+}
+
+impl AlgorithmFactory {
+    /// A registry entry under `key`.
+    pub fn new(
+        key: &'static str,
+        description: &'static str,
+        model: CommunicationModel,
+        capabilities: Capabilities,
+        init: InitFn,
+    ) -> Self {
+        AlgorithmFactory {
+            key,
+            description,
+            model,
+            capabilities,
+            init,
+        }
+    }
+
     /// The stable registry key (also used in specs and CSV output).
-    fn key(&self) -> &'static str;
+    pub fn key(&self) -> &'static str {
+        self.key
+    }
 
     /// One-line human-readable description for `list_algorithms`.
-    fn description(&self) -> &'static str;
+    pub fn description(&self) -> &'static str {
+        self.description
+    }
 
     /// The weakest communication model the algorithm's rule needs.
-    fn communication_model(&self) -> CommunicationModel;
+    pub fn communication_model(&self) -> CommunicationModel {
+        self.model
+    }
+
+    /// What the algorithm's instances support.
+    pub fn capabilities(&self) -> Capabilities {
+        self.capabilities
+    }
 
     /// Creates one algorithm instance on `graph` for one trial.
-    fn init<'g>(
+    pub fn init<'g>(
         &self,
         graph: &'g Graph,
         config: &AlgorithmConfig,
         rng: &mut dyn RngCore,
-    ) -> Box<dyn Algorithm + 'g>;
+    ) -> Box<dyn Algorithm + 'g> {
+        (self.init)(graph, config, rng)
+    }
 }
 
 /// A string-keyed collection of [`AlgorithmFactory`]s.
@@ -340,7 +474,7 @@ pub trait AlgorithmFactory: Send + Sync {
 /// listings and error messages are deterministic.
 #[derive(Default)]
 pub struct Registry {
-    entries: BTreeMap<&'static str, Box<dyn AlgorithmFactory>>,
+    entries: BTreeMap<&'static str, AlgorithmFactory>,
 }
 
 impl Registry {
@@ -354,7 +488,7 @@ impl Registry {
     /// # Panics
     ///
     /// Panics if the key is already registered.
-    pub fn register(&mut self, factory: Box<dyn AlgorithmFactory>) {
+    pub fn register(&mut self, factory: AlgorithmFactory) {
         let key = factory.key();
         assert!(
             self.entries.insert(key, factory).is_none(),
@@ -363,8 +497,8 @@ impl Registry {
     }
 
     /// Looks up a factory by key.
-    pub fn get(&self, key: &str) -> Option<&dyn AlgorithmFactory> {
-        self.entries.get(key).map(|f| f.as_ref())
+    pub fn get(&self, key: &str) -> Option<&AlgorithmFactory> {
+        self.entries.get(key)
     }
 
     /// `true` if `key` is registered.
@@ -378,8 +512,8 @@ impl Registry {
     }
 
     /// All registered factories, in key order.
-    pub fn factories(&self) -> impl Iterator<Item = &dyn AlgorithmFactory> {
-        self.entries.values().map(|f| f.as_ref())
+    pub fn factories(&self) -> impl Iterator<Item = &AlgorithmFactory> {
+        self.entries.values()
     }
 
     /// Number of registered algorithms.
@@ -403,9 +537,9 @@ impl fmt::Debug for Registry {
 
 /// Picks `ceil(fraction · n)` distinct fault victims, uniformly at random
 /// (uniform without replacement, via a partial Fisher–Yates shuffle that
-/// costs `O(count)` swaps and draws rather than `O(n)`). Shared by every
-/// [`Algorithm::inject_faults`] implementation so all algorithms corrupt
-/// the same number of vertices for the same fraction.
+/// costs `O(count)` swaps and draws rather than `O(n)`). Behind every
+/// [`Algorithm::inject_faults`], so all algorithms corrupt the same number
+/// of vertices for the same fraction.
 ///
 /// # Panics
 ///
@@ -434,52 +568,35 @@ pub fn victim_sample(n: usize, count: usize, rng: &mut dyn RngCore) -> Vec<Verte
     ids
 }
 
-/// Draws a uniformly random boolean (one random bit) from a dyn RNG —
-/// convenience for `inject_faults` implementations.
-pub(crate) fn coin(rng: &mut dyn RngCore) -> bool {
-    rng.gen_bool(0.5)
-}
-
-/// Draws a uniformly random value in `{0, 1, 2}` — convenience for
-/// `inject_faults` implementations over 3-valued state spaces.
-pub fn uniform3(rng: &mut dyn RngCore) -> u8 {
-    rng.gen_range(0..3u8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
-    struct DummyFactory(&'static str);
-
-    impl AlgorithmFactory for DummyFactory {
-        fn key(&self) -> &'static str {
-            self.0
-        }
-        fn description(&self) -> &'static str {
-            "dummy"
-        }
-        fn communication_model(&self) -> CommunicationModel {
-            CommunicationModel::Centralized
-        }
-        fn init<'g>(
-            &self,
+    fn dummy(key: &'static str) -> AlgorithmFactory {
+        fn never<'g>(
             _graph: &'g Graph,
             _config: &AlgorithmConfig,
             _rng: &mut dyn RngCore,
         ) -> Box<dyn Algorithm + 'g> {
             unimplemented!("never constructed in these tests")
         }
+        AlgorithmFactory::new(
+            key,
+            "dummy",
+            CommunicationModel::Centralized,
+            Capabilities::default(),
+            never,
+        )
     }
 
     #[test]
     fn registry_is_sorted_and_queryable() {
         let mut r = Registry::new();
         assert!(r.is_empty());
-        r.register(Box::new(DummyFactory("zeta")));
-        r.register(Box::new(DummyFactory("alpha")));
+        r.register(dummy("zeta"));
+        r.register(dummy("alpha"));
         assert_eq!(r.keys(), vec!["alpha", "zeta"]);
         assert_eq!(r.len(), 2);
         assert!(r.contains("alpha"));
@@ -494,8 +611,8 @@ mod tests {
     #[should_panic(expected = "registered twice")]
     fn duplicate_key_panics() {
         let mut r = Registry::new();
-        r.register(Box::new(DummyFactory("a")));
-        r.register(Box::new(DummyFactory("a")));
+        r.register(dummy("a"));
+        r.register(dummy("a"));
     }
 
     #[test]
@@ -560,5 +677,24 @@ mod tests {
         .collect();
         assert_eq!(labels.len(), 5);
         assert_eq!(CommunicationModel::Beeping.to_string(), "beeping");
+    }
+
+    #[test]
+    fn timeout_error_displays_round_count() {
+        let e = StabilizationTimeout {
+            rounds_executed: 42,
+        };
+        assert!(e.to_string().contains("42"));
+        fn assert_err<E: Error + Send + Sync + 'static>() {}
+        assert_err::<StabilizationTimeout>();
+    }
+
+    #[test]
+    fn state_counts_default_is_zero() {
+        let c = StateCounts::default();
+        assert_eq!(
+            c.black + c.non_black + c.active + c.stable_black + c.unstable,
+            0
+        );
     }
 }

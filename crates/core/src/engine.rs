@@ -133,8 +133,8 @@
 
 use mis_graph::{Graph, VertexId, VertexSet};
 
+use crate::algorithm::StateCounts;
 use crate::exec::{StealChunks, DENSE_SWITCH_DIVISOR, PAR_WORK_THRESHOLD};
-use crate::process::StateCounts;
 use crate::sync::{AtomicFlagVec, AtomicU32Vec, AtomicU8Vec};
 
 /// How a process's local rule classifies one vertex, given its state and its

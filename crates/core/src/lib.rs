@@ -17,15 +17,19 @@
 //!   it uses 3 × 6 = 18 states and stabilizes in polylog rounds on `G(n,p)`
 //!   for the whole range of `p` (Theorem 3).
 //!
-//! All processes implement the [`Process`] trait, are **self-stabilizing**
-//! (they may be started from an arbitrary state vector, see [`init`]), and
-//! expose the per-round vertex partitions used throughout the paper's
-//! analysis (`B_t`, `A_t`, `I_t`, `V_t`).
+//! All processes implement the one [`Algorithm`] trait, are
+//! **self-stabilizing** (they may be started from an arbitrary state
+//! vector, see [`init`]), and expose the per-round vertex partitions used
+//! throughout the paper's analysis (`B_t`, `A_t`, `I_t`, `V_t`). The same
+//! trait carries the harness hooks (partial activation, transient faults,
+//! Byzantine overrides, topology mutation), and [`Registry`] entries
+//! ([`AlgorithmFactory`]) declare which of them each key supports.
 //!
 //! Each process states its local rule once, as a [`LocalRule`]: its states,
 //! which vertices are active or pending, and where a pending vertex moves
 //! given its coin. One generic [`RuleProcess`] runs every rule (the process
-//! types are aliases of it), with one round driver per randomness model on
+//! types are aliases of it, and one generic impl makes each an
+//! [`Algorithm`]), with one round driver per randomness model on
 //! the shared incremental [`engine`]: per-vertex black-neighbor counters
 //! updated by delta propagation, a maintained active-frontier worklist, and
 //! cached counts, so one round costs `O(|A_t| + vol(A_t))` instead of
@@ -55,7 +59,7 @@
 //! # Example
 //!
 //! ```
-//! use mis_core::{Process, TwoStateProcess, init::InitStrategy};
+//! use mis_core::{Algorithm, TwoStateProcess, init::InitStrategy};
 //! use mis_graph::{generators, mis_check};
 //! use rand::SeedableRng;
 //!
@@ -70,7 +74,6 @@
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
 
-pub mod adapters;
 pub mod algorithm;
 pub mod byzantine;
 pub mod counter_rng;
@@ -80,7 +83,7 @@ pub mod init;
 mod log_switch;
 mod mutation;
 pub mod packed;
-mod process;
+pub mod registry;
 pub mod rule;
 pub mod scheduler;
 pub mod sync;
@@ -88,12 +91,10 @@ mod three_color;
 mod three_state;
 mod two_state;
 
-pub use adapters::{
-    register_core_algorithms, ThreeColorAlgorithm, ThreeStateAlgorithm, TwoStateAlgorithm,
-};
 pub use algorithm::{
-    fault_victims, victim_sample, Algorithm, AlgorithmConfig, AlgorithmFactory, CommunicationModel,
-    Registry, StepCtx,
+    corrupt, fault_victims, victim_sample, Algorithm, AlgorithmConfig, AlgorithmFactory,
+    Capabilities, CommunicationModel, FaultState, InitFn, Registry, StabilizationTimeout,
+    StateCounts,
 };
 pub use byzantine::{Adversary, ByzantineOverlay, ByzantineStrategy};
 pub use counter_rng::CounterRng;
@@ -102,8 +103,8 @@ pub use exec::{ExecutionMode, RoundStrategy, DENSE_SWITCH_DIVISOR};
 pub use log_switch::{FixedPeriodSwitch, RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
 pub use mutation::MutationError;
 pub use packed::PackedStates;
-pub use process::{Process, StabilizationTimeout, StateCounts};
-pub use rule::{LocalRule, PartialActivation, RuleProcess};
+pub use registry::register_core_algorithms;
+pub use rule::{LocalRule, RuleProcess};
 pub use scheduler::{Activation, CentralDaemon, RandomSubset, Scheduler, Synchronous};
 pub use three_color::{ThreeColor, ThreeColorProcess, ThreeColorRule, LOG_SWITCH_A};
 pub use three_state::{ThreeState, ThreeStateProcess, ThreeStateRule};

@@ -68,6 +68,28 @@ pub trait SwitchProcess: Sync {
     /// Number of distinct states the switch keeps per vertex.
     fn states_per_vertex(&self) -> usize;
 
+    /// The level of `u`: the switch memory a transient fault overwrites.
+    ///
+    /// # Panics
+    ///
+    /// The default panics: the switch keeps no per-vertex level (the
+    /// [`FixedPeriodSwitch`] oracle runs one global clock).
+    fn level(&self, u: VertexId) -> u8 {
+        let _ = u;
+        panic!("this switch keeps no per-vertex level")
+    }
+
+    /// Overwrites the level of `u` (fault injection).
+    ///
+    /// # Panics
+    ///
+    /// The default panics, like [`level`](Self::level); implementations
+    /// panic if `level` is out of range.
+    fn set_level(&mut self, u: VertexId, level: u8) {
+        let _ = (u, level);
+        panic!("this switch keeps no per-vertex level")
+    }
+
     /// Total random bits drawn so far.
     fn random_bits_used(&self) -> u64;
 
@@ -113,7 +135,7 @@ pub trait SwitchProcess: Sync {
 /// at levels 1–4 already sits at `max N⁺(v) − 1`, the rule's fixed point,
 /// and no other move can change that maximum. A level-0 vertex is always
 /// marked, because reaching level 0 is itself a move.
-/// [`set_level`](Self::set_level) marks the same way; construction,
+/// [`set_level`](SwitchProcess::set_level) marks the same way; construction,
 /// [`rebind_graph`](SwitchProcess::rebind_graph) and a full sweep mark
 /// every vertex.
 ///
@@ -202,15 +224,6 @@ impl<'g> RandomizedLogSwitch<'g> {
         Self::new(graph, init.switch_levels(graph.n(), rng), zeta)
     }
 
-    /// Current level (`0..=5`) of vertex `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn level(&self, u: VertexId) -> u8 {
-        self.levels[u]
-    }
-
     /// The switch probability parameter `ζ`.
     pub fn zeta(&self) -> f64 {
         self.zeta
@@ -219,28 +232,6 @@ impl<'g> RandomizedLogSwitch<'g> {
     /// Number of rounds executed so far.
     pub fn round(&self) -> usize {
         self.round
-    }
-
-    /// Overwrites the level of one vertex (fault injection). The vertex is
-    /// marked as if it had moved, so the next step evaluates it and the
-    /// neighbors whose maximum the new level may have changed.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range or `level > 5`.
-    pub fn set_level(&mut self, u: VertexId, level: u8) {
-        assert!(level <= 5, "levels must be in 0..=5");
-        let from = std::mem::replace(&mut self.levels[u], level);
-        if from != level {
-            record_move(
-                self.graph.get(),
-                &self.levels,
-                &mut self.at_five,
-                &mut self.pending,
-                u,
-                from,
-            );
-        }
     }
 
     /// Rebuilds the level-5 set from the levels and marks every vertex
@@ -396,6 +387,29 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits
+    }
+
+    /// Current level (`0..=5`) of vertex `u`.
+    fn level(&self, u: VertexId) -> u8 {
+        self.levels[u]
+    }
+
+    /// Overwrites the level of one vertex (fault injection). The vertex is
+    /// marked as if it had moved, so the next step evaluates it and the
+    /// neighbors whose maximum the new level may have changed.
+    fn set_level(&mut self, u: VertexId, level: u8) {
+        assert!(level <= 5, "levels must be in 0..=5");
+        let from = std::mem::replace(&mut self.levels[u], level);
+        if from != level {
+            record_move(
+                self.graph.get(),
+                &self.levels,
+                &mut self.at_five,
+                &mut self.pending,
+                u,
+                from,
+            );
+        }
     }
 
     fn rebind_graph(&mut self, graph: &Arc<Graph>) -> Result<(), MutationError> {

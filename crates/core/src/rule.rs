@@ -34,12 +34,12 @@ use std::sync::Arc;
 use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
+use crate::algorithm::{corrupt, unsupported, Algorithm, FaultState, StateCounts};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
 use crate::engine::{FrontierEngine, VertexClass};
 use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
-use crate::process::{Process, StateCounts};
 
 /// The local rule of one MIS process: its states, which vertices may move,
 /// and where they move.
@@ -47,13 +47,22 @@ use crate::process::{Process, StateCounts};
 /// The engine asks [`classify`](Self::classify) which vertices are active
 /// (draw a coin next round) and pending (may change state at all); a round
 /// then moves every pending vertex to [`decide`](Self::decide) of its
-/// state, with a coin exactly at the active ones. The remaining methods are
-/// hooks with no-op defaults for what a rule keeps beside its states: the
-/// 3-state rule's `black1`-neighbor counters and the 3-color rule's switch
-/// sub-process.
+/// state, with a coin exactly at the active ones. A vertex's
+/// [`Memory`](Self::Memory) is what faults and adversaries overwrite. The
+/// remaining methods are hooks with no-op defaults for what a rule keeps
+/// beside its states: the 3-state rule's `black1`-neighbor counters and the
+/// 3-color rule's switch sub-process.
 pub trait LocalRule: Sync {
     /// The per-vertex state.
     type State: Copy + Eq;
+
+    /// A vertex's memory as faults and Byzantine adversaries see it: its
+    /// state, plus the rule's sub-process state if it has one.
+    type Memory: FaultState;
+
+    /// Whether a round may activate any subset of the vertices: `false` for
+    /// a rule whose sub-process must step in lockstep with every round.
+    const PARTIAL_ACTIVATION: bool = false;
 
     /// The 2-bit code of `state` in the packed state storage.
     fn code(state: Self::State) -> u8;
@@ -73,6 +82,13 @@ pub trait LocalRule: Sync {
 
     /// Number of distinct states each vertex can be in.
     fn states_per_vertex(&self) -> usize;
+
+    /// The memory of `u`, whose state is `state`.
+    fn memory(&self, u: VertexId, state: Self::State) -> Self::Memory;
+
+    /// Writes the sub-process part of `memory` at `u` and returns its state
+    /// part.
+    fn set_memory(&mut self, u: VertexId, memory: Self::Memory) -> Self::State;
 
     /// Hook: vertex `u` changed from `old` to `new`. Updates the rule's
     /// neighbor counters and passes every vertex whose classification they
@@ -129,20 +145,16 @@ pub trait LocalRule: Sync {
     }
 }
 
-/// A rule whose round may activate any subset of the vertices: it has no
-/// sub-process that must step in lockstep with every round. Only these
-/// processes offer [`step_scheduled`](RuleProcess::step_scheduled).
-pub trait PartialActivation: LocalRule {}
-
 /// A self-stabilizing MIS process given by its [`LocalRule`] `R`: the
 /// bit-packed states, the rule, and the incremental [`FrontierEngine`]
 /// that runs its rounds.
 ///
-/// A [`step`](Process::step) costs `O(|F_t| + vol(C_t))` on the sparse
+/// A [`step`](Algorithm::step) costs `O(|F_t| + vol(C_t))` on the sparse
 /// path — the frontier plus the volume of the vertices that changed — and
-/// [`is_stabilized`](Process::is_stabilized) and
-/// [`counts`](Process::counts) are `O(1)`. See the [module docs](self) for
+/// [`is_stabilized`](Algorithm::is_stabilized) and
+/// [`counts`](Algorithm::counts) are `O(1)`. See the [module docs](self) for
 /// the two drivers, and [`RoundStrategy`] for the dense/sparse choice.
+/// One generic [`Algorithm`] impl serves every rule.
 #[derive(Debug, Clone)]
 pub struct RuleProcess<'g, R> {
     pub(crate) graph: GraphRef<'g>,
@@ -265,7 +277,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         self.strategy
     }
 
-    /// `true` if the most recent [`step`](Process::step) ran the dense
+    /// `true` if the most recent [`step`](Algorithm::step) ran the dense
     /// full-sweep path (reporting hook for the scale experiment, which
     /// records the round where `auto` switches dense → sparse).
     pub fn last_round_was_dense(&self) -> bool {
@@ -273,7 +285,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
     }
 
     /// The underlying graph (the mutated one after
-    /// [`apply_mutation`](Self::apply_mutation)).
+    /// [`apply_mutation`](Algorithm::apply_mutation)).
     pub fn graph(&self) -> &Graph {
         self.graph.get()
     }
@@ -304,39 +316,6 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
     /// Number of black neighbors of `u` (delta-maintained).
     pub fn black_neighbor_count(&self, u: VertexId) -> usize {
         self.engine.black_neighbor_count(u)
-    }
-
-    /// Applies a batch of topology mutations and incrementally re-derives
-    /// the bookkeeping, so the process **re-stabilizes from the current
-    /// configuration** instead of restarting. The delta is compacted into
-    /// one fresh CSR graph, which the rule adopts first
-    /// ([`LocalRule::rebind`]); state storage and counters grow to cover
-    /// joined vertices (which start in state code 0, white), each net edge
-    /// change delta-updates the neighbor counters, and one flush against the
-    /// new adjacency re-classifies every touched vertex. The result is
-    /// bit-identical to rebuilding from scratch on the new graph with the
-    /// current states.
-    ///
-    /// # Errors
-    ///
-    /// Fails with [`MutationError::Graph`] for an invalid delta, or with
-    /// [`MutationError::Unsupported`] if the rule cannot follow topology
-    /// changes; either way the process is untouched.
-    pub fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
-        let (new_graph, committed) = self.graph.get().apply_delta(delta)?;
-        let graph = Arc::new(new_graph);
-        self.rule.rebind(&graph)?;
-        self.states.grow(committed.new_n);
-        self.engine.grow(committed.new_n);
-        for (edges, inserted) in [(&committed.removed, false), (&committed.inserted, true)] {
-            for &(u, v) in edges {
-                self.engine.edge_update(u, v, inserted);
-                self.rule.edge_update(&self.states, u, v, inserted);
-            }
-        }
-        self.graph = GraphRef::Owned(graph);
-        self.flush();
-        Ok(committed)
     }
 
     /// The state of vertex `u`.
@@ -374,6 +353,25 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
             .scatter(graph, u, old, state, |v| engine.mark_dirty(v));
         engine.set_black(graph, u, R::is_black(state));
         self.flush();
+    }
+
+    /// The memory of vertex `u`.
+    pub(crate) fn memory(&self, u: VertexId) -> R::Memory {
+        self.rule.memory(u, self.state_of(u))
+    }
+
+    /// Overwrites the memory of `u` and returns the previous one: the state
+    /// by [`overwrite`](Self::overwrite), and the rule's part with `u`
+    /// re-classified, since a gray vertex's class follows its switch.
+    pub(crate) fn replace_memory(&mut self, u: VertexId, memory: R::Memory) -> R::Memory {
+        let old = self.memory(u);
+        if old != memory {
+            let state = self.rule.set_memory(u, memory);
+            self.overwrite(u, state);
+            self.engine.mark_dirty(u);
+            self.flush();
+        }
+        old
     }
 
     /// Rebuilds the rule's counters and every engine counter, flag and
@@ -523,29 +521,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
     }
 }
 
-impl<R: PartialActivation> RuleProcess<'_, R> {
-    /// Executes one round in which only the vertices of `scheduled` are
-    /// activated (a partial-activation round under a non-synchronous
-    /// scheduler): every scheduled pending vertex moves by the rule against
-    /// the pre-round configuration, drawing its coin from the shared stream
-    /// in ascending vertex order if it is active; all other vertices keep
-    /// their state. A full `scheduled` set consumes exactly the coins of a
-    /// sequential [`step`](Process::step).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `scheduled.universe() != n`.
-    pub fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
-        assert_eq!(
-            scheduled.universe(),
-            self.n(),
-            "scheduled set universe must match the graph"
-        );
-        self.stream_round(Walk::Scheduled(scheduled), rng);
-    }
-}
-
-impl<R: LocalRule> Process for RuleProcess<'_, R> {
+impl<R: LocalRule> Algorithm for RuleProcess<'_, R> {
     fn n(&self) -> usize {
         self.graph.get().n()
     }
@@ -569,6 +545,22 @@ impl<R: LocalRule> Process for RuleProcess<'_, R> {
                 self.counter_round(dense, resolve_threads(threads))
             }
         }
+    }
+
+    /// Walks `scheduled` like the sorted frontier of a sequential round:
+    /// every scheduled pending vertex moves by the rule against the
+    /// pre-round configuration, drawing its coin from the shared stream in
+    /// ascending vertex order if it is active.
+    fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
+        if !R::PARTIAL_ACTIVATION {
+            unsupported("partial activation; use the synchronous scheduler");
+        }
+        assert_eq!(
+            scheduled.universe(),
+            self.n(),
+            "scheduled set universe must match the graph"
+        );
+        self.stream_round(Walk::Scheduled(scheduled), rng);
     }
 
     fn is_stabilized(&self) -> bool {
@@ -603,5 +595,51 @@ impl<R: LocalRule> Process for RuleProcess<'_, R> {
 
     fn random_bits_used(&self) -> u64 {
         self.random_bits + self.rule.sub_random_bits()
+    }
+
+    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
+        corrupt(victims, rng, |u, memory| self.replace_memory(u, memory))
+    }
+
+    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
+        let shown = self.memory(u).displayed(black);
+        self.replace_memory(u, shown) != shown
+    }
+
+    /// Applies a batch of topology mutations and incrementally re-derives
+    /// the bookkeeping, so the process **re-stabilizes from the current
+    /// configuration** instead of restarting. The delta is compacted into
+    /// one fresh CSR graph, which the rule adopts first
+    /// ([`LocalRule::rebind`]); state storage and counters grow to cover
+    /// joined vertices (which start in state code 0, white), each net edge
+    /// change delta-updates the neighbor counters, and one flush against the
+    /// new adjacency re-classifies every touched vertex. The result is
+    /// bit-identical to rebuilding from scratch on the new graph with the
+    /// current states.
+    ///
+    /// # Errors
+    ///
+    /// Fails with [`MutationError::Graph`] for an invalid delta, or with
+    /// [`MutationError::Unsupported`] if the rule cannot follow topology
+    /// changes; either way the process is untouched.
+    fn apply_mutation(&mut self, delta: &GraphDelta) -> Result<CommittedDelta, MutationError> {
+        let (new_graph, committed) = self.graph.get().apply_delta(delta)?;
+        let graph = Arc::new(new_graph);
+        self.rule.rebind(&graph)?;
+        self.states.grow(committed.new_n);
+        self.engine.grow(committed.new_n);
+        for (edges, inserted) in [(&committed.removed, false), (&committed.inserted, true)] {
+            for &(u, v) in edges {
+                self.engine.edge_update(u, v, inserted);
+                self.rule.edge_update(&self.states, u, v, inserted);
+            }
+        }
+        self.graph = GraphRef::Owned(graph);
+        self.flush();
+        Ok(committed)
+    }
+
+    fn current_graph(&self) -> Option<&Graph> {
+        Some(self.graph())
     }
 }

@@ -4,13 +4,13 @@ use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithm::{Algorithm, FaultState};
 use crate::counter_rng::CounterRng;
 use crate::engine::VertexClass;
 use crate::init::InitStrategy;
 use crate::log_switch::{RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
 use crate::mutation::MutationError;
 use crate::packed::PackedStates;
-use crate::process::Process;
 use crate::rule::{LocalRule, RuleProcess};
 
 /// The switch parameter `a` used by the paper when instantiating the 3-color
@@ -39,6 +39,29 @@ impl ThreeColor {
     }
 }
 
+/// The 3-color family's memory is a color and a switch level (`0..=5`): a
+/// fault draws both uniformly, and an adversary overrides only the color
+/// its neighbors observe while its switch keeps ticking.
+impl FaultState for (ThreeColor, u8) {
+    fn random(rng: &mut dyn RngCore) -> Self {
+        let color = match rng.gen_range(0..3u8) {
+            0 => ThreeColor::Black,
+            1 => ThreeColor::Gray,
+            _ => ThreeColor::White,
+        };
+        (color, (rng.next_u32() % 6) as u8)
+    }
+
+    fn displayed(self, black: bool) -> Self {
+        let color = if black {
+            ThreeColor::Black
+        } else {
+            ThreeColor::White
+        };
+        (color, self.1)
+    }
+}
+
 /// The 3-color local rule (Definition 28), with its switch sub-process `S`.
 ///
 /// Black/white vertices are active (and pending) by the 2-state rule; on
@@ -55,6 +78,7 @@ pub struct ThreeColorRule<S> {
 
 impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
     type State = ThreeColor;
+    type Memory = (ThreeColor, u8);
 
     fn code(state: ThreeColor) -> u8 {
         match state {
@@ -109,6 +133,15 @@ impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
         3 * self.switch.states_per_vertex()
     }
 
+    fn memory(&self, u: VertexId, state: ThreeColor) -> (ThreeColor, u8) {
+        (state, self.switch.level(u))
+    }
+
+    fn set_memory(&mut self, u: VertexId, (color, level): (ThreeColor, u8)) -> ThreeColor {
+        self.switch.set_level(u, level);
+        color
+    }
+
     fn rebind(&mut self, graph: &Arc<Graph>) -> Result<(), MutationError> {
         self.switch.rebind_graph(graph)
     }
@@ -160,7 +193,7 @@ impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
 /// the volume of the color changes `C_t`, one coin per level-5 vertex, the
 /// max rule at the switch's pending vertices `P_t`, the neighbor lists of
 /// the level changes `Δ_t`, and one pass over the switch's bitset words.
-/// [`is_stabilized`](Process::is_stabilized) is `O(1)`.
+/// [`is_stabilized`](Algorithm::is_stabilized) is `O(1)`.
 /// [`step_reference`](ThreeColorProcess::step_reference) retains the naive
 /// full scan of colors and levels for differential testing. Under
 /// [`ExecutionMode::Parallel`](crate::ExecutionMode::Parallel) both
@@ -170,7 +203,7 @@ impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
 /// # Example
 ///
 /// ```
-/// use mis_core::{ThreeColorProcess, Process, init::InitStrategy};
+/// use mis_core::{Algorithm, ThreeColorProcess, init::InitStrategy};
 /// use mis_graph::{generators, mis_check};
 /// use rand::SeedableRng;
 ///
@@ -207,9 +240,7 @@ impl ThreeColorProcess<'_, RandomizedLogSwitch<'_>> {
     ///
     /// Panics if `u` is out of range or `level > 5`.
     pub fn set_switch_level(&mut self, u: VertexId, level: u8) {
-        self.rule.switch.set_level(u, level);
-        self.engine.mark_dirty(u);
-        self.flush();
+        self.replace_memory(u, (self.color(u), level));
     }
 }
 
@@ -272,7 +303,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
 
     /// Executes one synchronous round with the naive full-scan reference
     /// implementation (`O(n + m)`): identical colors, switch evolution, and
-    /// RNG stream as a sequential-mode [`step`](Process::step), retained as
+    /// RNG stream as a sequential-mode [`step`](Algorithm::step), retained as
     /// the oracle for the engine's trace-equality tests. The switch takes its
     /// own full-sweep [`step_reference`](SwitchProcess::step_reference).
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {

@@ -5,12 +5,12 @@ use mis_graph::{Graph, VertexId};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithm::{Algorithm, FaultState};
 use crate::engine::VertexClass;
 use crate::init::InitStrategy;
 use crate::mutation::MutationError;
 use crate::packed::PackedStates;
-use crate::process::Process;
-use crate::rule::{LocalRule, PartialActivation, RuleProcess};
+use crate::rule::{LocalRule, RuleProcess};
 use crate::sync::AtomicU32Vec;
 
 /// Vertex state of the 3-state MIS process (Definition 5).
@@ -36,6 +36,27 @@ impl ThreeState {
     }
 }
 
+/// The 3-state family: a fault draws one of the three states uniformly,
+/// and an adversary claims membership loudly, as `Black1`, maximally
+/// perturbing the `black1` counters its neighbors keep.
+impl FaultState for ThreeState {
+    fn random(rng: &mut dyn RngCore) -> Self {
+        match rng.gen_range(0..3u8) {
+            0 => ThreeState::Black1,
+            1 => ThreeState::Black0,
+            _ => ThreeState::White,
+        }
+    }
+
+    fn displayed(self, black: bool) -> Self {
+        if black {
+            ThreeState::Black1
+        } else {
+            ThreeState::White
+        }
+    }
+}
+
 /// The 3-state local rule (Definition 5), with the number of `black1`
 /// neighbors of every vertex, delta-maintained beside the engine's
 /// black-neighbor counters (atomically typed so the counter-model scatter
@@ -52,6 +73,8 @@ pub struct ThreeStateRule {
 
 impl LocalRule for ThreeStateRule {
     type State = ThreeState;
+    type Memory = ThreeState;
+    const PARTIAL_ACTIVATION: bool = true;
 
     fn code(state: ThreeState) -> u8 {
         match state {
@@ -97,6 +120,14 @@ impl LocalRule for ThreeStateRule {
 
     fn states_per_vertex(&self) -> usize {
         3
+    }
+
+    fn memory(&self, _u: VertexId, state: ThreeState) -> ThreeState {
+        state
+    }
+
+    fn set_memory(&mut self, _u: VertexId, memory: ThreeState) -> ThreeState {
+        memory
     }
 
     fn scatter(
@@ -152,8 +183,6 @@ impl LocalRule for ThreeStateRule {
     }
 }
 
-impl PartialActivation for ThreeStateRule {}
-
 /// The **3-state MIS process** of Definition 5.
 ///
 /// Update rule for vertex `u` with previous state `c` and neighbor states
@@ -177,17 +206,17 @@ impl PartialActivation for ThreeStateRule {}
 /// has at least one neighbor and makes isolated vertices join the MIS.
 ///
 /// It is the [`ThreeStateRule`] run by [`RuleProcess`]: a
-/// [`step`](Process::step) touches only the frontier (black vertices and
+/// [`step`](Algorithm::step) touches only the frontier (black vertices and
 /// active whites — stable black vertices keep alternating by definition, so
 /// they stay on it) and the neighborhoods of vertices that changed, and
-/// [`is_stabilized`](Process::is_stabilized)/[`counts`](Process::counts) are
-/// `O(1)`. [`step_reference`](ThreeStateProcess::step_reference) retains the
+/// [`is_stabilized`](Algorithm::is_stabilized)/[`counts`](Algorithm::counts)
+/// are `O(1)`. [`step_reference`](ThreeStateProcess::step_reference) retains the
 /// naive full-scan path for differential testing.
 ///
 /// # Example
 ///
 /// ```
-/// use mis_core::{ThreeStateProcess, Process, init::InitStrategy};
+/// use mis_core::{Algorithm, ThreeStateProcess, init::InitStrategy};
 /// use mis_graph::{generators, mis_check};
 /// use rand::SeedableRng;
 ///
@@ -249,7 +278,7 @@ impl<'g> ThreeStateProcess<'g> {
 
     /// Executes one synchronous round with the naive full-scan reference
     /// implementation (`O(n + m)`): identical states and RNG stream as a
-    /// sequential-mode [`step`](Process::step), retained as the oracle for
+    /// sequential-mode [`step`](Algorithm::step), retained as the oracle for
     /// the engine's trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {
         let n = self.n();

@@ -2,10 +2,10 @@ use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
+use crate::algorithm::{Algorithm, FaultState};
 use crate::engine::VertexClass;
 use crate::init::InitStrategy;
-use crate::process::Process;
-use crate::rule::{LocalRule, PartialActivation, RuleProcess};
+use crate::rule::{LocalRule, RuleProcess};
 
 /// Vertex state of the 2-state MIS process: black indicates (tentative)
 /// membership in the MIS.
@@ -24,6 +24,26 @@ impl Color {
     }
 }
 
+/// The 2-state family: a fault draws a fair color, and an adversary shows
+/// the color it claims.
+impl FaultState for Color {
+    fn random(rng: &mut dyn RngCore) -> Self {
+        if rng.gen_bool(0.5) {
+            Color::Black
+        } else {
+            Color::White
+        }
+    }
+
+    fn displayed(self, black: bool) -> Self {
+        if black {
+            Color::Black
+        } else {
+            Color::White
+        }
+    }
+}
+
 /// The 2-state local rule (Definition 4): a vertex is active (and pending —
 /// the two coincide for this rule) iff it is black with a black neighbor or
 /// white with no black neighbor, and an active vertex takes the color its
@@ -33,6 +53,8 @@ pub struct TwoStateRule;
 
 impl LocalRule for TwoStateRule {
     type State = Color;
+    type Memory = Color;
+    const PARTIAL_ACTIVATION: bool = true;
 
     fn code(state: Color) -> u8 {
         match state {
@@ -75,9 +97,15 @@ impl LocalRule for TwoStateRule {
     fn states_per_vertex(&self) -> usize {
         2
     }
-}
 
-impl PartialActivation for TwoStateRule {}
+    fn memory(&self, _u: VertexId, state: Color) -> Color {
+        state
+    }
+
+    fn set_memory(&mut self, _u: VertexId, memory: Color) -> Color {
+        memory
+    }
+}
 
 /// The **2-state MIS process** of Definition 4.
 ///
@@ -94,9 +122,9 @@ impl PartialActivation for TwoStateRule {}
 /// non-stable vertices `V_t` (Section 2.1).
 ///
 /// It is the [`TwoStateRule`] run by [`RuleProcess`]: states are stored
-/// bit-packed, a [`step`](Process::step) costs `O(|A_t| + vol(A_t))` rather
-/// than `O(n + m)`, and [`is_stabilized`](Process::is_stabilized) and
-/// [`counts`](Process::counts) are `O(1)`;
+/// bit-packed, a [`step`](Algorithm::step) costs `O(|A_t| + vol(A_t))`
+/// rather than `O(n + m)`, and [`is_stabilized`](Algorithm::is_stabilized)
+/// and [`counts`](Algorithm::counts) are `O(1)`;
 /// [`step_reference`](TwoStateProcess::step_reference) retains the naive
 /// full-scan path for differential testing. See
 /// [`set_execution`](RuleProcess::set_execution) for the two randomness
@@ -105,7 +133,7 @@ impl PartialActivation for TwoStateRule {}
 /// # Example
 ///
 /// ```
-/// use mis_core::{TwoStateProcess, Process, init::InitStrategy};
+/// use mis_core::{Algorithm, TwoStateProcess, init::InitStrategy};
 /// use mis_graph::{generators, mis_check};
 /// use rand::SeedableRng;
 ///
@@ -183,7 +211,7 @@ impl<'g> TwoStateProcess<'g> {
     /// implementation: rescan all vertices, recompute every black-neighbor
     /// count from scratch, `O(n + m)`.
     ///
-    /// Semantically identical to a sequential-mode [`step`](Process::step) —
+    /// Semantically identical to a sequential-mode [`step`](Algorithm::step) —
     /// same states, same RNG stream — and retained as the oracle for the
     /// engine's trace-equality tests.
     pub fn step_reference(&mut self, rng: &mut dyn RngCore) {

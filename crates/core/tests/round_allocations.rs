@@ -14,7 +14,7 @@ use std::cell::Cell;
 
 use mis_core::exec::ExecutionMode;
 use mis_core::init::InitStrategy;
-use mis_core::{Process, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use mis_core::{Algorithm, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use mis_graph::{generators, Graph};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -81,7 +81,7 @@ fn graph() -> Graph {
 /// Steps `p` through `warmup` rounds, then returns the allocations made by
 /// the next `rounds` rounds (each followed by `is_stabilized`).
 fn allocations_in_rounds(
-    p: &mut dyn Process,
+    p: &mut dyn Algorithm,
     rng: &mut ChaCha8Rng,
     warmup: usize,
     rounds: usize,

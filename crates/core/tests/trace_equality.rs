@@ -10,7 +10,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Process, StateCounts, ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
+    Algorithm, StateCounts, ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
 use rand::SeedableRng;
@@ -80,7 +80,7 @@ fn black_set_of(g: &Graph, black: impl Fn(usize) -> bool) -> VertexSet {
 /// Drives a (fast, reference) pair lock-step for up to `max_rounds` rounds
 /// and checks the full trace, using `check` to compare and validate the pair
 /// after every round. Returns the number of rounds executed.
-fn drive_pair<P: Process>(
+fn drive_pair<P: Algorithm>(
     fast: &mut P,
     reference: &mut P,
     step_reference: impl Fn(&mut P, &mut ChaCha8Rng),

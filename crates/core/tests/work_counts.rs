@@ -4,7 +4,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    ExecutionMode, Process, RoundStrategy, StateCounts, ThreeColorProcess, ThreeStateProcess,
+    Algorithm, ExecutionMode, RoundStrategy, StateCounts, ThreeColorProcess, ThreeStateProcess,
     TwoStateProcess,
 };
 use mis_graph::{generators, VertexSet};
@@ -54,7 +54,7 @@ struct Outcome<S> {
 /// test's alone), with each round strategy forced, for at most 40 rounds.
 /// Every run must observe the same outcome; the rounds, the random bits
 /// and the dispatches of each strategy's multi-thread runs are pinned.
-fn check_counter_matrix<P: Process, S: std::fmt::Debug + PartialEq>(
+fn check_counter_matrix<P: Algorithm, S: std::fmt::Debug + PartialEq>(
     label: &str,
     make: impl Fn(ExecutionMode, RoundStrategy) -> P,
     states: impl Fn(&P) -> Vec<S>,

@@ -24,7 +24,7 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mis_core::{AlgorithmConfig, StepCtx};
+use mis_core::{Activation, AlgorithmConfig};
 use mis_graph::{mis_check, GraphDelta};
 use mis_sim::builtin_registry;
 use mis_sim::runner::COUNTER_SEED_SALT;
@@ -694,11 +694,12 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
         strategy: request.strategy,
         counter_seed: request.seed ^ COUNTER_SEED_SALT,
     };
+    let caps = factory.capabilities();
     let start = Instant::now();
     let mut algorithm = factory.init(&graph, &config, &mut rng);
-    *sync::lock(&job.topology_capable) = Some(algorithm.supports_topology_change());
+    *sync::lock(&job.topology_capable) = Some(caps.topology_change);
 
-    if !request.scheduler.is_synchronous() && !algorithm.supports_partial_activation() {
+    if !request.scheduler.is_synchronous() && !caps.partial_activation {
         return Err(format!(
             "algorithm '{}' does not support the {} scheduler",
             request.algorithm,
@@ -706,7 +707,7 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
         ));
     }
     let mut scheduler = request.scheduler.build();
-    let trace = request.record_trace && algorithm.supports_trace();
+    let trace = request.record_trace && caps.trace;
     let linger = Duration::from_micros(job.request.linger_micros);
     let mut mutations_applied = 0usize;
     let mut stable_since: Option<Instant> = None;
@@ -753,11 +754,10 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
         if algorithm.round() >= request.max_rounds {
             break;
         }
-        let activation = scheduler.next_activation(algorithm.n(), algorithm.round(), &mut rng);
-        algorithm.step(StepCtx {
-            rng: &mut rng,
-            activation: &activation,
-        });
+        match scheduler.next_activation(algorithm.n(), algorithm.round(), &mut rng) {
+            Activation::All => algorithm.step(&mut rng),
+            Activation::Subset(set) => algorithm.step_scheduled(&set, &mut rng),
+        }
         if trace {
             let counts = algorithm.counts();
             job.events.push(format!(

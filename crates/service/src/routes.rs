@@ -4,10 +4,7 @@
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use mis_core::AlgorithmConfig;
-use mis_graph::Graph;
 use mis_sim::builtin_registry;
-use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
 use warp::{PathParams, Request, Response, Router};
 
@@ -83,29 +80,21 @@ fn graph_id(params: &PathParams) -> Result<u64, Response> {
     params.id("id").ok_or_else(|| error(400, "invalid id"))
 }
 
-/// Capability metadata for every registry algorithm, derived by probing one
-/// tiny instance per factory (the flags live on instances, not factories).
+/// Capability metadata for every registry algorithm, as each registry
+/// entry declares it.
 pub fn algorithm_catalog() -> Vec<AlgorithmInfo> {
-    let probe_graph = Graph::from_edges(2, [(0, 1)]).expect("probe graph");
-    let config = AlgorithmConfig {
-        init: mis_core::init::InitStrategy::Random,
-        execution: mis_core::ExecutionMode::Sequential,
-        strategy: mis_core::RoundStrategy::Auto,
-        counter_seed: 0,
-    };
     builtin_registry()
         .factories()
         .map(|factory| {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(0);
-            let instance = factory.init(&probe_graph, &config, &mut rng);
+            let caps = factory.capabilities();
             AlgorithmInfo {
                 key: factory.key().to_string(),
                 description: factory.description().to_string(),
                 communication_model: factory.communication_model().label().to_string(),
-                supports_topology_change: instance.supports_topology_change(),
-                supports_parallel: instance.supports_parallel(),
-                supports_partial_activation: instance.supports_partial_activation(),
-                supports_trace: instance.supports_trace(),
+                supports_topology_change: caps.topology_change,
+                supports_parallel: caps.parallel,
+                supports_partial_activation: caps.partial_activation,
+                supports_trace: caps.trace,
             }
         })
         .collect()

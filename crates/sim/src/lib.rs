@@ -36,9 +36,11 @@
 //!   used by the experiment tables.
 //! * [`sweep`] — parameter sweeps producing CSV tables, one row per
 //!   parameter value.
-//! * [`fault`] — transient-fault injection for the self-stabilization
-//!   (recovery) experiments; prefer [`spec::FaultSpec`] plus the unified
-//!   [`mis_core::Algorithm::inject_faults`] for new experiments.
+//! * Transient faults — a [`spec::FaultSpec`] corrupts a random fraction
+//!   or an explicit victim list once the algorithm stabilizes, through
+//!   [`mis_core::Algorithm::inject_faults`]; the recovery experiments read
+//!   the corruption from the
+//!   [`FaultInjection`](observer::ObserverEvent::FaultInjection) event.
 //!
 //! # Example
 //!
@@ -64,7 +66,6 @@
 #![warn(missing_docs)]
 
 pub mod churn;
-pub mod fault;
 pub mod metrics;
 pub mod observer;
 pub mod registry;

@@ -14,10 +14,13 @@
 //! | `greedy` | sequential greedy (baseline) | `mis-baselines` |
 //! | `sequential-selfstab` | deterministic sequential self-stab (baseline) | `mis-baselines` |
 //!
+//! Each entry is an [`AlgorithmFactory`](mis_core::AlgorithmFactory) that
+//! declares once what its instances support
+//! ([`Capabilities`](mis_core::Capabilities)); the runner, the service's job
+//! worker and `GET /v1/algorithms` read the declarations there.
 //! [`ExperimentSpec`](crate::spec::ExperimentSpec) resolves its algorithm
 //! through [`builtin_registry`]; external algorithms can be run by building
-//! a custom [`Registry`] (register your own
-//! [`AlgorithmFactory`](mis_core::AlgorithmFactory) next to
+//! a custom [`Registry`] (register your own entry next to
 //! [`register_builtin_algorithms`]) and calling
 //! [`run_experiment_with`](crate::runner::run_experiment_with).
 

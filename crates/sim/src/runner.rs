@@ -20,8 +20,8 @@
 
 use std::sync::Arc;
 
-use mis_core::scheduler::Scheduler;
-use mis_core::{Algorithm, AlgorithmConfig, ByzantineOverlay, Registry, StepCtx};
+use mis_core::scheduler::{Activation, Scheduler};
+use mis_core::{Algorithm, AlgorithmConfig, ByzantineOverlay, Registry};
 use mis_graph::traversal::{multi_source_bfs_distances, UNREACHABLE};
 use mis_graph::{mis_check, Graph, VertexSet};
 use rand::{RngCore, SeedableRng};
@@ -113,7 +113,6 @@ impl<'a> ContainmentTracker<'a> {
         // proves some of them are outside it, without touching the set.
         let contained = alg.counts().unstable <= self.zone_size
             && alg
-                .process()
                 .unstable_set()
                 .iter()
                 .all(|u| self.dist[u] <= CONTAINMENT_RADIUS);
@@ -144,7 +143,7 @@ impl<'a> ContainmentTracker<'a> {
             contained,
             ..ByzantineRoundMetrics::default()
         };
-        for u in alg.process().unstable_set().iter() {
+        for u in alg.unstable_set().iter() {
             let d = self.dist[u];
             if d == UNREACHABLE {
                 metrics.unstable_unreachable += 1;
@@ -207,11 +206,11 @@ impl ExperimentResult {
 ///
 /// # Panics
 ///
-/// Panics if the spec names an unknown algorithm, requests a
-/// non-synchronous scheduler for an algorithm without partial-activation
-/// support, requests fault injection for an algorithm that cannot be
-/// corrupted, or attaches a Byzantine adversary to an algorithm without
-/// Byzantine-override support.
+/// Panics if the spec names an unknown algorithm, or asks for something the
+/// algorithm's registry entry does not declare in its
+/// [`Capabilities`](mis_core::Capabilities): a non-synchronous scheduler
+/// without partial activation, fault injection, churn without topology
+/// changes, or a Byzantine adversary.
 pub fn run_trial(spec: &ExperimentSpec, trial: usize) -> TrialResult {
     run_trial_on(builtin_registry(), spec, trial, None)
 }
@@ -260,24 +259,25 @@ fn run_trial_on(
         strategy: spec.strategy,
         counter_seed,
     };
-    let mut alg = factory.init(graph, &config, &mut rng);
+    let caps = factory.capabilities();
     assert!(
-        spec.scheduler.is_synchronous() || alg.supports_partial_activation(),
+        spec.scheduler.is_synchronous() || caps.partial_activation,
         "algorithm '{key}' does not support the {} scheduler (no partial activation)",
         spec.scheduler.label()
     );
     assert!(
-        spec.fault.is_none() || alg.supports_fault_injection(),
+        spec.fault.is_none() || caps.fault_injection,
         "algorithm '{key}' does not support fault injection"
     );
     assert!(
-        spec.churn.is_none() || alg.supports_topology_change(),
+        spec.churn.is_none() || caps.topology_change,
         "algorithm '{key}' does not support topology changes (churn)"
     );
     assert!(
-        spec.byzantine.is_none() || alg.supports_byzantine(),
+        spec.byzantine.is_none() || caps.byzantine,
         "algorithm '{key}' does not support Byzantine overrides"
     );
+    let mut alg = factory.init(graph, &config, &mut rng);
 
     // The adversary is keyed by its own seed (offset per trial), never by
     // the trial's sequential RNG stream: attaching or removing a Byzantine
@@ -289,7 +289,7 @@ fn run_trial_on(
     });
 
     let mut scheduler = spec.scheduler.build();
-    let mut trace_observer = (spec.record_trace && alg.supports_trace()).then(TraceObserver::new);
+    let mut trace_observer = (spec.record_trace && caps.trace).then(TraceObserver::new);
     let mut outcome = {
         let mut observers: Vec<&mut dyn Observer> = Vec::new();
         if let Some(obs) = trace_observer.as_mut() {
@@ -424,13 +424,15 @@ pub struct DriveOutcome {
 ///
 /// # Panics
 ///
-/// Panics if `churn` is set but the algorithm's
-/// [`supports_topology_change`](mis_core::Algorithm::supports_topology_change)
-/// is `false`; if `byzantine` is set but
-/// [`supports_byzantine`](mis_core::Algorithm::supports_byzantine) is
-/// `false`; or if a generated burst is rejected by the algorithm (the
-/// burst generator only emits deltas valid for the current graph, so a
-/// rejection indicates a bug, not bad input).
+/// Panics at the first call the algorithm does not support: a fault
+/// ([`Algorithm::inject_faults_targeted`]), a Byzantine override
+/// ([`Algorithm::set_byzantine_state`]), a partial activation
+/// ([`Algorithm::step_scheduled`]), or a churn burst, which
+/// [`Algorithm::apply_mutation`] declines. Also panics if a generated burst
+/// is rejected as invalid (the burst generator only emits deltas valid for
+/// the current graph, so a rejection indicates a bug, not bad input).
+/// [`run_trial`] checks the registry entry's capabilities before it gets
+/// here.
 #[allow(clippy::too_many_arguments)]
 pub fn drive_algorithm(
     alg: &mut dyn Algorithm,
@@ -442,14 +444,6 @@ pub fn drive_algorithm(
     byzantine: Option<&ByzantineOverlay>,
     observers: &mut [&mut dyn Observer],
 ) -> DriveOutcome {
-    assert!(
-        churn.is_none() || alg.supports_topology_change(),
-        "churn was scheduled for an algorithm without topology-change support"
-    );
-    assert!(
-        byzantine.is_none() || alg.supports_byzantine(),
-        "a Byzantine overlay was attached to an algorithm without Byzantine support"
-    );
     let observe = !observers.is_empty();
     // An adversary controlling no vertices is no adversary: run (and
     // terminate) exactly like a Byzantine-free trial.
@@ -458,7 +452,7 @@ pub fn drive_algorithm(
         .map(|overlay| {
             let graph = alg
                 .current_graph()
-                .expect("byzantine support implies a current graph");
+                .expect("a Byzantine overlay needs the algorithm's current graph");
             ContainmentTracker::new(overlay, graph)
         });
     // The adversary owns its vertices from round 0: apply the overrides
@@ -528,12 +522,12 @@ pub fn drive_algorithm(
                 let delta = {
                     let graph = alg
                         .current_graph()
-                        .expect("topology-change support implies a current graph");
+                        .expect("churn needs the algorithm's current graph");
                     generate_burst(c.scenario, graph, rng)
                 };
                 let committed = alg
                     .apply_mutation(&delta)
-                    .expect("generated burst must be valid for the current graph");
+                    .unwrap_or_else(|e| panic!("churn burst rejected: {e}"));
                 pending_churn = (remaining > 1).then_some((c, remaining - 1, usize::MAX));
                 for obs in observers.iter_mut() {
                     obs.on_topology_change(alg.round(), &committed);
@@ -571,11 +565,10 @@ pub fn drive_algorithm(
         if converged || alg.round() >= max_rounds {
             break;
         }
-        let activation = scheduler.next_activation(alg.n(), alg.round(), rng);
-        alg.step(StepCtx {
-            rng,
-            activation: &activation,
-        });
+        match scheduler.next_activation(alg.n(), alg.round(), rng) {
+            Activation::All => alg.step(rng),
+            Activation::Subset(set) => alg.step_scheduled(&set, rng),
+        }
         if let Some(t) = tracker.as_mut() {
             contained = t.round(alg, observers);
         }
@@ -605,26 +598,6 @@ pub fn drive_algorithm(
         states_per_vertex: alg.states_per_vertex(),
         trace: None,
     }
-}
-
-/// Convenience wrapper: runs the 2-state process once on an explicit graph
-/// and returns its stabilization time. Used by tests and examples that
-/// already hold a graph.
-///
-/// # Errors
-///
-/// Returns [`mis_core::StabilizationTimeout`] if the process does not
-/// stabilize within `max_rounds`.
-pub fn stabilization_time_two_state(
-    graph: &Graph,
-    init: mis_core::init::InitStrategy,
-    seed: u64,
-    max_rounds: usize,
-) -> Result<usize, mis_core::StabilizationTimeout> {
-    let mut rng = ChaCha8Rng::seed_from_u64(seed);
-    let mut proc = mis_core::TwoStateProcess::with_init(graph, init, &mut rng);
-    use mis_core::Process;
-    proc.run_to_stabilization(&mut rng, max_rounds)
 }
 
 #[cfg(test)]
@@ -794,7 +767,7 @@ mod tests {
     fn one_shot_baselines_skip_trace_recording() {
         // The legacy harness reported `trace: None` for Luby/greedy/
         // sequential even when a trace was requested; the registry path
-        // preserves that via the supports_trace capability.
+        // preserves that via the declared trace capability.
         for key in ["luby", "greedy", "sequential-selfstab"] {
             let mut spec = base_spec(key);
             spec.record_trace = true;
@@ -1073,13 +1046,6 @@ mod tests {
     }
 
     #[test]
-    fn helper_runs_on_explicit_graph() {
-        let g = mis_graph::generators::complete(16);
-        let rounds = stabilization_time_two_state(&g, InitStrategy::AllBlack, 3, 100_000).unwrap();
-        assert!(rounds >= 1);
-    }
-
-    #[test]
     fn byzantine_trials_contain_every_strategy_and_process() {
         use crate::spec::{ByzantineSpec, VictimSelection};
         use mis_core::ByzantineStrategy;
@@ -1322,5 +1288,58 @@ mod tests {
                 .count(),
             1
         );
+    }
+
+    #[test]
+    fn fault_fractions_zero_and_one_recover_through_the_driver() {
+        // A fraction of 0 corrupts nothing and the run is over at once; a
+        // total corruption of an all-white clique still recovers to an MIS.
+        let mut setup = ChaCha8Rng::seed_from_u64(3);
+        let tree = mis_graph::generators::random_tree(100, &mut setup);
+        let clique = mis_graph::generators::complete(64);
+        let cases = [
+            (&tree, InitStrategy::Random, 0.0, 13),
+            (&clique, InitStrategy::AllWhite, 1.0, 11),
+        ];
+        for (graph, init, fraction, seed) in cases {
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let config = AlgorithmConfig {
+                init,
+                execution: ExecutionMode::Sequential,
+                strategy: mis_core::RoundStrategy::Auto,
+                counter_seed: seed,
+            };
+            let factory = builtin_registry().get("two-state").unwrap();
+            let mut alg = factory.init(graph, &config, &mut rng);
+            let mut log = EventLogObserver::new();
+            let outcome = drive_algorithm(
+                alg.as_mut(),
+                &mut mis_core::Synchronous,
+                &mut rng,
+                200_000,
+                Some(FaultSpec::after_stabilization(fraction)),
+                None,
+                None,
+                &mut [&mut log],
+            );
+            let (round, corrupted) = log
+                .events
+                .iter()
+                .find_map(|e| match e {
+                    ObserverEvent::FaultInjection { round, corrupted } => {
+                        Some((*round, *corrupted))
+                    }
+                    _ => None,
+                })
+                .expect("the fault fires at stabilization");
+            assert!(outcome.stabilized, "fraction {fraction}");
+            assert!(mis_check::is_mis(graph, &outcome.black_set));
+            if fraction == 0.0 {
+                assert_eq!(corrupted, 0);
+                assert_eq!(outcome.rounds, round, "no recovery rounds after no fault");
+            } else {
+                assert!(corrupted > 0 && corrupted <= graph.n());
+            }
+        }
     }
 }

@@ -355,9 +355,9 @@ impl ChurnScenario {
 /// mutated topology. With `bursts > 1`, each subsequent burst fires at the
 /// next re-stabilization.
 ///
-/// Requires an algorithm whose
-/// [`supports_topology_change`](mis_core::Algorithm::supports_topology_change)
-/// is `true`; the driver rejects churn specs for the others up front.
+/// Requires an algorithm whose registry entry declares
+/// [`topology_change`](mis_core::Capabilities::topology_change); the runner
+/// rejects churn specs for the others up front.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ChurnSpec {
     /// What each burst does to the topology.
@@ -523,9 +523,9 @@ impl VictimSelection {
 /// [`strategy`](Self::strategy) every round, from round 0 until the end of
 /// the trial (see [`mis_core::byzantine`]).
 ///
-/// Requires an algorithm whose
-/// [`supports_byzantine`](mis_core::Algorithm::supports_byzantine) is
-/// `true`; the driver rejects the spec for the others up front. Trials
+/// Requires an algorithm whose registry entry declares
+/// [`byzantine`](mis_core::Capabilities::byzantine); the runner rejects the
+/// spec for the others up front. Trials
 /// terminate on *containment* (stabilization outside the 2-neighborhood of
 /// the Byzantine set) instead of global stabilization.
 #[derive(Debug, Clone, PartialEq)]

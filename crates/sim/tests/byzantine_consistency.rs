@@ -19,7 +19,7 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    AlgorithmConfig, ByzantineOverlay, ByzantineStrategy, ExecutionMode, RoundStrategy, StepCtx,
+    AlgorithmConfig, ByzantineOverlay, ByzantineStrategy, ExecutionMode, RoundStrategy,
 };
 use mis_graph::{generators, mis_check, Graph};
 use mis_sim::spec::{ChurnScenario, SchedulerSpec};
@@ -85,7 +85,7 @@ fn check_process(
     for (i, &(kind, fraction, a, b)) in ops.iter().enumerate() {
         for (alg, rng) in algs.iter_mut().zip(rngs.iter_mut()) {
             match kind {
-                0 | 1 => alg.step(StepCtx::synchronous(rng)),
+                0 | 1 => alg.step(rng),
                 2 => {
                     alg.inject_faults(fraction, rng);
                 }
@@ -107,7 +107,7 @@ fn check_process(
         // materialized sets, on every instance.
         for (alg, &t) in algs.iter().zip(threads.iter()) {
             let counts = alg.counts();
-            let p = alg.process();
+            let p = alg;
             let ctx = format!("op {i} (kind {kind}), threads {t}, seed {seed}");
             prop_assert!(counts.black == p.black_set().len(), "black recount: {ctx}");
             prop_assert!(
@@ -138,7 +138,7 @@ fn check_process(
                 "black set diverged: {ctx}"
             );
             prop_assert!(
-                alg.process().unstable_set() == reference.process().unstable_set(),
+                alg.unstable_set() == reference.unstable_set(),
                 "unstable set diverged: {ctx}"
             );
             prop_assert!(
@@ -219,7 +219,7 @@ fn check_resample(
 
     for (i, &(kind, fraction, a, b)) in ops.iter().enumerate() {
         match kind {
-            0 | 1 => alg.step(StepCtx::synchronous(&mut rng)),
+            0 | 1 => alg.step(&mut rng),
             2 => {
                 alg.inject_faults(fraction, &mut rng);
             }

@@ -13,11 +13,10 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    Process, RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess,
+    Algorithm, RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess,
     TwoStateProcess,
 };
 use mis_graph::{generators, mis_check, Graph};
-use mis_sim::fault::Corruptible;
 use mis_sim::generate_burst;
 use mis_sim::spec::ChurnScenario;
 use proptest::prelude::*;
@@ -97,7 +96,9 @@ proptest! {
         for (i, &(kind, fraction, a, b)) in ops.iter().enumerate() {
             match kind {
                 0 => p.step(&mut r),
-                1 => p.corrupt_fraction(fraction, &mut r),
+                1 => {
+                    p.inject_faults(fraction, &mut r);
+                }
                 _ => {
                     let delta = {
                         let scenario = scenario_for(kind, fraction, a, b);
@@ -131,7 +132,9 @@ proptest! {
         for (i, &(kind, fraction, a, b)) in ops.iter().enumerate() {
             match kind {
                 0 => p.step(&mut r),
-                1 => p.corrupt_fraction(fraction, &mut r),
+                1 => {
+                    p.inject_faults(fraction, &mut r);
+                }
                 _ => {
                     let delta = {
                         let scenario = scenario_for(kind, fraction, a, b);
@@ -172,7 +175,9 @@ proptest! {
         for (i, &(kind, fraction, a, b)) in ops.iter().enumerate() {
             match kind {
                 0 => p.step(&mut r),
-                1 => p.corrupt_fraction(fraction, &mut r),
+                1 => {
+                    p.inject_faults(fraction, &mut r);
+                }
                 _ => {
                     let delta = {
                         let scenario = scenario_for(kind, fraction, a, b);

@@ -1,21 +1,21 @@
 //! Property test: after **arbitrary interleavings** of `step` and
-//! `corrupt_fraction`, every piece of the incremental engine bookkeeping —
+//! `inject_faults`, every piece of the incremental engine bookkeeping —
 //! the delta-maintained black-neighbor counters, the frontier, the cached
 //! per-vertex flags, and the cached [`StateCounts`] — must equal a
 //! from-scratch recount, for all three processes.
 //!
-//! `corrupt_fraction` exercises the out-of-band mutation path
-//! (`set_color`/`set_state`), which must keep the incremental bookkeeping
-//! consistent by delta updates rather than full rebuilds; interleaving it
-//! with rounds is exactly the fault-recovery workload of experiment E11.
+//! `inject_faults` exercises the out-of-band mutation path (each victim's
+//! state, and the 3-color switch level, overwritten in place), which must
+//! keep the incremental bookkeeping consistent by delta updates rather than
+//! full rebuilds; interleaving it with rounds is exactly the fault-recovery
+//! workload of experiment E11.
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    ExecutionMode, FrontierEngine, Process, RoundStrategy, StateCounts, SwitchProcess, ThreeColor,
-    ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
+    Algorithm, ExecutionMode, FrontierEngine, RoundStrategy, StateCounts, SwitchProcess,
+    ThreeColor, ThreeColorProcess, ThreeState, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
-use mis_sim::fault::Corruptible;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -133,7 +133,9 @@ proptest! {
         for (i, &(kind, fraction)) in ops.iter().enumerate() {
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let states = proc.states();
             let active = |u: usize| {
@@ -163,7 +165,9 @@ proptest! {
         for (i, &(kind, fraction)) in ops.iter().enumerate() {
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let states = proc.states();
             let active = |u: usize| {
@@ -198,7 +202,9 @@ proptest! {
             });
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let states = proc.states();
             let active = |u: usize| {
@@ -235,7 +241,9 @@ proptest! {
             });
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let states = proc.states();
             let active = |u: usize| match states[u] {
@@ -287,7 +295,9 @@ proptest! {
             });
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let colors = proc.colors();
             let active = |u: usize| {
@@ -324,7 +334,9 @@ proptest! {
         for (i, &(kind, fraction)) in ops.iter().enumerate() {
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let states = proc.states();
             let active = |u: usize| match states[u] {
@@ -369,7 +381,9 @@ proptest! {
         for (i, &(kind, fraction)) in ops.iter().enumerate() {
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let states = proc.states();
             let active = |u: usize| match states[u] {
@@ -413,7 +427,9 @@ proptest! {
         for (i, &(kind, fraction)) in ops.iter().enumerate() {
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let colors = proc.colors();
             let active = |u: usize| {
@@ -447,7 +463,9 @@ proptest! {
         for (i, &(kind, fraction)) in ops.iter().enumerate() {
             match kind {
                 0 => proc.step(&mut r),
-                _ => proc.corrupt_fraction(fraction, &mut r),
+                _ => {
+                    proc.inject_faults(fraction, &mut r);
+                }
             }
             let colors = proc.colors();
             let active = |u: usize| {

@@ -15,7 +15,7 @@ use mis_baselines::{
     SequentialSelfStabMis,
 };
 use mis_core::init::InitStrategy;
-use mis_core::{Process, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use mis_core::{Algorithm, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use mis_graph::VertexSet;
 use mis_sim::metrics::RoundTrace;
 use mis_sim::runner::run_trial;
@@ -50,7 +50,7 @@ struct LegacyTrial {
 }
 
 /// Frozen copy of the pre-redesign drive loop.
-fn legacy_drive<P: Process>(
+fn legacy_drive<P: Algorithm>(
     mut proc: P,
     rng: &mut ChaCha8Rng,
     max_rounds: usize,
@@ -242,7 +242,7 @@ fn black_sets_are_identical_not_just_equal_sized() {
             &mut rng,
         );
         while !alg.is_stabilized() && alg.round() < s.max_rounds {
-            alg.step(mis_core::StepCtx::synchronous(&mut rng));
+            alg.step(&mut rng);
         }
         assert_eq!(
             legacy.black_set,

@@ -3,7 +3,7 @@
 //! worker threads must not influence any observable result. For all three
 //! processes, `Parallel{1}`, `Parallel{2}`, and `Parallel{8}` are driven
 //! through **arbitrary interleavings of rounds, fault injections**
-//! (`corrupt_fraction`, the out-of-band mutation path of experiment E11)
+//! (`inject_faults`, the out-of-band mutation path of experiment E11)
 //! **and churn bursts** (`generate_burst` + `apply_mutation`, the live
 //! re-stabilization path of `exp_churn`) and must produce identical state
 //! vectors, black sets, and [`StateCounts`] after every single operation.
@@ -26,10 +26,9 @@
 
 use mis_core::init::InitStrategy;
 use mis_core::{
-    ExecutionMode, Process, StateCounts, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
+    Algorithm, ExecutionMode, StateCounts, ThreeColorProcess, ThreeStateProcess, TwoStateProcess,
 };
 use mis_graph::{generators, Graph, VertexSet};
-use mis_sim::fault::Corruptible;
 use mis_sim::generate_burst;
 use mis_sim::spec::ChurnScenario;
 use proptest::prelude::*;
@@ -127,7 +126,9 @@ proptest! {
                     let mut unused = ChaCha8Rng::seed_from_u64(0);
                     p.step(&mut unused);
                 }
-                1 => p.corrupt_fraction(fraction, fault_rng),
+                1 => {
+                    p.inject_faults(fraction, fault_rng);
+                }
                 _ => {
                     let scenario = ChurnScenario::EdgeChurn { fraction: fraction * 0.3 };
                     let delta = generate_burst(scenario, p.graph(), fault_rng);
@@ -167,7 +168,9 @@ proptest! {
                     let mut unused = ChaCha8Rng::seed_from_u64(0);
                     p.step(&mut unused);
                 }
-                1 => p.corrupt_fraction(fraction, fault_rng),
+                1 => {
+                    p.inject_faults(fraction, fault_rng);
+                }
                 _ => {
                     let scenario = ChurnScenario::EdgeChurn { fraction: fraction * 0.3 };
                     let delta = generate_burst(scenario, p.graph(), fault_rng);
@@ -208,7 +211,9 @@ proptest! {
                     let mut unused = ChaCha8Rng::seed_from_u64(0);
                     p.step(&mut unused);
                 }
-                1 => p.corrupt_fraction(fraction, fault_rng),
+                1 => {
+                    p.inject_faults(fraction, fault_rng);
+                }
                 _ => {
                     let scenario = ChurnScenario::EdgeChurn { fraction: fraction * 0.3 };
                     let delta = generate_burst(scenario, p.graph(), fault_rng);

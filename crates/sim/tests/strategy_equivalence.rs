@@ -11,9 +11,8 @@
 //! `set_state`), not just along the natural dense → sparse trajectory.
 
 use mis_core::init::InitStrategy;
-use mis_core::{Process, RoundStrategy, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use mis_core::{Algorithm, RoundStrategy, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use mis_graph::{generators, Graph};
-use mis_sim::fault::Corruptible;
 use proptest::prelude::*;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -67,7 +66,9 @@ macro_rules! strategy_equivalence_test {
                         match (kind, which) {
                             (0, 2) => $reference(proc, rng),
                             (0, _) => proc.step(rng),
-                            (_, _) => proc.corrupt_fraction(fraction, rng),
+                            (_, _) => {
+                                proc.inject_faults(fraction, rng);
+                            }
                         }
                         snapshots.push((
                             $states(proc),

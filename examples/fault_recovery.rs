@@ -1,36 +1,71 @@
 //! Self-stabilization in action: corrupt a running system and watch it heal.
 //!
 //! The example stabilizes the 2-state process on a random tree, then injects
-//! transient faults of increasing severity (flipping a growing fraction of
-//! the vertex states) and reports how long the system needs to converge back
-//! to a valid MIS — without any coordination, reset, or knowledge that a
-//! fault occurred.
+//! transient faults of increasing severity (overwriting a growing fraction
+//! of the vertex states right after stabilization, via a `FaultSpec`) and
+//! reports how long the system needs to converge back to a valid MIS —
+//! without any coordination, reset, or knowledge that a fault occurred.
 //!
 //! Run with: `cargo run --release --example fault_recovery`
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::graph::generators;
-use selfstab_mis::sim::fault::two_state_recovery;
+use selfstab_mis::core::{AlgorithmConfig, ExecutionMode, RoundStrategy, Synchronous};
+use selfstab_mis::graph::{generators, mis_check};
+use selfstab_mis::sim::observer::ObserverEvent;
+use selfstab_mis::sim::{builtin_registry, drive_algorithm, EventLogObserver, FaultSpec};
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(5);
     let n = 2_000;
     let g = generators::random_tree(n, &mut rng);
     println!("graph: random tree with {} vertices", g.n());
-    println!("\ncorrupted-fraction  initial-rounds  recovery-rounds  recovered-to-MIS");
+    println!(
+        "\ncorrupted-fraction  changed-vertices  initial-rounds  recovery-rounds  recovered-to-MIS"
+    );
 
+    let factory = builtin_registry().get("two-state").expect("builtin key");
     for fraction in [0.01, 0.05, 0.1, 0.25, 0.5, 1.0] {
-        let out = two_state_recovery(&g, InitStrategy::Random, fraction, 1000, 1_000_000);
-        println!(
-            "{:>18} {:>15} {:>16} {:>17}",
-            format!("{:.0}%", fraction * 100.0),
-            out.initial_rounds,
-            out.recovery_rounds,
-            out.recovered_to_mis
+        let mut rng = ChaCha8Rng::seed_from_u64(1000);
+        let config = AlgorithmConfig {
+            init: InitStrategy::Random,
+            execution: ExecutionMode::Sequential,
+            strategy: RoundStrategy::Auto,
+            counter_seed: 0,
+        };
+        let mut alg = factory.init(&g, &config, &mut rng);
+        let mut log = EventLogObserver::new();
+        let out = drive_algorithm(
+            alg.as_mut(),
+            &mut Synchronous,
+            &mut rng,
+            2_000_000,
+            Some(FaultSpec::after_stabilization(fraction)),
+            None,
+            None,
+            &mut [&mut log],
         );
-        assert!(out.recovered_to_mis);
+        // The fault fires at the first stabilization: its event carries the
+        // initial stabilization time and how many vertices it changed.
+        let (initial_rounds, changed) = log
+            .events
+            .iter()
+            .find_map(|e| match e {
+                ObserverEvent::FaultInjection { round, corrupted } => Some((*round, *corrupted)),
+                _ => None,
+            })
+            .expect("the process stabilizes before the fault");
+        let recovered = out.stabilized && mis_check::is_mis(&g, &out.black_set);
+        println!(
+            "{:>18} {:>17} {:>15} {:>16} {:>17}",
+            format!("{:.0}%", fraction * 100.0),
+            changed,
+            initial_rounds,
+            out.rounds - initial_rounds,
+            recovered
+        );
+        assert!(recovered);
     }
 
     println!("\nevery corruption level recovered to a valid MIS — the process is self-stabilizing");

@@ -7,7 +7,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::{Process, TwoStateProcess};
+use selfstab_mis::core::{Algorithm, TwoStateProcess};
 use selfstab_mis::graph::{generators, mis_check};
 
 fn main() {

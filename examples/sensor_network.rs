@@ -14,7 +14,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use selfstab_mis::comm::beeping::BeepingTwoStateMis;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::Process;
+use selfstab_mis::core::Algorithm;
 use selfstab_mis::graph::{generators, mis_check};
 
 fn main() {

@@ -10,13 +10,15 @@
 //! * [`graph`] — static graph substrate, generators, and structural analysis
 //!   (including the *(n,p)-good graph* checker of Definition 17).
 //! * [`core`] — the paper's contribution: the 2-state, 3-state, and 3-color
-//!   MIS processes and the randomized logarithmic switch.
+//!   MIS processes and the randomized logarithmic switch, plus the one
+//!   [`Algorithm`](mis_core::Algorithm) trait every runnable algorithm
+//!   implements and the registry that declares what each supports.
 //! * [`comm`] — weak-communication network models (beeping, synchronous stone
 //!   age) and message-passing adaptations of the processes.
 //! * [`baselines`] — classical and self-stabilizing MIS baselines (Luby,
 //!   greedy, sequential self-stabilizing, Turau-style randomized).
 //! * [`sim`] — experiment harness: trial runner, metrics, statistics, sweeps,
-//!   and transient-fault injection.
+//!   and transient-fault, churn and Byzantine specs.
 //! * [`service`] — graph-service daemon: the registry's algorithms behind an
 //!   HTTP API with named graphs, polled jobs, streaming results, and live
 //!   topology mutation of running jobs.
@@ -25,7 +27,7 @@
 //!
 //! ```
 //! use selfstab_mis::graph::generators::gnp;
-//! use selfstab_mis::core::{TwoStateProcess, Process, init::InitStrategy};
+//! use selfstab_mis::core::{Algorithm, TwoStateProcess, init::InitStrategy};
 //! use rand::SeedableRng;
 //! use rand_chacha::ChaCha8Rng;
 //!
@@ -35,6 +37,18 @@
 //! let rounds = proc.run_to_stabilization(&mut rng, 100_000).expect("stabilizes");
 //! assert!(selfstab_mis::graph::mis_check::is_mis(&g, &proc.black_set()));
 //! println!("stabilized after {rounds} rounds");
+//!
+//! // A transient fault overwrites 10% of the vertices; the process heals.
+//! proc.inject_faults(0.1, &mut rng);
+//! proc.run_to_stabilization(&mut rng, 100_000).expect("recovers");
+//! assert!(selfstab_mis::graph::mis_check::is_mis(&g, &proc.black_set()));
+//!
+//! // Every registry key builds the same trait object and declares what it
+//! // supports.
+//! let beeping = selfstab_mis::sim::builtin_registry()
+//!     .get("beeping-two-state")
+//!     .expect("builtin key");
+//! assert!(beeping.capabilities().fault_injection);
 //! ```
 
 pub use mis_baselines as baselines;

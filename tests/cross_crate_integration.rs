@@ -8,7 +8,7 @@ use selfstab_mis::baselines::{greedy_mis, luby_mis, RandomPriorityMis};
 use selfstab_mis::comm::beeping::BeepingTwoStateMis;
 use selfstab_mis::comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::{Process, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use selfstab_mis::core::{Algorithm, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
 use selfstab_mis::graph::{generators, mis_check, Graph};
 
 fn rng(seed: u64) -> ChaCha8Rng {

@@ -6,7 +6,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::{Process, ThreeStateProcess, TwoStateProcess};
+use selfstab_mis::core::{Algorithm, ThreeStateProcess, TwoStateProcess};
 use selfstab_mis::graph::generators;
 use selfstab_mis::sim::stats::Summary;
 

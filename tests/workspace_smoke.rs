@@ -5,7 +5,7 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::{Process, TwoStateProcess};
+use selfstab_mis::core::{Algorithm, TwoStateProcess};
 use selfstab_mis::graph::{generators, mis_check};
 
 /// Every facade module is reachable and exposes a usable symbol.
