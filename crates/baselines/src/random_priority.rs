@@ -4,7 +4,7 @@
 //! round and `Θ(log n)`-bit messages — the cost that the paper's
 //! constant-state, one-random-bit processes eliminate.
 
-use mis_core::{Algorithm, StateCounts};
+use mis_core::{corrupt, Algorithm, FaultState, StateCounts};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -16,6 +16,26 @@ pub enum Membership {
     In,
     /// The vertex currently does not claim membership.
     Out,
+}
+
+/// A fault flips a fair coin for membership; the per-round priorities are
+/// fresh anyway, so membership is all the memory.
+impl FaultState for Membership {
+    fn random(rng: &mut dyn RngCore) -> Self {
+        if rng.gen_bool(0.5) {
+            Membership::In
+        } else {
+            Membership::Out
+        }
+    }
+
+    fn displayed(self, black: bool) -> Self {
+        if black {
+            Membership::In
+        } else {
+            Membership::Out
+        }
+    }
 }
 
 /// Summary of a completed [`RandomPriorityMis`] run (used by experiment E10).
@@ -77,17 +97,10 @@ impl<'g> RandomPriorityMis<'g> {
     }
 
     /// Creates the algorithm with a uniformly random membership vector
-    /// (an arbitrary initial configuration, as self-stabilization demands).
-    pub fn random_init<R: Rng + ?Sized>(graph: &'g Graph, rng: &mut R) -> Self {
-        let membership = (0..graph.n())
-            .map(|_| {
-                if rng.gen_bool(0.5) {
-                    Membership::In
-                } else {
-                    Membership::Out
-                }
-            })
-            .collect();
+    /// (an arbitrary initial configuration, as self-stabilization demands):
+    /// every vertex starts in a [`FaultState::random`] membership.
+    pub fn random_init(graph: &'g Graph, rng: &mut dyn RngCore) -> Self {
+        let membership = (0..graph.n()).map(|_| Membership::random(rng)).collect();
         Self::new(graph, membership)
     }
 
@@ -255,21 +268,9 @@ impl Algorithm for RandomPriorityMis<'_> {
     }
 
     fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
-        // A fault flips a fair coin for membership; the per-round
-        // priorities are fresh anyway, so membership is all the memory.
-        victims
-            .iter()
-            .filter(|&&u| {
-                let membership = if rng.gen_bool(0.5) {
-                    Membership::In
-                } else {
-                    Membership::Out
-                };
-                let changed = self.membership(u) != membership;
-                self.set_membership(u, membership);
-                changed
-            })
-            .count()
+        corrupt(victims, rng, |u, membership| {
+            std::mem::replace(&mut self.membership[u], membership)
+        })
     }
 }
 

@@ -4,7 +4,6 @@
 use mis_core::init::InitStrategy;
 use mis_core::{AlgorithmConfig, RoundStrategy, Synchronous};
 use mis_graph::{mis_check, Graph};
-use mis_sim::observer::ObserverEvent;
 use mis_sim::runner::{run_experiment, COUNTER_SEED_SALT};
 use mis_sim::spec::{ExecutionMode, ExperimentSpec, FaultSpec, GraphSpec};
 use mis_sim::stats::Summary;
@@ -172,14 +171,7 @@ fn recovery_run(key: &str, graph: &Graph, fraction: f64, seed: u64) -> (usize, u
         None,
         &mut [&mut log],
     );
-    let initial_rounds = log
-        .events
-        .iter()
-        .find_map(|e| match e {
-            ObserverEvent::FaultInjection { round, .. } => Some(*round),
-            _ => None,
-        })
-        .expect("initial stabilization failed");
+    let (initial_rounds, _) = log.first_fault().expect("initial stabilization failed");
     let valid = out.stabilized && mis_check::is_mis(graph, &out.black_set);
     (initial_rounds, out.rounds - initial_rounds, valid)
 }

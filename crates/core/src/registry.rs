@@ -7,10 +7,11 @@
 use crate::algorithm::{
     Algorithm, AlgorithmConfig, AlgorithmFactory, Capabilities, CommunicationModel, Registry,
 };
+use crate::log_switch::RandomizedLogSwitch;
 use crate::rule::{LocalRule, RuleProcess};
-use crate::three_color::ThreeColorProcess;
-use crate::three_state::ThreeStateProcess;
-use crate::two_state::TwoStateProcess;
+use crate::three_color::{ThreeColorProcess, ThreeColorRule};
+use crate::three_state::{ThreeStateProcess, ThreeStateRule};
+use crate::two_state::{TwoStateProcess, TwoStateRule};
 
 /// Registry key of the 2-state process.
 pub const TWO_STATE_KEY: &str = "two-state";
@@ -19,17 +20,18 @@ pub const THREE_STATE_KEY: &str = "three-state";
 /// Registry key of the 3-color process (randomized logarithmic switch).
 pub const THREE_COLOR_KEY: &str = "three-color";
 
-/// What every engine process supports. The 3-color switch is a phase clock
-/// that advances every vertex every round, so that process alone declines
-/// partial activation.
-const ENGINE: Capabilities = Capabilities {
-    topology_change: true,
-    parallel: true,
-    partial_activation: true,
-    fault_injection: true,
-    byzantine: true,
-    trace: true,
-};
+/// What the engine process of rule `R` supports: everything, with partial
+/// activation as the rule declares it ([`LocalRule::PARTIAL_ACTIVATION`]).
+const fn engine<R: LocalRule>() -> Capabilities {
+    Capabilities {
+        topology_change: true,
+        parallel: true,
+        partial_activation: R::PARTIAL_ACTIVATION,
+        fault_injection: true,
+        byzantine: true,
+        trace: true,
+    }
+}
 
 /// Applies the trial's execution mode and round strategy to `process`.
 fn configured<'g, R: LocalRule + 'g>(
@@ -50,7 +52,7 @@ pub fn register_core_algorithms(registry: &mut Registry) {
         TWO_STATE_KEY,
         "2-state MIS process (Definition 4): 1 random bit per active vertex per round",
         full,
-        ENGINE,
+        engine::<TwoStateRule>(),
         |graph, config, rng| {
             configured(TwoStateProcess::with_init(graph, config.init, rng), config)
         },
@@ -59,7 +61,7 @@ pub fn register_core_algorithms(registry: &mut Registry) {
         THREE_STATE_KEY,
         "3-state MIS process (Definition 5): stone-age-implementable, no collision detection",
         full,
-        ENGINE,
+        engine::<ThreeStateRule>(),
         |graph, config, rng| {
             configured(
                 ThreeStateProcess::with_init(graph, config.init, rng),
@@ -71,10 +73,7 @@ pub fn register_core_algorithms(registry: &mut Registry) {
         THREE_COLOR_KEY,
         "3-color MIS process with randomized logarithmic switch (Definition 28, 18 states)",
         full,
-        Capabilities {
-            partial_activation: false,
-            ..ENGINE
-        },
+        engine::<ThreeColorRule<RandomizedLogSwitch>>(),
         |graph, config, rng| {
             let process = ThreeColorProcess::with_randomized_switch(graph, config.init, rng);
             configured(process, config)
@@ -270,6 +269,18 @@ mod tests {
             assert_eq!(a.black_set(), b.black_set(), "{key}: states diverged");
             assert_eq!(ra.next_u64(), rb.next_u64(), "{key}: streams diverged");
         }
+    }
+
+    #[test]
+    #[should_panic(expected = "fraction must be in [0, 1]")]
+    fn inject_faults_rejects_fraction_above_one() {
+        let mut stream = rng(47);
+        let g = generators::path(4);
+        let mut alg = registry()
+            .get(TWO_STATE_KEY)
+            .unwrap()
+            .init(&g, &config(), &mut stream);
+        alg.inject_faults(1.5, &mut stream);
     }
 
     #[test]

@@ -360,16 +360,20 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         self.rule.memory(u, self.state_of(u))
     }
 
-    /// Overwrites the memory of `u` and returns the previous one: the state
-    /// by [`overwrite`](Self::overwrite), and the rule's part with `u`
-    /// re-classified, since a gray vertex's class follows its switch.
+    /// Overwrites the memory of `u` and returns the previous one. A changed
+    /// state goes through [`overwrite`](Self::overwrite), which re-classifies
+    /// `u`; if only the rule's part changed, `u` is re-classified alone,
+    /// since a gray vertex's class follows its switch.
     pub(crate) fn replace_memory(&mut self, u: VertexId, memory: R::Memory) -> R::Memory {
         let old = self.memory(u);
         if old != memory {
             let state = self.rule.set_memory(u, memory);
-            self.overwrite(u, state);
-            self.engine.mark_dirty(u);
-            self.flush();
+            if state == self.state_of(u) {
+                self.engine.mark_dirty(u);
+                self.flush();
+            } else {
+                self.overwrite(u, state);
+            }
         }
         old
     }

@@ -70,7 +70,9 @@ impl FaultState for (ThreeColor, u8) {
 /// which they turn white. The color update of round `t` reads the switch
 /// output of round `t − 1`; the switch then steps, and a parked gray vertex
 /// is re-queued when its output changes (see
-/// [`SwitchProcess::for_each_changed`]).
+/// [`SwitchProcess::for_each_changed`]). The switch is a phase clock that
+/// advances every vertex every round, so the rule keeps the default
+/// [`LocalRule::PARTIAL_ACTIVATION`] of `false`.
 #[derive(Debug, Clone)]
 pub struct ThreeColorRule<S> {
     switch: S,

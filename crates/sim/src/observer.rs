@@ -193,6 +193,15 @@ impl EventLogObserver {
             .sum()
     }
 
+    /// The round of the first fault injection and how many vertices it
+    /// changed, if a fault fired.
+    pub fn first_fault(&self) -> Option<(usize, usize)> {
+        self.events.iter().find_map(|e| match e {
+            ObserverEvent::FaultInjection { round, corrupted } => Some((*round, *corrupted)),
+            _ => None,
+        })
+    }
+
     /// The first round whose Byzantine verdict was "contained", if any.
     pub fn first_contained_at(&self) -> Option<usize> {
         self.events.iter().find_map(|e| match e {

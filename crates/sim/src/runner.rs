@@ -1322,16 +1322,7 @@ mod tests {
                 None,
                 &mut [&mut log],
             );
-            let (round, corrupted) = log
-                .events
-                .iter()
-                .find_map(|e| match e {
-                    ObserverEvent::FaultInjection { round, corrupted } => {
-                        Some((*round, *corrupted))
-                    }
-                    _ => None,
-                })
-                .expect("the fault fires at stabilization");
+            let (round, corrupted) = log.first_fault().expect("the fault fires at stabilization");
             assert!(outcome.stabilized, "fraction {fraction}");
             assert!(mis_check::is_mis(graph, &outcome.black_set));
             if fraction == 0.0 {

@@ -13,7 +13,6 @@ use rand_chacha::ChaCha8Rng;
 use selfstab_mis::core::init::InitStrategy;
 use selfstab_mis::core::{AlgorithmConfig, ExecutionMode, RoundStrategy, Synchronous};
 use selfstab_mis::graph::{generators, mis_check};
-use selfstab_mis::sim::observer::ObserverEvent;
 use selfstab_mis::sim::{builtin_registry, drive_algorithm, EventLogObserver, FaultSpec};
 
 fn main() {
@@ -49,12 +48,7 @@ fn main() {
         // The fault fires at the first stabilization: its event carries the
         // initial stabilization time and how many vertices it changed.
         let (initial_rounds, changed) = log
-            .events
-            .iter()
-            .find_map(|e| match e {
-                ObserverEvent::FaultInjection { round, corrupted } => Some((*round, *corrupted)),
-                _ => None,
-            })
+            .first_fault()
             .expect("the process stabilizes before the fault");
         let recovered = out.stabilized && mis_check::is_mis(&g, &out.black_set);
         println!(
