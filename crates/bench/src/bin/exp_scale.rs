@@ -95,7 +95,7 @@ fn main() {
     );
     println!(
         "host cores: {}; late-phase speedup at n = {}: {:.1}x (fast {:.0} rounds/s vs reference {:.1} rounds/s); best parallel early-phase speedup: {:.2}x",
-        report.threads_available,
+        report.host.nproc,
         report.rows.last().map_or(0, |r| r.n),
         report.headline_speedup(),
         report
@@ -122,11 +122,11 @@ fn main() {
     // A CI config that passes --require-multicore promises a multi-core
     // runner; landing on a 1-core host means the parallel gate below would
     // silently degrade to a warning, so fail loudly instead.
-    if require_multicore && report.threads_available < 2 {
+    if require_multicore && report.host.nproc < 2 {
         eprintln!(
             "GATE FAILED: --require-multicore was passed but the host reports {} core(s) — \
              the parallel-vs-sequential gate cannot run",
-            report.threads_available
+            report.host.nproc
         );
         failed = true;
     }
@@ -176,7 +176,7 @@ fn main() {
                 "parallel early phase at n = 10^5 ({best:.0} rounds/s) is below sequential ({:.0} rounds/s)",
                 row.early.fast_rounds_per_sec
             );
-            if report.threads_available >= 2 {
+            if report.host.nproc >= 2 {
                 eprintln!("GATE FAILED: {msg}");
                 failed = true;
             } else {

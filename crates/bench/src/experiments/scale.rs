@@ -20,7 +20,7 @@
 //! serial-bound — recording the rounds/sec trajectory per thread count and
 //! verifying in-experiment that the final states are **bit-identical across
 //! thread counts**. Parallel speedups are bounded by the host's cores
-//! (recorded as `threads_available`); on a single-core host the sweep still
+//! (recorded in its `host` record); on a single-core host the sweep still
 //! validates determinism but cannot show wall-clock gains.
 //!
 //! The headline numbers — the late-phase speedup and the parallel
@@ -37,6 +37,7 @@ use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
 
+use crate::report::{git_commit, Host};
 use crate::Scale;
 
 /// Thread counts the parallel early-phase sweep measures.
@@ -110,9 +111,11 @@ pub struct ScaleReport {
     pub seed: u64,
     /// Round strategy of the fast path (`auto`, `sparse`, or `dense`).
     pub strategy: String,
-    /// CPU cores available to this run — the hard ceiling on any parallel
-    /// speedup measured here.
-    pub threads_available: usize,
+    /// The machine of this run; its core count is the hard ceiling on any
+    /// parallel speedup measured here.
+    pub host: Host,
+    /// The commit measured ([`git_commit`]).
+    pub commit: String,
     /// One row per graph size.
     pub rows: Vec<ScaleRow>,
 }
@@ -414,7 +417,6 @@ pub fn scale_measurement(
     strategy: RoundStrategy,
 ) -> ScaleReport {
     let min_time = Duration::from_millis(120);
-    let threads_available = std::thread::available_parallelism().map_or(1, |n| n.get());
     let mut rows = Vec::new();
     for &n in ns {
         let mut rng = ChaCha8Rng::seed_from_u64(seed ^ n as u64);
@@ -494,7 +496,8 @@ pub fn scale_measurement(
         avg_degree,
         seed,
         strategy: strategy.label().to_string(),
-        threads_available,
+        host: Host::current(),
+        commit: git_commit(),
         rows,
     }
 }
@@ -521,7 +524,8 @@ mod tests {
         let report = scale_measurement(&[2_000, 4_000], 6.0, 99, RoundStrategy::Auto);
         assert_eq!(report.rows.len(), 2);
         assert_eq!(report.strategy, "auto");
-        assert!(report.threads_available >= 1);
+        assert!(report.host.nproc >= 1);
+        assert!(!report.commit.is_empty());
         // From a random init the early phase is dense; the adaptive engine
         // must record the dense -> sparse handover on the way down.
         assert!(report

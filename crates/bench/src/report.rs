@@ -5,6 +5,9 @@
 use std::fs;
 use std::io;
 use std::path::{Path, PathBuf};
+use std::process::Command;
+
+use serde::{Deserialize, Serialize};
 
 /// Directory (relative to the workspace root / current directory) where
 /// experiment binaries drop their CSV and JSON outputs.
@@ -22,6 +25,68 @@ pub fn write_results_file(name: &str, contents: &str) -> io::Result<PathBuf> {
     let path = dir.join(name);
     fs::write(&path, contents)?;
     Ok(path)
+}
+
+/// The machine a `BENCH_*.json` file was measured on: its core count and
+/// the L2 and L3 sizes of CPU 0 as sysfs reports them (`"unknown"` where it
+/// does not), the fields the repository benchmark prints as its `host`.
+#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+pub struct Host {
+    /// Cores available to the process (`available_parallelism`).
+    pub nproc: usize,
+    /// Size of CPU 0's L2 data or unified cache, e.g. `"2048K"`.
+    pub l2: String,
+    /// Size of CPU 0's L3 cache.
+    pub l3: String,
+}
+
+impl Host {
+    /// Reads the current machine.
+    pub fn current() -> Self {
+        Host {
+            nproc: std::thread::available_parallelism().map_or(1, |n| n.get()),
+            l2: cache_size(2),
+            l3: cache_size(3),
+        }
+    }
+}
+
+/// Size of CPU 0's data or unified cache at `level`, from
+/// `/sys/devices/system/cpu/cpu0/cache`, or `"unknown"`.
+fn cache_size(level: u32) -> String {
+    let entries = fs::read_dir("/sys/devices/system/cpu/cpu0/cache")
+        .into_iter()
+        .flatten();
+    for dir in entries.flatten().map(|entry| entry.path()) {
+        let read = |name: &str| fs::read_to_string(dir.join(name)).map(|s| s.trim().to_string());
+        let size = read("size").unwrap_or_default();
+        if read("level").is_ok_and(|l| l == level.to_string())
+            && read("type").is_ok_and(|t| t != "Instruction")
+            && !size.is_empty()
+        {
+            return size;
+        }
+    }
+    "unknown".to_string()
+}
+
+/// The commit the working directory has checked out (`git rev-parse
+/// HEAD`), suffixed `-dirty` when tracked files differ from it, or
+/// `"unknown"` outside a git checkout.
+pub fn git_commit() -> String {
+    let git = |args: &[&str]| Command::new("git").args(args).output().ok();
+    match git(&["rev-parse", "HEAD"]) {
+        Some(out) if out.status.success() => {
+            let commit = String::from_utf8_lossy(&out.stdout).trim().to_string();
+            let clean = git(&["diff", "--quiet", "HEAD"]).is_some_and(|o| o.status.success());
+            if clean {
+                commit
+            } else {
+                format!("{commit}-dirty")
+            }
+        }
+        _ => "unknown".to_string(),
+    }
 }
 
 /// Prints a titled section to stdout: a header line, a rule, and the body.

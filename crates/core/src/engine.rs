@@ -117,8 +117,16 @@
 //!
 //! The whole sparse round is therefore **two pool dispatches** (two full
 //! barriers plus one internal barrier), down from the historical four-phase
-//! spawn-per-broadcast structure, and every pass buffer (change lists,
-//! sinks, flush scratch, recount segments) is drawn from a recycled pool. A
+//! spawn-per-broadcast structure. A dense round is two dispatches as well:
+//! the volume-balanced [`dense_sweep`](FrontierEngine::dense_sweep) and the
+//! [`recount_par`](FrontierEngine::recount_par) *pull*, where each
+//! participant counts its own vertices' black neighbors (one internal
+//! barrier, no atomic adds but the stable-black +1s); building a
+//! process's engine under `Parallel { threads ≥ 2 }` is that recount alone,
+//! one dispatch. The sequential [`recount`](FrontierEngine::recount) keeps
+//! the push, which walks only the black vertices' lists. Every pass buffer
+//! (change lists, sinks, flush scratch, recount segments) is drawn from a
+//! recycled pool. A
 //! round that runs inline (sequential mode, one thread, or a worklist below
 //! the parallel threshold, as in the sparse tail) therefore allocates
 //! nothing once its buffers are warm, which `tests/round_allocations.rs`
@@ -130,6 +138,8 @@
 //! scheduling-dependent, but every merge is commutative and every random
 //! draw is counter-based, so results (states, black sets, counts, draw
 //! tallies) stay **bit-identical for every thread count**.
+
+use std::ops::Range;
 
 use mis_graph::{Graph, VertexId, VertexSet};
 
@@ -270,10 +280,11 @@ impl FrontierEngine {
     }
 
     /// Rebuilds every counter, flag, count, and the frontier from scratch in
-    /// `O(n + m)`.
+    /// `O(n + m)` on one thread, with `black` as the blackness projection.
     ///
-    /// Used at construction time and by the naive reference step paths; the
-    /// incremental round protocols never need it.
+    /// A process builds its engine by staging its blackness and running
+    /// [`recount_par`](Self::recount_par) instead, on its execution mode's
+    /// threads; the incremental round protocols never need either.
     ///
     /// # Panics
     ///
@@ -305,10 +316,16 @@ impl FrontierEngine {
         self.black.set(u, black);
     }
 
-    /// The dense path's fused full recount: recomputes every counter, flag,
-    /// cached count, and the frontier from the current blackness projection
-    /// in `O(n + m)` streaming passes (no frontier sort, no dirty-marking,
-    /// no lock-prefixed read-modify-writes).
+    /// The dense path's fused full recount on one thread: recomputes every
+    /// counter, flag, cached count, and the frontier from the current
+    /// blackness projection in `O(n + m)` streaming passes (no frontier
+    /// sort, no dirty-marking, no lock-prefixed read-modify-writes).
+    ///
+    /// The counters are *pushed*: each black vertex adds 1 to its
+    /// neighbors' black-neighbor counters, each stable-black vertex to their
+    /// stable-black-neighbor counters. On one thread that walks only the
+    /// black vertices' lists, which beats pulling over every list when few
+    /// vertices are black; [`recount_par`](Self::recount_par) pulls instead.
     ///
     /// Requires the blackness projection (`black`) to be current — the dense
     /// decide sweep maintains it through [`stage_black`](Self::stage_black) —
@@ -322,7 +339,7 @@ impl FrontierEngine {
         debug_assert!(self.dirty.is_empty(), "recount requires a flushed engine");
         assert_eq!(graph.n(), self.n, "graph size must match the engine");
         let n = self.n;
-        // Pass 1: black-neighbor counters from the blackness projection.
+        // Pass 1: black-neighbor counters, pushed from the black vertices.
         self.black_nbrs.clear_all();
         {
             let black = &self.black;
@@ -350,17 +367,43 @@ impl FrontierEngine {
             }
         }
         // Pass 3: flags, cached counts, and the frontier, in one sweep.
+        // Pushing in vertex order leaves the frontier already sorted.
+        let mut frontier = std::mem::take(&mut self.frontier);
+        frontier.clear();
+        let (counts, pending_volume) = self.classify_range(graph, 0..n, &classify, &mut frontier);
+        self.frontier = frontier;
+        self.counts = counts;
+        self.pending_count = self.frontier.len();
+        self.pending_volume = pending_volume;
+    }
+
+    /// The classification pass of both recounts: from settled counters,
+    /// writes the flags and frontier marks of the vertices in `range`,
+    /// appends its pending vertices to `frontier` in ascending order, and
+    /// returns the range's counts and pending volume. Writes only slots of
+    /// `range`, so disjoint ranges may run concurrently.
+    fn classify_range<C>(
+        &self,
+        graph: &Graph,
+        range: Range<VertexId>,
+        classify: &C,
+        frontier: &mut Vec<VertexId>,
+    ) -> (StateCounts, usize)
+    where
+        C: Fn(VertexId, u32) -> VertexClass,
+    {
         let mut counts = StateCounts::default();
         let mut pending_volume = 0usize;
-        self.frontier.clear();
-        for u in 0..n {
+        for u in range {
             let mut f = 0u8;
-            if self.black.get(u) {
+            let black = self.black.get(u);
+            if black {
                 counts.black += 1;
             } else {
                 counts.non_black += 1;
             }
-            let stable_black = self.black.get(u) && self.black_nbrs.get(u) == 0;
+            let black_nbrs = self.black_nbrs.get(u);
+            let stable_black = black && black_nbrs == 0;
             if stable_black {
                 f |= STABLE_BLACK;
                 counts.stable_black += 1;
@@ -370,7 +413,7 @@ impl FrontierEngine {
             } else {
                 counts.unstable += 1;
             }
-            let class = classify(u, self.black_nbrs.get(u));
+            let class = classify(u, black_nbrs);
             debug_assert!(
                 class.pending || !class.active,
                 "active vertices must be pending"
@@ -382,39 +425,49 @@ impl FrontierEngine {
             if class.pending {
                 f |= PENDING;
                 pending_volume += graph.degree(u);
-                self.frontier.push(u);
+                frontier.push(u);
             }
             self.frontier_contains.set(u, class.pending);
             self.flags.set(u, f);
         }
-        // Pushing in vertex order leaves the frontier already sorted.
-        self.counts = counts;
-        self.pending_count = self.frontier.len();
-        self.pending_volume = pending_volume;
+        (counts, pending_volume)
     }
 
-    /// Parallel counterpart of [`recount`](Self::recount): the same fused
-    /// full recount, run as **one** dispatch on the persistent pool with two
-    /// internal barriers between the three passes, over volume-balanced
-    /// vertex ranges ([`Graph::balanced_ranges`]). Counter scatters are
-    /// commutative atomic adds and every flag is written by its range's
-    /// owner, so the result is bit-identical for every thread count; the
-    /// frontier is assembled from the per-range segments in range order and
-    /// therefore comes out sorted, same as the sequential recount. Below the
-    /// parallel threshold or on one thread it runs `pre(0..n)` and the
-    /// sequential recount inline.
+    /// Parallel counterpart of [`recount`](Self::recount): the same full
+    /// recount, run as **one** dispatch on the persistent pool over
+    /// volume-balanced vertex ranges ([`Graph::balanced_ranges`]), each
+    /// owned by one participant, in two passes around **one** internal
+    /// barrier:
     ///
-    /// `pre` is the rule's counter hook: it runs over every vertex range
-    /// during the first (counter-scatter) pass, so a rule can rebuild its
-    /// own auxiliary counters (e.g. the 3-state rule's `black1` neighbor
-    /// counts) in the same dispatch — its output is settled before the
-    /// classification pass reads it, because two barriers separate them.
-    /// `pre` must not read the engine counters being rebuilt in the same
-    /// pass.
+    /// 1. each owner *pulls* its vertices' black-neighbor counts from the
+    ///    blackness projection and stores them with plain stores into slots
+    ///    only it writes (no clearing pass, no atomic adds); a vertex found
+    ///    stable black pushes its +1 into its neighbors' stable-black
+    ///    counters, the only atomic adds left;
+    /// 2. after the barrier, each owner classifies its vertices, by the
+    ///    same pass the sequential recount ends with.
+    ///
+    /// A pull walks every adjacency list where the push walks only the
+    /// black vertices' lists, but it reads instead of scattering writes,
+    /// so it scales with the participants where concurrent atomic adds
+    /// contend; the sequential recount keeps the push and is this pull's
+    /// differential oracle. Counts are exact integers and every flag is
+    /// written by its range's owner, so the result is bit-identical for
+    /// every thread count; the frontier is assembled from the per-range
+    /// segments in range order and therefore comes out sorted, same as the
+    /// sequential recount. Below the parallel threshold or on one thread it
+    /// runs `pre(0..n)` and the sequential recount inline.
+    ///
+    /// `pre` is the rule's counter hook: it runs over every owned range in
+    /// pass 1, so a rule can rebuild its own auxiliary counters (e.g. the
+    /// 3-state rule's `black1` neighbor counts) in the same dispatch — its
+    /// output is settled before the classification pass reads it, because
+    /// the barrier separates them. `pre` must not read the engine counters
+    /// being rebuilt in the same pass.
     pub fn recount_par<C, P>(&mut self, graph: &Graph, threads: usize, classify: C, pre: P)
     where
         C: Fn(VertexId, u32) -> VertexClass + Sync,
-        P: Fn(std::ops::Range<VertexId>) + Sync,
+        P: Fn(Range<VertexId>) + Sync,
     {
         debug_assert!(self.dirty.is_empty(), "recount requires a flushed engine");
         assert_eq!(graph.n(), self.n, "graph size must match the engine");
@@ -428,91 +481,45 @@ impl FrontierEngine {
             pre(0..n);
             return self.recount(graph, classify);
         }
-        self.black_nbrs.clear_all();
         self.stable_black_nbrs.clear_all();
         let pool = rayon::global_pool(threads);
         let seg_source = std::sync::Mutex::new(std::mem::take(&mut self.seg_pool));
-        let black = &self.black;
-        let black_nbrs = &self.black_nbrs;
-        let stable_black_nbrs = &self.stable_black_nbrs;
-        let flags = &self.flags;
-        let frontier_contains = &self.frontier_contains;
+        let engine = &*self;
         let ranges_ref = &ranges;
         let classify = &classify;
         let pre = &pre;
-        // One dispatch, three internally-barriered passes. Participants
-        // without a range (the pool can be wider than the range count) skip
-        // the work but still hit every barrier.
+        // Participants without a range (the pool can be wider than the range
+        // count) skip the work but still hit the barrier.
         let parts: Vec<(StateCounts, usize, Vec<VertexId>)> = pool.broadcast(|ctx| {
-            let range = ranges_ref.get(ctx.index()).copied();
-            // Pass 1: black-neighbor scatter (commutative atomic adds),
-            // fused with the process's auxiliary-counter scatter.
-            if let Some((lo, hi)) = range {
-                for u in lo..hi {
-                    if black.get(u) {
-                        for v in graph.neighbors(u).as_compact() {
-                            black_nbrs.add(v.index(), 1);
+            let range = ranges_ref.get(ctx.index()).map(|&(lo, hi)| lo..hi);
+            // Pass 1: pull the black-neighbor counts, push the stable-black
+            // +1s, and rebuild the rule's counters.
+            if let Some(range) = range.clone() {
+                for u in range.clone() {
+                    let nbrs = graph.neighbors(u).as_compact();
+                    let count: u32 = nbrs
+                        .iter()
+                        .map(|v| u32::from(engine.black.get(v.index())))
+                        .sum();
+                    engine.black_nbrs.set(u, count);
+                    if count == 0 && engine.black.get(u) {
+                        for v in nbrs {
+                            engine.stable_black_nbrs.add(v.index(), 1);
                         }
                     }
                 }
-                pre(lo..hi);
+                pre(range);
             }
             ctx.barrier();
-            // Pass 2: stable-black scatter (reads pass-1 counters).
-            if let Some((lo, hi)) = range {
-                for u in lo..hi {
-                    if black.get(u) && black_nbrs.get(u) == 0 {
-                        for v in graph.neighbors(u).as_compact() {
-                            stable_black_nbrs.add(v.index(), 1);
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-            // Pass 3: flags + per-range counts and frontier segments.
-            let mut counts = StateCounts::default();
-            let mut pending_volume = 0usize;
+            // Pass 2: flags + per-range counts and frontier segments.
             let mut segment = seg_source
                 .lock()
                 .expect("segment pool mutex is never poisoned")
                 .pop()
                 .unwrap_or_default();
-            if let Some((lo, hi)) = range {
-                for u in lo..hi {
-                    let mut f = 0u8;
-                    if black.get(u) {
-                        counts.black += 1;
-                    } else {
-                        counts.non_black += 1;
-                    }
-                    let stable_black = black.get(u) && black_nbrs.get(u) == 0;
-                    if stable_black {
-                        f |= STABLE_BLACK;
-                        counts.stable_black += 1;
-                    }
-                    if stable_black || stable_black_nbrs.get(u) > 0 {
-                        f |= STABLE;
-                    } else {
-                        counts.unstable += 1;
-                    }
-                    let class = classify(u, black_nbrs.get(u));
-                    debug_assert!(
-                        class.pending || !class.active,
-                        "active vertices must be pending"
-                    );
-                    if class.active {
-                        f |= ACTIVE;
-                        counts.active += 1;
-                    }
-                    if class.pending {
-                        f |= PENDING;
-                        pending_volume += graph.degree(u);
-                        segment.push(u);
-                    }
-                    frontier_contains.set(u, class.pending);
-                    flags.set(u, f);
-                }
-            }
+            let (counts, pending_volume) = range.map_or_else(Default::default, |range| {
+                engine.classify_range(graph, range, classify, &mut segment)
+            });
             (counts, pending_volume, segment)
         });
         self.seg_pool = seg_source
@@ -560,7 +567,7 @@ impl FrontierEngine {
     /// inline with no dispatch).
     pub fn dense_sweep<D>(&self, graph: &Graph, threads: usize, decide: D) -> u64
     where
-        D: Fn(&Self, std::ops::Range<VertexId>) -> u64 + Sync,
+        D: Fn(&Self, Range<VertexId>) -> u64 + Sync,
     {
         assert_eq!(graph.n(), self.n, "graph size must match the engine");
         if self.n == 0 {
@@ -1372,28 +1379,116 @@ mod tests {
         assert_eq!(wl_dense, wl_delta);
     }
 
+    /// Builds a fresh engine for `black` through the sequential push
+    /// recount, restages `reused` (whatever configuration it last held) to
+    /// `black`, recounts it with the pool pull on `threads` threads and
+    /// `pre`, and asserts the two agree, down to the stable-black counters
+    /// and the frontier order.
+    fn assert_pull_matches_push<P>(
+        g: &Graph,
+        black: &[bool],
+        reused: &mut FrontierEngine,
+        threads: usize,
+        pre: P,
+        ctx: &str,
+    ) where
+        P: Fn(Range<VertexId>) + Sync,
+    {
+        let mut push = FrontierEngine::new(g.n());
+        push.rebuild(g, |u| black[u], two_state_like(black));
+        for (u, &b) in black.iter().enumerate() {
+            reused.stage_black(u, b);
+        }
+        reused.recount_par(g, threads, two_state_like(black), pre);
+        assert_engines_agree(&push, reused, ctx);
+        for u in 0..g.n() {
+            assert_eq!(
+                push.stable_black_nbrs.get(u),
+                reused.stable_black_nbrs.get(u),
+                "stable_black_nbrs, vertex {u}: {ctx}"
+            );
+        }
+        assert_eq!(push.frontier, reused.frontier, "frontier order: {ctx}");
+    }
+
+    /// The pool recount (a pull) against the sequential one (a push) on
+    /// configurations above the parallel threshold: half and a quarter of
+    /// the vertices black, an MIS with a few flips (many stable-black
+    /// vertices, whose +1s the pull still pushes), and a star whose hub
+    /// sits alone in a range, once black and once white under stable-black
+    /// leaves that all push into it. One engine is reused throughout, so a
+    /// stale counter from the previous configuration would show.
     #[test]
     fn recount_par_matches_recount_for_every_thread_count() {
-        // n = 2500 exceeds PAR_WORK_THRESHOLD, so multi-chunk recounts
-        // actually run chunked.
-        let (rows, cols) = (50, 50);
-        let n = rows * cols;
-        let g = generators::grid(rows, cols);
-        let black: Vec<bool> = (0..n).map(|u| u % 3 == 0).collect();
-        let mut sequential = FrontierEngine::new(n);
-        sequential.rebuild(&g, |u| black[u], two_state_like(&black));
-        for threads in [1usize, 2, 4, 7] {
-            let mut parallel = FrontierEngine::new(n);
-            for (u, &b) in black.iter().enumerate() {
-                parallel.stage_black(u, b);
+        use rand::{Rng, SeedableRng};
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(17);
+        let n = 4000; // above PAR_WORK_THRESHOLD: the pool path runs
+        let g = generators::gnp(n, 8.0 / n as f64, &mut rng);
+        let half: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.5)).collect();
+        let quarter: Vec<bool> = (0..n).map(|_| rng.gen_bool(0.25)).collect();
+        let mut mis_like = vec![false; n];
+        for u in 0..n {
+            mis_like[u] = g.neighbors(u).iter().all(|v| v > u || !mis_like[v]);
+        }
+        for u in (0..n).step_by(97) {
+            mis_like[u] = !mis_like[u];
+        }
+        assert!(mis_like.iter().filter(|&&b| b).count() > n / 8);
+        let star = generators::star(3000);
+        let leaves: Vec<bool> = (0..3000).map(|u| u > 0 && u % 3 != 0).collect();
+        let mut hub_black = leaves.clone();
+        hub_black[0] = true;
+
+        let mut reused = FrontierEngine::new(n);
+        let mut reused_star = FrontierEngine::new(3000);
+        for threads in [2usize, 3, 8, 11] {
+            for (label, black) in [("half", &half), ("quarter", &quarter), ("mis", &mis_like)] {
+                let ctx = format!("{label}, {threads} threads");
+                assert_pull_matches_push(&g, black, &mut reused, threads, |_| {}, &ctx);
             }
-            parallel.recount_par(&g, threads, two_state_like(&black), |_| {});
-            assert_engines_agree(&sequential, &parallel, &format!("threads {threads}"));
-            let mut wl_seq = Vec::new();
-            let mut wl_par = Vec::new();
-            sequential.begin_round(&mut wl_seq);
-            parallel.begin_round(&mut wl_par);
-            assert_eq!(wl_seq, wl_par, "threads {threads}");
+            if threads >= 3 {
+                assert_eq!(star.balanced_ranges(threads)[0], (0, 1), "hub alone");
+            }
+            for (label, black) in [("black hub", &hub_black), ("white hub", &leaves)] {
+                let ctx = format!("star, {label}, {threads} threads");
+                assert_pull_matches_push(&star, black, &mut reused_star, threads, |_| {}, &ctx);
+            }
+            // Under the white hub every black leaf is stable black.
+            assert_eq!(reused_star.counts().stable_black, 2000, "{threads} threads");
+        }
+    }
+
+    /// The 3-state rule's counter hook (`black1` counts) through the pool
+    /// recount: a process built under `Parallel { threads }` equals the one
+    /// built inline, engine and `black1` counters alike.
+    #[test]
+    fn recount_par_runs_the_rule_counter_hook() {
+        use crate::exec::ExecutionMode;
+        use crate::init::InitStrategy;
+        use crate::three_state::ThreeStateProcess;
+        use rand::SeedableRng;
+        let n = 4000;
+        let g = generators::gnp(
+            n,
+            8.0 / n as f64,
+            &mut rand_chacha::ChaCha8Rng::seed_from_u64(5),
+        );
+        let rng = || rand_chacha::ChaCha8Rng::seed_from_u64(6);
+        let inline = ThreeStateProcess::with_init(&g, InitStrategy::Random, &mut rng());
+        for threads in [2usize, 3, 8, 11] {
+            let execution = ExecutionMode::Parallel { threads };
+            let pool =
+                ThreeStateProcess::with_init_on(&g, InitStrategy::Random, &mut rng(), execution);
+            let ctx = format!("three-state, {threads} threads");
+            assert_engines_agree(inline.engine(), pool.engine(), &ctx);
+            assert_eq!(inline.engine().frontier, pool.engine().frontier, "{ctx}");
+            for u in 0..n {
+                assert_eq!(
+                    inline.black1_neighbor_count(u),
+                    pool.black1_neighbor_count(u),
+                    "black1, vertex {u}: {ctx}"
+                );
+            }
         }
     }
 
@@ -1427,7 +1522,7 @@ mod tests {
         // decide+scatter dispatch plus one fused flush dispatch. Uses an
         // uncommon thread count so the global pool's counters are not
         // perturbed by other tests running concurrently.
-        let threads = 11;
+        let threads = 13;
         let n = 6000; // above PAR_WORK_THRESHOLD so dispatches actually run
         let g = generators::grid(60, 100);
         let black = vec![false; n];
@@ -1464,6 +1559,34 @@ mod tests {
             "sparse round used {} dispatches (expected <= 2)",
             after.dispatches - before.dispatches
         );
+    }
+
+    #[test]
+    fn dense_round_costs_two_dispatches_and_one_barrier() {
+        // A dense counter-model round is the decide sweep (one dispatch, no
+        // barrier) plus the pull recount (one dispatch, one internal
+        // barrier). A thread count no other test uses keeps the pool's
+        // counters this test's own.
+        let threads = 14;
+        let n = 6000;
+        let g = generators::grid(60, 100);
+        let black: Vec<bool> = (0..n).map(|u| u % 2 == 0).collect();
+        let mut e = FrontierEngine::new(n);
+        e.rebuild(&g, |_| false, two_state_like(&vec![false; n]));
+        let pool = rayon::global_pool(threads);
+        let before = pool.stats();
+        let staged = e.dense_sweep(&g, threads, |engine, range| {
+            for u in range.clone() {
+                engine.stage_black(u, black[u]);
+            }
+            range.len() as u64
+        });
+        e.recount_par(&g, threads, two_state_like(&black), |_| {});
+        let after = pool.stats();
+        assert_eq!(staged, n as u64);
+        assert_eq!(after.dispatches - before.dispatches, 2, "dispatches");
+        assert_eq!(after.barriers - before.barriers, 1, "barriers");
+        assert_eq!(e.counts().black, n / 2);
     }
 
     #[test]

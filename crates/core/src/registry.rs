@@ -2,7 +2,10 @@
 //!
 //! Each process is a [`RuleProcess`] and implements
 //! [`Algorithm`] through its one generic impl, so an entry only builds the
-//! process and applies the trial's execution mode and round strategy.
+//! process under the trial's execution mode (a `Parallel { threads ≥ 2 }`
+//! trial builds its engine with the pool recount, where the public
+//! constructors build inline) and applies the trial's counter seed and
+//! round strategy.
 
 use crate::algorithm::{
     Algorithm, AlgorithmConfig, AlgorithmFactory, Capabilities, CommunicationModel, Registry,
@@ -54,7 +57,8 @@ pub fn register_core_algorithms(registry: &mut Registry) {
         full,
         engine::<TwoStateRule>(),
         |graph, config, rng| {
-            configured(TwoStateProcess::with_init(graph, config.init, rng), config)
+            let process = TwoStateProcess::with_init_on(graph, config.init, rng, config.execution);
+            configured(process, config)
         },
     ));
     registry.register(AlgorithmFactory::new(
@@ -63,10 +67,9 @@ pub fn register_core_algorithms(registry: &mut Registry) {
         full,
         engine::<ThreeStateRule>(),
         |graph, config, rng| {
-            configured(
-                ThreeStateProcess::with_init(graph, config.init, rng),
-                config,
-            )
+            let process =
+                ThreeStateProcess::with_init_on(graph, config.init, rng, config.execution);
+            configured(process, config)
         },
     ));
     registry.register(AlgorithmFactory::new(
@@ -75,7 +78,12 @@ pub fn register_core_algorithms(registry: &mut Registry) {
         full,
         engine::<ThreeColorRule<RandomizedLogSwitch>>(),
         |graph, config, rng| {
-            let process = ThreeColorProcess::with_randomized_switch(graph, config.init, rng);
+            let process = ThreeColorProcess::with_randomized_switch_on(
+                graph,
+                config.init,
+                rng,
+                config.execution,
+            );
             configured(process, config)
         },
     ));
@@ -134,6 +142,39 @@ mod tests {
             let caps = factory.capabilities();
             assert!(caps.parallel && caps.trace);
         }
+    }
+
+    /// A registry-built process builds its engine under the trial's
+    /// execution mode: one pool dispatch (the pull recount) under
+    /// `Parallel { threads: k }` above the parallel threshold, none under
+    /// `Sequential`, with the same engine either way. `k` is a thread
+    /// count no other test uses, so the pool's counter is this test's own.
+    #[test]
+    fn parallel_init_costs_one_dispatch_and_sequential_none() {
+        let threads = 15;
+        let n = 4 * crate::exec::PAR_WORK_THRESHOLD;
+        let g = generators::gnp(n, 8.0 / n as f64, &mut rng(71));
+        let pool = rayon::global_pool(threads);
+        let factory = *registry().get(TWO_STATE_KEY).unwrap();
+        let mut built = Vec::new();
+        for (execution, dispatches) in [
+            (ExecutionMode::Parallel { threads }, 1),
+            (ExecutionMode::Sequential, 0),
+        ] {
+            let config = AlgorithmConfig {
+                execution,
+                ..config()
+            };
+            let before = pool.stats().dispatches;
+            let alg = factory.init(&g, &config, &mut rng(73));
+            assert_eq!(
+                pool.stats().dispatches - before,
+                dispatches,
+                "{execution:?}"
+            );
+            built.push((alg.black_set(), alg.counts(), alg.active_set()));
+        }
+        assert_eq!(built[0], built[1]);
     }
 
     #[test]

@@ -218,12 +218,19 @@ enum Walk<'a> {
 }
 
 impl<'g, R: LocalRule> RuleProcess<'g, R> {
-    /// Creates the process on `graph` from its initial states and rule.
+    /// Creates the process on `graph` from its initial states and rule,
+    /// under `execution`: its engine is built by the recount of that mode,
+    /// on the pool under `Parallel { threads ≥ 2 }` and inline otherwise.
     ///
     /// # Panics
     ///
     /// Panics if `states.len() != graph.n()`.
-    pub(crate) fn from_parts(graph: &'g Graph, states: Vec<R::State>, rule: R) -> Self {
+    pub(crate) fn from_parts(
+        graph: &'g Graph,
+        states: Vec<R::State>,
+        rule: R,
+        execution: ExecutionMode,
+    ) -> Self {
         assert_eq!(
             states.len(),
             graph.n(),
@@ -234,7 +241,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
             states: PackedStates::from_codes(states.into_iter().map(R::code)),
             rule,
             engine: FrontierEngine::new(graph.n()),
-            mode: ExecutionMode::Sequential,
+            mode: execution,
             strategy: RoundStrategy::Auto,
             last_round_dense: false,
             counter: CounterRng::new(0),
@@ -243,7 +250,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
             worklist: Vec::new(),
             change_pool: Vec::new(),
         };
-        p.rebuild_engine();
+        p.rebuild_engine(execution.threads());
         p
     }
 
@@ -379,16 +386,17 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
     }
 
     /// Rebuilds the rule's counters and every engine counter, flag and
-    /// count from the states in `O(n + m)`.
-    pub(crate) fn rebuild_engine(&mut self) {
+    /// count from the states in `O(n + m)`: stages every vertex's blackness,
+    /// then runs the dense recount on `threads` threads.
+    pub(crate) fn rebuild_engine(&mut self, threads: usize) {
         let graph = self.graph.get();
-        let (rule, states) = (&self.rule, &self.states);
-        rule.recount(graph, states, 0..graph.n());
-        self.engine.rebuild(
-            graph,
-            |u| R::is_black(R::from_code(states.get(u))),
-            classifier(rule, states),
-        );
+        let (rule, states, engine) = (&self.rule, &self.states, &mut self.engine);
+        for u in 0..graph.n() {
+            engine.stage_black(u, R::is_black(R::from_code(states.get(u))));
+        }
+        engine.recount_par(graph, threads, classifier(rule, states), |range| {
+            rule.recount(graph, states, range)
+        });
     }
 
     /// Reclassifies the engine's dirty vertices.

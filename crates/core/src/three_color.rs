@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::{Algorithm, FaultState};
 use crate::counter_rng::CounterRng;
 use crate::engine::VertexClass;
+use crate::exec::ExecutionMode;
 use crate::init::InitStrategy;
 use crate::log_switch::{RandomizedLogSwitch, SwitchProcess, DEFAULT_ZETA};
 use crate::mutation::MutationError;
@@ -227,9 +228,21 @@ impl<'g> ThreeColorProcess<'g, RandomizedLogSwitch<'g>> {
         init: InitStrategy,
         rng: &mut R,
     ) -> Self {
+        Self::with_randomized_switch_on(graph, init, rng, ExecutionMode::Sequential)
+    }
+
+    /// [`with_randomized_switch`](Self::with_randomized_switch) under
+    /// `execution`, whose recount builds the engine (see
+    /// [`RuleProcess::from_parts`]).
+    pub(crate) fn with_randomized_switch_on<R: Rng + ?Sized>(
+        graph: &'g Graph,
+        init: InitStrategy,
+        rng: &mut R,
+        execution: ExecutionMode,
+    ) -> Self {
         let colors = init.three_color(graph.n(), rng);
         let switch = RandomizedLogSwitch::with_init(graph, init, DEFAULT_ZETA, rng);
-        Self::new(graph, colors, switch)
+        RuleProcess::from_parts(graph, colors, ThreeColorRule { switch }, execution)
     }
 }
 
@@ -259,7 +272,12 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
             graph.n(),
             "switch must be defined over the same vertex set"
         );
-        RuleProcess::from_parts(graph, colors, ThreeColorRule { switch })
+        RuleProcess::from_parts(
+            graph,
+            colors,
+            ThreeColorRule { switch },
+            ExecutionMode::Sequential,
+        )
     }
 
     /// The switch sub-process.
@@ -343,7 +361,7 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
         }
         self.states = next;
         self.rule.switch.step_reference(rng);
-        self.rebuild_engine();
+        self.rebuild_engine(1);
         self.round += 1;
     }
 }

@@ -7,6 +7,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{Algorithm, FaultState};
 use crate::engine::VertexClass;
+use crate::exec::ExecutionMode;
 use crate::init::InitStrategy;
 use crate::mutation::MutationError;
 use crate::packed::PackedStates;
@@ -235,15 +236,31 @@ impl<'g> ThreeStateProcess<'g> {
     ///
     /// Panics if `states.len() != graph.n()`.
     pub fn new(graph: &'g Graph, states: Vec<ThreeState>) -> Self {
+        Self::new_on(graph, states, ExecutionMode::Sequential)
+    }
+
+    /// [`new`](Self::new) under `execution`, whose recount builds the
+    /// engine (see [`RuleProcess::from_parts`]).
+    fn new_on(graph: &'g Graph, states: Vec<ThreeState>, execution: ExecutionMode) -> Self {
         let rule = ThreeStateRule {
             black1_nbrs: AtomicU32Vec::new(graph.n()),
         };
-        RuleProcess::from_parts(graph, states, rule)
+        RuleProcess::from_parts(graph, states, rule, execution)
     }
 
     /// Creates the process with states drawn from an [`InitStrategy`].
     pub fn with_init<R: Rng + ?Sized>(graph: &'g Graph, init: InitStrategy, rng: &mut R) -> Self {
-        Self::new(graph, init.three_state(graph.n(), rng))
+        Self::with_init_on(graph, init, rng, ExecutionMode::Sequential)
+    }
+
+    /// [`with_init`](Self::with_init) under `execution`.
+    pub(crate) fn with_init_on<R: Rng + ?Sized>(
+        graph: &'g Graph,
+        init: InitStrategy,
+        rng: &mut R,
+        execution: ExecutionMode,
+    ) -> Self {
+        Self::new_on(graph, init.three_state(graph.n(), rng), execution)
     }
 
     /// Current state of vertex `u`.
@@ -317,7 +334,7 @@ impl<'g> ThreeStateProcess<'g> {
             }
         }
         self.states = next;
-        self.rebuild_engine();
+        self.rebuild_engine(1);
         self.round += 1;
     }
 }
@@ -325,7 +342,6 @@ impl<'g> ThreeStateProcess<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::ExecutionMode;
     use mis_graph::{generators, mis_check, GraphDelta};
     use proptest::prelude::*;
     use rand::SeedableRng;

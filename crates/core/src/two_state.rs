@@ -4,6 +4,7 @@ use serde::{Deserialize, Serialize};
 
 use crate::algorithm::{Algorithm, FaultState};
 use crate::engine::VertexClass;
+use crate::exec::ExecutionMode;
 use crate::init::InitStrategy;
 use crate::rule::{LocalRule, RuleProcess};
 
@@ -153,12 +154,28 @@ impl<'g> TwoStateProcess<'g> {
     ///
     /// Panics if `states.len() != graph.n()`.
     pub fn new(graph: &'g Graph, states: Vec<Color>) -> Self {
-        RuleProcess::from_parts(graph, states, TwoStateRule)
+        RuleProcess::from_parts(graph, states, TwoStateRule, ExecutionMode::Sequential)
     }
 
     /// Creates the process with states drawn from an [`InitStrategy`].
     pub fn with_init<R: Rng + ?Sized>(graph: &'g Graph, init: InitStrategy, rng: &mut R) -> Self {
-        Self::new(graph, init.two_state(graph.n(), rng))
+        Self::with_init_on(graph, init, rng, ExecutionMode::Sequential)
+    }
+
+    /// [`with_init`](Self::with_init) under `execution`, whose recount
+    /// builds the engine (see [`RuleProcess::from_parts`]).
+    pub(crate) fn with_init_on<R: Rng + ?Sized>(
+        graph: &'g Graph,
+        init: InitStrategy,
+        rng: &mut R,
+        execution: ExecutionMode,
+    ) -> Self {
+        RuleProcess::from_parts(
+            graph,
+            init.two_state(graph.n(), rng),
+            TwoStateRule,
+            execution,
+        )
     }
 
     /// Current color of vertex `u`.
@@ -242,7 +259,7 @@ impl<'g> TwoStateProcess<'g> {
             }
         }
         self.states = next;
-        self.rebuild_engine();
+        self.rebuild_engine(1);
         self.round += 1;
     }
 }
@@ -250,7 +267,7 @@ impl<'g> TwoStateProcess<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::exec::{ExecutionMode, RoundStrategy};
+    use crate::exec::RoundStrategy;
     use mis_graph::{generators, mis_check, GraphDelta};
     use proptest::prelude::*;
     use rand::SeedableRng;

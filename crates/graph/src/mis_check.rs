@@ -65,13 +65,62 @@ pub fn is_maximal(g: &Graph, s: &VertexSet) -> bool {
     check_maximal(g, s).is_none()
 }
 
+/// Graphs whose volume `n + 2m` is at least this are checked by [`is_mis`]
+/// on the persistent pool. Below it a check takes a few milliseconds at
+/// most and stays inline, so callers that check many small graphs at once
+/// (service jobs, trial-parallel sweeps) never queue on a pool's dispatch
+/// lock. Every graph on at most 1,000 vertices (volume ≤ n²) and
+/// `G(5·10⁴, 8/n)` (volume ≈ 4.5·10⁵) stay inline.
+const PAR_MIS_VOLUME: usize = 1 << 20;
+
 /// Returns `true` if `s` is a maximal independent set of `g`.
+///
+/// A graph of volume `n + 2m` ≥ 2²⁰ is checked as one dispatch on the
+/// process-wide pool of one thread per core (`rayon::global_pool`), over
+/// volume-balanced vertex ranges ([`Graph::balanced_ranges`]); smaller
+/// graphs are checked inline by [`check_mis`], which stays the
+/// sequential, witness-producing oracle. Both give the same answer. Do not
+/// call it from inside a `broadcast` on that pool: the nested dispatch
+/// would wait for the one that runs it.
 ///
 /// # Panics
 ///
 /// Panics if `s.universe() != g.n()`.
 pub fn is_mis(g: &Graph, s: &VertexSet) -> bool {
-    check_mis(g, s).is_none()
+    if g.n() + 2 * g.m() < PAR_MIS_VOLUME {
+        return check_mis(g, s).is_none();
+    }
+    let threads = std::thread::available_parallelism().map_or(1, |t| t.get());
+    is_mis_on_ranges(g, s, threads)
+}
+
+/// [`is_mis`] over `threads` volume-balanced ranges, one per participant
+/// of `rayon::global_pool(threads)`: each range holds exactly when every
+/// vertex of it is either in `s` with no neighbor in `s`, or outside `s`
+/// with one. A single range runs [`check_mis`] inline.
+fn is_mis_on_ranges(g: &Graph, s: &VertexSet, threads: usize) -> bool {
+    assert_eq!(
+        s.universe(),
+        g.n(),
+        "vertex set universe must match the graph"
+    );
+    let ranges = g.balanced_ranges(threads);
+    if ranges.len() <= 1 {
+        return check_mis(g, s).is_none();
+    }
+    let ranges = &ranges;
+    rayon::global_pool(threads)
+        .broadcast(|ctx| {
+            ranges.get(ctx.index()).map_or(true, |&(lo, hi)| {
+                (lo..hi).all(|u| {
+                    let in_set = s.contains(u);
+                    let dominated = g.neighbors(u).iter().any(|v| s.contains(v));
+                    in_set != dominated
+                })
+            })
+        })
+        .into_iter()
+        .all(|ok| ok)
 }
 
 /// Returns the first independence violation found, if any.
@@ -230,6 +279,118 @@ mod tests {
             check_mis(&g, &not_maximal),
             Some(MisViolation::MaximalityViolated { .. })
         ));
+    }
+
+    /// `s` with vertex `u` made to break independence: `u` joins `s` if it
+    /// is out (a maximal `s` already dominates it), else one of its
+    /// neighbors joins.
+    fn break_independence(g: &Graph, s: &VertexSet, u: VertexId) -> VertexSet {
+        let mut out = s.clone();
+        match (s.contains(u), g.neighbors(u).iter().next()) {
+            (false, _) => {
+                out.insert(u);
+            }
+            (true, Some(v)) => {
+                out.insert(v);
+            }
+            (true, None) => {}
+        }
+        out
+    }
+
+    /// `s` with vertex `u` left undominated: `u` and its neighbors leave.
+    fn break_maximality(g: &Graph, s: &VertexSet, u: VertexId) -> VertexSet {
+        let mut out = s.clone();
+        out.remove(u);
+        for v in g.neighbors(u) {
+            out.remove(v);
+        }
+        out
+    }
+
+    /// The pool path against the sequential oracle on small graphs, which
+    /// reach it through `is_mis_on_ranges`: an MIS, random subsets, and one
+    /// planted independence or maximality violation at the first and the
+    /// last vertex of every range.
+    #[test]
+    fn is_mis_on_ranges_matches_check_mis() {
+        let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(3);
+        let graphs = [
+            crate::generators::gnp(300, 0.02, &mut rng),
+            crate::generators::grid(12, 15),
+            crate::generators::star(40),
+        ];
+        for g in &graphs {
+            let mis = greedy_completion(g, &VertexSet::new(g.n()));
+            for threads in [2usize, 3, 8, 11] {
+                let ranges = g.balanced_ranges(threads);
+                assert!(ranges.len() > 1, "the split must reach the pool");
+                assert!(is_mis_on_ranges(g, &mis, threads));
+                for _ in 0..20 {
+                    let random = VertexSet::from_indices(
+                        g.n(),
+                        (0..g.n()).filter(|_| rand::Rng::gen_bool(&mut rng, 0.4)),
+                    );
+                    assert_eq!(
+                        is_mis_on_ranges(g, &random, threads),
+                        check_mis(g, &random).is_none()
+                    );
+                }
+                for &(lo, hi) in &ranges {
+                    for u in [lo, hi - 1] {
+                        for (kind, planted) in [
+                            ("independence", break_independence(g, &mis, u)),
+                            ("maximality", break_maximality(g, &mis, u)),
+                        ] {
+                            if planted == mis {
+                                continue; // an isolated member has no neighbor to add
+                            }
+                            assert!(check_mis(g, &planted).is_some(), "{kind} at {u}");
+                            assert!(
+                                !is_mis_on_ranges(g, &planted, threads),
+                                "{kind} violation at vertex {u}, {threads} threads"
+                            );
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// Which graphs `is_mis` checks on the pool: none on at most 1,000
+    /// vertices, not `G(5·10⁴, 8/n)`, but `G(2¹⁷, 8/n)`, on which both
+    /// paths agree.
+    #[test]
+    fn is_mis_checks_only_large_graphs_on_the_pool() {
+        let volume = |g: &Graph| g.n() + 2 * g.m();
+        assert!(volume(&crate::generators::complete(1000)) < PAR_MIS_VOLUME);
+        let mid = crate::generators::gnp_counter(50_000, 8.0 / 50_000.0, 1);
+        assert!(volume(&mid) < PAR_MIS_VOLUME);
+        let n = 1 << 17;
+        let large = crate::generators::gnp_counter(n, 8.0 / n as f64, 1);
+        assert!(volume(&large) >= PAR_MIS_VOLUME);
+        let mis = greedy_completion(&large, &VertexSet::new(n));
+        assert!(is_mis(&large, &mis));
+        let planted = break_maximality(&large, &mis, n - 1);
+        assert_eq!(
+            is_mis(&large, &planted),
+            check_mis(&large, &planted).is_none()
+        );
+        assert!(!is_mis(&large, &planted));
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex set universe must match the graph")]
+    fn is_mis_rejects_a_universe_mismatch_inline() {
+        is_mis(&cycle(6), &VertexSet::new(5));
+    }
+
+    #[test]
+    #[should_panic(expected = "vertex set universe must match the graph")]
+    fn is_mis_rejects_a_universe_mismatch_on_the_pool() {
+        let n = 1 << 17;
+        let large = crate::generators::gnp_counter(n, 8.0 / n as f64, 1);
+        is_mis(&large, &VertexSet::new(n - 1));
     }
 
     #[test]
