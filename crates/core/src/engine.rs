@@ -1559,6 +1559,12 @@ mod tests {
             "sparse round used {} dispatches (expected <= 2)",
             after.dispatches - before.dispatches
         );
+        // The barrier budget the `pool_overhead` bench asserts.
+        assert!(
+            after.barriers - before.barriers <= 4,
+            "sparse round crossed {} barriers (expected <= 4)",
+            after.barriers - before.barriers
+        );
     }
 
     #[test]
