@@ -254,10 +254,6 @@ pub struct JobRequest {
     pub init: InitStrategy,
     /// Record per-round state counts into the job's event stream.
     pub record_trace: bool,
-    /// Artificial per-round delay in microseconds (default 0). Test/demo
-    /// knob: keeps a job running long enough to observe live `PATCH`es and
-    /// streams deterministically.
-    pub round_delay_micros: u64,
     /// How long a stabilized job keeps polling its mutation mailbox before
     /// completing, in microseconds (default 0: complete immediately).
     /// A non-zero linger makes "PATCH a running job" deterministic: the job
@@ -280,7 +276,6 @@ impl JobRequest {
             execution: ExecutionMode::Sequential,
             init: InitStrategy::Random,
             record_trace: false,
-            round_delay_micros: 0,
             linger_micros: 0,
         }
     }
@@ -298,10 +293,6 @@ impl Serialize for JobRequest {
             ("execution".to_string(), self.execution.to_value()),
             ("init".to_string(), self.init.to_value()),
             ("record_trace".to_string(), self.record_trace.to_value()),
-            (
-                "round_delay_micros".to_string(),
-                self.round_delay_micros.to_value(),
-            ),
             ("linger_micros".to_string(), self.linger_micros.to_value()),
         ])
     }
@@ -342,7 +333,6 @@ impl Deserialize for JobRequest {
             execution,
             init,
             record_trace: with_default(value, "record_trace")?,
-            round_delay_micros: with_default(value, "round_delay_micros")?,
             linger_micros: with_default(value, "linger_micros")?,
             ..defaults
         })
@@ -656,8 +646,17 @@ mod tests {
         req.seed = 11;
         req.max_rounds = 500;
         req.record_trace = true;
-        req.round_delay_micros = 250;
+        req.linger_micros = 250;
         round_trip(&req);
+    }
+
+    #[test]
+    fn job_request_ignores_the_retired_round_delay_field() {
+        let req: JobRequest = serde_json::from_str(
+            "{\"graph\": 1, \"algorithm\": \"two-state\", \"round_delay_micros\": 250}",
+        )
+        .unwrap();
+        assert_eq!(req, JobRequest::new(1, "two-state"));
     }
 
     #[test]

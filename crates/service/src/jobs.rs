@@ -6,10 +6,13 @@
 //! Lifecycle: `Queued → Running → {Completed, Cancelled, Failed}` (plus
 //! `Interrupted`, assigned only by journal replay to jobs that were running
 //! at a crash). A worker snapshots the target graph, instantiates the
-//! requested algorithm, and drives rounds; between rounds it drains the
-//! job's mutation mailbox (fed by `PATCH /v1/graphs/:id/edges`) through
-//! `Algorithm::apply_mutation`, so topology changes re-stabilize
-//! incrementally instead of restarting the run. Admission is bounded: the
+//! requested algorithm, and runs it through the experiment driver,
+//! `mis_sim::drive_algorithm`, with the job's mailbox as the driver's
+//! `MutationSource`: at each round boundary the mailbox answers a
+//! cancellation with a stop, applies the next `PATCH /v1/graphs/:id/edges`
+//! delta through `Algorithm::apply_mutation` (so topology changes
+//! re-stabilize incrementally instead of restarting the run), and keeps a
+//! converged job resident for its linger window. Admission is bounded: the
 //! FIFO queue has a fixed capacity and [`JobStore::submit`] sheds load with
 //! a typed error once it fills. Shutdown ([`JobStore::drain`]) stops
 //! intake, cancels everything still queued, lets running jobs finish, and
@@ -24,11 +27,11 @@ use std::sync::{Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mis_core::{Activation, AlgorithmConfig};
+use mis_core::{Algorithm, AlgorithmConfig, StateCounts};
 use mis_graph::{mis_check, GraphDelta};
-use mis_sim::builtin_registry;
 use mis_sim::runner::COUNTER_SEED_SALT;
-use rand::SeedableRng;
+use mis_sim::{builtin_registry, drive_algorithm, MutationPoll, MutationSource, Observer};
+use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 
 use crate::api::{JobGauges, JobInfo, JobOutcome, JobRequest, JobStatus};
@@ -139,9 +142,9 @@ pub struct Job {
     /// `PATCH` handler only forwards deltas to jobs whose snapshot predates
     /// the patched version, so a delta is never applied twice.
     snapshot_version: AtomicU64,
-    /// Whether the instantiated algorithm can follow topology changes
-    /// (unknown until the worker instantiates it).
-    topology_capable: Mutex<Option<bool>>,
+    /// Whether the job's algorithm can follow topology changes, as its
+    /// registry entry declares.
+    topology_capable: bool,
     /// The store's draining flag: a stabilized job stops lingering the
     /// moment shutdown starts, so resident jobs can never wedge the drain.
     drain_flag: Arc<AtomicBool>,
@@ -221,29 +224,32 @@ impl Job {
     }
 
     /// Enqueues a live topology delta if this job can still consume it:
-    /// not terminal, algorithm not known to lack topology support, and the
-    /// job's graph snapshot (if taken) predates `patched_version`. Returns
+    /// started but not terminal, algorithm able to follow topology changes,
+    /// and the job's graph snapshot predating `patched_version`. Returns
     /// `Some(true)` if enqueued, `Some(false)` if the algorithm cannot
     /// follow topology changes, `None` if the job no longer needs it.
     pub fn push_delta(&self, delta: &GraphDelta, patched_version: u64) -> Option<bool> {
         if self.status().is_terminal() {
             return None;
         }
-        if *sync::lock(&self.topology_capable) == Some(false) {
+        let snapshot = self.snapshot_version.load(Ordering::SeqCst);
+        if snapshot == 0 {
+            // Not started yet: it will snapshot the patched graph.
+            return None;
+        }
+        if !self.topology_capable {
             return Some(false);
         }
-        let snapshot = self.snapshot_version.load(Ordering::SeqCst);
-        if snapshot == 0 || snapshot >= patched_version {
-            // Not started yet (will snapshot the patched graph) or already
-            // snapshotted it: the delta is baked into the job's graph.
+        if snapshot >= patched_version {
+            // The delta is already baked into the job's snapshot.
             return None;
         }
         sync::lock(&self.mailbox).push_back(delta.clone());
         Some(true)
     }
 
-    fn take_mail(&self) -> Vec<GraphDelta> {
-        sync::lock(&self.mailbox).drain(..).collect()
+    fn next_delta(&self) -> Option<GraphDelta> {
+        sync::lock(&self.mailbox).pop_front()
     }
 }
 
@@ -348,6 +354,9 @@ impl JobStore {
     }
 
     fn new_job(&self, id: u64, entry: Arc<GraphEntry>, request: JobRequest) -> Arc<Job> {
+        let topology_capable = builtin_registry()
+            .get(&request.algorithm)
+            .is_some_and(|factory| factory.capabilities().topology_change);
         Arc::new(Job {
             id,
             entry,
@@ -362,7 +371,7 @@ impl JobStore {
             mailbox: Mutex::new(VecDeque::new()),
             events: EventBuffer::new(),
             snapshot_version: AtomicU64::new(0),
-            topology_capable: Mutex::new(None),
+            topology_capable,
             drain_flag: Arc::clone(&self.draining),
             journal: self.journal.clone(),
         })
@@ -606,10 +615,16 @@ fn execute(job: &Arc<Job>) {
         state.status = JobStatus::Running;
     }
     job.journal_append(&Record::JobStarted { id: job.id });
-    let result = catch_unwind(AssertUnwindSafe(|| run_job(job)));
+    let result = catch_unwind(AssertUnwindSafe(|| run_job(job))).unwrap_or_else(|panic| {
+        Err(panic
+            .downcast_ref::<&str>()
+            .map(|s| (*s).to_string())
+            .or_else(|| panic.downcast_ref::<String>().cloned())
+            .unwrap_or_else(|| "worker panicked".to_string()))
+    });
     let mut state = sync::lock(&job.state);
     match result {
-        Ok(Ok(RunEnd::Completed { outcome, mis })) => {
+        Ok(RunEnd::Completed { outcome, mis }) => {
             job.events.push(format!(
                 "{{\"event\":\"done\",\"status\":\"completed\",\"rounds\":{},\"stabilized\":{},\"valid_mis\":{}}}",
                 outcome.rounds, outcome.stabilized, outcome.valid_mis
@@ -618,25 +633,12 @@ fn execute(job: &Arc<Job>) {
             state.outcome = Some(outcome);
             state.mis = Some(mis);
         }
-        Ok(Ok(RunEnd::Cancelled)) => {
+        Ok(RunEnd::Cancelled) => {
             job.events
                 .push("{\"event\":\"done\",\"status\":\"cancelled\"}".to_string());
             state.status = JobStatus::Cancelled;
         }
-        Ok(Err(message)) => {
-            job.events.push(format!(
-                "{{\"event\":\"done\",\"status\":\"failed\",\"error\":{}}}",
-                json_string(&message)
-            ));
-            state.status = JobStatus::Failed;
-            state.error = Some(message);
-        }
-        Err(panic) => {
-            let message = panic
-                .downcast_ref::<&str>()
-                .map(|s| (*s).to_string())
-                .or_else(|| panic.downcast_ref::<String>().cloned())
-                .unwrap_or_else(|| "worker panicked".to_string());
+        Err(message) => {
             job.events.push(format!(
                 "{{\"event\":\"done\",\"status\":\"failed\",\"error\":{}}}",
                 json_string(&message)
@@ -678,11 +680,88 @@ fn json_string(s: &str) -> String {
     out
 }
 
+/// The job's side of the driver's between-rounds hook: cancellation, the
+/// `PATCH` mailbox, and the linger window of a converged job.
+struct Mailbox<'a> {
+    job: &'a Job,
+    mutations_applied: usize,
+    cancelled: bool,
+}
+
+impl MutationSource for Mailbox<'_> {
+    fn poll(
+        &mut self,
+        alg: &mut dyn Algorithm,
+        converged: bool,
+        _rng: &mut dyn RngCore,
+    ) -> MutationPoll {
+        let linger = Duration::from_micros(self.job.request.linger_micros);
+        // A converged job lingers inside one poll, so an applied delta,
+        // which returns, restarts the window at the next poll.
+        let mut since = None;
+        loop {
+            if self.job.cancel.load(Ordering::SeqCst) {
+                self.cancelled = true;
+                return MutationPoll::Stop;
+            }
+            while let Some(delta) = self.job.next_delta() {
+                match alg.apply_mutation(&delta) {
+                    Ok(committed) => {
+                        self.mutations_applied += 1;
+                        self.job.events.push(format!(
+                            "{{\"event\":\"topology\",\"round\":{},\"inserted\":{},\"removed\":{},\"new_n\":{}}}",
+                            alg.round(),
+                            committed.inserted.len(),
+                            committed.removed.len(),
+                            committed.new_n
+                        ));
+                        return MutationPoll::Applied(committed);
+                    }
+                    Err(e) => self.job.events.push(format!(
+                        "{{\"event\":\"mutation_rejected\",\"round\":{},\"error\":{}}}",
+                        alg.round(),
+                        json_string(&e.to_string())
+                    )),
+                }
+            }
+            if !converged || linger.is_zero() {
+                return MutationPoll::Idle;
+            }
+            let since = *since.get_or_insert_with(Instant::now);
+            if since.elapsed() >= linger || self.job.drain_flag.load(Ordering::SeqCst) {
+                return MutationPoll::Idle;
+            }
+            thread::sleep(POLL_INTERVAL.min(linger));
+        }
+    }
+}
+
+/// Streams each round's counts into the job's event buffer. Attached only to
+/// traced jobs, so an untraced job never calls `counts()`.
+struct RoundEvents<'a>(&'a EventBuffer);
+
+impl Observer for RoundEvents<'_> {
+    fn on_round(&mut self, round: usize, counts: &StateCounts) {
+        self.0.push(format!(
+            "{{\"event\":\"round\",\"round\":{round},\"black\":{},\"active\":{},\"unstable\":{}}}",
+            counts.black, counts.active, counts.unstable
+        ));
+    }
+}
+
 fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
     let request = &job.request;
     let factory = builtin_registry()
         .get(&request.algorithm)
         .ok_or_else(|| format!("unknown algorithm '{}'", request.algorithm))?;
+    let caps = factory.capabilities();
+    if !request.scheduler.is_synchronous() && !caps.partial_activation {
+        return Err(format!(
+            "algorithm '{}' does not support the {} scheduler",
+            request.algorithm,
+            request.scheduler.label()
+        ));
+    }
 
     let (graph, version) = job.entry.snapshot();
     job.snapshot_version.store(version, Ordering::SeqCst);
@@ -694,100 +773,47 @@ fn run_job(job: &Arc<Job>) -> Result<RunEnd, String> {
         strategy: request.strategy,
         counter_seed: request.seed ^ COUNTER_SEED_SALT,
     };
-    let caps = factory.capabilities();
     let start = Instant::now();
     let mut algorithm = factory.init(&graph, &config, &mut rng);
-    *sync::lock(&job.topology_capable) = Some(caps.topology_change);
-
-    if !request.scheduler.is_synchronous() && !caps.partial_activation {
-        return Err(format!(
-            "algorithm '{}' does not support the {} scheduler",
-            request.algorithm,
-            request.scheduler.label()
-        ));
-    }
     let mut scheduler = request.scheduler.build();
-    let trace = request.record_trace && caps.trace;
-    let linger = Duration::from_micros(job.request.linger_micros);
-    let mut mutations_applied = 0usize;
-    let mut stable_since: Option<Instant> = None;
-
-    loop {
-        if job.cancel.load(Ordering::SeqCst) {
-            return Ok(RunEnd::Cancelled);
-        }
-        let mut mutated = false;
-        for delta in job.take_mail() {
-            match algorithm.apply_mutation(&delta) {
-                Ok(committed) => {
-                    mutations_applied += 1;
-                    mutated = true;
-                    job.events.push(format!(
-                        "{{\"event\":\"topology\",\"round\":{},\"inserted\":{},\"removed\":{},\"new_n\":{}}}",
-                        algorithm.round(),
-                        committed.inserted.len(),
-                        committed.removed.len(),
-                        committed.new_n
-                    ));
-                }
-                Err(e) => {
-                    job.events.push(format!(
-                        "{{\"event\":\"mutation_rejected\",\"round\":{},\"error\":{}}}",
-                        algorithm.round(),
-                        json_string(&e.to_string())
-                    ));
-                }
-            }
-        }
-        if mutated {
-            stable_since = None;
-        }
-        if algorithm.is_stabilized() {
-            let since = *stable_since.get_or_insert_with(Instant::now);
-            if since.elapsed() >= linger || job.drain_flag.load(Ordering::SeqCst) {
-                break;
-            }
-            thread::sleep(POLL_INTERVAL.min(linger));
-            continue;
-        }
-        stable_since = None;
-        if algorithm.round() >= request.max_rounds {
-            break;
-        }
-        match scheduler.next_activation(algorithm.n(), algorithm.round(), &mut rng) {
-            Activation::All => algorithm.step(&mut rng),
-            Activation::Subset(set) => algorithm.step_scheduled(&set, &mut rng),
-        }
-        if trace {
-            let counts = algorithm.counts();
-            job.events.push(format!(
-                "{{\"event\":\"round\",\"round\":{},\"black\":{},\"active\":{},\"unstable\":{}}}",
-                algorithm.round(),
-                counts.black,
-                counts.active,
-                counts.unstable
-            ));
-        }
-        if request.round_delay_micros > 0 {
-            thread::sleep(Duration::from_micros(request.round_delay_micros));
-        }
+    let mut mailbox = Mailbox {
+        job,
+        mutations_applied: 0,
+        cancelled: false,
+    };
+    let mut round_events = (request.record_trace && caps.trace).then(|| RoundEvents(&job.events));
+    let mut observers: Vec<&mut dyn Observer> = Vec::new();
+    if let Some(obs) = round_events.as_mut() {
+        observers.push(obs);
+    }
+    let driven = drive_algorithm(
+        algorithm.as_mut(),
+        scheduler.as_mut(),
+        &mut rng,
+        request.max_rounds,
+        None,
+        Some(&mut mailbox),
+        None,
+        &mut observers,
+    );
+    if mailbox.cancelled {
+        return Ok(RunEnd::Cancelled);
     }
 
-    let black = algorithm.black_set();
     let final_graph = algorithm.current_graph().unwrap_or(&graph);
     let outcome = JobOutcome {
-        rounds: algorithm.round(),
-        stabilized: algorithm.is_stabilized(),
-        valid_mis: mis_check::is_mis(final_graph, &black),
-        mis_size: black.len(),
+        rounds: driven.rounds,
+        stabilized: driven.stabilized,
+        valid_mis: mis_check::is_mis(final_graph, &driven.black_set),
+        mis_size: driven.black_set.len(),
         n: final_graph.n(),
         m: final_graph.m(),
-        random_bits: algorithm.random_bits_used(),
-        states_per_vertex: algorithm.states_per_vertex(),
-        mutations_applied,
+        random_bits: driven.random_bits,
+        states_per_vertex: driven.states_per_vertex,
+        mutations_applied: mailbox.mutations_applied,
         wall_micros: start.elapsed().as_micros() as u64,
     };
-    let mis = black.iter().collect();
+    let mis = driven.black_set.iter().collect();
     Ok(RunEnd::Completed { outcome, mis })
 }
 
@@ -875,6 +901,11 @@ mod tests {
         let job = store.submit(Arc::clone(&entry), request).unwrap();
         assert_eq!(wait_terminal(&job), JobStatus::Failed);
         assert!(job.info().error.unwrap().contains("scheduler"));
+        assert_eq!(
+            job.snapshot_version.load(Ordering::SeqCst),
+            0,
+            "refused before the snapshot and the algorithm's init"
+        );
         store.drain();
     }
 
@@ -916,6 +947,139 @@ mod tests {
         job.cancel();
         assert_eq!(wait_terminal(&job), JobStatus::Cancelled);
         store.drain();
+    }
+
+    /// The job's event lines so far, as (event, round) pairs.
+    fn events(job: &Job) -> Vec<(String, Option<usize>)> {
+        sync::lock(&job.events.lines)
+            .iter()
+            .map(|line| {
+                let value: serde::Value = serde_json::from_str(line).unwrap();
+                let field = |name| serde::get_field(&value, name).ok();
+                let event = serde::Deserialize::from_value(field("event").unwrap()).unwrap();
+                let round = field("round").map(|r| serde::Deserialize::from_value(r).unwrap());
+                (event, round)
+            })
+            .collect()
+    }
+
+    /// Waits until `job` has emitted an `event` line.
+    fn wait_event(job: &Job, event: &str) {
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while !events(job).iter().any(|(e, _)| e == event) {
+            assert!(
+                Instant::now() < deadline,
+                "job {} never emitted {event}",
+                job.id
+            );
+            thread::sleep(Duration::from_millis(2));
+        }
+    }
+
+    #[test]
+    fn rejected_delta_is_reported_and_leaves_the_run_intact() {
+        let (_registry, entry) = registry_with_path(30);
+        let store = JobStore::start(1, 0, None);
+        let mut request = JobRequest::new(entry.id, "two-state");
+        request.linger_micros = 30_000_000;
+        let job = store.submit(Arc::clone(&entry), request).unwrap();
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(job.status(), JobStatus::Running);
+
+        // Vertex 99 is out of range on the 30-vertex path.
+        let mut delta = GraphDelta::new();
+        delta.detach_vertex(99);
+        let version = entry.snapshot().1;
+        assert_eq!(job.push_delta(&delta, version + 1), Some(true));
+        wait_event(&job, "mutation_rejected");
+
+        store.drain();
+        assert_eq!(job.status(), JobStatus::Completed);
+        let outcome = job.info().outcome.unwrap();
+        assert_eq!(outcome.mutations_applied, 0);
+        assert_eq!(outcome.n, 30);
+        assert!(outcome.stabilized && outcome.valid_mis);
+    }
+
+    #[test]
+    fn push_delta_answers_by_start_and_capability() {
+        let (registry, entry) = registry_with_path(30);
+        let store = JobStore::start(2, 0, None);
+        let lingering = |key| {
+            let mut request = JobRequest::new(entry.id, key);
+            request.linger_micros = 30_000_000;
+            store.submit(Arc::clone(&entry), request).unwrap()
+        };
+        // Both workers hold a lingering job, so the third one stays queued.
+        let two_state = lingering("two-state");
+        let greedy = lingering("greedy");
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(two_state.status(), JobStatus::Running);
+        assert_eq!(greedy.status(), JobStatus::Running);
+        let queued = store
+            .submit(Arc::clone(&entry), JobRequest::new(entry.id, "greedy"))
+            .unwrap();
+        assert_eq!(queued.status(), JobStatus::Queued);
+
+        let mut delta = GraphDelta::new();
+        delta.add_edge(0, 2);
+        let (_committed, version) = registry.apply_delta(entry.id, &delta).unwrap().unwrap();
+        assert_eq!(queued.push_delta(&delta, version), None, "queued");
+        assert_eq!(greedy.push_delta(&delta, version), Some(false), "greedy");
+        assert_eq!(
+            two_state.push_delta(&delta, version),
+            Some(true),
+            "two-state"
+        );
+        wait_event(&two_state, "topology");
+
+        store.drain();
+        assert_eq!(queued.status(), JobStatus::Cancelled);
+        let applied = |job: &Job| job.info().outcome.unwrap().mutations_applied;
+        assert_eq!(applied(&greedy), 0);
+        assert_eq!(applied(&two_state), 1);
+    }
+
+    #[test]
+    fn traced_patched_job_streams_rounds_around_the_topology_event() {
+        let (registry, entry) = registry_with_path(30);
+        let store = JobStore::start(1, 0, None);
+        let mut request = JobRequest::new(entry.id, "two-state");
+        request.record_trace = true;
+        request.linger_micros = 30_000_000;
+        let job = store.submit(Arc::clone(&entry), request).unwrap();
+        thread::sleep(Duration::from_millis(50));
+        assert_eq!(job.status(), JobStatus::Running);
+
+        let mut delta = GraphDelta::new();
+        delta.add_vertex([0, 1]);
+        delta.remove_edge(10, 11);
+        let (_committed, version) = registry.apply_delta(entry.id, &delta).unwrap().unwrap();
+        assert_eq!(job.push_delta(&delta, version), Some(true));
+        wait_event(&job, "topology");
+        store.drain();
+
+        let events = events(&job);
+        let round = |i: usize| match &events[i] {
+            (event, Some(round)) if event == "round" => *round,
+            other => panic!("event {i} is {other:?}, not a round: {events:?}"),
+        };
+        let at = events.iter().position(|(e, _)| e == "topology").unwrap();
+        let topology_round = events[at].1.unwrap();
+        assert_eq!(round(0), 0, "the stream opens with round 0");
+        assert!((1..at).all(|i| round(i) == i), "{events:?}");
+        assert_eq!(round(at - 1), topology_round);
+        assert_eq!(round(at + 1), topology_round, "re-emitted after the delta");
+        let last = events.len() - 1;
+        assert!(
+            (at + 2..last).all(|i| round(i) == round(i - 1) + 1),
+            "{events:?}"
+        );
+        assert_eq!(events[last].0, "done");
+        let outcome = job.info().outcome.unwrap();
+        assert_eq!(round(last - 1), outcome.rounds);
+        assert_eq!(outcome.mutations_applied, 1);
+        assert!(outcome.valid_mis);
     }
 
     #[test]

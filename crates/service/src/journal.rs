@@ -769,7 +769,7 @@ fn parse_frame(line: &str) -> Option<(u64, Record)> {
 
 /// One graph in a snapshot: topology stored as explicit edges so recovery
 /// is exact regardless of how the graph was originally created.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotGraph {
     /// Registry id.
     pub id: u64,
@@ -803,7 +803,7 @@ pub struct SnapshotJob {
 }
 
 /// The full snapshot file contents.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotDoc {
     /// Sequence number of the last journal record this snapshot covers.
     pub last_seq: u64,
@@ -846,32 +846,6 @@ impl SnapshotDoc {
     }
 }
 
-impl Serialize for SnapshotGraph {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_string(), self.id.to_value()),
-            ("name".to_string(), self.name.to_value()),
-            ("source".to_string(), self.source.to_value()),
-            ("n".to_string(), self.n.to_value()),
-            ("edges".to_string(), self.edges.to_value()),
-            ("version".to_string(), self.version.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotGraph {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(SnapshotGraph {
-            id: u64::from_value(field(value, "id")?)?,
-            name: String::from_value(field(value, "name")?)?,
-            source: String::from_value(field(value, "source")?)?,
-            n: usize::from_value(field(value, "n")?)?,
-            edges: Vec::from_value(field(value, "edges")?)?,
-            version: u64::from_value(field(value, "version")?)?,
-        })
-    }
-}
-
 impl Serialize for SnapshotJob {
     fn to_value(&self) -> Value {
         Value::Object(vec![
@@ -894,26 +868,6 @@ impl Deserialize for SnapshotJob {
             outcome: opt_from(value, "outcome")?,
             error: opt_from(value, "error")?,
             mis: opt_from(value, "mis")?,
-        })
-    }
-}
-
-impl Serialize for SnapshotDoc {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("last_seq".to_string(), self.last_seq.to_value()),
-            ("graphs".to_string(), self.graphs.to_value()),
-            ("jobs".to_string(), self.jobs.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotDoc {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(SnapshotDoc {
-            last_seq: u64::from_value(field(value, "last_seq")?)?,
-            graphs: Vec::from_value(field(value, "graphs")?)?,
-            jobs: Vec::from_value(field(value, "jobs")?)?,
         })
     }
 }
@@ -1293,5 +1247,19 @@ mod tests {
             let value: Value = serde_json::from_str(&json).unwrap();
             assert_eq!(Record::from_value(&value).unwrap(), record);
         }
+    }
+
+    #[test]
+    fn job_submitted_records_with_the_retired_round_delay_field_still_parse() {
+        let line = "{\"type\": \"job_submitted\", \"id\": 3, \"request\": \
+                    {\"graph\": 1, \"algorithm\": \"two-state\", \"round_delay_micros\": 250}}";
+        let value: Value = serde_json::from_str(line).unwrap();
+        assert_eq!(
+            Record::from_value(&value).unwrap(),
+            Record::JobSubmitted {
+                id: 3,
+                request: JobRequest::new(1, "two-state"),
+            }
+        );
     }
 }

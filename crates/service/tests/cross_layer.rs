@@ -9,6 +9,9 @@
 //!   reports the same rounds, random bits, stabilization verdict and MIS as
 //!   `factory.init` + `drive_algorithm` on the same graph, with the trial
 //!   RNG seeded by `s` and the counter RNG keyed by `s ^ COUNTER_SEED_SALT`.
+//!   A job that takes a live `PATCH` delta equals the driver run up to the
+//!   job's apply round, `apply_mutation` of the same delta, and the driver
+//!   again on the same RNG.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::Arc;
@@ -17,10 +20,10 @@ use std::time::{Duration, Instant};
 
 use mis_core::init::InitStrategy;
 use mis_core::{AlgorithmConfig, ByzantineStrategy, ExecutionMode, RoundStrategy};
-use mis_graph::generators;
-use mis_service::api::{AlgorithmInfo, JobRequest, DEFAULT_MAX_ROUNDS};
-use mis_service::graphs::GraphEntry;
-use mis_service::jobs::JobStore;
+use mis_graph::{generators, GraphDelta};
+use mis_service::api::{AlgorithmInfo, JobRequest, JobStatus, DEFAULT_MAX_ROUNDS};
+use mis_service::graphs::{GraphEntry, GraphRegistry};
+use mis_service::jobs::{ndjson_stream, JobStore};
 use mis_service::{Service, ServiceConfig};
 use mis_sim::runner::{run_trial, COUNTER_SEED_SALT};
 use mis_sim::spec::{
@@ -276,4 +279,133 @@ fn service_jobs_equal_the_driver_for_every_key() {
         );
     }
     store.drain();
+}
+
+#[test]
+fn patched_jobs_equal_the_driver_with_the_same_delta() {
+    let mut setup = ChaCha8Rng::seed_from_u64(301);
+    let graph = generators::gnp(300, 0.03, &mut setup);
+    // One delta of each kind, on disjoint vertices: add an edge, remove an
+    // edge, join a vertex, detach a vertex.
+    let (a, b) = graph
+        .vertices()
+        .flat_map(|u| (u + 1..graph.n()).map(move |v| (u, v)))
+        .find(|&(u, v)| u > 10 && !graph.has_edge(u, v))
+        .expect("a non-edge");
+    let (c, d) = graph
+        .edges()
+        .find(|&(u, v)| u > b && v > b)
+        .expect("an edge clear of the insertion");
+    let mut delta = GraphDelta::new();
+    delta
+        .add_edge(a, b)
+        .remove_edge(c, d)
+        .add_vertex([0, 1, 2])
+        .detach_vertex(3);
+
+    let executions = [
+        ExecutionMode::Sequential,
+        ExecutionMode::Parallel { threads: 2 },
+    ];
+    for (i, key) in ["two-state", "three-state", "three-color"]
+        .into_iter()
+        .enumerate()
+    {
+        for execution in executions {
+            let label = format!("{key} / {execution:?}");
+            let seed = 41 + i as u64;
+            let registry = GraphRegistry::new();
+            let entry = registry.insert("gnp".into(), "gnp(300, 0.03)".into(), graph.clone());
+            let store = JobStore::start(1, 0, None);
+            let mut request = JobRequest::new(entry.id, key);
+            request.seed = seed;
+            request.execution = execution;
+            request.linger_micros = 30_000_000;
+            let job = store.submit(Arc::clone(&entry), request).expect("submit");
+            let deadline = Instant::now() + Duration::from_secs(60);
+            while job.status() == JobStatus::Queued {
+                assert!(Instant::now() < deadline, "{label}: job never started");
+                thread::sleep(Duration::from_millis(1));
+            }
+            // Let the job snapshot its graph (and converge) before the patch.
+            thread::sleep(Duration::from_millis(50));
+            let (_, version) = registry
+                .apply_delta(entry.id, &delta)
+                .expect("graph present")
+                .expect("valid delta");
+            assert_eq!(job.push_delta(&delta, version), Some(true), "{label}");
+
+            // The job streams its `topology` event when it applies the delta.
+            let mut stream = ndjson_stream(job.events());
+            let mut text = String::new();
+            let topology = loop {
+                let chunk = stream().unwrap_or_else(|| panic!("{label}: no topology event"));
+                text.push_str(std::str::from_utf8(&chunk).expect("UTF-8 events"));
+                if let Some(line) = text.lines().find(|l| l.contains("\"event\":\"topology\"")) {
+                    break line.to_string();
+                }
+            };
+            let event: serde::Value = serde_json::from_str(&topology).expect("event JSON");
+            let apply_round: usize =
+                serde::Deserialize::from_value(serde::get_field(&event, "round").expect("round"))
+                    .expect("round number");
+            store.drain();
+            let info = job.info();
+            let outcome = info.outcome.unwrap_or_else(|| {
+                panic!("{label}: job ended {:?}: {:?}", info.status, info.error)
+            });
+
+            let factory = builtin_registry().get(key).expect("registry key");
+            let mut rng = ChaCha8Rng::seed_from_u64(seed);
+            let config = AlgorithmConfig {
+                init: InitStrategy::Random,
+                execution,
+                strategy: RoundStrategy::Auto,
+                counter_seed: seed ^ COUNTER_SEED_SALT,
+            };
+            let mut alg = factory.init(&graph, &config, &mut rng);
+            let mut sched = SchedulerSpec::Synchronous.build();
+            let before = drive_algorithm(
+                alg.as_mut(),
+                sched.as_mut(),
+                &mut rng,
+                apply_round,
+                None,
+                None,
+                None,
+                &mut [],
+            );
+            assert_eq!(before.rounds, apply_round, "{label}: apply round");
+            alg.apply_mutation(&delta)
+                .expect("the driver takes the delta");
+            let driven = drive_algorithm(
+                alg.as_mut(),
+                sched.as_mut(),
+                &mut rng,
+                DEFAULT_MAX_ROUNDS,
+                None,
+                None,
+                None,
+                &mut [],
+            );
+
+            assert_eq!(outcome.mutations_applied, 1, "{label}: mutations applied");
+            assert_eq!(outcome.rounds, driven.rounds, "{label}: rounds");
+            assert_eq!(
+                outcome.random_bits, driven.random_bits,
+                "{label}: random bits"
+            );
+            assert!(
+                outcome.stabilized && driven.stabilized,
+                "{label}: stabilized"
+            );
+            assert!(outcome.valid_mis, "{label}: valid MIS");
+            assert_eq!(outcome.n, graph.n() + 1, "{label}: joined vertex");
+            assert_eq!(
+                job.mis().expect("completed job keeps its MIS"),
+                driven.black_set.iter().collect::<Vec<_>>(),
+                "{label}: MIS"
+            );
+        }
+    }
 }

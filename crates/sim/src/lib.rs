@@ -21,9 +21,9 @@
 //!   ([`observer::Observer`]): traces, CSV emission, and custom metrics all
 //!   feed off the one drive loop in [`runner::drive_algorithm`].
 //! * [`churn`] — dynamic-graph burst generation for the live-mutation
-//!   experiments: a [`spec::ChurnSpec`] mutates the running algorithm's
-//!   graph through [`mis_core::Algorithm::apply_mutation`] and the trial
-//!   measures incremental re-stabilization.
+//!   experiments: a [`spec::ChurnSpec`], the driver's
+//!   [`runner::MutationSource`], mutates the running algorithm's graph
+//!   between rounds and the trial measures incremental re-stabilization.
 //! * Byzantine campaigns — a [`spec::ByzantineSpec`] hands the selected
 //!   vertices ([`spec::VictimSelection`]) to an adversary
 //!   ([`mis_core::ByzantineStrategy`]) for the whole trial; the driver
@@ -82,7 +82,7 @@ pub use observer::{
 pub use registry::{builtin_registry, register_builtin_algorithms};
 pub use runner::{
     drive_algorithm, run_experiment, run_experiment_with, DriveOutcome, ExperimentResult,
-    CONTAINMENT_CONFIRM_ROUNDS, CONTAINMENT_RADIUS,
+    MutationPoll, MutationSource, CONTAINMENT_CONFIRM_ROUNDS, CONTAINMENT_RADIUS,
 };
 pub use spec::{
     ByzantineSpec, ChurnScenario, ChurnSpec, ExperimentSpec, FaultSpec, GraphSpec, SchedulerSpec,

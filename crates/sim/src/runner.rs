@@ -23,7 +23,7 @@ use std::sync::Arc;
 use mis_core::scheduler::{Activation, Scheduler};
 use mis_core::{Algorithm, AlgorithmConfig, ByzantineOverlay, Registry};
 use mis_graph::traversal::{multi_source_bfs_distances, UNREACHABLE};
-use mis_graph::{mis_check, Graph, VertexSet};
+use mis_graph::{mis_check, CommittedDelta, Graph, VertexSet};
 use rand::{RngCore, SeedableRng};
 use rand_chacha::ChaCha8Rng;
 use rayon::prelude::*;
@@ -289,6 +289,7 @@ fn run_trial_on(
     });
 
     let mut scheduler = spec.scheduler.build();
+    let mut churn = spec.churn;
     let mut trace_observer = (spec.record_trace && caps.trace).then(TraceObserver::new);
     let mut outcome = {
         let mut observers: Vec<&mut dyn Observer> = Vec::new();
@@ -301,7 +302,7 @@ fn run_trial_on(
             &mut rng,
             spec.max_rounds,
             spec.fault.clone(),
-            spec.churn,
+            churn.as_mut().map(|c| c as &mut dyn MutationSource),
             overlay.as_ref(),
             &mut observers,
         )
@@ -395,6 +396,60 @@ pub struct DriveOutcome {
     pub trace: Option<RoundTrace>,
 }
 
+/// What a [`MutationSource`] did at a round boundary.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub enum MutationPoll {
+    /// Nothing was due.
+    Idle,
+    /// A delta was applied through [`Algorithm::apply_mutation`], with this
+    /// net topology diff.
+    Applied(CommittedDelta),
+    /// End the drive now, without another round.
+    Stop,
+}
+
+/// The between-rounds hook of [`drive_algorithm`]: churn bursts, or a
+/// service job's live `PATCH` deltas and cancellation.
+pub trait MutationSource {
+    /// Called at every round boundary, after any pending fault, with whether
+    /// the run has converged (stabilized, or confirmed contained under a
+    /// Byzantine adversary). Applies at most one delta to `alg`; after an
+    /// [`Applied`](MutationPoll::Applied) the driver polls again before the
+    /// next round.
+    fn poll(
+        &mut self,
+        alg: &mut dyn Algorithm,
+        converged: bool,
+        rng: &mut dyn RngCore,
+    ) -> MutationPoll;
+}
+
+/// The first burst fires at stabilization or at `at_round`, whichever comes
+/// first, and each later one at the next re-stabilization: `bursts` counts
+/// down, and `at_round` becomes `usize::MAX` after the first burst.
+impl MutationSource for ChurnSpec {
+    fn poll(
+        &mut self,
+        alg: &mut dyn Algorithm,
+        converged: bool,
+        rng: &mut dyn RngCore,
+    ) -> MutationPoll {
+        if self.bursts == 0 || !(converged || alg.round() >= self.at_round) {
+            return MutationPoll::Idle;
+        }
+        let graph = alg
+            .current_graph()
+            .expect("churn needs the algorithm's current graph");
+        let delta = generate_burst(self.scenario, graph, rng);
+        let committed = alg
+            .apply_mutation(&delta)
+            .unwrap_or_else(|e| panic!("churn burst rejected: {e}"));
+        self.bursts -= 1;
+        self.at_round = usize::MAX;
+        MutationPoll::Applied(committed)
+    }
+}
+
 /// Drives an [`Algorithm`] under a [`Scheduler`] until it stabilizes, the
 /// round budget runs out, or both phases of an optional fault-injection
 /// experiment complete, streaming per-round events to `observers`.
@@ -405,9 +460,10 @@ pub struct DriveOutcome {
 /// [`FaultSpec`] fires once — at stabilization or at its `at_round`,
 /// whichever comes first — corrupting either its explicit `victims` or a
 /// random `fraction`-sample, after which the loop continues until
-/// re-stabilization. A [`ChurnSpec`] fires its first burst the same way,
-/// mutating the live graph through [`Algorithm::apply_mutation`];
-/// subsequent bursts each fire at the next re-stabilization.
+/// re-stabilization. Then the optional [`MutationSource`] (a [`ChurnSpec`]
+/// or a service job's mailbox) is polled: a delta it applied is reported
+/// to observers, and the loop continues until re-stabilization; a
+/// [`Stop`](MutationPoll::Stop) ends the drive at once.
 ///
 /// A [`ByzantineOverlay`] re-applies its adversarial overrides after every
 /// round (and immediately after faults and churn bursts), so the selected
@@ -440,7 +496,7 @@ pub fn drive_algorithm(
     rng: &mut dyn RngCore,
     max_rounds: usize,
     fault: Option<FaultSpec>,
-    churn: Option<ChurnSpec>,
+    mut mutations: Option<&mut dyn MutationSource>,
     byzantine: Option<&ByzantineOverlay>,
     observers: &mut [&mut dyn Observer],
 ) -> DriveOutcome {
@@ -468,9 +524,6 @@ pub fn drive_algorithm(
         }
     }
     let mut pending_fault = fault;
-    // (spec, remaining bursts, round bound for the *next* burst). Only the
-    // first burst honors `at_round`; later bursts wait for re-stabilization.
-    let mut pending_churn = churn.and_then(|c| (c.bursts > 0).then_some((c, c.bursts, c.at_round)));
     let mut stabilized = alg.is_stabilized();
     loop {
         // Under an adversary, *confirmed containment* is the only
@@ -497,45 +550,30 @@ pub fn drive_algorithm(
             for obs in observers.iter_mut() {
                 obs.on_fault_injection(alg.round(), corrupted);
             }
-            // The corruption may have scrambled adversarial vertices:
-            // re-assert the overrides and void any containment streak.
-            contained = match tracker.as_mut() {
-                Some(t) => {
-                    t.reset_streak();
-                    t.round(alg, observers)
-                }
-                None => false,
-            };
-            if observe {
-                // Re-emit the current round with the post-corruption
-                // counts: the unstable spike recovery curves measure.
-                let counts = alg.counts();
-                for obs in observers.iter_mut() {
-                    obs.on_round(alg.round(), &counts);
-                }
+            // The corruption may have scrambled adversarial vertices: void
+            // any containment streak before the overrides are re-asserted.
+            if let Some(t) = tracker.as_mut() {
+                t.reset_streak();
             }
-            stabilized = alg.is_stabilized();
-            continue;
-        }
-        if let Some((c, remaining, at_round)) = pending_churn {
-            if converged || alg.round() >= at_round {
-                let delta = {
-                    let graph = alg
-                        .current_graph()
-                        .expect("churn needs the algorithm's current graph");
-                    generate_burst(c.scenario, graph, rng)
-                };
-                let committed = alg
-                    .apply_mutation(&delta)
-                    .unwrap_or_else(|e| panic!("churn burst rejected: {e}"));
-                pending_churn = (remaining > 1).then_some((c, remaining - 1, usize::MAX));
-                for obs in observers.iter_mut() {
-                    obs.on_topology_change(alg.round(), &committed);
-                }
-                // The mutation invalidated the cached BFS levels (and the
-                // state carryover may have touched adversarial vertices).
-                contained = match tracker.as_mut() {
-                    Some(t) => {
+        } else {
+            let polled = match mutations.as_deref_mut() {
+                Some(source) => source.poll(alg, converged, rng),
+                None => MutationPoll::Idle,
+            };
+            match polled {
+                MutationPoll::Idle if converged || alg.round() >= max_rounds => break,
+                MutationPoll::Idle => match scheduler.next_activation(alg.n(), alg.round(), rng) {
+                    Activation::All => alg.step(rng),
+                    Activation::Subset(set) => alg.step_scheduled(&set, rng),
+                },
+                MutationPoll::Stop => break,
+                MutationPoll::Applied(committed) => {
+                    for obs in observers.iter_mut() {
+                        obs.on_topology_change(alg.round(), &committed);
+                    }
+                    // The mutation invalidated the cached BFS levels (and the
+                    // state carryover may have touched adversarial vertices).
+                    if let Some(t) = tracker.as_mut() {
                         let graph = alg
                             .current_graph()
                             .expect("topology-change support implies a current graph");
@@ -546,29 +584,14 @@ pub fn drive_algorithm(
                             t.overlay.resample_departed(graph);
                         }
                         t.refresh(graph);
-                        t.round(alg, observers)
-                    }
-                    None => false,
-                };
-                if observe {
-                    // Re-emit the current round with the post-mutation
-                    // counts: the unstable spike re-stabilization measures.
-                    let counts = alg.counts();
-                    for obs in observers.iter_mut() {
-                        obs.on_round(alg.round(), &counts);
                     }
                 }
-                stabilized = alg.is_stabilized();
-                continue;
             }
         }
-        if converged || alg.round() >= max_rounds {
-            break;
-        }
-        match scheduler.next_activation(alg.n(), alg.round(), rng) {
-            Activation::All => alg.step(rng),
-            Activation::Subset(set) => alg.step_scheduled(&set, rng),
-        }
+        // After a round, a fault or a mutation: re-assert the overrides and
+        // judge containment, then report the counts. After a fault or a
+        // mutation this re-emits the current round: the unstable spike that
+        // recovery curves measure.
         if let Some(t) = tracker.as_mut() {
             contained = t.round(alg, observers);
         }
@@ -604,7 +627,7 @@ pub fn drive_algorithm(
 mod tests {
     use super::*;
     use crate::observer::{EventLogObserver, ObserverEvent};
-    use crate::spec::{ChurnScenario, GraphSpec, SchedulerSpec};
+    use crate::spec::{ChurnScenario, ChurnSpec, GraphSpec, SchedulerSpec};
     use mis_core::init::InitStrategy;
     use mis_core::ExecutionMode;
 
@@ -899,7 +922,7 @@ mod tests {
                 &mut rng,
                 spec.max_rounds,
                 spec.fault.clone(),
-                spec.churn,
+                None,
                 None,
                 &mut observers,
             )
@@ -993,6 +1016,7 @@ mod tests {
         };
         let mut alg = factory.init(&graph, &config, &mut rng);
         let mut scheduler = spec.scheduler.build();
+        let mut churn = spec.churn.expect("the spec churns");
         let mut log = EventLogObserver::new();
         let outcome = {
             let mut observers: Vec<&mut dyn Observer> = vec![&mut log];
@@ -1002,7 +1026,7 @@ mod tests {
                 &mut rng,
                 spec.max_rounds,
                 spec.fault.clone(),
-                spec.churn,
+                Some(&mut churn),
                 None,
                 &mut observers,
             )
@@ -1043,6 +1067,54 @@ mod tests {
         let a = run_experiment(&spec);
         let b = run_experiment(&spec);
         assert_eq!(a, b);
+    }
+
+    /// (rounds, random bits, MIS size, final n) of trial 0 of
+    /// [`churn_pin_specs`]' `EdgeChurn` spec.
+    const EDGE_CHURN_PIN: (usize, u64, usize, usize) = (11, 319, 28, 60);
+    /// The same for its 3-burst `JoinLeave` spec, whose first burst fires
+    /// at round 2 and the other two at re-stabilization.
+    const JOIN_LEAVE_PIN: (usize, u64, usize, usize) = (17, 149, 33, 89);
+
+    fn churn_pin_specs() -> [ExperimentSpec; 2] {
+        let edge = ExperimentSpec::builder()
+            .name("churn-pin-edge")
+            .graph(GraphSpec::Gnp { n: 60, p: 0.08 })
+            .algorithm("three-state")
+            .churn(ChurnSpec::after_stabilization(ChurnScenario::EdgeChurn {
+                fraction: 0.1,
+            }))
+            .base_seed(31)
+            .build();
+        let join_leave = ExperimentSpec::builder()
+            .name("churn-pin-join-leave")
+            .graph(GraphSpec::Gnp { n: 80, p: 0.08 })
+            .algorithm("two-state")
+            .churn(
+                ChurnSpec::after_stabilization(ChurnScenario::JoinLeave { join: 3, leave: 2 })
+                    .at_round(2)
+                    .bursts(3),
+            )
+            .base_seed(29)
+            .build();
+        [edge, join_leave]
+    }
+
+    #[test]
+    fn churn_trials_match_their_pinned_outcomes() {
+        for (spec, pin) in churn_pin_specs()
+            .iter()
+            .zip([EDGE_CHURN_PIN, JOIN_LEAVE_PIN])
+        {
+            let t = run_trial(spec, 0);
+            assert!(t.stabilized && t.valid_mis, "{}", spec.name);
+            assert_eq!(
+                (t.rounds, t.random_bits, t.mis_size, t.n),
+                pin,
+                "{}: (rounds, random bits, MIS size, final n)",
+                spec.name
+            );
+        }
     }
 
     #[test]
