@@ -20,7 +20,7 @@
 use serde::{Deserialize, Serialize};
 
 /// How a process executes its synchronous rounds.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize)]
 pub enum ExecutionMode {
     /// One shared sequential RNG stream, ascending vertex order; exactly the
     /// trace the `step_reference` oracles reproduce.
@@ -36,8 +36,9 @@ pub enum ExecutionMode {
 }
 
 /// Upper bound on the `threads` knob, enforced by
-/// [`ExecutionMode::validate`]: far above any useful width, low enough to
-/// reject knob typos before they spawn a few million workers.
+/// [`ExecutionMode::validate`] whenever a mode is deserialized: far above
+/// any useful width, low enough to reject knob typos before they spawn a
+/// few million workers.
 pub const MAX_THREADS: usize = 1024;
 
 /// Resolves a `threads` knob value to an actual worker count: `0` means
@@ -92,6 +93,23 @@ impl ExecutionMode {
             ExecutionMode::Sequential => "sequential",
             ExecutionMode::Parallel { .. } => "parallel",
         }
+    }
+}
+
+// Hand-written: the derived shape plus the `MAX_THREADS` bound, checked at every parse.
+impl Deserialize for ExecutionMode {
+    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
+        let mode = match value {
+            serde::Value::Str(s) if s == "Sequential" => ExecutionMode::Sequential,
+            serde::Value::Object(entries) if entries.len() == 1 && entries[0].0 == "Parallel" => {
+                ExecutionMode::Parallel {
+                    threads: Deserialize::from_value(serde::get_field(&entries[0].1, "threads")?)?,
+                }
+            }
+            _ => return Err(serde::Error::custom("expected `Sequential` or `Parallel`")),
+        };
+        mode.validate().map_err(serde::Error::custom)?;
+        Ok(mode)
     }
 }
 
@@ -151,8 +169,7 @@ impl RoundStrategy {
     }
 }
 
-// Hand-written serde: the spec knob reads `"auto" | "sparse" | "dense"`
-// (lowercase, unlike the derive's variant-name strings).
+// Hand-written: input goes through the case-insensitive `parse`, so `"AUTO"` parses too.
 impl Serialize for RoundStrategy {
     fn to_value(&self) -> serde::Value {
         serde::Value::Str(self.label().to_string())
@@ -274,6 +291,30 @@ mod tests {
         .validate()
         .unwrap_err();
         assert!(err.contains("exceeds"), "unexpected message: {err}");
+    }
+
+    #[test]
+    fn mode_parsing_accepts_the_derived_shapes_within_the_thread_bound() {
+        let parse = serde_json::from_str::<ExecutionMode>;
+        assert_eq!(parse("\"Sequential\"").unwrap(), ExecutionMode::Sequential);
+        let max = format!("{{\"Parallel\":{{\"threads\":{MAX_THREADS}}}}}");
+        let parallel = ExecutionMode::Parallel {
+            threads: MAX_THREADS,
+        };
+        assert_eq!(parse(&max).unwrap(), parallel);
+        let over = max.replace(&MAX_THREADS.to_string(), &(MAX_THREADS + 1).to_string());
+        assert!(parse(&over).unwrap_err().to_string().contains("exceeds"));
+        for rejected in [
+            "\"sequential\"",
+            "\"Parallel\"",
+            "{\"Sequential\":{}}",
+            "{\"Parallel\":4}",
+            "{\"Parallel\":{}}",
+            "{\"Parallel\":{\"threads\":2},\"Sequential\":{}}",
+            "2",
+        ] {
+            assert!(parse(rejected).is_err(), "{rejected}");
+        }
     }
 
     #[test]

@@ -16,14 +16,16 @@ use crate::three_state::ThreeState;
 use crate::two_state::Color;
 
 /// Strategy for choosing the initial state vector of a process.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
 #[non_exhaustive]
 pub enum InitStrategy {
     /// Every vertex starts white (no vertex claims MIS membership).
     AllWhite,
     /// Every vertex starts black (every vertex claims MIS membership).
     AllBlack,
-    /// Every vertex starts with an independent uniformly random state.
+    /// Every vertex starts with an independent uniformly random state (the
+    /// default: the self-stabilizing case).
+    #[default]
     Random,
     /// Vertices alternate states by id parity (even ids black, odd ids white).
     Alternating,

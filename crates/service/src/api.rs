@@ -1,9 +1,7 @@
 //! Request/response types of the HTTP API.
 //!
 //! Everything here round-trips through the vendored serde `Value` tree; the
-//! request types with optional knobs carry hand-written impls (the vendored
-//! derive has no `#[serde(default)]`), mirroring the `ExperimentSpec` idiom
-//! in `mis-sim`.
+//! optional knobs of the request types are `#[serde(default)]` fields.
 
 use mis_core::exec::{ExecutionMode, RoundStrategy};
 use mis_core::init::InitStrategy;
@@ -14,23 +12,6 @@ use serde::{Deserialize, Serialize, Value};
 /// Default round budget for jobs that do not set one (matches
 /// `ExperimentSpec`).
 pub const DEFAULT_MAX_ROUNDS: usize = 100_000;
-
-fn optional<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, field)| field),
-        _ => None,
-    }
-}
-
-fn with_default<T: Deserialize + Default>(value: &Value, name: &str) -> Result<T, serde::Error> {
-    match optional(value, name) {
-        Some(field) => T::from_value(field),
-        None => Ok(T::default()),
-    }
-}
 
 // ---------------------------------------------------------------------------
 // Graphs
@@ -90,6 +71,7 @@ pub struct CreateGraphRequest {
     pub seed: u64,
 }
 
+// Hand-written: the source is flattened into the request (`spec`, or `n` plus `edges`).
 impl Serialize for CreateGraphRequest {
     fn to_value(&self) -> Value {
         let mut fields = Vec::new();
@@ -110,10 +92,9 @@ impl Serialize for CreateGraphRequest {
 
 impl Deserialize for CreateGraphRequest {
     fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let name: Option<String> = with_default(value, "name")?;
-        let source = match optional(value, "spec") {
-            Some(spec) => GraphSource::Spec(GraphSpec::from_value(spec)?),
-            None => {
+        let source = match serde::get_field(value, "spec") {
+            Ok(spec) => GraphSource::Spec(GraphSpec::from_value(spec)?),
+            Err(_) => {
                 let n = usize::from_value(serde::get_field(value, "n").map_err(|_| {
                     serde::Error::custom("graph request needs either `spec` or `n` + `edges`")
                 })?)?;
@@ -121,8 +102,11 @@ impl Deserialize for CreateGraphRequest {
                 GraphSource::Edges { n, edges }
             }
         };
-        let seed = with_default(value, "seed")?;
-        Ok(CreateGraphRequest { name, source, seed })
+        Ok(CreateGraphRequest {
+            name: serde::field_or(value, "name", Default::default)?,
+            source,
+            seed: serde::field_or(value, "seed", Default::default)?,
+        })
     }
 }
 
@@ -145,15 +129,19 @@ pub struct GraphInfo {
 
 /// `PATCH /v1/graphs/:id/edges` body: a `GraphDelta` in wire form. All
 /// fields default to empty.
-#[derive(Debug, Clone, Default, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct PatchEdgesRequest {
     /// Edges to insert.
+    #[serde(default)]
     pub add: Vec<(VertexId, VertexId)>,
     /// Edges to remove.
+    #[serde(default)]
     pub remove: Vec<(VertexId, VertexId)>,
     /// Number of fresh isolated vertices to append.
+    #[serde(default)]
     pub add_vertices: usize,
     /// Vertices to detach (drop all incident edges; ids never disappear).
+    #[serde(default)]
     pub detach: Vec<VertexId>,
 }
 
@@ -185,28 +173,6 @@ impl PatchEdgesRequest {
     }
 }
 
-impl Serialize for PatchEdgesRequest {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("add".to_string(), self.add.to_value()),
-            ("remove".to_string(), self.remove.to_value()),
-            ("add_vertices".to_string(), self.add_vertices.to_value()),
-            ("detach".to_string(), self.detach.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for PatchEdgesRequest {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(PatchEdgesRequest {
-            add: with_default(value, "add")?,
-            remove: with_default(value, "remove")?,
-            add_vertices: with_default(value, "add_vertices")?,
-            detach: with_default(value, "detach")?,
-        })
-    }
-}
-
 /// `PATCH /v1/graphs/:id/edges` response.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct PatchResponse {
@@ -234,32 +200,44 @@ pub struct PatchResponse {
 // ---------------------------------------------------------------------------
 
 /// `POST /v1/jobs` body. Only `graph` and `algorithm` are required.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct JobRequest {
     /// Target graph id.
     pub graph: u64,
     /// Registry key (see `GET /v1/algorithms`).
     pub algorithm: String,
     /// Trial RNG seed (default 0).
+    #[serde(default)]
     pub seed: u64,
     /// Round budget (default [`DEFAULT_MAX_ROUNDS`]).
+    #[serde(default = "default_max_rounds")]
     pub max_rounds: usize,
     /// Activation scheduler (default synchronous).
+    #[serde(default)]
     pub scheduler: SchedulerSpec,
     /// Round traversal strategy (default adaptive).
+    #[serde(default)]
     pub strategy: RoundStrategy,
     /// Sequential or data-parallel rounds (default sequential).
+    #[serde(default)]
     pub execution: ExecutionMode,
     /// Initial-state strategy (default random — the self-stabilizing case).
+    #[serde(default)]
     pub init: InitStrategy,
     /// Record per-round state counts into the job's event stream.
+    #[serde(default)]
     pub record_trace: bool,
     /// How long a stabilized job keeps polling its mutation mailbox before
     /// completing, in microseconds (default 0: complete immediately).
     /// A non-zero linger makes "PATCH a running job" deterministic: the job
     /// stays resident after converging, applies any delta that arrives, and
     /// re-stabilizes incrementally from its current configuration.
+    #[serde(default)]
     pub linger_micros: u64,
+}
+
+fn default_max_rounds() -> usize {
+    DEFAULT_MAX_ROUNDS
 }
 
 impl JobRequest {
@@ -278,64 +256,6 @@ impl JobRequest {
             record_trace: false,
             linger_micros: 0,
         }
-    }
-}
-
-impl Serialize for JobRequest {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("graph".to_string(), self.graph.to_value()),
-            ("algorithm".to_string(), self.algorithm.to_value()),
-            ("seed".to_string(), self.seed.to_value()),
-            ("max_rounds".to_string(), self.max_rounds.to_value()),
-            ("scheduler".to_string(), self.scheduler.to_value()),
-            ("strategy".to_string(), self.strategy.to_value()),
-            ("execution".to_string(), self.execution.to_value()),
-            ("init".to_string(), self.init.to_value()),
-            ("record_trace".to_string(), self.record_trace.to_value()),
-            ("linger_micros".to_string(), self.linger_micros.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for JobRequest {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let graph = u64::from_value(serde::get_field(value, "graph")?)?;
-        let algorithm = String::from_value(serde::get_field(value, "algorithm")?)?;
-        let defaults = JobRequest::new(graph, algorithm);
-        let max_rounds = match optional(value, "max_rounds") {
-            Some(v) => usize::from_value(v)?,
-            None => DEFAULT_MAX_ROUNDS,
-        };
-        let scheduler = match optional(value, "scheduler") {
-            Some(v) => SchedulerSpec::from_value(v)?,
-            None => SchedulerSpec::Synchronous,
-        };
-        let init = match optional(value, "init") {
-            Some(v) => InitStrategy::from_value(v)?,
-            None => InitStrategy::Random,
-        };
-        let execution = match optional(value, "execution") {
-            Some(v) => {
-                let execution = ExecutionMode::from_value(v)?;
-                execution
-                    .validate()
-                    .map_err(|e| serde::Error::custom(format!("invalid execution mode: {e}")))?;
-                execution
-            }
-            None => ExecutionMode::Sequential,
-        };
-        Ok(JobRequest {
-            seed: with_default(value, "seed")?,
-            max_rounds,
-            scheduler,
-            strategy: with_default(value, "strategy")?,
-            execution,
-            init,
-            record_trace: with_default(value, "record_trace")?,
-            linger_micros: with_default(value, "linger_micros")?,
-            ..defaults
-        })
     }
 }
 

@@ -36,7 +36,7 @@ use rand_chacha::ChaCha8Rng;
 
 use crate::api::{JobGauges, JobInfo, JobOutcome, JobRequest, JobStatus};
 use crate::graphs::GraphEntry;
-use crate::journal::{Journal, Record, RecoveredJob};
+use crate::journal::{Journal, Record, SnapshotJob};
 use crate::sync;
 
 /// Cap on buffered event lines per job; one `truncated` marker is appended
@@ -440,7 +440,7 @@ impl JobStore {
     /// was deleted.
     pub fn restore(
         self: &Arc<Self>,
-        recovered: RecoveredJob,
+        recovered: SnapshotJob,
         entry: Option<Arc<GraphEntry>>,
     ) -> Arc<Job> {
         self.next_id.fetch_max(recovered.id, Ordering::Relaxed);
@@ -474,7 +474,8 @@ impl JobStore {
             } else if state.status.is_terminal() {
                 job.events.push(format!(
                     "{{\"event\":\"recovered\",\"status\":{}}}",
-                    json_string(&format!("{:?}", state.status).to_lowercase())
+                    serde_json::to_string(&format!("{:?}", state.status).to_lowercase())
+                        .expect("strings serialize")
                 ));
             }
         }
@@ -641,7 +642,7 @@ fn execute(job: &Arc<Job>) {
         Err(message) => {
             job.events.push(format!(
                 "{{\"event\":\"done\",\"status\":\"failed\",\"error\":{}}}",
-                json_string(&message)
+                serde_json::to_string(&message).expect("strings serialize")
             ));
             state.status = JobStatus::Failed;
             state.error = Some(message);
@@ -659,25 +660,6 @@ enum RunEnd {
         mis: Vec<usize>,
     },
     Cancelled,
-}
-
-/// Minimal JSON string escaping for event lines.
-fn json_string(s: &str) -> String {
-    let mut out = String::with_capacity(s.len() + 2);
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-    out
 }
 
 /// The job's side of the driver's between-rounds hook: cancellation, the
@@ -720,7 +702,7 @@ impl MutationSource for Mailbox<'_> {
                     Err(e) => self.job.events.push(format!(
                         "{{\"event\":\"mutation_rejected\",\"round\":{},\"error\":{}}}",
                         alg.round(),
-                        json_string(&e.to_string())
+                        serde_json::to_string(&e.to_string()).expect("strings serialize")
                     )),
                 }
             }
@@ -1123,7 +1105,7 @@ mod tests {
         let store = JobStore::start(1, 0, None);
         // A terminal interrupted job: installed as-is, never re-run.
         let interrupted = store.restore(
-            RecoveredJob {
+            SnapshotJob {
                 id: 5,
                 request: JobRequest::new(entry.id, "two-state"),
                 status: JobStatus::Interrupted,
@@ -1136,7 +1118,7 @@ mod tests {
         assert_eq!(interrupted.status(), JobStatus::Interrupted);
         // A queued job with a live graph: re-runs to completion.
         let requeued = store.restore(
-            RecoveredJob {
+            SnapshotJob {
                 id: 6,
                 request: JobRequest::new(entry.id, "greedy"),
                 status: JobStatus::Queued,
@@ -1149,7 +1131,7 @@ mod tests {
         assert_eq!(wait_terminal(&requeued), JobStatus::Completed);
         // A queued job whose graph is gone: fails instead of hanging.
         let orphan = store.restore(
-            RecoveredJob {
+            SnapshotJob {
                 id: 7,
                 request: JobRequest::new(99, "greedy"),
                 status: JobStatus::Queued,
@@ -1217,6 +1199,31 @@ mod tests {
 
     #[test]
     fn json_string_escapes() {
-        assert_eq!(json_string("a\"b\\c\nd"), "\"a\\\"b\\\\c\\nd\"");
+        // A restored job skips `submit`'s registry check, so its key reaches
+        // the failed `done` line verbatim and must come out escaped.
+        let (_registry, entry) = registry_with_path(4);
+        let store = JobStore::start(1, 0, None);
+        let job = store.restore(
+            SnapshotJob {
+                id: 1,
+                request: JobRequest::new(entry.id, "a\"b\\c\nd"),
+                status: JobStatus::Queued,
+                outcome: None,
+                error: None,
+                mis: None,
+            },
+            Some(entry),
+        );
+        assert_eq!(wait_terminal(&job), JobStatus::Failed);
+        let mut stream = ndjson_stream(job.events());
+        let mut text = String::new();
+        while let Some(chunk) = stream() {
+            text.push_str(std::str::from_utf8(&chunk).unwrap());
+        }
+        assert_eq!(
+            text.lines().last().unwrap(),
+            "{\"event\":\"done\",\"status\":\"failed\",\"error\":\"unknown algorithm 'a\\\"b\\\\c\\nd'\"}"
+        );
+        store.drain();
     }
 }

@@ -96,8 +96,10 @@ pub fn crc32(bytes: &[u8]) -> u32 {
 // Records
 // ---------------------------------------------------------------------------
 
-/// One journaled state mutation.
-#[derive(Debug, Clone, PartialEq)]
+/// One journaled state mutation, stored as an object whose first entry
+/// `type` names the variant in snake_case.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[serde(tag = "type", rename_all = "snake_case")]
 pub enum Record {
     /// A graph was registered (`POST /v1/graphs` acknowledged with 201).
     GraphCreated {
@@ -143,120 +145,15 @@ pub enum Record {
         /// Terminal status (`Completed`, `Cancelled`, or `Failed`).
         status: JobStatus,
         /// Present for completed jobs.
+        #[serde(default)]
         outcome: Option<JobOutcome>,
         /// Present for failed jobs.
+        #[serde(default)]
         error: Option<String>,
         /// The final independent set for completed jobs.
+        #[serde(default)]
         mis: Option<Vec<VertexId>>,
     },
-}
-
-fn field<'a>(value: &'a Value, name: &str) -> Result<&'a Value, serde::Error> {
-    serde::get_field(value, name)
-}
-
-fn optional<'a>(value: &'a Value, name: &str) -> Option<&'a Value> {
-    match value {
-        Value::Object(fields) => fields
-            .iter()
-            .find(|(key, _)| key == name)
-            .map(|(_, field)| field),
-        _ => None,
-    }
-}
-
-fn opt_from<T: Deserialize>(value: &Value, name: &str) -> Result<Option<T>, serde::Error> {
-    match optional(value, name) {
-        Some(Value::Null) | None => Ok(None),
-        Some(v) => Ok(Some(T::from_value(v)?)),
-    }
-}
-
-impl Serialize for Record {
-    fn to_value(&self) -> Value {
-        let (kind, mut fields) = match self {
-            Record::GraphCreated { id, name, create } => (
-                "graph_created",
-                vec![
-                    ("id".to_string(), id.to_value()),
-                    ("name".to_string(), name.to_value()),
-                    ("create".to_string(), create.to_value()),
-                ],
-            ),
-            Record::GraphPatched { id, version, patch } => (
-                "graph_patched",
-                vec![
-                    ("id".to_string(), id.to_value()),
-                    ("version".to_string(), version.to_value()),
-                    ("patch".to_string(), patch.to_value()),
-                ],
-            ),
-            Record::GraphDeleted { id } => {
-                ("graph_deleted", vec![("id".to_string(), id.to_value())])
-            }
-            Record::JobSubmitted { id, request } => (
-                "job_submitted",
-                vec![
-                    ("id".to_string(), id.to_value()),
-                    ("request".to_string(), request.to_value()),
-                ],
-            ),
-            Record::JobStarted { id } => ("job_started", vec![("id".to_string(), id.to_value())]),
-            Record::JobFinished {
-                id,
-                status,
-                outcome,
-                error,
-                mis,
-            } => (
-                "job_finished",
-                vec![
-                    ("id".to_string(), id.to_value()),
-                    ("status".to_string(), status.to_value()),
-                    ("outcome".to_string(), outcome.to_value()),
-                    ("error".to_string(), error.to_value()),
-                    ("mis".to_string(), mis.to_value()),
-                ],
-            ),
-        };
-        fields.insert(0, ("type".to_string(), Value::Str(kind.to_string())));
-        Value::Object(fields)
-    }
-}
-
-impl Deserialize for Record {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        let kind = String::from_value(field(value, "type")?)?;
-        let id = u64::from_value(field(value, "id")?)?;
-        match kind.as_str() {
-            "graph_created" => Ok(Record::GraphCreated {
-                id,
-                name: String::from_value(field(value, "name")?)?,
-                create: CreateGraphRequest::from_value(field(value, "create")?)?,
-            }),
-            "graph_patched" => Ok(Record::GraphPatched {
-                id,
-                version: u64::from_value(field(value, "version")?)?,
-                patch: PatchEdgesRequest::from_value(field(value, "patch")?)?,
-            }),
-            "graph_deleted" => Ok(Record::GraphDeleted { id }),
-            "job_submitted" => Ok(Record::JobSubmitted {
-                id,
-                request: JobRequest::from_value(field(value, "request")?)?,
-            }),
-            "job_started" => Ok(Record::JobStarted { id }),
-            "job_finished" => Ok(Record::JobFinished {
-                id,
-                status: JobStatus::from_value(field(value, "status")?)?,
-                outcome: opt_from(value, "outcome")?,
-                error: opt_from(value, "error")?,
-                mis: opt_from(value, "mis")?,
-            }),
-            other => Err(serde::Error::custom(format!(
-                "unknown journal record type '{other}'"
-            ))),
-        }
-    }
 }
 
 // ---------------------------------------------------------------------------
@@ -279,31 +176,14 @@ pub struct RecoveredGraph {
     pub version: u64,
 }
 
-/// A job rebuilt from the snapshot + journal.
-#[derive(Debug, Clone)]
-pub struct RecoveredJob {
-    /// Original job id.
-    pub id: u64,
-    /// The acknowledged request.
-    pub request: JobRequest,
-    /// Status after recovery post-processing (`Running` has already been
-    /// rewritten to `Interrupted`).
-    pub status: JobStatus,
-    /// Outcome for completed jobs.
-    pub outcome: Option<JobOutcome>,
-    /// Error for failed/interrupted jobs.
-    pub error: Option<String>,
-    /// Final MIS for completed jobs.
-    pub mis: Option<Vec<VertexId>>,
-}
-
 /// Everything [`Journal::open`] rebuilt, plus replay diagnostics.
 #[derive(Debug, Default)]
 pub struct Recovery {
     /// Graphs in id order.
     pub graphs: Vec<RecoveredGraph>,
-    /// Jobs in id order.
-    pub jobs: Vec<RecoveredJob>,
+    /// Jobs in id order. `Running` has already been rewritten to
+    /// `Interrupted`.
+    pub jobs: Vec<SnapshotJob>,
     /// Journal records replayed (after snapshot skip).
     pub replayed: usize,
     /// Whether a torn tail was found and truncated.
@@ -312,12 +192,12 @@ pub struct Recovery {
 
 impl Recovery {
     /// Jobs that must be re-enqueued (acknowledged, never started).
-    pub fn requeued(&self) -> impl Iterator<Item = &RecoveredJob> {
+    pub fn requeued(&self) -> impl Iterator<Item = &SnapshotJob> {
         self.jobs.iter().filter(|j| j.status == JobStatus::Queued)
     }
 
     /// Jobs that were running at the crash.
-    pub fn interrupted(&self) -> impl Iterator<Item = &RecoveredJob> {
+    pub fn interrupted(&self) -> impl Iterator<Item = &SnapshotJob> {
         self.jobs
             .iter()
             .filter(|j| j.status == JobStatus::Interrupted)
@@ -329,7 +209,7 @@ impl Recovery {
 #[derive(Default)]
 struct ReplayState {
     graphs: Vec<RecoveredGraph>,
-    jobs: Vec<RecoveredJob>,
+    jobs: Vec<SnapshotJob>,
 }
 
 impl ReplayState {
@@ -378,7 +258,7 @@ impl ReplayState {
                 if self.jobs.iter().any(|j| j.id == id) {
                     return Ok(());
                 }
-                self.jobs.push(RecoveredJob {
+                self.jobs.push(SnapshotJob {
                     id,
                     request,
                     status: JobStatus::Queued,
@@ -785,20 +665,23 @@ pub struct SnapshotGraph {
     pub version: u64,
 }
 
-/// One job in a snapshot.
-#[derive(Debug, Clone, PartialEq)]
+/// One job in a snapshot, or rebuilt from the snapshot + journal.
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct SnapshotJob {
     /// Job id.
     pub id: u64,
     /// The acknowledged request.
     pub request: JobRequest,
-    /// Status at snapshot time.
+    /// Lifecycle status.
     pub status: JobStatus,
     /// Outcome for completed jobs.
+    #[serde(default)]
     pub outcome: Option<JobOutcome>,
-    /// Error for failed jobs.
+    /// Error for failed and interrupted jobs.
+    #[serde(default)]
     pub error: Option<String>,
     /// Final MIS for completed jobs.
+    #[serde(default)]
     pub mis: Option<Vec<VertexId>>,
 }
 
@@ -830,45 +713,10 @@ impl SnapshotDoc {
                 })
             })
             .collect();
-        let jobs = self
-            .jobs
-            .into_iter()
-            .map(|j| RecoveredJob {
-                id: j.id,
-                request: j.request,
-                status: j.status,
-                outcome: j.outcome,
-                error: j.error,
-                mis: j.mis,
-            })
-            .collect();
-        ReplayState { graphs, jobs }
-    }
-}
-
-impl Serialize for SnapshotJob {
-    fn to_value(&self) -> Value {
-        Value::Object(vec![
-            ("id".to_string(), self.id.to_value()),
-            ("request".to_string(), self.request.to_value()),
-            ("status".to_string(), self.status.to_value()),
-            ("outcome".to_string(), self.outcome.to_value()),
-            ("error".to_string(), self.error.to_value()),
-            ("mis".to_string(), self.mis.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for SnapshotJob {
-    fn from_value(value: &Value) -> Result<Self, serde::Error> {
-        Ok(SnapshotJob {
-            id: u64::from_value(field(value, "id")?)?,
-            request: JobRequest::from_value(field(value, "request")?)?,
-            status: JobStatus::from_value(field(value, "status")?)?,
-            outcome: opt_from(value, "outcome")?,
-            error: opt_from(value, "error")?,
-            mis: opt_from(value, "mis")?,
-        })
+        ReplayState {
+            graphs,
+            jobs: self.jobs,
+        }
     }
 }
 

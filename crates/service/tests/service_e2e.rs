@@ -302,6 +302,17 @@ fn error_paths_return_proper_statuses() {
 }
 
 #[test]
+fn deeply_nested_body_is_rejected_and_the_daemon_survives() {
+    // The JSON parser recurses per nesting level; 20,000 levels once
+    // overflowed the connection thread's stack and aborted the daemon.
+    let (service, mut client) = start_service();
+    let resp = client.post_json("/v1/jobs", "[".repeat(20_000)).unwrap();
+    assert_eq!(resp.status, 400, "{:?}", resp.text());
+    assert_eq!(client.get("/v1/healthz").unwrap().status, 200);
+    service.shutdown();
+}
+
+#[test]
 fn upload_edges_and_run_on_them() {
     let (service, mut client) = start_service();
     // A 5-cycle uploaded as an explicit edge list.

@@ -221,7 +221,7 @@ impl SchedulerSpec {
 /// default) or, when [`victims`](Self::victims) is non-empty, exactly the
 /// listed vertices — the targeted-fault mode sharing its selection plumbing
 /// with [`ByzantineSpec`].
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct FaultSpec {
     /// Latest round at which the fault fires (it fires earlier if the
     /// algorithm stabilizes first). Use `usize::MAX` for
@@ -233,6 +233,7 @@ pub struct FaultSpec {
     /// Explicit victim list (targeted faults). Empty — the serde default,
     /// so pre-existing JSON parses unchanged — means "pick
     /// `ceil(fraction · n)` victims uniformly at random".
+    #[serde(default)]
     pub victims: Vec<VertexId>,
 }
 
@@ -261,42 +262,6 @@ impl FaultSpec {
     pub fn at_round(mut self, at_round: usize) -> Self {
         self.at_round = at_round;
         self
-    }
-}
-
-impl Serialize for FaultSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("at_round".into(), self.at_round.to_value()),
-            ("fraction".into(), self.fraction.to_value()),
-            ("victims".into(), self.victims.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for FaultSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // `victims` defaults to empty (random-count mode) so fault specs
-        // serialized before targeted faults existed keep parsing — the
-        // vendored serde derive has no `#[serde(default)]`.
-        fn field<'a>(value: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
-            match value {
-                serde::Value::Object(fields) => fields
-                    .iter()
-                    .find(|(key, _)| key == name)
-                    .map(|(_, field)| field),
-                _ => None,
-            }
-        }
-        let victims = match field(value, "victims") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => Vec::new(),
-        };
-        Ok(FaultSpec {
-            at_round: Deserialize::from_value(serde::get_field(value, "at_round")?)?,
-            fraction: Deserialize::from_value(serde::get_field(value, "fraction")?)?,
-            victims,
-        })
     }
 }
 
@@ -358,17 +323,27 @@ impl ChurnScenario {
 /// Requires an algorithm whose registry entry declares
 /// [`topology_change`](mis_core::Capabilities::topology_change); the runner
 /// rejects churn specs for the others up front.
-#[derive(Debug, Clone, Copy, PartialEq)]
+#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
 pub struct ChurnSpec {
     /// What each burst does to the topology.
     pub scenario: ChurnScenario,
     /// Latest round at which the first burst fires (it fires earlier if the
     /// algorithm stabilizes first). `usize::MAX` — the default — means
     /// "after stabilization only".
+    #[serde(default = "after_stabilization_only")]
     pub at_round: usize,
     /// Number of bursts (default 1). Burst `i + 1` fires when the algorithm
     /// has re-stabilized after burst `i`.
+    #[serde(default = "one_burst")]
     pub bursts: usize,
+}
+
+fn after_stabilization_only() -> usize {
+    usize::MAX
+}
+
+fn one_burst() -> usize {
+    1
 }
 
 impl ChurnSpec {
@@ -392,47 +367,6 @@ impl ChurnSpec {
     pub fn bursts(mut self, bursts: usize) -> Self {
         self.bursts = bursts;
         self
-    }
-}
-
-impl Serialize for ChurnSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("scenario".into(), self.scenario.to_value()),
-            ("at_round".into(), self.at_round.to_value()),
-            ("bursts".into(), self.bursts.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ChurnSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // Only `scenario` is required: `at_round` and `bursts` fall back to
-        // the `after_stabilization` defaults when absent (the vendored serde
-        // derive has no `#[serde(default)]`, hence the manual impl).
-        fn field<'a>(value: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
-            match value {
-                serde::Value::Object(fields) => fields
-                    .iter()
-                    .find(|(key, _)| key == name)
-                    .map(|(_, field)| field),
-                _ => None,
-            }
-        }
-        let scenario = Deserialize::from_value(serde::get_field(value, "scenario")?)?;
-        let at_round = match field(value, "at_round") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => usize::MAX,
-        };
-        let bursts = match field(value, "bursts") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => 1,
-        };
-        Ok(ChurnSpec {
-            scenario,
-            at_round,
-            bursts,
-        })
     }
 }
 
@@ -528,19 +462,22 @@ impl VictimSelection {
 /// spec for the others up front. Trials
 /// terminate on *containment* (stabilization outside the 2-neighborhood of
 /// the Byzantine set) instead of global stabilization.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ByzantineSpec {
     /// Which adversary the selected vertices run.
     pub strategy: ByzantineStrategy,
     /// Which vertices are adversarial. Defaults to one random vertex.
+    #[serde(default)]
     pub selection: VictimSelection,
     /// Seed keying both the victim selection and any strategy randomness;
     /// trial `i` uses `seed + i`, so trials see independent adversaries.
     /// Defaults to 0.
+    #[serde(default)]
     pub seed: u64,
     /// Under churn, whether the adversary replaces victims that leave the
     /// graph with fresh ones (an *adaptive* adversary). Without churn this
     /// has no effect. Defaults to `false`.
+    #[serde(default)]
     pub resample: bool,
 }
 
@@ -569,52 +506,6 @@ impl ByzantineSpec {
     }
 }
 
-impl Serialize for ByzantineSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("strategy".into(), self.strategy.to_value()),
-            ("selection".into(), self.selection.to_value()),
-            ("seed".into(), self.seed.to_value()),
-            ("resample".into(), self.resample.to_value()),
-        ])
-    }
-}
-
-impl Deserialize for ByzantineSpec {
-    fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // Only `strategy` is required; `selection` and `seed` fall back to
-        // their defaults (the vendored serde derive has no
-        // `#[serde(default)]`, hence the manual impl).
-        fn field<'a>(value: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
-            match value {
-                serde::Value::Object(fields) => fields
-                    .iter()
-                    .find(|(key, _)| key == name)
-                    .map(|(_, field)| field),
-                _ => None,
-            }
-        }
-        let selection = match field(value, "selection") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => VictimSelection::default(),
-        };
-        let seed = match field(value, "seed") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => 0,
-        };
-        let resample = match field(value, "resample") {
-            Some(v) => Deserialize::from_value(v)?,
-            None => false,
-        };
-        Ok(ByzantineSpec {
-            strategy: Deserialize::from_value(serde::get_field(value, "strategy")?)?,
-            selection,
-            seed,
-            resample,
-        })
-    }
-}
-
 /// Maps a variant name of the retired `ProcessSelector` enum onto the
 /// registry key it always resolved to, so JSON written before the enum was
 /// removed (`"process": "TwoState"`) keeps deserializing unchanged.
@@ -637,14 +528,13 @@ fn legacy_process_registry_key(variant: &str) -> Option<&'static str> {
 /// Prefer [`ExperimentSpec::builder`] for construction; the struct literal
 /// form remains available for the legacy field set.
 ///
-/// Serialization is hand-written (the vendored serde derive has no
-/// `#[serde(default)]`): the [`scheduler`](Self::scheduler),
+/// When deserializing, the [`scheduler`](Self::scheduler),
 /// [`fault`](Self::fault), and related post-redesign fields fall back to
 /// their defaults when absent, and a legacy `process` field (the retired
 /// `ProcessSelector` enum, serialized as its variant name) still resolves
 /// to the matching [`algorithm`](Self::algorithm) registry key — so JSON
 /// written before the registry redesign deserializes unchanged.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, PartialEq, Serialize)]
 pub struct ExperimentSpec {
     /// Name used in reports and file names.
     pub name: String,
@@ -715,93 +605,40 @@ impl Default for ExperimentSpec {
     }
 }
 
-impl Serialize for ExperimentSpec {
-    fn to_value(&self) -> serde::Value {
-        serde::Value::Object(vec![
-            ("name".into(), self.name.to_value()),
-            ("graph".into(), self.graph.to_value()),
-            ("algorithm".into(), self.algorithm.to_value()),
-            ("init".into(), self.init.to_value()),
-            ("execution".into(), self.execution.to_value()),
-            ("strategy".into(), self.strategy.to_value()),
-            ("scheduler".into(), self.scheduler.to_value()),
-            ("fault".into(), self.fault.to_value()),
-            ("churn".into(), self.churn.to_value()),
-            ("byzantine".into(), self.byzantine.to_value()),
-            ("trials".into(), self.trials.to_value()),
-            ("max_rounds".into(), self.max_rounds.to_value()),
-            ("base_seed".into(), self.base_seed.to_value()),
-            ("record_trace".into(), self.record_trace.to_value()),
-        ])
-    }
-}
-
+// Hand-written: a legacy `process` field still names the algorithm.
 impl Deserialize for ExperimentSpec {
     fn from_value(value: &serde::Value) -> Result<Self, serde::Error> {
-        // The post-redesign fields (`algorithm`, `scheduler`, `fault`) fall
-        // back to their defaults when absent so that specs serialized before
-        // the registry redesign keep deserializing — the vendored serde
-        // derive has no `#[serde(default)]`, hence the manual impl.
-        fn optional<'a>(value: &'a serde::Value, name: &str) -> Option<&'a serde::Value> {
-            match value {
-                serde::Value::Object(fields) => fields
-                    .iter()
-                    .find(|(key, _)| key == name)
-                    .map(|(_, field)| field),
-                _ => None,
-            }
-        }
-        fn with_default<T: Deserialize + Default>(
-            value: &serde::Value,
-            name: &str,
-        ) -> Result<T, serde::Error> {
-            match optional(value, name) {
-                Some(field) => T::from_value(field),
-                None => Ok(T::default()),
-            }
-        }
         // Registry-first specs carry the key in `algorithm`; specs written
         // while the retired `ProcessSelector` enum existed carry a
         // `process` variant name instead (possibly next to an explicit
         // `"algorithm": null`). The explicit key wins; the variant name
         // maps onto its registry key; with neither the spec names no
         // algorithm at all.
-        let algorithm: String = match optional(value, "algorithm") {
-            Some(field) if !matches!(field, serde::Value::Null) => Deserialize::from_value(field)?,
-            _ => match optional(value, "process") {
-                Some(field) => {
-                    let variant: String = Deserialize::from_value(field)?;
-                    legacy_process_registry_key(&variant)
-                        .ok_or_else(|| {
-                            serde::Error::custom(format!(
-                                "unknown legacy process selector '{variant}'"
-                            ))
-                        })?
-                        .to_string()
-                }
-                None => {
-                    return Err(serde::Error::custom(
-                        "spec names no algorithm (missing field `algorithm`)",
-                    ))
-                }
-            },
+        let algorithm = match serde::field_or(value, "algorithm", || None)? {
+            Some(key) => key,
+            None => {
+                let process = serde::get_field(value, "process").map_err(|_| {
+                    serde::Error::custom("spec names no algorithm (missing field `algorithm`)")
+                })?;
+                let variant: String = Deserialize::from_value(process)?;
+                legacy_process_registry_key(&variant)
+                    .ok_or_else(|| {
+                        serde::Error::custom(format!("unknown legacy process selector '{variant}'"))
+                    })?
+                    .to_string()
+            }
         };
         Ok(ExperimentSpec {
             name: Deserialize::from_value(serde::get_field(value, "name")?)?,
             graph: Deserialize::from_value(serde::get_field(value, "graph")?)?,
             algorithm,
             init: Deserialize::from_value(serde::get_field(value, "init")?)?,
-            execution: {
-                let execution: ExecutionMode =
-                    Deserialize::from_value(serde::get_field(value, "execution")?)?;
-                execution.validate().map_err(serde::Error::custom)?;
-                execution
-            },
-            strategy: with_default(value, "strategy")?,
-            scheduler: with_default(value, "scheduler")?,
-            fault: with_default(value, "fault")?,
-            churn: with_default(value, "churn")?,
-            byzantine: with_default(value, "byzantine")?,
+            execution: Deserialize::from_value(serde::get_field(value, "execution")?)?,
+            strategy: serde::field_or(value, "strategy", Default::default)?,
+            scheduler: serde::field_or(value, "scheduler", Default::default)?,
+            fault: serde::field_or(value, "fault", Default::default)?,
+            churn: serde::field_or(value, "churn", Default::default)?,
+            byzantine: serde::field_or(value, "byzantine", Default::default)?,
             trials: Deserialize::from_value(serde::get_field(value, "trials")?)?,
             max_rounds: Deserialize::from_value(serde::get_field(value, "max_rounds")?)?,
             base_seed: Deserialize::from_value(serde::get_field(value, "base_seed")?)?,

@@ -119,7 +119,7 @@ ci:
     test -s results/e8_log_switch.csv
     cargo run --release -p mis-bench --bin exp_e11_fault_recovery -- --quick
     test -s results/e11_fault_recovery.csv
-    cargo run --release -p mis-bench --bin exp_scale -- --quick --strategy auto
+    cargo run --release -p mis-bench --bin exp_scale -- --quick --strategy auto --require-multicore
     test -s results/exp_scale.json
     cargo run --release -p mis-bench --bin exp_churn -- --quick
     test -s results/exp_churn.json
