@@ -12,7 +12,8 @@
 //! * any interrupted job fails to complete validly when retried;
 //! * graph registry versions after replay differ from the pre-crash truth;
 //! * any job hangs (non-terminal at the verification deadline);
-//! * a malformed frame or slow client takes the server down or gets a 2xx.
+//! * a malformed frame or slow client takes the server down or gets a 2xx;
+//! * a crash cycle ran no journal compaction.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -21,7 +22,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mis_bench::report::{print_section, write_results_file};
+use mis_bench::report::{git_commit, print_section, write_results_file, Host};
 use mis_bench::Scale;
 use mis_service::api::{GraphInfo, JobInfo, JobStatus};
 use mis_service::{Service, ServiceConfig};
@@ -42,7 +43,9 @@ METHOD
   fault-injecting TCP proxy in front of it (connection drops, truncated
   forwards), and drive job submissions + live PATCH traffic through the
   proxy from N client threads using the retrying HTTP client. Each cycle:
-  let traffic run, pause the mutator, snapshot the graph registry straight
+  let traffic run, force one journal compaction halfway through
+  (AppState::install_snapshot; the byte-triggered compaction thread may
+  add more), pause the mutator, snapshot the graph registry straight
   from the service, crash it mid-traffic (sealed journal, aborted
   listener, abandoned workers), restart on the same data directory, and
   compare the replayed registry against the pre-crash snapshot exactly.
@@ -55,7 +58,8 @@ METHOD
 GATES (non-zero exit)
   lost acked jobs; invalid MIS; failed retries; registry version drift
   after replay; hangs at the verification deadline; unclassified
-  malformed-frame responses; a slowloris connection answered 2xx.
+  malformed-frame responses; a slowloris connection answered 2xx; a crash
+  cycle with no compaction.
 ";
 
 /// Deadline for the post-chaos verification sweep (per-id polls share it).
@@ -70,6 +74,8 @@ const SETTLE: Duration = Duration::from_millis(200);
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ChaosReport {
     scale: String,
+    host: Host,
+    commit: String,
     crash_cycles: u64,
     restarts: u64,
     client_threads: usize,
@@ -93,6 +99,14 @@ struct ChaosReport {
     malformed_unclassified: u64,
     slowloris_ok: bool,
     torn_tails_recovered: u64,
+    /// Compactions forced through `AppState::install_snapshot`, one per
+    /// cycle.
+    compactions_forced: u64,
+    /// Compactions the journal counted beyond the forced ones: the
+    /// compaction thread's, started by the byte trigger.
+    compactions_automatic: u64,
+    /// Crash cycles whose incarnation installed no snapshot.
+    cycles_without_compaction: u64,
     wall_seconds: f64,
 }
 
@@ -108,11 +122,13 @@ impl ChaosReport {
             && self.slowloris_ok
             && self.acked_jobs > 0
             && self.restarts == self.crash_cycles
+            && self.cycles_without_compaction == 0
     }
 
     fn to_pretty(&self) -> String {
         format!(
             "crash cycles: {} ({} restarts, {} torn tails truncated)\n\
+             compactions: {} forced, {} automatic, {} cycles without one\n\
              acked jobs: {} ({} completed, {} interrupted -> {} retried, \
              {} lost, {} invalid MIS, {} hangs)\n\
              registry: {} version mismatches after replay\n\
@@ -123,6 +139,9 @@ impl ChaosReport {
             self.crash_cycles,
             self.restarts,
             self.torn_tails_recovered,
+            self.compactions_forced,
+            self.compactions_automatic,
+            self.cycles_without_compaction,
             self.acked_jobs,
             self.completed,
             self.interrupted_seen,
@@ -577,10 +596,20 @@ fn main() {
     let mut torn_tails = 0u64;
     let mut malformed_total = 0u64;
     let mut malformed_unclassified = 0u64;
+    let mut compactions_forced = 0u64;
+    let mut compactions_total = 0u64;
+    let mut cycles_without_compaction = 0u64;
 
     for cycle in 1..=cycles {
         pause_mutator.store(false, Ordering::SeqCst);
-        thread::sleep(cycle_len);
+        // Force one compaction mid-traffic: the byte trigger alone may not
+        // fire within a short cycle.
+        thread::sleep(cycle_len / 2);
+        match service.state().install_snapshot() {
+            Ok(()) => compactions_forced += 1,
+            Err(e) => eprintln!("cycle {cycle}: forced compaction failed: {e}"),
+        }
+        thread::sleep(cycle_len - cycle_len / 2);
         pause_mutator.store(true, Ordering::SeqCst);
         thread::sleep(SETTLE);
 
@@ -595,6 +624,17 @@ fn main() {
 
         let mut truth = Client::new(addr_now);
         let pre = registry_snapshot(&mut truth);
+
+        let compactions = service
+            .state()
+            .journal
+            .as_ref()
+            .map_or(0, |journal| journal.compactions());
+        compactions_total += compactions;
+        if compactions == 0 {
+            cycles_without_compaction += 1;
+            eprintln!("cycle {cycle}: no compaction ran");
+        }
 
         // Crash: seal the journal, abandon the workers, abort the listener.
         service.crash();
@@ -618,7 +658,8 @@ fn main() {
             );
         }
         println!(
-            "cycle {cycle}/{cycles}: recovered {} graphs, {} jobs ({} requeued, {} interrupted){} \
+            "cycle {cycle}/{cycles}: {compactions} compactions; recovered {} graphs, {} jobs \
+             ({} requeued, {} interrupted){} \
              [probe+crash {crash_secs:.2}s, replay {restart_secs:.2}s, compare {:.2}s]",
             recovery.graphs,
             recovery.jobs,
@@ -724,6 +765,8 @@ fn main() {
 
     let report = ChaosReport {
         scale: format!("{scale:?}"),
+        host: Host::current(),
+        commit: git_commit(),
         crash_cycles: cycles,
         restarts,
         client_threads,
@@ -747,6 +790,9 @@ fn main() {
         malformed_unclassified,
         slowloris_ok,
         torn_tails_recovered: torn_tails,
+        compactions_forced,
+        compactions_automatic: compactions_total.saturating_sub(compactions_forced),
+        cycles_without_compaction,
         wall_seconds: wall.as_secs_f64(),
     };
 
@@ -816,6 +862,12 @@ fn main() {
             eprintln!(
                 "GATE FAILED: {} restarts for {} crashes",
                 report.restarts, report.crash_cycles
+            );
+        }
+        if report.cycles_without_compaction > 0 {
+            eprintln!(
+                "GATE FAILED: {} crash cycles ran no compaction",
+                report.cycles_without_compaction
             );
         }
         std::process::exit(1);

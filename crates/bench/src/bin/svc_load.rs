@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mis_bench::report::{print_section, write_results_file};
+use mis_bench::report::{git_commit, print_section, write_results_file, Host};
 use mis_bench::Scale;
 use mis_service::api::{JobInfo, JobStatus, MetricsReport};
 use mis_service::{Service, ServiceConfig};
@@ -81,6 +81,8 @@ fn summarize(mut micros: Vec<u64>) -> LatencySummary {
 #[derive(Debug, Clone, Serialize, Deserialize)]
 struct ServiceLoadReport {
     scale: String,
+    host: Host,
+    commit: String,
     client_threads: usize,
     jobs_submitted: u64,
     jobs_completed: u64,
@@ -361,6 +363,8 @@ fn main() {
 
     let report = ServiceLoadReport {
         scale: format!("{scale:?}"),
+        host: Host::current(),
+        commit: git_commit(),
         client_threads,
         jobs_submitted: total_jobs,
         jobs_completed: completed,

@@ -19,7 +19,7 @@
 //! joins the pool; [`JobStore::abandon`] is the crash-simulation variant
 //! that walks away without joining.
 
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::{BTreeMap, BTreeSet, VecDeque};
 use std::fmt;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -152,6 +152,9 @@ pub struct Job {
     /// best-effort: a sealed journal (crash in progress) drops them, and
     /// replay marks the job `Interrupted` instead.
     journal: Option<Arc<Journal>>,
+    /// The store's index of non-terminal jobs, which the job leaves at its
+    /// terminal transition.
+    live: Arc<LiveJobs>,
 }
 
 impl Job {
@@ -183,6 +186,12 @@ impl Job {
         Arc::clone(&self.events)
     }
 
+    /// Leaves the live index; called under the state lock at the terminal
+    /// transition, so the index never lists a terminal job.
+    fn leave_live(&self) {
+        sync::lock(&self.live).remove(&(self.entry.id, self.id));
+    }
+
     fn journal_append(&self, record: &Record) {
         if let Some(journal) = &self.journal {
             let _ = journal.append(record);
@@ -207,6 +216,7 @@ impl Job {
         match state.status {
             JobStatus::Queued => {
                 state.status = JobStatus::Cancelled;
+                self.leave_live();
                 self.cancel.store(true, Ordering::SeqCst);
                 self.events.push("{\"event\":\"cancelled\"}".to_string());
                 self.events.close();
@@ -290,10 +300,17 @@ impl fmt::Display for SubmitError {
 
 impl std::error::Error for SubmitError {}
 
+/// `(graph id, job id)` of every non-terminal job: the `PATCH` fan-out set,
+/// in id order per graph.
+type LiveJobs = Mutex<BTreeSet<(u64, u64)>>;
+
 /// The job store: id-ordered map of jobs plus a bounded FIFO queue drained
 /// by a persistent worker pool.
 pub struct JobStore {
     jobs: RwLock<BTreeMap<u64, Arc<Job>>>,
+    /// Non-terminal jobs by graph. A job enters on submit or restore,
+    /// before it is visible, and leaves at its terminal transition.
+    live: Arc<LiveJobs>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     capacity: usize,
     available: Condvar,
@@ -329,6 +346,7 @@ impl JobStore {
         };
         let store = Arc::new(JobStore {
             jobs: RwLock::new(BTreeMap::new()),
+            live: Arc::new(Mutex::new(BTreeSet::new())),
             queue: Mutex::new(VecDeque::new()),
             capacity,
             available: Condvar::new(),
@@ -374,6 +392,7 @@ impl JobStore {
             topology_capable,
             drain_flag: Arc::clone(&self.draining),
             journal: self.journal.clone(),
+            live: Arc::clone(&self.live),
         })
     }
 
@@ -417,6 +436,7 @@ impl JobStore {
                 .map_err(|e| SubmitError::Persistence(e.to_string()))?;
         }
         let job = self.new_job(id, entry, request);
+        sync::lock(&self.live).insert((job.entry.id, id));
         sync::write(&self.jobs).insert(id, Arc::clone(&job));
         self.submitted.fetch_add(1, Ordering::Relaxed);
         sync::lock(&self.queue).push_back(Arc::clone(&job));
@@ -482,6 +502,8 @@ impl JobStore {
         let status = job.status();
         if status.is_terminal() {
             job.events.close();
+        } else {
+            sync::lock(&self.live).insert((job.entry.id, job.id));
         }
         sync::write(&self.jobs).insert(job.id, Arc::clone(&job));
         if status == JobStatus::Queued {
@@ -501,12 +523,16 @@ impl JobStore {
         sync::read(&self.jobs).values().cloned().collect()
     }
 
-    /// All non-terminal jobs targeting graph `graph_id`.
+    /// All non-terminal jobs targeting graph `graph_id`, in id order. Reads
+    /// the live index, so it costs the graph's live jobs, not every job the
+    /// store retains.
     pub fn jobs_on_graph(&self, graph_id: u64) -> Vec<Arc<Job>> {
-        self.list()
-            .into_iter()
-            .filter(|j| j.entry.id == graph_id && !j.status().is_terminal())
-            .collect()
+        let ids: Vec<u64> = sync::lock(&self.live)
+            .range((graph_id, 0)..=(graph_id, u64::MAX))
+            .map(|&(_, id)| id)
+            .collect();
+        let jobs = sync::read(&self.jobs);
+        ids.iter().filter_map(|id| jobs.get(id).cloned()).collect()
     }
 
     /// Aggregate job gauges for `GET /v1/metrics`.
@@ -648,6 +674,7 @@ fn execute(job: &Arc<Job>) {
             state.error = Some(message);
         }
     }
+    job.leave_live();
     let record = job.finish_record(&state);
     drop(state);
     job.journal_append(&record);
@@ -1173,6 +1200,149 @@ mod tests {
             store.submit(Arc::clone(&entry), JobRequest::new(entry.id, "greedy")),
             Err(SubmitError::Draining)
         ));
+    }
+
+    /// Ids of `graph_id`'s non-terminal jobs, by filtering every job.
+    fn live_by_filter(store: &JobStore, graph_id: u64) -> Vec<u64> {
+        store
+            .list()
+            .into_iter()
+            .filter(|j| j.entry.id == graph_id && !j.status().is_terminal())
+            .map(|j| j.id)
+            .collect()
+    }
+
+    fn live_by_index(store: &JobStore, graph_id: u64) -> Vec<u64> {
+        store.jobs_on_graph(graph_id).iter().map(|j| j.id).collect()
+    }
+
+    #[test]
+    fn live_index_equals_the_filter_through_the_lifecycle() {
+        let (registry, entry) = registry_with_path(10);
+        let other = registry.insert(
+            "other".into(),
+            "upload".into(),
+            Graph::from_edges(3, [(0, 1)]).unwrap(),
+        );
+        let store = JobStore::start(1, 0, None);
+        let agree = |expected: &[u64]| {
+            for graph in [entry.id, other.id] {
+                assert_eq!(live_by_index(&store, graph), live_by_filter(&store, graph));
+            }
+            assert_eq!(live_by_index(&store, entry.id), expected);
+        };
+        // One running job occupies the single worker; the rest queue.
+        let mut slow = JobRequest::new(entry.id, "two-state");
+        slow.linger_micros = 60_000_000;
+        let running = store.submit(Arc::clone(&entry), slow).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while running.status() != JobStatus::Running {
+            assert!(Instant::now() < deadline);
+            thread::sleep(Duration::from_millis(2));
+        }
+        let queued: Vec<_> = (0..3)
+            .map(|_| {
+                store
+                    .submit(Arc::clone(&entry), JobRequest::new(entry.id, "greedy"))
+                    .unwrap()
+            })
+            .collect();
+        let elsewhere = store
+            .submit(Arc::clone(&other), JobRequest::new(other.id, "greedy"))
+            .unwrap();
+        agree(&[running.id, queued[0].id, queued[1].id, queued[2].id]);
+        assert_eq!(live_by_index(&store, other.id), [elsewhere.id]);
+        // Terminal transitions: a queued cancel, then the running job's end
+        // lets the queue drain to completion.
+        assert!(queued[1].cancel());
+        agree(&[running.id, queued[0].id, queued[2].id]);
+        assert!(running.cancel());
+        for job in [&running, &queued[0], &queued[2], &elsewhere] {
+            wait_terminal(job);
+        }
+        agree(&[]);
+        store.drain();
+
+        // Restore: queued jobs with a graph are live, terminal and orphaned
+        // ones are not.
+        let restored = JobStore::start(1, 0, None);
+        let recovered = |id, status| SnapshotJob {
+            id,
+            request: JobRequest::new(entry.id, "greedy"),
+            status,
+            outcome: None,
+            error: None,
+            mis: None,
+        };
+        let mut blocker = recovered(1, JobStatus::Queued);
+        blocker.request = JobRequest::new(entry.id, "two-state");
+        blocker.request.linger_micros = 60_000_000;
+        let blocker = restored.restore(blocker, Some(Arc::clone(&entry)));
+        let waiting = restored.restore(recovered(2, JobStatus::Queued), Some(Arc::clone(&entry)));
+        restored.restore(
+            recovered(3, JobStatus::Interrupted),
+            Some(Arc::clone(&entry)),
+        );
+        restored.restore(recovered(4, JobStatus::Completed), Some(Arc::clone(&entry)));
+        restored.restore(recovered(5, JobStatus::Queued), None);
+        for graph in [entry.id, other.id] {
+            assert_eq!(
+                live_by_index(&restored, graph),
+                live_by_filter(&restored, graph)
+            );
+        }
+        assert_eq!(live_by_index(&restored, entry.id), [blocker.id, waiting.id]);
+        blocker.cancel();
+        wait_terminal(&waiting);
+        assert!(live_by_index(&restored, entry.id).is_empty());
+        restored.drain();
+    }
+
+    #[test]
+    fn worker_appends_count_toward_the_compaction_trigger() {
+        let dir = std::env::temp_dir().join(format!(
+            "mis-jobs-trigger-{}-{:?}",
+            std::process::id(),
+            thread::current().id()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let (journal, _) = Journal::open(&dir).unwrap();
+        let journal = Arc::new(journal);
+        let floor = crate::journal::COMPACTION_FLOOR_BYTES;
+        journal
+            .append(&crate::journal::record_of_len(1, floor - 1))
+            .unwrap();
+        assert!(!journal.compaction_due());
+        // A restored queued job journals nothing until a worker starts it,
+        // so only the worker's appends can cross the floor.
+        let (_registry, entry) = registry_with_path(12);
+        let store = JobStore::start(1, 0, Some(Arc::clone(&journal)));
+        let job = store.restore(
+            SnapshotJob {
+                id: 1,
+                request: JobRequest::new(entry.id, "greedy"),
+                status: JobStatus::Queued,
+                outcome: None,
+                error: None,
+                mis: None,
+            },
+            Some(entry),
+        );
+        // The event stream ends after the worker's last append returned.
+        let mut stream = ndjson_stream(job.events());
+        while stream().is_some() {}
+        assert_eq!(job.status(), JobStatus::Completed);
+        assert_eq!(journal.current_seq(), 3);
+        assert!(journal.compaction_due());
+        assert!(journal.wait_compaction_due(Instant::now()));
+        store.drain();
+        assert_eq!(
+            journal.journal_bytes(),
+            std::fs::metadata(dir.join(crate::journal::JOURNAL_FILE))
+                .unwrap()
+                .len()
+        );
+        let _ = std::fs::remove_dir_all(&dir);
     }
 
     #[test]

@@ -25,23 +25,46 @@
 //! ```
 //!
 //! where `len` is the byte length of `<json>` and the CRC-32 (IEEE) covers
-//! exactly those bytes. Replay stops at the first record that is truncated,
-//! mis-framed, or fails its checksum — the torn tail a crash mid-append
-//! leaves behind — and the file is truncated back to the last good record
-//! before appending resumes.
+//! exactly those bytes, and `<json>` is `{"seq":<n>,"record":<record>}`.
+//! Replay stops at the first record that is truncated, mis-framed, or fails
+//! its checksum — the torn tail a crash mid-append leaves behind — and the
+//! file is truncated back to the last good record before appending resumes.
+//! An intact frame whose record this build cannot decode (an unknown `type`,
+//! say) is not a torn tail: [`Journal::open`] fails with
+//! [`io::ErrorKind::InvalidData`], naming its seq and byte offset, and leaves
+//! the file untouched rather than drop it and every record after it.
 //!
-//! `snapshot.json` bounds journal growth: it captures the full state plus
-//! the sequence number of the last record it covers, is written to a temp
-//! file, fsynced, and atomically renamed; afterwards the journal is
-//! truncated. Replay loads the snapshot first and skips any journal record
-//! with `seq <= last_seq`, so a crash between rename and truncate replays
-//! the overlapping records as no-ops.
+//! # Compaction
+//!
+//! `snapshot.json` bounds journal growth: it holds the full state plus the
+//! sequence number of the last record it covers. A compaction is due once
+//! the journal holds max([`COMPACTION_FLOOR_BYTES`], size of the last
+//! snapshot) bytes, so the bytes snapshots rewrite grow with the bytes
+//! journaled, and a restart replays at most about one snapshot's worth of
+//! journal. [`Journal::install_snapshot`] compacts in this order:
+//!
+//! 1. stream the document into `snapshot.json.tmp` one graph and one job at
+//!    a time, fsync it, rename it over `snapshot.json`, and fsync the
+//!    directory;
+//! 2. under the append lock only: copy the records the snapshot does not
+//!    cover into `journal.ndjson.tmp`, fsync it, rename it over
+//!    `journal.ndjson`, fsync the directory, and swap it in as the file
+//!    appends go to;
+//! 3. close the replaced journal after releasing the lock.
+//!
+//! The journal keeps each record's end offset, so step 2 finds the end of
+//! the covered records without reading them. Replay loads the snapshot
+//! first and skips any journal record with `seq <= last_seq`, so a crash
+//! between steps 1 and 2 — the full journal beside the new snapshot —
+//! replays the overlapping records as no-ops.
 
 use std::fs::{self, File, OpenOptions};
-use std::io::{self, BufRead, BufReader, Read, Seek, SeekFrom, Write};
-use std::path::PathBuf;
+use std::io::{self, BufRead, BufReader, BufWriter, Write};
+use std::os::unix::fs::FileExt;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Mutex;
+use std::sync::{Arc, Condvar, Mutex, PoisonError};
+use std::time::Instant;
 
 use mis_graph::{Graph, VertexId};
 use serde::{Deserialize, Serialize, Value};
@@ -54,8 +77,10 @@ pub const JOURNAL_FILE: &str = "journal.ndjson";
 /// Snapshot file name inside the data directory.
 pub const SNAPSHOT_FILE: &str = "snapshot.json";
 
-/// How many appended records trigger an automatic snapshot.
-pub const SNAPSHOT_INTERVAL: u64 = 512;
+/// Journal bytes that make a compaction due however small the last
+/// snapshot is; past it, a compaction is due once the journal holds as many
+/// bytes as the last snapshot.
+pub const COMPACTION_FLOOR_BYTES: u64 = 1 << 20;
 
 // ---------------------------------------------------------------------------
 // CRC-32 (IEEE), table-driven — no external dependency.
@@ -305,23 +330,62 @@ impl CreateGraphRequest {
 // The journal itself
 // ---------------------------------------------------------------------------
 
-/// Append-only WAL with snapshot rotation. See the module docs for the
+/// The file appends go to, and what an install needs to split it.
+struct Active {
+    file: Arc<File>,
+    /// Bytes of framed records in `file`; the next append writes here.
+    len: u64,
+    /// `(seq, end offset)` of each record in `file`, in file order, so an
+    /// install finds the end of the records its snapshot covers without
+    /// reading them.
+    ends: Vec<(u64, u64)>,
+    /// Size of the last installed snapshot, or of the one found at open.
+    snapshot_bytes: u64,
+}
+
+impl Active {
+    fn compaction_due(&self) -> bool {
+        self.len >= COMPACTION_FLOOR_BYTES.max(self.snapshot_bytes)
+    }
+}
+
+/// Points inside [`Journal::install_snapshot`] where a test can hold the
+/// installing thread.
+#[cfg(test)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) enum InstallStage {
+    /// The new snapshot is renamed into place; the journal is not swapped.
+    SnapshotRenamed,
+    /// The trimmed journal takes appends; the replaced one is still open.
+    JournalSwapped,
+}
+
+/// Append-only WAL with snapshot compaction. See the module docs for the
 /// format and recovery semantics.
 pub struct Journal {
     dir: PathBuf,
-    file: Mutex<File>,
+    /// The append lock: held to write a record, and by an install only to
+    /// copy the uncovered records into the replacement and swap it in.
+    active: Mutex<Active>,
+    /// Seq of the last record written; assigned under `active`.
     seq: AtomicU64,
-    since_snapshot: AtomicU64,
     sealed: AtomicBool,
-    /// Seq covered by the last installed snapshot. Doubles as the install
-    /// mutex: held across the whole build-tmp/rename/trim sequence so
-    /// concurrent installs can never interleave writes to the tmp file,
-    /// and a stale doc racing a newer one is dropped instead of rolling
-    /// the snapshot backwards. Lock order: `snapshot_gate` before `file`.
-    snapshot_gate: Mutex<u64>,
-    /// Claimed by [`try_begin_snapshot`](Journal::try_begin_snapshot) so
-    /// only one thread at a time pays for building a snapshot document.
-    snapshot_in_flight: AtomicBool,
+    /// The install mutex: held across the whole write/rename/swap sequence
+    /// so concurrent installs can never interleave writes to the tmp files.
+    /// Lock order: `snapshot_gate` before `active`.
+    snapshot_gate: Mutex<()>,
+    /// Seq covered by the snapshot on disk: a stale doc racing a newer one
+    /// is dropped instead of rolling the snapshot backwards.
+    installed: AtomicU64,
+    /// Snapshots installed since open.
+    compactions: AtomicU64,
+    /// Wakes [`wait_compaction_due`](Journal::wait_compaction_due) when an
+    /// append makes a compaction due or the journal is sealed. Lock order:
+    /// `wake_lock` before `active`.
+    wake_lock: Mutex<()>,
+    wake: Condvar,
+    #[cfg(test)]
+    install_hook: std::sync::OnceLock<Box<dyn Fn(InstallStage) + Send + Sync>>,
 }
 
 impl Journal {
@@ -331,15 +395,18 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures creating the directory or files. Corrupt
-    /// records never error: replay stops at the first bad record (torn
-    /// tail) and the file is truncated back to the last good byte.
+    /// Propagates I/O failures creating the directory or files. A broken
+    /// frame never errors: replay stops at the first one (torn tail) and the
+    /// file is truncated back to the last good byte. An intact frame whose
+    /// record does not decode fails with [`io::ErrorKind::InvalidData`]
+    /// naming its seq and byte offset, and the file is left as it was.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<(Journal, Recovery)> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
 
         let mut state = ReplayState::default();
         let mut last_seq = 0u64;
+        let mut snapshot_bytes = 0u64;
 
         // 1. Snapshot, if any. A snapshot that fails to parse is ignored
         //    (it is only ever written atomically, so this means external
@@ -348,6 +415,7 @@ impl Journal {
         if let Ok(text) = fs::read_to_string(&snapshot_path) {
             if let Ok(snap) = serde_json::from_str::<SnapshotDoc>(&text) {
                 last_seq = snap.last_seq;
+                snapshot_bytes = text.len() as u64;
                 state = snap.into_state();
             }
         }
@@ -357,6 +425,7 @@ impl Journal {
         let mut replayed = 0usize;
         let mut torn_tail = false;
         let mut good_bytes = 0u64;
+        let mut ends = Vec::new();
         let mut max_seq = last_seq;
         if let Ok(file) = File::open(&journal_path) {
             let mut reader = BufReader::new(file);
@@ -372,7 +441,7 @@ impl Journal {
                     }
                 };
                 match parse_frame(&line) {
-                    Some((seq, record)) => {
+                    Frame::Record(seq, record) => {
                         max_seq = max_seq.max(seq);
                         if seq > last_seq {
                             // A semantically impossible record (e.g. a patch
@@ -384,28 +453,43 @@ impl Journal {
                             }
                         }
                         good_bytes += n as u64;
+                        ends.push((seq, good_bytes));
                     }
-                    None => {
+                    Frame::Torn => {
                         torn_tail = true;
                         break;
+                    }
+                    Frame::Undecodable { seq, error } => {
+                        let seq = seq.map_or("unknown".to_string(), |s| s.to_string());
+                        return Err(io::Error::new(
+                            io::ErrorKind::InvalidData,
+                            format!(
+                                "{}: the record at byte {good_bytes} (seq {seq}) is intact but \
+                                 does not decode ({error}); refusing to drop it and the \
+                                 records after it",
+                                journal_path.display()
+                            ),
+                        ));
                     }
                 }
             }
         }
 
         // 3. Truncate away the torn tail so appends resume cleanly framed.
+        let created = !journal_path.exists();
         let file = OpenOptions::new()
             .create(true)
             .truncate(false)
             .read(true)
             .write(true)
             .open(&journal_path)?;
+        if created {
+            sync_dir(&dir)?;
+        }
         let actual_len = file.metadata()?.len();
         if torn_tail || good_bytes < actual_len {
             file.set_len(good_bytes)?;
         }
-        let mut file = file;
-        file.seek(SeekFrom::End(0))?;
 
         // 4. Post-process: running-at-crash becomes Interrupted.
         for job in &mut state.jobs {
@@ -423,12 +507,21 @@ impl Journal {
 
         let journal = Journal {
             dir,
-            file: Mutex::new(file),
+            active: Mutex::new(Active {
+                file: Arc::new(file),
+                len: good_bytes,
+                ends,
+                snapshot_bytes,
+            }),
             seq: AtomicU64::new(max_seq),
-            since_snapshot: AtomicU64::new(0),
             sealed: AtomicBool::new(false),
-            snapshot_gate: Mutex::new(last_seq),
-            snapshot_in_flight: AtomicBool::new(false),
+            snapshot_gate: Mutex::new(()),
+            installed: AtomicU64::new(last_seq),
+            compactions: AtomicU64::new(0),
+            wake_lock: Mutex::new(()),
+            wake: Condvar::new(),
+            #[cfg(test)]
+            install_hook: std::sync::OnceLock::new(),
         };
         let recovery = Recovery {
             graphs: state.graphs,
@@ -442,9 +535,10 @@ impl Journal {
     /// Appends one record and `fsync`s it. Returns only after the bytes are
     /// durable — callers acknowledge the client strictly after this.
     ///
-    /// The file lock covers the write, not the `fsync`: concurrent appends
-    /// write while this one waits on the disk, and the file system can
-    /// commit their syncs together.
+    /// The record is encoded before the lock is taken, and the lock covers
+    /// the write, not the `fsync`: concurrent appends write while this one
+    /// waits on the disk, and the file system can commit their syncs
+    /// together.
     ///
     /// # Errors
     ///
@@ -454,73 +548,102 @@ impl Journal {
         if self.sealed.load(Ordering::SeqCst) {
             return Err(io::Error::other("journal sealed"));
         }
-        let (seq, written_to) = {
-            let mut file = crate::sync::lock(&self.file);
+        let body = serde_json::to_string(record)
+            .map_err(|e| io::Error::other(format!("journal encode: {e}")))?;
+        let (seq, written_to, due) = {
+            let mut active = crate::sync::lock(&self.active);
             // Re-check under the lock: `seal` waits on this lock as a
             // barrier, so no append may start writing once it has returned.
             if self.sealed.load(Ordering::SeqCst) {
                 return Err(io::Error::other("journal sealed"));
             }
-            // Sequence numbers are assigned under the file lock so on-disk
-            // order matches sequence order.
-            let seq = self.seq.fetch_add(1, Ordering::SeqCst) + 1;
-            let envelope = Value::Object(vec![
-                ("seq".to_string(), seq.to_value()),
-                ("record".to_string(), record.to_value()),
-            ]);
-            let json = serde_json::to_string(&envelope)
-                .map_err(|e| io::Error::other(format!("journal encode: {e}")))?;
+            // Sequence numbers are assigned under the lock so on-disk order
+            // matches sequence order. A failed write takes neither a seq nor
+            // a byte: the next record overwrites whatever it left.
+            let seq = self.seq.load(Ordering::SeqCst) + 1;
+            let json = format!("{{\"seq\":{seq},\"record\":{body}}}");
             let line = format!("{} {:08x} {}\n", json.len(), crc32(json.as_bytes()), json);
-            file.write_all(line.as_bytes())?;
-            (seq, file.try_clone()?)
+            active.file.write_all_at(line.as_bytes(), active.len)?;
+            active.len += line.len() as u64;
+            let end = active.len;
+            active.ends.push((seq, end));
+            self.seq.store(seq, Ordering::SeqCst);
+            (seq, Arc::clone(&active.file), active.compaction_due())
         };
-        // The clone names the file the record went to, even if a snapshot
-        // install swaps the journal before this sync: syncing it makes the
-        // record durable there, and the install syncs its own copy of every
-        // record it carries over (or covers it by the snapshot). Syncing
-        // also covers every record written before this one.
+        if due {
+            self.wake_compactor();
+        }
+        // `written_to` is the file the record went to, even if an install
+        // swaps the journal before this sync: syncing it makes the record
+        // durable there, and the install syncs its own copy of every record
+        // it carries over (or covers it by the snapshot). Syncing also
+        // covers every record written before this one.
         written_to.sync_data()?;
-        self.since_snapshot.fetch_add(1, Ordering::Relaxed);
         Ok(seq)
     }
 
-    /// Whether enough records have accumulated to warrant a snapshot.
-    pub fn snapshot_due(&self) -> bool {
-        self.since_snapshot.load(Ordering::Relaxed) >= SNAPSHOT_INTERVAL
+    /// Whether the journal holds max([`COMPACTION_FLOOR_BYTES`], last
+    /// snapshot size) bytes.
+    pub(crate) fn compaction_due(&self) -> bool {
+        crate::sync::lock(&self.active).compaction_due()
     }
 
-    /// Claims the right to build the next snapshot document. Returns
-    /// `true` when one is [due](Journal::snapshot_due) and no other thread
-    /// is already building one — the claim must be released with
-    /// [`finish_snapshot`](Journal::finish_snapshot). Without this claim,
-    /// every request thread that sees `snapshot_due()` would serialize a
-    /// full state capture of its own.
-    pub fn try_begin_snapshot(&self) -> bool {
-        self.snapshot_due()
-            && self
-                .snapshot_in_flight
-                .compare_exchange(false, true, Ordering::SeqCst, Ordering::SeqCst)
-                .is_ok()
+    /// Bytes journaled since the last compaction: the journal's length.
+    #[cfg(test)]
+    pub(crate) fn journal_bytes(&self) -> u64 {
+        crate::sync::lock(&self.active).len
     }
 
-    /// Releases the claim taken by [`try_begin_snapshot`](Journal::try_begin_snapshot).
-    pub fn finish_snapshot(&self) {
-        self.snapshot_in_flight.store(false, Ordering::SeqCst);
+    /// Snapshots this journal has installed since it was opened.
+    pub fn compactions(&self) -> u64 {
+        self.compactions.load(Ordering::SeqCst)
+    }
+
+    /// Blocks until a compaction is [due](Journal::compaction_due) and
+    /// `not_before` has passed, or until the journal is sealed. Returns
+    /// `false` once sealed — the compaction thread's cue to exit.
+    pub(crate) fn wait_compaction_due(&self, not_before: Instant) -> bool {
+        let mut guard = crate::sync::lock(&self.wake_lock);
+        loop {
+            if self.sealed.load(Ordering::SeqCst) {
+                return false;
+            }
+            let now = Instant::now();
+            guard = if now < not_before {
+                self.wake
+                    .wait_timeout(guard, not_before - now)
+                    .unwrap_or_else(PoisonError::into_inner)
+                    .0
+            } else if self.compaction_due() {
+                return true;
+            } else {
+                self.wake
+                    .wait(guard)
+                    .unwrap_or_else(PoisonError::into_inner)
+            };
+        }
+    }
+
+    fn wake_compactor(&self) {
+        let _guard = crate::sync::lock(&self.wake_lock);
+        self.wake.notify_all();
     }
 
     /// Stops all future appends — every later [`append`](Journal::append)
     /// fails. Models the instant of a crash for fault injection: writes
     /// from stale worker threads of a dead incarnation must not land in a
-    /// file now owned by its successor. Blocks until any in-flight append
-    /// or snapshot install has finished, so when `seal` returns the files
-    /// are quiescent and safe for a successor to reopen.
+    /// file now owned by its successor. Also wakes the compaction thread so
+    /// it exits. Blocks until any in-flight append or snapshot install has
+    /// finished, so when `seal` returns the files are quiescent and safe
+    /// for a successor to reopen.
     pub fn seal(&self) {
         self.sealed.store(true, Ordering::SeqCst);
+        self.wake_compactor();
         // Barriers, in install lock order: an install past its sealed
         // check commits before we return; an append past its check has
         // written before we return.
         drop(crate::sync::lock(&self.snapshot_gate));
-        drop(crate::sync::lock(&self.file));
+        drop(crate::sync::lock(&self.active));
     }
 
     /// Current sequence number (the seq of the most recent append).
@@ -532,80 +655,100 @@ impl Journal {
     /// records the snapshot does NOT cover (`seq > snapshot.last_seq`).
     /// Records appended after the document was captured are preserved
     /// verbatim — an install must never discard an acknowledged mutation
-    /// that only the journal knows about.
+    /// that only the journal knows about. See the module docs for the
+    /// order of the steps and what a crash between them leaves.
     ///
-    /// Crash-ordering: snapshot tmp write + fsync, trimmed journal tmp
-    /// write + fsync, snapshot rename, journal rename. A crash between
-    /// the renames leaves the full journal next to the new snapshot;
-    /// replay skips the records the snapshot already covers by seq.
-    ///
+    /// Appends wait only while the uncovered records are copied and the
+    /// trimmed journal is swapped in, not while the snapshot is written.
     /// Concurrent installs serialize on `snapshot_gate`, and a document
     /// older than the installed one is dropped (Ok) rather than rolling
     /// the snapshot backwards.
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures; a failed snapshot leaves the journal intact.
+    /// Propagates I/O failures; a failed install leaves the journal intact.
     pub fn install_snapshot(&self, snapshot: &SnapshotDoc) -> io::Result<()> {
-        let mut installed = crate::sync::lock(&self.snapshot_gate);
+        let _gate = crate::sync::lock(&self.snapshot_gate);
         if self.sealed.load(Ordering::SeqCst) {
             return Err(io::Error::other("journal sealed"));
         }
-        if snapshot.last_seq < *installed {
+        if snapshot.last_seq < self.installed.load(Ordering::SeqCst) {
             return Ok(()); // raced a newer install; nothing to do
         }
-        let json = serde_json::to_string(&snapshot.to_value())
-            .map_err(|e| io::Error::other(format!("snapshot encode: {e}")))?;
         let tmp = self.dir.join("snapshot.json.tmp");
-        {
-            let mut f = File::create(&tmp)?;
-            f.write_all(json.as_bytes())?;
-            f.sync_data()?;
-        }
-        // Under the file lock (no appends): split the journal at the last
-        // record the snapshot covers and carry everything after it over
-        // into the replacement journal.
-        let mut file = crate::sync::lock(&self.file);
-        file.seek(SeekFrom::Start(0))?;
-        let mut cut = 0u64;
-        {
-            let mut reader = BufReader::new(&mut *file);
-            let mut line = String::new();
-            loop {
-                line.clear();
-                let n = match read_journal_line(&mut reader, &mut line) {
-                    Ok(0) => break,
-                    Ok(n) => n,
-                    Err(_) => break,
-                };
-                match parse_frame(&line) {
-                    Some((seq, _)) if seq <= snapshot.last_seq => cut += n as u64,
-                    // Anything unparseable (or newer) stays in the journal.
-                    _ => break,
-                }
-            }
-        }
-        file.seek(SeekFrom::Start(cut))?;
-        let mut tail = Vec::new();
-        file.read_to_end(&mut tail)?;
-        let journal_tmp = self.dir.join("journal.ndjson.tmp");
-        let mut replacement = OpenOptions::new()
-            .create(true)
-            .read(true)
-            .write(true)
-            .truncate(true)
-            .open(&journal_tmp)?;
-        replacement.write_all(&tail)?;
-        replacement.sync_data()?;
+        let snapshot_bytes = {
+            let mut out = BufWriter::new(File::create(&tmp)?);
+            snapshot.write_json(&mut out)?;
+            let file = out.into_inner().map_err(io::IntoInnerError::into_error)?;
+            file.sync_data()?;
+            file.metadata()?.len()
+        };
         fs::rename(&tmp, self.dir.join(SNAPSHOT_FILE))?;
-        fs::rename(&journal_tmp, self.dir.join(JOURNAL_FILE))?;
-        replacement.seek(SeekFrom::End(0))?;
-        *file = replacement;
-        drop(file);
-        *installed = snapshot.last_seq;
-        self.since_snapshot.store(0, Ordering::Relaxed);
+        // From here on no older document may replace this one, whatever
+        // happens to the rest of the install.
+        self.installed.store(snapshot.last_seq, Ordering::SeqCst);
+        sync_dir(&self.dir)?;
+        #[cfg(test)]
+        self.reached(InstallStage::SnapshotRenamed);
+
+        let journal_tmp = self.dir.join("journal.ndjson.tmp");
+        let replaced = {
+            let mut active = crate::sync::lock(&self.active);
+            let covered = active
+                .ends
+                .partition_point(|&(seq, _)| seq <= snapshot.last_seq);
+            let cut = covered.checked_sub(1).map_or(0, |i| active.ends[i].1);
+            let mut tail = vec![0; (active.len - cut) as usize];
+            active.file.read_exact_at(&mut tail, cut)?;
+            let replacement = OpenOptions::new()
+                .create(true)
+                .read(true)
+                .write(true)
+                .truncate(true)
+                .open(&journal_tmp)?;
+            replacement.write_all_at(&tail, 0)?;
+            replacement.sync_data()?;
+            fs::rename(&journal_tmp, self.dir.join(JOURNAL_FILE))?;
+            // The name now points at the replacement, so appends must go
+            // there, but not before the new name is durable: sync the
+            // directory before releasing the lock.
+            active.ends.drain(..covered);
+            for (_, end) in &mut active.ends {
+                *end -= cut;
+            }
+            active.len -= cut;
+            active.snapshot_bytes = snapshot_bytes;
+            let replaced = std::mem::replace(&mut active.file, Arc::new(replacement));
+            sync_dir(&self.dir)?;
+            replaced
+        };
+        #[cfg(test)]
+        self.reached(InstallStage::JournalSwapped);
+        drop(replaced);
+        self.compactions.fetch_add(1, Ordering::SeqCst);
         Ok(())
     }
+
+    /// Runs `hook` at each [`InstallStage`] of every later install.
+    #[cfg(test)]
+    pub(crate) fn set_install_hook(&self, hook: impl Fn(InstallStage) + Send + Sync + 'static) {
+        assert!(
+            self.install_hook.set(Box::new(hook)).is_ok(),
+            "install hook set twice"
+        );
+    }
+
+    #[cfg(test)]
+    fn reached(&self, stage: InstallStage) {
+        if let Some(hook) = self.install_hook.get() {
+            hook(stage);
+        }
+    }
+}
+
+/// Makes the renames and creations in `dir` durable.
+fn sync_dir(dir: &Path) -> io::Result<()> {
+    File::open(dir)?.sync_all()
 }
 
 /// Reads one line (including the trailing newline) into `line`; a final
@@ -623,24 +766,62 @@ fn read_journal_line(reader: &mut impl BufRead, line: &mut String) -> io::Result
     Ok(n)
 }
 
-/// Parses `<len> <crc32-hex> <json>\n`, verifying length and checksum.
-/// Returns `None` for any mis-framed or corrupt line.
-fn parse_frame(line: &str) -> Option<(u64, Record)> {
-    let body = line.strip_suffix('\n')?;
-    let (len_str, rest) = body.split_once(' ')?;
-    let (crc_str, json) = rest.split_once(' ')?;
-    let len: usize = len_str.parse().ok()?;
-    if json.len() != len {
-        return None;
+/// What one journal line holds.
+enum Frame {
+    /// An intact record and its seq.
+    Record(u64, Record),
+    /// A wrong length, checksum or framing: the torn tail of a crash
+    /// mid-append.
+    Torn,
+    /// Length and checksum match, but the record does not decode.
+    Undecodable {
+        /// The envelope's seq, when it reads.
+        seq: Option<u64>,
+        /// Why the record does not decode.
+        error: String,
+    },
+}
+
+/// Parses `<len> <crc32-hex> <json>\n`, verifying length and checksum
+/// before decoding the record.
+fn parse_frame(line: &str) -> Frame {
+    let intact = || {
+        let body = line.strip_suffix('\n')?;
+        let (len_str, rest) = body.split_once(' ')?;
+        let (crc_str, json) = rest.split_once(' ')?;
+        let len: usize = len_str.parse().ok()?;
+        let crc = u32::from_str_radix(crc_str, 16).ok()?;
+        (json.len() == len && crc32(json.as_bytes()) == crc).then_some(json)
+    };
+    let Some(json) = intact() else {
+        return Frame::Torn;
+    };
+    let envelope: Value = match serde_json::from_str(json) {
+        Ok(envelope) => envelope,
+        Err(e) => {
+            return Frame::Undecodable {
+                seq: None,
+                error: e.to_string(),
+            }
+        }
+    };
+    let seq = serde::get_field(&envelope, "seq")
+        .and_then(u64::from_value)
+        .ok();
+    match (
+        seq,
+        serde::get_field(&envelope, "record").and_then(Record::from_value),
+    ) {
+        (Some(seq), Ok(record)) => Frame::Record(seq, record),
+        (seq, Err(e)) => Frame::Undecodable {
+            seq,
+            error: e.to_string(),
+        },
+        (None, Ok(_)) => Frame::Undecodable {
+            seq: None,
+            error: "no numeric seq".to_string(),
+        },
     }
-    let crc = u32::from_str_radix(crc_str, 16).ok()?;
-    if crc32(json.as_bytes()) != crc {
-        return None;
-    }
-    let envelope: Value = serde_json::from_str(json).ok()?;
-    let seq = u64::from_value(serde::get_field(&envelope, "seq").ok()?).ok()?;
-    let record = Record::from_value(serde::get_field(&envelope, "record").ok()?).ok()?;
-    Some((seq, record))
 }
 
 // ---------------------------------------------------------------------------
@@ -698,6 +879,28 @@ pub struct SnapshotDoc {
 }
 
 impl SnapshotDoc {
+    /// Writes the bytes of `serde_json::to_string(self)`, encoding one
+    /// graph or job at a time, so the encoding never holds more than one
+    /// of them.
+    fn write_json(&self, out: &mut impl Write) -> io::Result<()> {
+        fn list<T: Serialize>(out: &mut impl Write, items: &[T]) -> io::Result<()> {
+            for (i, item) in items.iter().enumerate() {
+                if i > 0 {
+                    out.write_all(b",")?;
+                }
+                let json = serde_json::to_string(item)
+                    .map_err(|e| io::Error::other(format!("snapshot encode: {e}")))?;
+                out.write_all(json.as_bytes())?;
+            }
+            Ok(())
+        }
+        write!(out, "{{\"last_seq\":{},\"graphs\":[", self.last_seq)?;
+        list(out, &self.graphs)?;
+        out.write_all(b"],\"jobs\":[")?;
+        list(out, &self.jobs)?;
+        out.write_all(b"]}")
+    }
+
     fn into_state(self) -> ReplayState {
         let graphs = self
             .graphs
@@ -720,11 +923,300 @@ impl SnapshotDoc {
     }
 }
 
+/// A record whose journal line at `seq` is exactly `line_len` bytes: a
+/// finish record for job 0, which replay ignores, padded through its error.
+#[cfg(test)]
+pub(crate) fn record_of_len(seq: u64, line_len: u64) -> Record {
+    let padded = |pad: usize| Record::JobFinished {
+        id: 0,
+        status: JobStatus::Failed,
+        outcome: None,
+        error: Some("x".repeat(pad)),
+        mis: None,
+    };
+    let body = serde_json::to_string(&padded(0)).unwrap();
+    let base = format!("{{\"seq\":{seq},\"record\":{body}}}").len() as u64;
+    // A line is `<len> <crc32-hex> <json>\n`: the digits of `len`, 11 more
+    // bytes, and the JSON.
+    let digits = |x: u64| x.to_string().len() as u64;
+    let json = (1..20)
+        .filter_map(|d| line_len.checked_sub(11 + d).filter(|&j| digits(j) == d))
+        .find(|&j| j >= base)
+        .unwrap_or_else(|| panic!("no record line is {line_len} bytes at seq {seq}"));
+    padded((json - base) as usize)
+}
+
 #[cfg(test)]
 mod tests {
+    use std::sync::Barrier;
+    use std::thread;
+
     use super::*;
     use crate::api::GraphSource;
     use mis_sim::spec::GraphSpec;
+
+    fn submitted(id: u64) -> Record {
+        Record::JobSubmitted {
+            id,
+            request: JobRequest::new(1, "two-state"),
+        }
+    }
+
+    /// The state after `submitted(id)` for each of `ids`, covering `last_seq`.
+    fn queued_doc(last_seq: u64, ids: impl IntoIterator<Item = u64>) -> SnapshotDoc {
+        SnapshotDoc {
+            last_seq,
+            graphs: Vec::new(),
+            jobs: ids
+                .into_iter()
+                .map(|id| SnapshotJob {
+                    id,
+                    request: JobRequest::new(1, "two-state"),
+                    status: JobStatus::Queued,
+                    outcome: None,
+                    error: None,
+                    mis: None,
+                })
+                .collect(),
+        }
+    }
+
+    fn job_ids(recovery: &Recovery) -> Vec<u64> {
+        recovery.jobs.iter().map(|j| j.id).collect()
+    }
+
+    /// Copies the snapshot and journal in `from` into a fresh `to`, as a
+    /// crash at this instant would leave them.
+    fn copy_files(from: &Path, to: &Path) {
+        let _ = fs::remove_dir_all(to);
+        fs::create_dir_all(to).unwrap();
+        for name in [SNAPSHOT_FILE, JOURNAL_FILE] {
+            if from.join(name).exists() {
+                fs::copy(from.join(name), to.join(name)).unwrap();
+            }
+        }
+    }
+
+    #[test]
+    fn streamed_snapshot_bytes_equal_the_tree_encoding() {
+        let escapes = "quote \" backslash \\ newline \n tab \t bell \u{7} é";
+        let outcome = JobOutcome {
+            rounds: 17,
+            stabilized: true,
+            valid_mis: true,
+            mis_size: 2,
+            n: 5,
+            m: 2,
+            random_bits: 123,
+            states_per_vertex: usize::MAX,
+            mutations_applied: 1,
+            wall_micros: 42,
+        };
+        // Odd ids set every optional field, even ids none of them.
+        let job = |id: u64| {
+            let set = id % 2 == 1;
+            SnapshotJob {
+                id,
+                request: JobRequest::new(id % 3, if set { escapes } else { "two-state" }),
+                status: if set {
+                    JobStatus::Completed
+                } else {
+                    JobStatus::Queued
+                },
+                outcome: set.then(|| outcome.clone()),
+                error: set.then(|| escapes.to_string()),
+                mis: set.then(|| (0..id as usize).collect()),
+            }
+        };
+        let graph = |id: u64| SnapshotGraph {
+            id,
+            name: escapes.into(),
+            source: "upload(n=4,m=3)".into(),
+            n: 4,
+            edges: vec![(0, 1), (1, 2), (2, 3)],
+            version: id,
+        };
+        for (graphs, jobs) in [(0, 0), (1, 1), (2, 500)] {
+            let doc = SnapshotDoc {
+                last_seq: 7 * jobs,
+                graphs: (1..=graphs).map(graph).collect(),
+                jobs: (1..=jobs).map(job).collect(),
+            };
+            let mut streamed = Vec::new();
+            doc.write_json(&mut streamed).unwrap();
+            assert_eq!(
+                String::from_utf8(streamed).unwrap(),
+                serde_json::to_string(&doc).unwrap(),
+                "{jobs} jobs"
+            );
+        }
+    }
+
+    #[test]
+    fn compaction_is_due_exactly_at_max_of_the_floor_and_the_last_snapshot() {
+        // No snapshot yet: the floor is the threshold.
+        for (tag, len) in [
+            ("floor-below", COMPACTION_FLOOR_BYTES - 1),
+            ("floor-at", COMPACTION_FLOOR_BYTES),
+        ] {
+            let dir = tmpdir(tag);
+            let (journal, _) = Journal::open(&dir).unwrap();
+            journal.append(&record_of_len(1, len)).unwrap();
+            assert_eq!(journal.journal_bytes(), len);
+            assert_eq!(journal.compaction_due(), len == COMPACTION_FLOOR_BYTES);
+            let _ = fs::remove_dir_all(&dir);
+        }
+        // After a snapshot larger than the floor, its size is the threshold,
+        // also for the journal a restart opens.
+        let big = SnapshotDoc {
+            last_seq: 0,
+            graphs: vec![SnapshotGraph {
+                id: 1,
+                name: "path".into(),
+                source: "upload".into(),
+                n: 100_001,
+                edges: (0..100_000).map(|i| (i, i + 1)).collect(),
+                version: 1,
+            }],
+            jobs: Vec::new(),
+        };
+        let snapshot_bytes = serde_json::to_string(&big).unwrap().len() as u64;
+        assert!(snapshot_bytes > COMPACTION_FLOOR_BYTES);
+        for (tag, len) in [
+            ("snap-below", snapshot_bytes - 1),
+            ("snap-at", snapshot_bytes),
+        ] {
+            let dir = tmpdir(tag);
+            let (journal, _) = Journal::open(&dir).unwrap();
+            journal.install_snapshot(&big).unwrap();
+            assert_eq!(journal.journal_bytes(), 0);
+            journal.append(&record_of_len(1, len)).unwrap();
+            assert_eq!(journal.compaction_due(), len == snapshot_bytes);
+            drop(journal);
+            let (journal, _) = Journal::open(&dir).unwrap();
+            assert_eq!(journal.journal_bytes(), len);
+            assert_eq!(journal.compaction_due(), len == snapshot_bytes);
+            let _ = fs::remove_dir_all(&dir);
+        }
+    }
+
+    #[test]
+    fn appends_racing_a_compaction_all_replay() {
+        let dir = tmpdir("race");
+        let (journal, _) = Journal::open(&dir).unwrap();
+        for id in 1..=10 {
+            journal.append(&submitted(id)).unwrap();
+        }
+        let doc = queued_doc(10, 1..=10);
+        // Four appenders land half their records while the install is held
+        // after its snapshot rename, and the other half racing its swap.
+        let barrier = Arc::new(Barrier::new(5));
+        let held = Arc::clone(&barrier);
+        journal.set_install_hook(move |stage| {
+            if stage == InstallStage::SnapshotRenamed {
+                held.wait();
+            }
+        });
+        thread::scope(|scope| {
+            for t in 1..=4u64 {
+                let (journal, barrier) = (&journal, &barrier);
+                scope.spawn(move || {
+                    for i in 0..50 {
+                        if i == 25 {
+                            barrier.wait();
+                        }
+                        journal.append(&submitted(100 * t + i)).unwrap();
+                    }
+                });
+            }
+            journal.install_snapshot(&doc).unwrap();
+        });
+        assert_eq!((journal.current_seq(), journal.compactions()), (210, 1));
+        let journal_bytes = journal.journal_bytes();
+        drop(journal);
+        assert_eq!(
+            fs::metadata(dir.join(JOURNAL_FILE)).unwrap().len(),
+            journal_bytes
+        );
+        let (journal, recovery) = Journal::open(&dir).unwrap();
+        assert!(!recovery.torn_tail);
+        assert_eq!(recovery.replayed, 200);
+        let mut expected: Vec<u64> = (1..=10)
+            .chain((1..=4).flat_map(|t| (0..50).map(move |i| 100 * t + i)))
+            .collect();
+        expected.sort_unstable();
+        assert_eq!(job_ids(&recovery), expected);
+        assert_eq!(journal.current_seq(), 210);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    #[test]
+    fn crashes_inside_a_compaction_replay_the_acknowledged_state() {
+        let dir = tmpdir("crash-points");
+        let renamed = tmpdir("crash-renamed");
+        let swapped = tmpdir("crash-swapped");
+        let (journal, _) = Journal::open(&dir).unwrap();
+        for id in 1..=5 {
+            journal.append(&submitted(id)).unwrap();
+        }
+        let doc = queued_doc(5, 1..=5);
+        // Acknowledged after the capture: only the journal has these.
+        for id in 6..=8 {
+            journal.append(&submitted(id)).unwrap();
+        }
+        let (from, at_rename, at_swap) = (dir.clone(), renamed.clone(), swapped.clone());
+        journal.set_install_hook(move |stage| match stage {
+            InstallStage::SnapshotRenamed => copy_files(&from, &at_rename),
+            InstallStage::JournalSwapped => copy_files(&from, &at_swap),
+        });
+        journal.install_snapshot(&doc).unwrap();
+        drop(journal);
+        // A crash after the snapshot rename leaves the full journal beside
+        // the new snapshot; one after the swap, the trimmed journal.
+        for (crashed, journal_records) in [(&renamed, 8), (&swapped, 3), (&dir, 3)] {
+            let text = fs::read_to_string(crashed.join(JOURNAL_FILE)).unwrap();
+            assert_eq!(text.lines().count(), journal_records, "{crashed:?}");
+            let (journal, recovery) = Journal::open(crashed).unwrap();
+            assert!(!recovery.torn_tail);
+            assert_eq!(recovery.replayed, 3);
+            assert_eq!(job_ids(&recovery), (1..=8).collect::<Vec<_>>());
+            assert_eq!(journal.append(&submitted(9)).unwrap(), 9);
+            let _ = fs::remove_dir_all(crashed);
+        }
+    }
+
+    #[test]
+    fn an_intact_record_that_does_not_decode_stops_open_and_keeps_the_file() {
+        let dir = tmpdir("undecodable");
+        fs::create_dir_all(&dir).unwrap();
+        let frame = |seq: u64, record: &str| {
+            let json = format!("{{\"seq\":{seq},\"record\":{record}}}");
+            format!("{} {:08x} {json}\n", json.len(), crc32(json.as_bytes()))
+        };
+        let submitted = |id: u64| {
+            format!(
+                "{{\"type\":\"job_submitted\",\"id\":{id},\"request\":\
+                 {{\"graph\":1,\"algorithm\":\"two-state\"}}}}"
+            )
+        };
+        let first = frame(1, &submitted(1));
+        let bytes = format!(
+            "{first}{}{}",
+            frame(2, "{\"type\":\"graph_renamed\",\"id\":1,\"name\":\"b\"}"),
+            frame(3, &submitted(2))
+        );
+        let path = dir.join(JOURNAL_FILE);
+        fs::write(&path, &bytes).unwrap();
+        let error = Journal::open(&dir).err().expect("open must refuse");
+        assert_eq!(error.kind(), io::ErrorKind::InvalidData);
+        let message = error.to_string();
+        assert!(
+            message.contains("seq 2") && message.contains(&format!("byte {}", first.len())),
+            "{message}"
+        );
+        assert_eq!(fs::read_to_string(&path).unwrap(), bytes);
+        let _ = fs::remove_dir_all(&dir);
+    }
 
     fn tmpdir(tag: &str) -> PathBuf {
         let dir = std::env::temp_dir().join(format!(

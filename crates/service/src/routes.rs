@@ -128,7 +128,6 @@ pub fn build(state: &Arc<AppState>) -> Router {
             s.graphs.remove(entry.id);
             return resp;
         }
-        s.maybe_snapshot();
         json(201, &entry.info())
     });
 
@@ -161,7 +160,6 @@ pub fn build(state: &Arc<AppState>) -> Router {
                 if let Err(resp) = journal_ack(&s, Record::GraphDeleted { id }) {
                     return resp;
                 }
-                s.maybe_snapshot();
                 Response::new(204)
             }
             None => error(404, format!("no graph {id}")),
@@ -195,7 +193,6 @@ pub fn build(state: &Arc<AppState>) -> Router {
         if let Err(resp) = journal_ack(&s, record) {
             return resp;
         }
-        s.maybe_snapshot();
         // Forward the delta to every live job on this graph whose snapshot
         // predates the patch; jobs whose algorithm cannot follow topology
         // changes are counted as skipped.
@@ -241,10 +238,7 @@ pub fn build(state: &Arc<AppState>) -> Router {
         // The store journals + fsyncs the submission before the job becomes
         // visible, so this 202 is durable.
         match s.jobs.submit(entry, body) {
-            Ok(job) => {
-                s.maybe_snapshot();
-                json(202, &job.info())
-            }
+            Ok(job) => json(202, &job.info()),
             Err(e) => submit_error(e),
         }
     });

@@ -5,7 +5,8 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
-use std::time::Instant;
+use std::thread;
+use std::time::{Duration, Instant};
 
 use crate::graphs::GraphRegistry;
 use crate::jobs::JobStore;
@@ -127,7 +128,10 @@ impl AppState {
         }
     }
 
-    /// Writes a snapshot and truncates the journal.
+    /// Compacts now: writes the current state as the snapshot and trims
+    /// the journal to the records it does not cover. The service's
+    /// compaction thread calls this whenever the journal reports one due;
+    /// no request does.
     ///
     /// # Errors
     ///
@@ -138,18 +142,19 @@ impl AppState {
             None => Ok(()),
         }
     }
+}
 
-    /// Best-effort snapshot once enough journal records accumulated; called
-    /// by handlers after successful mutations so steady-state load rotates
-    /// the journal without an external trigger.
-    pub fn maybe_snapshot(&self) {
-        if let Some(journal) = &self.journal {
-            // Claim the build so only one request thread pays for the
-            // state capture; everyone else carries on serving.
-            if journal.try_begin_snapshot() {
-                let _ = self.install_snapshot();
-                journal.finish_snapshot();
-            }
+/// How long the compaction thread waits after a failed install before it
+/// tries again.
+const COMPACTION_RETRY: Duration = Duration::from_secs(1);
+
+/// The compaction thread: installs a snapshot whenever `journal` reports
+/// one due, until the journal is sealed.
+fn compact(state: &AppState, journal: &Journal) {
+    let mut not_before = Instant::now();
+    while journal.wait_compaction_due(not_before) {
+        if state.install_snapshot().is_err() {
+            not_before = Instant::now() + COMPACTION_RETRY;
         }
     }
 }
@@ -158,6 +163,8 @@ impl AppState {
 pub struct Service {
     state: Arc<AppState>,
     server: warp::Server,
+    /// The compaction thread, when the service persists.
+    compactor: Option<thread::JoinHandle<()>>,
 }
 
 impl Service {
@@ -165,11 +172,13 @@ impl Service {
     /// HTTP server. With [`ServiceConfig::data_dir`] set, the journal in
     /// that directory is replayed first: graphs come back at their last
     /// committed version, acknowledged-but-unfinished jobs re-queue, and
-    /// jobs that were running at the crash surface as `Interrupted`.
+    /// jobs that were running at the crash surface as `Interrupted`; a
+    /// compaction thread then starts.
     ///
     /// # Errors
     ///
-    /// Propagates listener bind failures and journal open failures.
+    /// Propagates listener bind failures, journal open failures, and a
+    /// failure to spawn the compaction thread.
     pub fn start(config: &ServiceConfig) -> io::Result<Service> {
         let (journal, recovered) = match &config.data_dir {
             Some(dir) => {
@@ -214,7 +223,22 @@ impl Service {
         );
         let router = router.with_middleware(metrics);
         let server = warp::serve(router).bind(config.addr.as_str())?;
-        Ok(Service { state, server })
+        let compactor = match state.journal.clone() {
+            Some(journal) => {
+                let state = Arc::clone(&state);
+                Some(
+                    thread::Builder::new()
+                        .name("mis-compactor".to_string())
+                        .spawn(move || compact(&state, &journal))?,
+                )
+            }
+            None => None,
+        };
+        Ok(Service {
+            state,
+            server,
+            compactor,
+        })
     }
 
     /// The bound address (useful after binding port 0).
@@ -233,18 +257,26 @@ impl Service {
     }
 
     /// Graceful shutdown: drain the job pool (stop intake, cancel queued,
-    /// finish running), snapshot the final state, then stop the HTTP server
+    /// finish running), snapshot the final state, stop the HTTP server
     /// (event streams end once their jobs are terminal, so no connection
-    /// can wedge this).
+    /// can wedge this), then seal the journal and join the compaction
+    /// thread, re-raising its panic if it had one.
     pub fn shutdown(self) {
         self.state.jobs.drain();
         let _ = self.state.install_snapshot();
         self.server.shutdown();
+        if let Some(journal) = &self.state.journal {
+            journal.seal();
+        }
+        if let Some(Err(panic)) = self.compactor.map(thread::JoinHandle::join) {
+            std::panic::resume_unwind(panic);
+        }
     }
 
     /// Simulated hard crash, for fault injection: seal the journal (stale
-    /// worker appends bounce), walk away from the pool without draining,
-    /// and tear the listener down without waiting for in-flight requests.
+    /// worker appends bounce, and the compaction thread exits), walk away
+    /// from the pool and the compaction thread without joining them, and
+    /// tear the listener down without waiting for in-flight requests.
     /// The data directory is left exactly as a process kill would leave it;
     /// a successor [`Service::start`] on the same directory recovers.
     pub fn crash(self) {
@@ -253,5 +285,92 @@ impl Service {
         }
         self.state.jobs.abandon();
         self.server.abort();
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use std::sync::atomic::AtomicBool;
+    use std::sync::Barrier;
+
+    use warp::Client;
+
+    use super::*;
+    use crate::api::{GraphInfo, JobInfo, JobStatus};
+    use crate::journal::InstallStage;
+
+    #[test]
+    fn no_request_waits_on_a_compaction() {
+        let dir =
+            std::env::temp_dir().join(format!("mis-service-compactor-{}", std::process::id()));
+        let _ = std::fs::remove_dir_all(&dir);
+        let service = Service::start(&ServiceConfig {
+            addr: "127.0.0.1:0".to_string(),
+            workers: 1,
+            data_dir: Some(dir.clone()),
+            queue_capacity: 0,
+        })
+        .unwrap();
+        let journal = Arc::clone(service.state().journal.as_ref().unwrap());
+        // Holds the first install after its snapshot rename: the point where
+        // the old code still held the append lock for the rest of it.
+        let entered = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let armed = AtomicBool::new(true);
+        let (held, released) = (Arc::clone(&entered), Arc::clone(&release));
+        journal.set_install_hook(move |stage| {
+            if stage == InstallStage::SnapshotRenamed && armed.swap(false, Ordering::SeqCst) {
+                held.wait();
+                released.wait();
+            }
+        });
+
+        let mut client = Client::new(service.local_addr().to_string());
+        let resp = client
+            .post_json(
+                "/v1/graphs",
+                "{\"name\": \"small\", \"spec\": {\"Cycle\": {\"n\": 16}}}",
+            )
+            .unwrap();
+        assert_eq!(resp.status, 201);
+        let small: GraphInfo = serde_json::from_str(resp.text().unwrap()).unwrap();
+        // An upload whose record alone reaches the floor makes a compaction
+        // due, and the compaction thread starts one.
+        let n = 100_000;
+        let edges: Vec<String> = (0..n - 1).map(|i| format!("[{i},{}]", i + 1)).collect();
+        let body = format!(
+            "{{\"name\": \"big\", \"n\": {n}, \"edges\": [{}]}}",
+            edges.join(",")
+        );
+        assert!(body.len() as u64 > crate::journal::COMPACTION_FLOOR_BYTES);
+        assert_eq!(client.post_json("/v1/graphs", body).unwrap().status, 201);
+        entered.wait();
+
+        // The compaction thread is inside the install. A submit is
+        // journaled and answered meanwhile...
+        let resp = client
+            .post_json(
+                "/v1/jobs",
+                format!("{{\"graph\": {}, \"algorithm\": \"greedy\"}}", small.id),
+            )
+            .unwrap();
+        assert_eq!(resp.status, 202);
+        let job: JobInfo = serde_json::from_str(resp.text().unwrap()).unwrap();
+        // ...and so are the worker's appends: the job's event stream ends
+        // only after its finish record is durable.
+        let events = client.get(&format!("/v1/jobs/{}/events", job.id)).unwrap();
+        assert!(events.text().unwrap().contains("\"status\":\"completed\""));
+        assert_eq!(journal.current_seq(), 5);
+        assert_eq!(journal.compactions(), 0, "the install is still held");
+
+        release.wait();
+        service.shutdown();
+        // The held install and the shutdown's.
+        assert_eq!(journal.compactions(), 2);
+        let (_, recovery) = Journal::open(&dir).unwrap();
+        assert_eq!(recovery.graphs.len(), 2);
+        assert_eq!(recovery.jobs.len(), 1);
+        assert_eq!(recovery.jobs[0].status, JobStatus::Completed);
+        let _ = std::fs::remove_dir_all(&dir);
     }
 }
