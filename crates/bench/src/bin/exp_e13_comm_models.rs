@@ -1,5 +1,6 @@
-//! E13 — realizability in the beeping / stone age models: the message-passing
-//! adaptations are trace-equivalent to the direct processes.
+//! E13 — realizability in the beeping / stone age models: each engine
+//! process is trace-equivalent to the reference round of its channel, which
+//! updates every node from its own state and what it heard only.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin exp_e13_comm_models [-- --quick]`
 //!
@@ -15,15 +16,15 @@ fn main() {
     let rows = e13_comm_models(scale);
     let csv = comm_csv(&rows);
     print_section(
-        "E13: co-simulation of the beeping / stone-age adaptations against the direct processes (traces must be identical)",
+        "E13: co-simulation of each engine process against its beeping / stone-age reference round (traces must be identical)",
         &csv,
     );
     if let Ok(path) = write_results_file("e13_comm_models.csv", &csv) {
         println!("wrote {}", path.display());
     }
 
-    // The same adaptations as first-class registry algorithms, driven
-    // end-to-end by the shared scheduler/observer harness.
+    // The weak-communication registry keys, driven end-to-end by the
+    // shared scheduler/observer harness.
     let table = e13_registry_harness(scale);
     print_section(
         "E13b: communication models through the algorithm registry (run_experiment)",

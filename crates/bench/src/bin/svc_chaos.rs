@@ -13,7 +13,8 @@
 //! * graph registry versions after replay differ from the pre-crash truth;
 //! * any job hangs (non-terminal at the verification deadline);
 //! * a malformed frame or slow client takes the server down or gets a 2xx;
-//! * a crash cycle ran no journal compaction.
+//! * a crash cycle ran no journal compaction;
+//! * a crash cycle crashed with no acknowledgement made since its restart.
 
 use std::io::{Read, Write};
 use std::net::{Shutdown, SocketAddr, TcpListener, TcpStream};
@@ -45,7 +46,8 @@ METHOD
   proxy from N client threads using the retrying HTTP client. Each cycle:
   let traffic run, force one journal compaction halfway through
   (AppState::install_snapshot; the byte-triggered compaction thread may
-  add more), pause the mutator, snapshot the graph registry straight
+  add more), wait (at most 10 s) for a job acknowledged since the
+  cycle's restart, pause the mutator, snapshot the graph registry straight
   from the service, crash it mid-traffic (sealed journal, aborted
   listener, abandoned workers), restart on the same data directory, and
   compare the replayed registry against the pre-crash snapshot exactly.
@@ -59,13 +61,17 @@ GATES (non-zero exit)
   lost acked jobs; invalid MIS; failed retries; registry version drift
   after replay; hangs at the verification deadline; unclassified
   malformed-frame responses; a slowloris connection answered 2xx; a crash
-  cycle with no compaction.
+  cycle with no compaction; a crash cycle with no new acknowledgement.
 ";
 
 /// Deadline for the post-chaos verification sweep (per-id polls share it).
 const VERIFY_DEADLINE: Duration = Duration::from_secs(240);
 /// Settle time after pausing the mutator before the authoritative snapshot.
 const SETTLE: Duration = Duration::from_millis(200);
+/// Bound on the wait, before each crash, for a job acknowledged since the
+/// cycle's restart: a submitter's retrying client can back off through a
+/// whole quick cycle after a crash.
+const NEW_ACK_WAIT: Duration = Duration::from_secs(10);
 
 // ---------------------------------------------------------------------------
 // Report
@@ -107,6 +113,9 @@ struct ChaosReport {
     compactions_automatic: u64,
     /// Crash cycles whose incarnation installed no snapshot.
     cycles_without_compaction: u64,
+    /// Crash cycles that crashed with no job acknowledged since their
+    /// restart, after waiting up to `NEW_ACK_WAIT`.
+    cycles_without_new_ack: u64,
     wall_seconds: f64,
 }
 
@@ -123,12 +132,14 @@ impl ChaosReport {
             && self.acked_jobs > 0
             && self.restarts == self.crash_cycles
             && self.cycles_without_compaction == 0
+            && self.cycles_without_new_ack == 0
     }
 
     fn to_pretty(&self) -> String {
         format!(
             "crash cycles: {} ({} restarts, {} torn tails truncated)\n\
              compactions: {} forced, {} automatic, {} cycles without one\n\
+             cycles without a new acknowledgement: {}\n\
              acked jobs: {} ({} completed, {} interrupted -> {} retried, \
              {} lost, {} invalid MIS, {} hangs)\n\
              registry: {} version mismatches after replay\n\
@@ -142,6 +153,7 @@ impl ChaosReport {
             self.compactions_forced,
             self.compactions_automatic,
             self.cycles_without_compaction,
+            self.cycles_without_new_ack,
             self.acked_jobs,
             self.completed,
             self.interrupted_seen,
@@ -599,8 +611,11 @@ fn main() {
     let mut compactions_forced = 0u64;
     let mut compactions_total = 0u64;
     let mut cycles_without_compaction = 0u64;
+    let mut cycles_without_new_ack = 0u64;
+    let acks = || ledger.lock().unwrap_or_else(|e| e.into_inner()).len();
 
     for cycle in 1..=cycles {
+        let acks_at_restart = acks();
         pause_mutator.store(false, Ordering::SeqCst);
         // Force one compaction mid-traffic: the byte trigger alone may not
         // fire within a short cycle.
@@ -610,6 +625,14 @@ fn main() {
             Err(e) => eprintln!("cycle {cycle}: forced compaction failed: {e}"),
         }
         thread::sleep(cycle_len - cycle_len / 2);
+        let ack_deadline = Instant::now() + NEW_ACK_WAIT;
+        while acks() == acks_at_restart && Instant::now() < ack_deadline {
+            thread::sleep(Duration::from_millis(5));
+        }
+        if acks() == acks_at_restart {
+            cycles_without_new_ack += 1;
+            eprintln!("cycle {cycle}: no job acknowledged since the restart");
+        }
         pause_mutator.store(true, Ordering::SeqCst);
         thread::sleep(SETTLE);
 
@@ -793,6 +816,7 @@ fn main() {
         compactions_forced,
         compactions_automatic: compactions_total.saturating_sub(compactions_forced),
         cycles_without_compaction,
+        cycles_without_new_ack,
         wall_seconds: wall.as_secs_f64(),
     };
 
@@ -868,6 +892,12 @@ fn main() {
             eprintln!(
                 "GATE FAILED: {} crash cycles ran no compaction",
                 report.cycles_without_compaction
+            );
+        }
+        if report.cycles_without_new_ack > 0 {
+            eprintln!(
+                "GATE FAILED: {} crash cycles crashed with no new acknowledgement",
+                report.cycles_without_new_ack
             );
         }
         std::process::exit(1);

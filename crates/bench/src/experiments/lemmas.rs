@@ -1,14 +1,14 @@
 //! Direct Monte-Carlo checks of the paper's core lemmas: Lemma 6 (E12) and
 //! the realizability of the processes in the weak communication models (E13).
 
-use mis_comm::beeping::BeepingTwoStateMis;
-use mis_comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
+use mis_comm::beeping::two_state_round;
+use mis_comm::stone_age::{three_color_round, three_state_round};
 use mis_core::init::InitStrategy;
 use mis_core::{
     Algorithm, Color, RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess,
     TwoStateProcess, DEFAULT_ZETA,
 };
-use mis_graph::generators;
+use mis_graph::{generators, mis_check, Graph, VertexId, VertexSet};
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use serde::{Deserialize, Serialize};
@@ -83,8 +83,8 @@ pub fn lemma6_csv(rows: &[Lemma6Row]) -> String {
     out
 }
 
-/// One row of the E13 table: a graph and seed on which the message-passing
-/// adaptation was co-simulated against the direct process.
+/// One row of the E13 table: a graph and seed on which an engine process
+/// was co-simulated against the reference round of its channel.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct CommEquivalenceRow {
     /// Which adaptation was tested ("beeping-2state", "stoneage-3state",
@@ -101,8 +101,11 @@ pub struct CommEquivalenceRow {
 }
 
 /// E13 — realizability in the weak communication models: co-simulates each
-/// message-passing adaptation against its direct process (same seed, same
-/// initial states) and reports whether the traces are identical.
+/// engine process against the reference round of its channel
+/// ([`two_state_round`], [`three_state_round`], [`three_color_round`]),
+/// which updates every node from its own state and what it heard only
+/// (same seed, same initial states), and reports whether the traces are
+/// identical.
 pub fn e13_comm_models(scale: Scale) -> Vec<CommEquivalenceRow> {
     let n = match scale {
         Scale::Quick => 60,
@@ -124,102 +127,115 @@ pub fn e13_comm_models(scale: Scale) -> Vec<CommEquivalenceRow> {
             ("tree".to_string(), generators::random_tree(n, &mut setup)),
         ];
         for (label, g) in graphs {
+            let mut row = |adaptation: &str, (rounds, traces_identical, valid_mis)| {
+                rows.push(CommEquivalenceRow {
+                    adaptation: adaptation.into(),
+                    graph: label.clone(),
+                    rounds,
+                    traces_identical,
+                    valid_mis,
+                })
+            };
+
             // Beeping / 2-state.
-            let init = InitStrategy::Random.two_state(g.n(), &mut setup);
-            let mut direct = TwoStateProcess::new(&g, init.clone());
-            let mut net = BeepingTwoStateMis::new(&g, init);
-            let (rounds, identical) = co_simulate(
-                &mut direct,
-                &mut net,
-                seed,
-                |a: &TwoStateProcess<'_>, b: &BeepingTwoStateMis<'_>| a.states() == b.states(),
+            let mut states = InitStrategy::Random.two_state(g.n(), &mut setup);
+            let mut engine = TwoStateProcess::new(&g, states.clone());
+            row(
+                "beeping-2state",
+                co_simulate(
+                    &g,
+                    &mut engine,
+                    &mut states,
+                    seed,
+                    |states, rng| two_state_round(&g, states, None, rng),
+                    |engine, states| engine.states() == *states,
+                    |states, u| states[u].is_black(),
+                ),
             );
-            rows.push(CommEquivalenceRow {
-                adaptation: "beeping-2state".into(),
-                graph: label.clone(),
-                rounds,
-                traces_identical: identical,
-                valid_mis: mis_graph::mis_check::is_mis(&g, &net.black_set()),
-            });
 
             // Stone age / 3-state.
-            let init = InitStrategy::Random.three_state(g.n(), &mut setup);
-            let mut direct = ThreeStateProcess::new(&g, init.clone());
-            let mut net = StoneAgeThreeStateMis::new(&g, init);
-            let (rounds, identical) = co_simulate(
-                &mut direct,
-                &mut net,
-                seed,
-                |a: &ThreeStateProcess<'_>, b: &StoneAgeThreeStateMis<'_>| a.states() == b.states(),
+            let mut states = InitStrategy::Random.three_state(g.n(), &mut setup);
+            let mut engine = ThreeStateProcess::new(&g, states.clone());
+            row(
+                "stoneage-3state",
+                co_simulate(
+                    &g,
+                    &mut engine,
+                    &mut states,
+                    seed,
+                    |states, rng| three_state_round(&g, states, None, rng),
+                    |engine, states| engine.states() == *states,
+                    |states, u| states[u].is_black(),
+                ),
             );
-            rows.push(CommEquivalenceRow {
-                adaptation: "stoneage-3state".into(),
-                graph: label.clone(),
-                rounds,
-                traces_identical: identical,
-                valid_mis: mis_graph::mis_check::is_mis(&g, &net.black_set()),
-            });
 
             // Stone age / 3-color.
             let colors = InitStrategy::Random.three_color(g.n(), &mut setup);
             let levels = InitStrategy::Random.switch_levels(g.n(), &mut setup);
             let switch = RandomizedLogSwitch::new(&g, levels.clone(), DEFAULT_ZETA);
-            let mut direct = ThreeColorProcess::new(&g, colors.clone(), switch);
-            let mut net = StoneAgeThreeColorMis::new(&g, colors, levels);
-            let (rounds, identical) = co_simulate(
-                &mut direct,
-                &mut net,
-                seed,
-                |a: &ThreeColorProcess<'_, RandomizedLogSwitch<'_>>,
-                 b: &StoneAgeThreeColorMis<'_>| {
-                    a.colors() == b.colors()
-                        && g.vertices().all(|u| a.switch().level(u) == b.level(u))
-                },
+            let mut engine = ThreeColorProcess::new(&g, colors.clone(), switch);
+            row(
+                "stoneage-3color",
+                co_simulate(
+                    &g,
+                    &mut engine,
+                    &mut (colors, levels),
+                    seed,
+                    |(colors, levels), rng| three_color_round(&g, colors, levels, rng),
+                    |engine, (colors, levels)| {
+                        engine.colors() == *colors
+                            && g.vertices().all(|u| engine.switch().level(u) == levels[u])
+                    },
+                    |(colors, _), u| colors[u].is_black(),
+                ),
             );
-            rows.push(CommEquivalenceRow {
-                adaptation: "stoneage-3color".into(),
-                graph: label.clone(),
-                rounds,
-                traces_identical: identical,
-                valid_mis: mis_graph::mis_check::is_mis(&g, &net.black_set()),
-            });
         }
     }
     rows
 }
 
-/// Steps both processes with identical RNG streams until both stabilize (or a
-/// large cap), checking each round that the states, the random bits drawn so
-/// far, and the stabilization verdicts are equal.
-fn co_simulate<A: Algorithm, B: Algorithm>(
-    a: &mut A,
-    b: &mut B,
+/// Steps `engine` and the reference configuration `reference` with
+/// identical RNG streams until both stabilize (or a large cap), checking
+/// each round that the states, the random bits drawn so far, and the
+/// stabilization verdicts are equal; the reference's verdict is the
+/// channel-only [`mis_comm::is_stabilized`]. Returns the engine's rounds,
+/// whether the traces were identical, and whether the reference's final
+/// black set is an MIS of `g`.
+fn co_simulate<A: Algorithm, R>(
+    g: &Graph,
+    engine: &mut A,
+    reference: &mut R,
     seed: u64,
-    states_equal: impl Fn(&A, &B) -> bool,
-) -> (usize, bool) {
-    let same = |a: &A, b: &B| {
-        states_equal(a, b)
-            && a.random_bits_used() == b.random_bits_used()
-            && a.is_stabilized() == b.is_stabilized()
+    reference_round: impl Fn(&mut R, &mut ChaCha8Rng) -> u64,
+    states_equal: impl Fn(&A, &R) -> bool,
+    is_black: impl Fn(&R, VertexId) -> bool,
+) -> (usize, bool, bool) {
+    let reference_stabilized = |r: &R| mis_comm::is_stabilized(g, |u| is_black(r, u));
+    let same = |a: &A, r: &R, bits: u64| {
+        states_equal(a, r)
+            && a.random_bits_used() == bits
+            && a.is_stabilized() == reference_stabilized(r)
     };
     let mut rng_a = ChaCha8Rng::seed_from_u64(50_000 + seed);
     let mut rng_b = ChaCha8Rng::seed_from_u64(50_000 + seed);
+    let mut reference_bits = 0;
     let mut identical = true;
     let cap = 1_000_000;
-    while !(a.is_stabilized() && b.is_stabilized()) && a.round() < cap {
-        if !same(a, b) {
+    while !(engine.is_stabilized() && reference_stabilized(reference)) && engine.round() < cap {
+        if !same(engine, reference, reference_bits) {
             identical = false;
             break;
         }
-        a.step(&mut rng_a);
-        b.step(&mut rng_b);
+        engine.step(&mut rng_a);
+        reference_bits += reference_round(reference, &mut rng_b);
     }
-    identical = identical && same(a, b);
-    (a.round(), identical)
+    identical = identical && same(engine, reference, reference_bits);
+    let black = VertexSet::from_indices(g.n(), g.vertices().filter(|&u| is_black(reference, u)));
+    (engine.round(), identical, mis_check::is_mis(g, &black))
 }
 
-/// E13 (harness section) — runs the three communication-model adaptations
-/// end-to-end through `run_experiment` via their registry keys
+/// E13 (harness section) — runs the three weak-communication registry keys
+/// end-to-end through `run_experiment`
 /// (`beeping-two-state`, `stone-age-three-state`, `stone-age-three-color`),
 /// on a sparse `G(n,p)` and a clique: the same registry/scheduler/observer
 /// code path that drives every other algorithm of the workspace.

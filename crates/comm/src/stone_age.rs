@@ -1,5 +1,6 @@
 //! The synchronous stone age communication model (Emek & Wattenhofer 2013)
-//! and the stone-age adaptations of the 3-state and 3-color MIS processes.
+//! and the reference rounds of the 3-state and 3-color MIS processes over
+//! it.
 //!
 //! In the stone age model every node transmits, per round, at most one
 //! letter from a constant-size alphabet, and for each letter it can only
@@ -7,12 +8,11 @@
 //! sent this letter" (the one-two-many principle with counting bound 1).
 //! There is no collision detection and no sender identity.
 
-use mis_core::init::InitStrategy;
-use mis_core::{corrupt, Algorithm, FaultState, StateCounts, ThreeColor, ThreeState, DEFAULT_ZETA};
+use mis_core::{ThreeColor, ThreeState, DEFAULT_ZETA};
 use mis_graph::{Graph, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
-use crate::partition::{self, NodeView};
+use crate::walk;
 
 /// Simulates one synchronous round of the stone age channel.
 ///
@@ -55,63 +55,27 @@ pub fn stone_age_round(
         "alphabet of size {alphabet} does not fit a 32-bit letter mask"
     );
     for (v, mask) in heard.iter_mut().enumerate() {
-        *mask = hear(g, v, &transmit, alphabet);
+        *mask = g
+            .neighbors(v)
+            .iter()
+            .filter_map(&transmit)
+            .fold(0, |mask, letter| {
+                assert!(
+                    (letter as usize) < alphabet,
+                    "letter {letter} outside alphabet of size {alphabet}"
+                );
+                mask | 1 << letter
+            });
     }
 }
 
-/// The letters node `v` hears: the rule [`stone_age_round`] applies to every
-/// node, and a network applies to the neighbors of a node it overwrote.
-fn hear(
-    g: &Graph,
-    v: VertexId,
-    transmit: &impl Fn(VertexId) -> Option<u8>,
-    alphabet: usize,
-) -> u32 {
-    g.neighbors(v)
-        .iter()
-        .filter_map(transmit)
-        .fold(0, |mask, letter| {
-            assert!(
-                (letter as usize) < alphabet,
-                "letter {letter} outside alphabet of size {alphabet}"
-            );
-            mask | 1 << letter
-        })
-}
-
-/// The 3-state MIS process as a stone age algorithm with a 2-letter alphabet.
-///
-/// Nodes in state `black1` transmit letter 0, nodes in state `black0`
-/// transmit letter 1, white nodes stay silent. The node-local update uses
-/// only the two per-letter "heard" bits, which is exactly the information the
-/// 3-state rule needs: whether some neighbor is `black1`, and whether some
-/// neighbor is black at all.
-///
-/// The network keeps each node's heard letters of the current round in one
-/// buffer. A round ([`step`](Algorithm::step) or
-/// [`step_scheduled`](Algorithm::step_scheduled)) updates the states in place and
-/// refreshes the buffer with one [`stone_age_round`] (`O(n + m)`, no
-/// allocation); [`set_state`](Self::set_state) refreshes only the neighbors
-/// of the node, in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the buffer.
-///
-/// Trace equivalent to [`mis_core::ThreeStateProcess`] given the same seed
-/// and initial states.
-#[derive(Debug, Clone)]
-pub struct StoneAgeThreeStateMis<'g> {
-    graph: &'g Graph,
-    states: Vec<ThreeState>,
-    /// Letter mask each node heard from the current `states`.
-    heard: Vec<u32>,
-    round: usize,
-    random_bits: u64,
-}
-
-/// Alphabet used by [`StoneAgeThreeStateMis`]: letter 0 = "I am black1",
-/// letter 1 = "I am black0".
+/// Alphabet of the 3-state adaptation: letter 0 = "I am black1", letter 1
+/// = "I am black0".
 pub const THREE_STATE_ALPHABET: usize = 2;
 
-/// The letter a node in `state` transmits.
-fn three_state_letter(state: ThreeState) -> Option<u8> {
+/// The letter a 3-state node in `state` sends: `black1` sends letter 0,
+/// `black0` letter 1, and a white node is silent.
+pub fn three_state_letter(state: ThreeState) -> Option<u8> {
     match state {
         ThreeState::Black1 => Some(0),
         ThreeState::Black0 => Some(1),
@@ -119,254 +83,58 @@ fn three_state_letter(state: ThreeState) -> Option<u8> {
     }
 }
 
-impl<'g> StoneAgeThreeStateMis<'g> {
-    /// Creates the network with the given initial states.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `states.len() != graph.n()`.
-    pub fn new(graph: &'g Graph, states: Vec<ThreeState>) -> Self {
-        assert_eq!(
-            states.len(),
-            graph.n(),
-            "initial state vector length must equal the number of vertices"
-        );
-        let mut net = StoneAgeThreeStateMis {
-            graph,
-            states,
-            heard: vec![0; graph.n()],
-            round: 0,
-            random_bits: 0,
+/// One round of the 3-state process as a **stone-age algorithm** over
+/// [`three_state_letter`], the reference for the `stone-age-three-state`
+/// key. Each walked node — `scheduled`, or every node — reads only its
+/// state and its two letter bits (some neighbor is `black1`; some neighbor
+/// is black): `black1`, `black0` hearing no letter 0, and white hearing no
+/// letter re-draw from `{black1, black0}` with a fair coin; any other
+/// `black0` retires to white. Coins are drawn in ascending node order, as
+/// in a sequential engine round. Returns the random bits drawn.
+///
+/// # Panics
+///
+/// Panics if `states.len() != g.n()` or `scheduled` is over another
+/// universe.
+pub fn three_state_round(
+    g: &Graph,
+    states: &mut [ThreeState],
+    scheduled: Option<&VertexSet>,
+    rng: &mut dyn RngCore,
+) -> u64 {
+    use ThreeState::{Black0, Black1, White};
+    assert_eq!(states.len(), g.n(), "one state per node");
+    let mut heard = vec![0; g.n()];
+    let letter = |u| three_state_letter(states[u]);
+    stone_age_round(g, letter, THREE_STATE_ALPHABET, &mut heard);
+    let mut bits = 0;
+    for u in walk(g, scheduled) {
+        let active = match states[u] {
+            Black1 => true,
+            Black0 => heard[u] & 1 == 0,
+            White => heard[u] == 0,
         };
-        net.listen();
-        net
-    }
-
-    /// Creates the network with states drawn from an [`InitStrategy`].
-    pub fn with_init<R: Rng + ?Sized>(graph: &'g Graph, init: InitStrategy, rng: &mut R) -> Self {
-        Self::new(graph, init.three_state(graph.n(), rng))
-    }
-
-    /// Current state of node `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn state(&self, u: VertexId) -> ThreeState {
-        self.states[u]
-    }
-
-    /// The full state vector.
-    pub fn states(&self) -> &[ThreeState] {
-        &self.states
-    }
-
-    /// The communication graph the network runs on.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// The letter node `u` transmits in the next round (`None` = silence).
-    pub fn transmission(&self, u: VertexId) -> Option<u8> {
-        three_state_letter(self.states[u])
-    }
-
-    /// Overwrites the state of node `u` in place, modelling a transient
-    /// fault that corrupts the node's memory, and refreshes what the
-    /// neighbors of `u` hear in `O(Σ_{v ∈ N(u)} deg v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn set_state(&mut self, u: VertexId, state: ThreeState) {
-        if self.states[u] == state {
-            return;
-        }
-        self.states[u] = state;
-        let (g, states) = (self.graph, &self.states);
-        for v in g.neighbors(u) {
-            self.heard[v] = hear(
-                g,
-                v,
-                &|w| three_state_letter(states[w]),
-                THREE_STATE_ALPHABET,
-            );
+        if active {
+            bits += 1;
+            states[u] = if rng.gen_bool(0.5) { Black1 } else { Black0 };
+        } else if states[u] == Black0 {
+            states[u] = White;
         }
     }
-
-    /// Applies the 3-state rule to node `u` from what it heard this round.
-    fn update(&mut self, u: VertexId, rng: &mut dyn RngCore) {
-        if self.is_active(u) {
-            self.random_bits += 1;
-            self.states[u] = if rng.gen_bool(0.5) {
-                ThreeState::Black1
-            } else {
-                ThreeState::Black0
-            };
-        } else if self.states[u] == ThreeState::Black0 {
-            self.states[u] = ThreeState::White;
-        }
-    }
-
-    /// Runs the channel round of the current states into `heard`.
-    fn listen(&mut self) {
-        let states = &self.states;
-        stone_age_round(
-            self.graph,
-            |u| three_state_letter(states[u]),
-            THREE_STATE_ALPHABET,
-            &mut self.heard,
-        );
-    }
+    bits
 }
 
-impl NodeView for StoneAgeThreeStateMis<'_> {
-    fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    fn is_black(&self, u: VertexId) -> bool {
-        self.states[u].is_black()
-    }
-
-    fn hears_black(&self, u: VertexId) -> bool {
-        self.heard[u] != 0
-    }
-
-    fn is_active(&self, u: VertexId) -> bool {
-        match self.states[u] {
-            ThreeState::Black1 => true,
-            // No black1 neighbor (letter 0).
-            ThreeState::Black0 => self.heard[u] & 1 == 0,
-            ThreeState::White => !self.hears_black(u),
-        }
-    }
-}
-
-impl Algorithm for StoneAgeThreeStateMis<'_> {
-    fn n(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        for u in self.graph.vertices() {
-            self.update(u, rng);
-        }
-        self.round += 1;
-        self.listen();
-    }
-
-    /// The channel round happens as usual, but only scheduled nodes apply
-    /// the update rule (re-draw when active, retire `black0 → white` under
-    /// a `black1` neighbor).
-    fn step_scheduled(&mut self, scheduled: &VertexSet, rng: &mut dyn RngCore) {
-        assert_eq!(
-            scheduled.universe(),
-            self.graph.n(),
-            "scheduled set universe must match the graph"
-        );
-        for u in scheduled.iter() {
-            self.update(u, rng);
-        }
-        self.round += 1;
-        self.listen();
-    }
-
-    fn is_stabilized(&self) -> bool {
-        partition::is_stabilized(self)
-    }
-
-    fn black_set(&self) -> VertexSet {
-        partition::select(self, |u| self.is_black(u))
-    }
-
-    fn active_set(&self) -> VertexSet {
-        partition::select(self, |u| self.is_active(u))
-    }
-
-    fn stable_black_set(&self) -> VertexSet {
-        partition::select(self, |u| partition::is_stable_black(self, u))
-    }
-
-    fn unstable_set(&self) -> VertexSet {
-        partition::select(self, |u| partition::is_unstable(self, u))
-    }
-
-    fn counts(&self) -> StateCounts {
-        partition::counts(self)
-    }
-
-    fn states_per_vertex(&self) -> usize {
-        3
-    }
-
-    fn random_bits_used(&self) -> u64 {
-        self.random_bits
-    }
-
-    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
-        corrupt(victims, rng, |u, state| {
-            let old = self.state(u);
-            self.set_state(u, state);
-            old
-        })
-    }
-
-    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
-        let old = self.state(u);
-        let shown = old.displayed(black);
-        self.set_state(u, shown);
-        old != shown
-    }
-
-    fn current_graph(&self) -> Option<&Graph> {
-        Some(self.graph)
-    }
-}
-
-/// The 3-color MIS process (with its randomized logarithmic switch) as a
-/// stone age algorithm with an 18-letter alphabet: each node broadcasts its
-/// full local state `(color, level)` as a single letter
-/// `color_index * 6 + level`, and the update rule uses only the per-letter
-/// "heard" bits to recover "some neighbor is black" and "the maximum level
-/// among my neighbors" — the two aggregates the process needs.
-///
-/// The network keeps each node's heard letters of the current round in one
-/// buffer. [`step`](Algorithm::step) updates colors and levels in place and
-/// refreshes the buffer with one [`stone_age_round`] (`O(n + m)`, no
-/// allocation); [`set_node_state`](Self::set_node_state) refreshes only the
-/// neighbors of the node, in `O(Σ_{v ∈ N(u)} deg v)`. Every query reads the
-/// buffer.
-///
-/// Trace equivalent to
-/// [`mis_core::ThreeColorProcess`]`<`[`mis_core::RandomizedLogSwitch`]`>`
-/// given the same seed and initial states.
-#[derive(Debug, Clone)]
-pub struct StoneAgeThreeColorMis<'g> {
-    graph: &'g Graph,
-    colors: Vec<ThreeColor>,
-    levels: Vec<u8>,
-    /// Letter mask each node heard from the current `colors` and `levels`.
-    heard: Vec<u32>,
-    zeta: f64,
-    round: usize,
-    random_bits: u64,
-}
-
-/// Alphabet used by [`StoneAgeThreeColorMis`]: `color_index * 6 + level` with
-/// color indices black = 0, white = 1, gray = 2 and levels `0..=5`.
+/// Alphabet of the 3-color adaptation: a node sends its whole memory
+/// `(color, level)` as the letter `color_index * 6 + level`, with color
+/// indices black = 0, white = 1, gray = 2 and switch levels `0..=5`.
 pub const THREE_COLOR_ALPHABET: usize = 18;
 
 /// The letters a black node can send (levels 0..=5 of color index 0); the
 /// white and gray letters are these shifted by 6 and 12.
 const BLACK_LETTERS: u32 = 0x3F;
 
-/// The letter a node with `color` and switch `level` transmits.
-fn three_color_letter(color: ThreeColor, level: u8) -> u8 {
+/// The letter a 3-color node with `color` and switch `level` sends.
+pub fn three_color_letter(color: ThreeColor, level: u8) -> u8 {
     let color_index = match color {
         ThreeColor::Black => 0u8,
         ThreeColor::White => 1,
@@ -375,255 +143,89 @@ fn three_color_letter(color: ThreeColor, level: u8) -> u8 {
     color_index * 6 + level
 }
 
-/// The levels present in a heard mask, whatever the sender's color: bit `l`
-/// is set iff some neighbor is at level `l`.
-fn heard_levels(mask: u32) -> u32 {
-    (mask | mask >> 6 | mask >> 12) & BLACK_LETTERS
-}
-
-impl<'g> StoneAgeThreeColorMis<'g> {
-    /// Creates the network with explicit colors and switch levels.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the vector lengths do not match the graph or a level exceeds 5.
-    pub fn new(graph: &'g Graph, colors: Vec<ThreeColor>, levels: Vec<u8>) -> Self {
-        assert_eq!(
-            colors.len(),
-            graph.n(),
-            "initial color vector length must equal the number of vertices"
-        );
-        assert_eq!(
-            levels.len(),
-            graph.n(),
-            "initial level vector length must equal the number of vertices"
-        );
-        assert!(levels.iter().all(|&l| l <= 5), "levels must be in 0..=5");
-        let mut net = StoneAgeThreeColorMis {
-            graph,
-            colors,
-            levels,
-            heard: vec![0; graph.n()],
-            zeta: DEFAULT_ZETA,
-            round: 0,
-            random_bits: 0,
+/// One round of the 3-color process and its randomized logarithmic switch
+/// (ζ = [`DEFAULT_ZETA`]) as a **stone-age algorithm** over
+/// [`three_color_letter`], the reference for the `stone-age-three-color`
+/// key. Each node reads from its letter mask whether some neighbor is
+/// black, and the highest level some neighbor holds:
+///
+/// * colors, against the levels from before the round: black hearing black
+///   draws black or gray, white hearing no black draws black or white, and
+///   gray whose switch is on (level ≤ 2) turns white;
+/// * levels: level 5 stays unless its ζ-coin fires, 0 goes to 5, and any
+///   other level goes to one below the highest level around and at the
+///   node.
+///
+/// The color coins are drawn in ascending node order, then the switch
+/// coins, as in a sequential engine round. The switch is a phase clock
+/// that steps every node every round, so there is no scheduled round.
+/// Returns the random bits drawn.
+///
+/// # Panics
+///
+/// Panics if `colors` or `levels` is not one entry per node, or a level
+/// exceeds 5.
+pub fn three_color_round(
+    g: &Graph,
+    colors: &mut [ThreeColor],
+    levels: &mut [u8],
+    rng: &mut dyn RngCore,
+) -> u64 {
+    use ThreeColor::{Black, Gray, White};
+    assert_eq!(colors.len(), g.n(), "one color per node");
+    assert_eq!(levels.len(), g.n(), "one switch level per node");
+    assert!(levels.iter().all(|&l| l <= 5), "levels must be in 0..=5");
+    let mut heard = vec![0; g.n()];
+    let letter = |u| Some(three_color_letter(colors[u], levels[u]));
+    stone_age_round(g, letter, THREE_COLOR_ALPHABET, &mut heard);
+    // A ζ-coin costs ⌈log₂(1/ζ)⌉ random bits.
+    let switch_coin_bits = (1.0 / DEFAULT_ZETA).log2().ceil() as u64;
+    let mut bits = 0;
+    let mut coin = |cost, p| {
+        bits += cost;
+        rng.gen_bool(p)
+    };
+    for u in g.vertices() {
+        let hears_black = heard[u] & BLACK_LETTERS != 0;
+        colors[u] = match colors[u] {
+            Black if hears_black => {
+                if coin(1, 0.5) {
+                    Black
+                } else {
+                    Gray
+                }
+            }
+            White if !hears_black => {
+                if coin(1, 0.5) {
+                    Black
+                } else {
+                    White
+                }
+            }
+            Gray if levels[u] <= 2 => White,
+            other => other,
         };
-        net.listen();
-        net
     }
-
-    /// Creates the network with colors and levels drawn from an [`InitStrategy`].
-    pub fn with_init<R: Rng + ?Sized>(graph: &'g Graph, init: InitStrategy, rng: &mut R) -> Self {
-        let colors = init.three_color(graph.n(), rng);
-        let levels = init.switch_levels(graph.n(), rng);
-        Self::new(graph, colors, levels)
+    for u in g.vertices() {
+        let level = levels[u];
+        let stays = level == 5 && !coin(switch_coin_bits, DEFAULT_ZETA);
+        levels[u] = if stays || level == 0 {
+            5
+        } else {
+            // The levels some neighbor holds, whatever its color.
+            let mask = heard[u];
+            let heard_levels = (mask | mask >> 6 | mask >> 12) & BLACK_LETTERS;
+            (heard_levels | 1 << level).ilog2() as u8 - 1
+        };
     }
-
-    /// Current color of node `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn color(&self, u: VertexId) -> ThreeColor {
-        self.colors[u]
-    }
-
-    /// Current switch level of node `u`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn level(&self, u: VertexId) -> u8 {
-        self.levels[u]
-    }
-
-    /// The full color vector.
-    pub fn colors(&self) -> &[ThreeColor] {
-        &self.colors
-    }
-
-    /// The communication graph the network runs on.
-    pub fn graph(&self) -> &'g Graph {
-        self.graph
-    }
-
-    /// Overwrites the color and switch level of node `u` in place, modelling
-    /// a transient fault that corrupts the node's memory, and refreshes what
-    /// the neighbors of `u` hear in `O(Σ_{v ∈ N(u)} deg v)`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range or `level > 5`.
-    pub fn set_node_state(&mut self, u: VertexId, color: ThreeColor, level: u8) {
-        assert!(level <= 5, "levels must be in 0..=5");
-        if (self.colors[u], self.levels[u]) == (color, level) {
-            return;
-        }
-        self.colors[u] = color;
-        self.levels[u] = level;
-        let (g, colors, levels) = (self.graph, &self.colors, &self.levels);
-        for v in g.neighbors(u) {
-            self.heard[v] = hear(
-                g,
-                v,
-                &|w| Some(three_color_letter(colors[w], levels[w])),
-                THREE_COLOR_ALPHABET,
-            );
-        }
-    }
-
-    /// The letter node `u` transmits: its full `(color, level)` state.
-    pub fn transmission(&self, u: VertexId) -> Option<u8> {
-        Some(three_color_letter(self.colors[u], self.levels[u]))
-    }
-
-    /// Runs the channel round of the current colors and levels into `heard`.
-    fn listen(&mut self) {
-        let (colors, levels) = (&self.colors, &self.levels);
-        stone_age_round(
-            self.graph,
-            |u| Some(three_color_letter(colors[u], levels[u])),
-            THREE_COLOR_ALPHABET,
-            &mut self.heard,
-        );
-    }
-}
-
-impl NodeView for StoneAgeThreeColorMis<'_> {
-    fn graph(&self) -> &Graph {
-        self.graph
-    }
-
-    fn is_black(&self, u: VertexId) -> bool {
-        self.colors[u].is_black()
-    }
-
-    fn hears_black(&self, u: VertexId) -> bool {
-        self.heard[u] & BLACK_LETTERS != 0
-    }
-
-    fn is_active(&self, u: VertexId) -> bool {
-        match self.colors[u] {
-            ThreeColor::Black => self.hears_black(u),
-            ThreeColor::White => !self.hears_black(u),
-            ThreeColor::Gray => false,
-        }
-    }
-}
-
-impl Algorithm for StoneAgeThreeColorMis<'_> {
-    fn n(&self) -> usize {
-        self.graph.n()
-    }
-
-    fn round(&self) -> usize {
-        self.round
-    }
-
-    fn step(&mut self, rng: &mut dyn RngCore) {
-        // Color update (uses the switch output of the previous round, i.e.
-        // the current levels), drawing coins in vertex order exactly like the
-        // direct 3-color process.
-        for u in self.graph.vertices() {
-            self.colors[u] = match self.colors[u] {
-                ThreeColor::Black if self.hears_black(u) => {
-                    self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
-                        ThreeColor::Black
-                    } else {
-                        ThreeColor::Gray
-                    }
-                }
-                ThreeColor::White if !self.hears_black(u) => {
-                    self.random_bits += 1;
-                    if rng.gen_bool(0.5) {
-                        ThreeColor::Black
-                    } else {
-                        ThreeColor::White
-                    }
-                }
-                ThreeColor::Gray if self.levels[u] <= 2 => ThreeColor::White,
-                other => other,
-            };
-        }
-        // Switch (level) update, using the maximum level over the closed
-        // neighborhood. The heard masks hold the neighbors' levels from
-        // before this round, so the levels can be overwritten in place.
-        for u in self.graph.vertices() {
-            let lvl = self.levels[u];
-            let reset = if lvl == 5 {
-                self.random_bits += 7;
-                !rng.gen_bool(self.zeta)
-            } else {
-                false
-            };
-            self.levels[u] = if reset || lvl == 0 {
-                5
-            } else {
-                let max_level = (heard_levels(self.heard[u]) | 1 << lvl).ilog2() as u8;
-                max_level - 1
-            };
-        }
-        self.round += 1;
-        self.listen();
-    }
-
-    fn is_stabilized(&self) -> bool {
-        partition::is_stabilized(self)
-    }
-
-    fn black_set(&self) -> VertexSet {
-        partition::select(self, |u| self.is_black(u))
-    }
-
-    fn active_set(&self) -> VertexSet {
-        partition::select(self, |u| self.is_active(u))
-    }
-
-    fn stable_black_set(&self) -> VertexSet {
-        partition::select(self, |u| partition::is_stable_black(self, u))
-    }
-
-    fn unstable_set(&self) -> VertexSet {
-        partition::select(self, |u| partition::is_unstable(self, u))
-    }
-
-    fn counts(&self) -> StateCounts {
-        partition::counts(self)
-    }
-
-    fn states_per_vertex(&self) -> usize {
-        18
-    }
-
-    fn random_bits_used(&self) -> u64 {
-        self.random_bits
-    }
-
-    fn inject_faults_targeted(&mut self, victims: &[VertexId], rng: &mut dyn RngCore) -> usize {
-        corrupt(victims, rng, |u, (color, level)| {
-            let old = (self.color(u), self.level(u));
-            self.set_node_state(u, color, level);
-            old
-        })
-    }
-
-    fn set_byzantine_state(&mut self, u: VertexId, black: bool) -> bool {
-        let old = (self.color(u), self.level(u));
-        let (color, level) = old.displayed(black);
-        self.set_node_state(u, color, level);
-        old != (color, level)
-    }
-
-    fn current_graph(&self) -> Option<&Graph> {
-        Some(self.graph)
-    }
+    bits
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_core::{RandomizedLogSwitch, SwitchProcess, ThreeColorProcess, ThreeStateProcess};
+    use crate::is_stabilized;
+    use mis_core::init::InitStrategy;
     use mis_graph::{generators, mis_check};
     use proptest::prelude::*;
     use rand::SeedableRng;
@@ -631,6 +233,39 @@ mod tests {
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    fn is_mis(g: &Graph, black: impl Fn(VertexId) -> bool) -> bool {
+        mis_check::is_mis(
+            g,
+            &VertexSet::from_indices(g.n(), g.vertices().filter(|&u| black(u))),
+        )
+    }
+
+    /// Runs 3-state reference rounds from random states until the channel
+    /// check reports stability; returns whether the black set is an MIS.
+    fn three_state_reaches_mis(g: &Graph, r: &mut ChaCha8Rng) -> bool {
+        let mut states = InitStrategy::Random.three_state(g.n(), r);
+        let mut rounds = 0;
+        while !is_stabilized(g, |u| states[u].is_black()) {
+            three_state_round(g, &mut states, None, r);
+            rounds += 1;
+            assert!(rounds < 200_000, "3-state did not stabilize");
+        }
+        is_mis(g, |u| states[u].is_black())
+    }
+
+    /// As [`three_state_reaches_mis`], for the 3-color process.
+    fn three_color_reaches_mis(g: &Graph, r: &mut ChaCha8Rng) -> bool {
+        let mut colors = InitStrategy::Random.three_color(g.n(), r);
+        let mut levels = InitStrategy::Random.switch_levels(g.n(), r);
+        let mut rounds = 0;
+        while !is_stabilized(g, |u| colors[u].is_black()) {
+            three_color_round(g, &mut colors, &mut levels, r);
+            rounds += 1;
+            assert!(rounds < 400_000, "3-color did not stabilize");
+        }
+        is_mis(g, |u| colors[u].is_black())
     }
 
     #[test]
@@ -660,130 +295,76 @@ mod tests {
     }
 
     #[test]
-    fn three_state_transmissions() {
+    fn letters_encode_the_state() {
+        assert_eq!(three_state_letter(ThreeState::Black1), Some(0));
+        assert_eq!(three_state_letter(ThreeState::Black0), Some(1));
+        assert_eq!(three_state_letter(ThreeState::White), None);
+        let mut letters: Vec<u8> = [ThreeColor::Black, ThreeColor::White, ThreeColor::Gray]
+            .into_iter()
+            .flat_map(|c| (0..=5).map(move |level| three_color_letter(c, level)))
+            .collect();
+        letters.sort_unstable();
+        assert_eq!(letters, (0..THREE_COLOR_ALPHABET as u8).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn three_state_black0_under_a_black1_retires_and_a_scheduled_round_walks_only_its_set() {
+        use ThreeState::{Black0, Black1, White};
+        // Path 0 - 1 - 2: node 1 hears letter 0 and retires; node 0 draws;
+        // white node 2 hears letter 1 and keeps its state.
         let g = generators::path(3);
-        let net = StoneAgeThreeStateMis::new(
-            &g,
-            vec![ThreeState::Black1, ThreeState::Black0, ThreeState::White],
+        let mut states = [Black1, Black0, White];
+        assert_eq!(three_state_round(&g, &mut states, None, &mut rng(1)), 1);
+        assert_eq!(states[1..], [White, White]);
+        let mut states = [Black1, Black0, White];
+        let only_1 = VertexSet::from_indices(3, [1]);
+        assert_eq!(
+            three_state_round(&g, &mut states, Some(&only_1), &mut rng(1)),
+            0
         );
-        assert_eq!(net.transmission(0), Some(0));
-        assert_eq!(net.transmission(1), Some(1));
-        assert_eq!(net.transmission(2), None);
+        assert_eq!(states, [Black1, White, White]);
     }
 
     #[test]
-    fn three_state_trace_equivalent_to_direct_process() {
-        let mut setup_rng = rng(200);
-        let g = generators::gnp(60, 0.15, &mut setup_rng);
-        let init = InitStrategy::Random.three_state(g.n(), &mut setup_rng);
-
-        let mut direct = ThreeStateProcess::new(&g, init.clone());
-        let mut net = StoneAgeThreeStateMis::new(&g, init);
-        let mut rng_a = rng(31);
-        let mut rng_b = rng(31);
-        for round in 0..300 {
+    fn a_full_schedule_is_a_synchronous_three_state_round() {
+        let mut setup = rng(13);
+        let g = generators::gnp(30, 0.2, &mut setup);
+        let everyone = VertexSet::from_indices(g.n(), 0..g.n());
+        let mut sync = InitStrategy::Random.three_state(g.n(), &mut setup);
+        let mut scheduled = sync.clone();
+        let (mut ra, mut rb) = (rng(17), rng(17));
+        for round in 0..80 {
+            let bits = three_state_round(&g, &mut sync, None, &mut ra);
+            let scheduled_bits = three_state_round(&g, &mut scheduled, Some(&everyone), &mut rb);
             assert_eq!(
-                direct.states(),
-                net.states(),
-                "traces diverged at round {round}"
+                (sync.clone(), bits),
+                (scheduled.clone(), scheduled_bits),
+                "round {round}"
             );
-            assert_eq!(direct.is_stabilized(), net.is_stabilized());
-            if direct.is_stabilized() {
-                break;
-            }
-            direct.step(&mut rng_a);
-            net.step(&mut rng_b);
         }
-        assert_eq!(direct.random_bits_used(), net.random_bits_used());
     }
 
     #[test]
-    fn three_color_trace_equivalent_to_direct_process() {
-        let mut setup_rng = rng(300);
-        let g = generators::gnp(50, 0.3, &mut setup_rng);
-        let colors = InitStrategy::Random.three_color(g.n(), &mut setup_rng);
-        let levels = InitStrategy::Random.switch_levels(g.n(), &mut setup_rng);
-
-        let switch = RandomizedLogSwitch::new(&g, levels.clone(), DEFAULT_ZETA);
-        let mut direct = ThreeColorProcess::new(&g, colors.clone(), switch);
-        let mut net = StoneAgeThreeColorMis::new(&g, colors, levels);
-        let mut rng_a = rng(77);
-        let mut rng_b = rng(77);
-        for round in 0..400 {
-            assert_eq!(
-                direct.colors(),
-                net.colors(),
-                "color traces diverged at round {round}"
-            );
-            for u in g.vertices() {
-                assert_eq!(
-                    direct.switch().level(u),
-                    net.level(u),
-                    "level of {u} diverged at round {round}"
-                );
-            }
-            if direct.is_stabilized() && net.is_stabilized() {
-                break;
-            }
-            direct.step(&mut rng_a);
-            net.step(&mut rng_b);
-        }
-        assert_eq!(direct.random_bits_used(), net.random_bits_used());
-    }
-
-    #[test]
-    fn three_state_stabilizes_to_mis() {
+    fn reference_rounds_reach_an_mis() {
         let mut r = rng(8);
         for g in [generators::complete(16), generators::gnp(60, 0.1, &mut r)] {
-            let mut net = StoneAgeThreeStateMis::with_init(&g, InitStrategy::Random, &mut r);
-            net.run_to_stabilization(&mut r, 100_000).unwrap();
-            assert!(mis_check::is_mis(&g, &net.black_set()));
+            assert!(three_state_reaches_mis(&g, &mut r));
         }
-    }
-
-    #[test]
-    fn three_color_stabilizes_to_mis() {
-        let mut r = rng(9);
         for g in [generators::complete(16), generators::gnp(60, 0.4, &mut r)] {
-            let mut net = StoneAgeThreeColorMis::with_init(&g, InitStrategy::Random, &mut r);
-            net.run_to_stabilization(&mut r, 200_000).unwrap();
-            assert!(mis_check::is_mis(&g, &net.black_set()));
-            assert_eq!(net.states_per_vertex(), 18);
-        }
-    }
-
-    #[test]
-    fn counts_consistency_three_color() {
-        let mut r = rng(10);
-        let g = generators::gnp(40, 0.2, &mut r);
-        let mut net = StoneAgeThreeColorMis::with_init(&g, InitStrategy::AllBlack, &mut r);
-        for _ in 0..30 {
-            let c = net.counts();
-            assert_eq!(c.black, net.black_set().len());
-            assert_eq!(c.active, net.active_set().len());
-            assert_eq!(c.unstable, net.unstable_set().len());
-            if net.is_stabilized() {
-                break;
-            }
-            net.step(&mut r);
+            assert!(three_color_reaches_mis(&g, &mut r));
         }
     }
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(12))]
 
-        /// Stone-age adaptations reach a valid MIS on random graphs.
+        /// The stone-age reference rounds reach a valid MIS on random graphs.
         #[test]
         fn stone_age_reaches_mis(seed in 0u64..5000, n in 1usize..35, p_edge in 0.0f64..0.8) {
             let mut r = rng(seed);
             let g = generators::gnp(n, p_edge, &mut r);
-            let mut three_state = StoneAgeThreeStateMis::with_init(&g, InitStrategy::Random, &mut r);
-            three_state.run_to_stabilization(&mut r, 200_000).unwrap();
-            prop_assert!(mis_check::is_mis(&g, &three_state.black_set()));
-
-            let mut three_color = StoneAgeThreeColorMis::with_init(&g, InitStrategy::Random, &mut r);
-            three_color.run_to_stabilization(&mut r, 400_000).unwrap();
-            prop_assert!(mis_check::is_mis(&g, &three_color.black_set()));
+            prop_assert!(three_state_reaches_mis(&g, &mut r));
+            prop_assert!(three_color_reaches_mis(&g, &mut r));
         }
     }
 }

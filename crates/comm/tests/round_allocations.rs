@@ -1,7 +1,7 @@
-//! Allocation and work-count gate for the weak-communication networks, run
-//! in CI: a round (`step` + `is_stabilized`) allocates nothing once a
-//! network is built, and the stone-age 3-color trajectory on two fixed seeds
-//! is pinned by its counts.
+//! Allocation and work-count gate for the weak-communication registry
+//! keys, run in CI: a round (`step` + `is_stabilized`) allocates nothing
+//! once an instance is built, and the `stone-age-three-color` trajectory on
+//! two fixed seeds is pinned by its counts.
 //!
 //! The allocator below counts per thread, so the measurement sees only the
 //! test's own allocations, not those of the test harness.
@@ -9,10 +9,8 @@
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
 
-use mis_comm::beeping::BeepingTwoStateMis;
-use mis_comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
 use mis_core::init::InitStrategy;
-use mis_core::Algorithm;
+use mis_core::{register_core_algorithms, AlgorithmConfig, ExecutionMode, Registry, RoundStrategy};
 use mis_graph::generators;
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
@@ -68,39 +66,59 @@ fn allocations() -> u64 {
     ALLOCATIONS.with(Cell::get)
 }
 
-/// 100 rounds of each network on `gnp(1000, 0.01)` allocate nothing after
-/// construction; stone-age 3-color runs to stabilization on two seeds with
-/// the rounds, random bits, and MIS size recorded before its heard letters
-/// were kept across rounds.
+/// The registry of the paper's processes, with their weak-communication
+/// keys.
+fn registry() -> Registry {
+    let mut registry = Registry::new();
+    register_core_algorithms(&mut registry);
+    registry
+}
+
+/// A sequential trial's configuration from random initial states.
+const CONFIG: AlgorithmConfig = AlgorithmConfig {
+    init: InitStrategy::Random,
+    execution: ExecutionMode::Sequential,
+    strategy: RoundStrategy::Auto,
+    counter_seed: 0,
+};
+
+/// 100 rounds of each weak-communication key on `gnp(1000, 0.01)` allocate
+/// nothing once the engine's frontier buffers have reached their
+/// high-water mark (10 warm-up rounds, as in `mis-core`'s allocation gate
+/// for the same engine); `stone-age-three-color` runs to stabilization on
+/// two seeds with the rounds, random bits, and MIS size recorded when it
+/// still ran its own stone-age network.
 #[test]
 fn rounds_allocate_nothing_and_stone_age_three_color_counts_are_pinned() {
+    let registry = registry();
     let mut rng = ChaCha8Rng::seed_from_u64(7);
     let g = generators::gnp(1000, 0.01, &mut rng);
-    let mut beeping = BeepingTwoStateMis::with_init(&g, InitStrategy::Random, &mut rng);
-    let mut three_state = StoneAgeThreeStateMis::with_init(&g, InitStrategy::Random, &mut rng);
-    let mut three_color = StoneAgeThreeColorMis::with_init(&g, InitStrategy::Random, &mut rng);
-    let networks: [(&str, &mut dyn Algorithm); 3] = [
-        ("beeping-two-state", &mut beeping),
-        ("stone-age-three-state", &mut three_state),
-        ("stone-age-three-color", &mut three_color),
-    ];
-    for (name, net) in networks {
+    for key in [
+        "beeping-two-state",
+        "stone-age-three-state",
+        "stone-age-three-color",
+    ] {
+        let mut alg = registry.get(key).unwrap().init(&g, &CONFIG, &mut rng);
+        for _ in 0..10 {
+            alg.step(&mut rng);
+        }
         let before = allocations();
         for _ in 0..100 {
-            net.step(&mut rng);
-            std::hint::black_box(net.is_stabilized());
+            alg.step(&mut rng);
+            std::hint::black_box(alg.is_stabilized());
         }
-        assert_eq!(allocations() - before, 0, "{name} allocated in its rounds");
+        assert_eq!(allocations() - before, 0, "{key} allocated in its rounds");
     }
 
+    let factory = registry.get("stone-age-three-color").unwrap();
     for (seed, rounds, random_bits, mis_size) in [(11, 622, 292_044, 254), (12, 799, 269_415, 246)]
     {
         let mut rng = ChaCha8Rng::seed_from_u64(seed);
         let g = generators::gnp(1000, 0.01, &mut rng);
-        let mut net = StoneAgeThreeColorMis::with_init(&g, InitStrategy::Random, &mut rng);
-        net.run_to_stabilization(&mut rng, 1_000_000).unwrap();
+        let mut alg = factory.init(&g, &CONFIG, &mut rng);
+        alg.run_to_stabilization(&mut rng, 1_000_000).unwrap();
         assert_eq!(
-            (net.round(), net.random_bits_used(), net.black_set().len()),
+            (alg.round(), alg.random_bits_used(), alg.black_set().len()),
             (rounds, random_bits, mis_size),
             "seed {seed}"
         );

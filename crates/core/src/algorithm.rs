@@ -1,9 +1,9 @@
 //! The one object-safe [`Algorithm`] trait and the string-keyed
 //! [`Registry`] behind the experiment harness.
 //!
-//! Everything the harness can run — the paper's three processes, the
-//! weak-communication networks, and the baselines — implements
-//! [`Algorithm`] directly, so schedulers, observers, fault injection, and
+//! Everything the harness can run — the paper's three processes (under
+//! their direct and weak-communication keys) and the baselines —
+//! implements [`Algorithm`], so schedulers, observers, fault injection, and
 //! metric collection are written once and algorithms plug in by name:
 //!
 //! * [`Algorithm`] is a synchronous process with the per-round vertex
@@ -18,8 +18,8 @@
 //!   for one trial from an [`AlgorithmConfig`].
 //! * [`Registry`] maps stable string keys (`"two-state"`,
 //!   `"beeping-two-state"`, …) to factories. Crates register their
-//!   algorithms (`mis_core::register_core_algorithms`, and the comm/baseline
-//!   equivalents); the sim crate composes the builtin registry and resolves
+//!   algorithms (`mis_core::register_core_algorithms`, and the baseline
+//!   equivalent); the sim crate composes the builtin registry and resolves
 //!   experiment specs through it.
 //!
 //! External algorithms join the harness by implementing [`Algorithm`] and
@@ -37,10 +37,14 @@ use crate::exec::{ExecutionMode, RoundStrategy};
 use crate::init::InitStrategy;
 use crate::mutation::MutationError;
 
-/// The weakest communication model an algorithm's local rule needs.
+/// The communication model a registry key's runs are reported under.
 ///
-/// Used by comparison tables and the `list_algorithms` tool; it does not
-/// change how the simulation executes.
+/// Each of the paper's processes is registered under two keys that run one
+/// rule: a direct key reported as [`FullStateExchange`](Self::FullStateExchange),
+/// and a key reported as [`Beeping`](Self::Beeping) or
+/// [`StoneAge`](Self::StoneAge), because its rule reads only what that
+/// channel delivers. Used by comparison tables and the `list_algorithms`
+/// tool; it does not change how the simulation executes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum CommunicationModel {
     /// The rule reads full neighbor states (shared-memory style simulation).
@@ -158,8 +162,7 @@ pub(crate) fn unsupported(capability: &str) -> ! {
 /// definition, so its steady state costs `O(|I_t| + vol(I_t))`.) The
 /// set-returning accessors ([`black_set`](Self::black_set),
 /// [`active_set`](Self::active_set), …) materialize a bitset and remain
-/// `O(n)`. The weak-communication networks run their channel once per
-/// round, `O(n + m)`.
+/// `O(n)`.
 pub trait Algorithm {
     /// Number of vertices of the underlying graph.
     fn n(&self) -> usize;
@@ -328,8 +331,7 @@ pub trait Algorithm {
 }
 
 /// One vertex's memory as transient faults and Byzantine adversaries see
-/// it. Each state family states both once, on its state type, and a direct
-/// process and its weak-communication network share them.
+/// it. Each state family states both once, on its state type.
 pub trait FaultState: Copy + Eq {
     /// A uniformly random memory: what a transient fault leaves behind.
     fn random(rng: &mut dyn RngCore) -> Self;
@@ -446,7 +448,8 @@ impl AlgorithmFactory {
         self.description
     }
 
-    /// The weakest communication model the algorithm's rule needs.
+    /// The communication model this key's runs are reported under (see
+    /// [`CommunicationModel`]).
     pub fn communication_model(&self) -> CommunicationModel {
         self.model
     }

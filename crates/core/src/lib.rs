@@ -26,8 +26,12 @@
 //! ([`AlgorithmFactory`]) declare which of them each key supports.
 //!
 //! Each process states its local rule once, as a [`LocalRule`]: its states,
-//! which vertices are active or pending, and where a pending vertex moves
-//! given its coin. One generic [`RuleProcess`] runs every rule (the process
+//! which vertices are active or pending given whether they hear a black
+//! neighbor, and where a pending vertex moves given its coin. That one bit
+//! is what a beeping channel delivers (the 3-state and 3-color rules read
+//! their other stone-age letters through their own counters and switch),
+//! so the registry's weak-communication keys run the same processes. One
+//! generic [`RuleProcess`] runs every rule (the process
 //! types are aliases of it, and one generic impl makes each an
 //! [`Algorithm`]), with one round driver per randomness model on
 //! the shared incremental [`engine`]: per-vertex black-neighbor counters

@@ -1,4 +1,5 @@
-//! The registry entries of the paper's three processes.
+//! The registry entries of the paper's three processes, each under two
+//! keys: the direct key and its weak-communication key.
 //!
 //! Each process is a [`RuleProcess`] and implements
 //! [`Algorithm`] through its one generic impl, so an entry only builds the
@@ -6,9 +7,20 @@
 //! trial builds its engine with the pool recount, where the public
 //! constructors build inline) and applies the trial's counter seed and
 //! round strategy.
+//!
+//! The engine passes a rule one neighbor bit, "some neighbor is black"
+//! (see [`LocalRule::classify`]), which a beeping channel delivers; the
+//! 3-state and 3-color rules read their other stone-age letters through
+//! their own counters and switch. So both keys of a pair share one init fn and one [`Capabilities`]; they
+//! differ only in the [`CommunicationModel`] their runs are reported under.
+//! `mis-comm` keeps each channel as a reference round for tests.
+
+use mis_graph::Graph;
+use rand::RngCore;
 
 use crate::algorithm::{
-    Algorithm, AlgorithmConfig, AlgorithmFactory, Capabilities, CommunicationModel, Registry,
+    Algorithm, AlgorithmConfig, AlgorithmFactory, Capabilities, CommunicationModel, InitFn,
+    Registry,
 };
 use crate::log_switch::RandomizedLogSwitch;
 use crate::rule::{LocalRule, RuleProcess};
@@ -22,6 +34,12 @@ pub const TWO_STATE_KEY: &str = "two-state";
 pub const THREE_STATE_KEY: &str = "three-state";
 /// Registry key of the 3-color process (randomized logarithmic switch).
 pub const THREE_COLOR_KEY: &str = "three-color";
+/// Registry key of the 2-state process as a beeping algorithm.
+pub const BEEPING_TWO_STATE_KEY: &str = "beeping-two-state";
+/// Registry key of the 3-state process as a stone-age algorithm.
+pub const STONE_AGE_THREE_STATE_KEY: &str = "stone-age-three-state";
+/// Registry key of the 3-color process as a stone-age algorithm.
+pub const STONE_AGE_THREE_COLOR_KEY: &str = "stone-age-three-color";
 
 /// What the engine process of rule `R` supports: everything, with partial
 /// activation as the rule declares it ([`LocalRule::PARTIAL_ACTIVATION`]).
@@ -46,47 +64,103 @@ fn configured<'g, R: LocalRule + 'g>(
     Box::new(process)
 }
 
-/// Registers the paper's three processes (`two-state`, `three-state`,
-/// `three-color`) in `registry`. The direct processes read neighbor states;
-/// their rules are beeping- and stone-age-implementable (see `mis-comm`).
+/// The init fn of both 2-state keys.
+fn two_state<'g>(
+    graph: &'g Graph,
+    config: &AlgorithmConfig,
+    rng: &mut dyn RngCore,
+) -> Box<dyn Algorithm + 'g> {
+    let process = TwoStateProcess::with_init_on(graph, config.init, rng, config.execution);
+    configured(process, config)
+}
+
+/// The init fn of both 3-state keys.
+fn three_state<'g>(
+    graph: &'g Graph,
+    config: &AlgorithmConfig,
+    rng: &mut dyn RngCore,
+) -> Box<dyn Algorithm + 'g> {
+    let process = ThreeStateProcess::with_init_on(graph, config.init, rng, config.execution);
+    configured(process, config)
+}
+
+/// The init fn of both 3-color keys.
+fn three_color<'g>(
+    graph: &'g Graph,
+    config: &AlgorithmConfig,
+    rng: &mut dyn RngCore,
+) -> Box<dyn Algorithm + 'g> {
+    let process =
+        ThreeColorProcess::with_randomized_switch_on(graph, config.init, rng, config.execution);
+    configured(process, config)
+}
+
+/// Registers the paper's three processes in `registry`, each under its
+/// direct key (`two-state`, `three-state`, `three-color`) and its
+/// weak-communication key (`beeping-two-state`, `stone-age-three-state`,
+/// `stone-age-three-color`). Both keys of a pair share the rule's
+/// capabilities and init fn.
 pub fn register_core_algorithms(registry: &mut Registry) {
+    let mut pair = |capabilities, init: InitFn, keys: [(_, _, _); 2]| {
+        for (key, description, model) in keys {
+            registry.register(AlgorithmFactory::new(
+                key,
+                description,
+                model,
+                capabilities,
+                init,
+            ));
+        }
+    };
     let full = CommunicationModel::FullStateExchange;
-    registry.register(AlgorithmFactory::new(
-        TWO_STATE_KEY,
-        "2-state MIS process (Definition 4): 1 random bit per active vertex per round",
-        full,
+    pair(
         engine::<TwoStateRule>(),
-        |graph, config, rng| {
-            let process = TwoStateProcess::with_init_on(graph, config.init, rng, config.execution);
-            configured(process, config)
-        },
-    ));
-    registry.register(AlgorithmFactory::new(
-        THREE_STATE_KEY,
-        "3-state MIS process (Definition 5): stone-age-implementable, no collision detection",
-        full,
+        two_state,
+        [
+            (
+                TWO_STATE_KEY,
+                "2-state MIS process (Definition 4): 1 random bit per active vertex per round",
+                full,
+            ),
+            (
+                BEEPING_TWO_STATE_KEY,
+                "2-state process as a beeping algorithm (full-duplex, sender collision detection)",
+                CommunicationModel::Beeping,
+            ),
+        ],
+    );
+    pair(
         engine::<ThreeStateRule>(),
-        |graph, config, rng| {
-            let process =
-                ThreeStateProcess::with_init_on(graph, config.init, rng, config.execution);
-            configured(process, config)
-        },
-    ));
-    registry.register(AlgorithmFactory::new(
-        THREE_COLOR_KEY,
-        "3-color MIS process with randomized logarithmic switch (Definition 28, 18 states)",
-        full,
+        three_state,
+        [
+            (
+                THREE_STATE_KEY,
+                "3-state MIS process (Definition 5): stone-age-implementable, no collision detection",
+                full,
+            ),
+            (
+                STONE_AGE_THREE_STATE_KEY,
+                "3-state process as a stone-age algorithm (2-letter alphabet, no collision detection)",
+                CommunicationModel::StoneAge,
+            ),
+        ],
+    );
+    pair(
         engine::<ThreeColorRule<RandomizedLogSwitch>>(),
-        |graph, config, rng| {
-            let process = ThreeColorProcess::with_randomized_switch_on(
-                graph,
-                config.init,
-                rng,
-                config.execution,
-            );
-            configured(process, config)
-        },
-    ));
+        three_color,
+        [
+            (
+                THREE_COLOR_KEY,
+                "3-color MIS process with randomized logarithmic switch (Definition 28, 18 states)",
+                full,
+            ),
+            (
+                STONE_AGE_THREE_COLOR_KEY,
+                "3-color process + randomized switch as a stone-age algorithm (18-letter alphabet)",
+                CommunicationModel::StoneAge,
+            ),
+        ],
+    );
 }
 
 #[cfg(test)]
@@ -123,7 +197,17 @@ mod tests {
     #[test]
     fn all_core_factories_build_and_stabilize() {
         let r = registry();
-        assert_eq!(r.keys(), vec!["three-color", "three-state", "two-state"]);
+        assert_eq!(
+            r.keys(),
+            vec![
+                "beeping-two-state",
+                "stone-age-three-color",
+                "stone-age-three-state",
+                "three-color",
+                "three-state",
+                "two-state"
+            ]
+        );
         let mut stream = rng(5);
         let g = generators::gnp(60, 0.1, &mut stream);
         for key in r.keys() {

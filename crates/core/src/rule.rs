@@ -1,8 +1,9 @@
 //! One local rule per process, one set of round drivers.
 //!
 //! The paper's three processes differ only in a few-line local rule
-//! (Definitions 4, 5 and 28): what a vertex does given its own state, its
-//! black-neighbor count, and — when it is active — one fair coin.
+//! (Definitions 4, 5 and 28): what a vertex does given its own state,
+//! whether it hears a black neighbor, and — when it is active — one fair
+//! coin.
 //! [`LocalRule`] states a rule once; [`RuleProcess`] runs any rule through
 //! the [`FrontierEngine`] with one driver per randomness model:
 //!
@@ -24,9 +25,13 @@
 //! [`TwoStateProcess`](crate::TwoStateProcess),
 //! [`ThreeStateProcess`](crate::ThreeStateProcess) and
 //! [`ThreeColorProcess`](crate::ThreeColorProcess) are `RuleProcess` with
-//! their rule. Silent protocols are functions of a vertex's own state and
-//! its neighbors' states (Devismes, Masuzawa & Tixeuil), which is exactly
-//! the interface a rule sees.
+//! their rule. Devismes, Masuzawa & Tixeuil measure communication by what
+//! a vertex reads from its neighbors; the engine passes a rule one bit,
+//! "some neighbor is black", which is what a beeping channel delivers (the
+//! 3-state and 3-color rules read their other stone-age letters through
+//! their own `black1` counters and switch). So the registry's beeping and
+//! stone-age keys run the same `RuleProcess` as the direct keys, and
+//! `mis-comm` keeps the channels only as reference rounds.
 
 use std::ops::Range;
 use std::sync::Arc;
@@ -73,8 +78,10 @@ pub trait LocalRule: Sync {
     /// Whether `state` claims MIS membership.
     fn is_black(state: Self::State) -> bool;
 
-    /// Classifies vertex `u` in `state` with `black_nbrs` black neighbors.
-    fn classify(&self, u: VertexId, state: Self::State, black_nbrs: u32) -> VertexClass;
+    /// Classifies vertex `u` in `state`; `hears_black` is whether some
+    /// neighbor of `u` is black — the beep bit of the beeping channel, and
+    /// the only neighbor input the engine passes a rule.
+    fn classify(&self, u: VertexId, state: Self::State, hears_black: bool) -> VertexClass;
 
     /// The next state of a pending vertex in `state`: `coin` is its fair
     /// coin if it is active and `None` otherwise.
@@ -180,7 +187,7 @@ fn classifier<'a, R: LocalRule>(
     rule: &'a R,
     states: &'a PackedStates,
 ) -> impl Fn(VertexId, u32) -> VertexClass + Sync + 'a {
-    move |u, black_nbrs| rule.classify(u, R::from_code(states.get(u)), black_nbrs)
+    move |u, black_nbrs| rule.classify(u, R::from_code(states.get(u)), black_nbrs > 0)
 }
 
 /// Decides `u` against the pre-round flags: a pending vertex moves to

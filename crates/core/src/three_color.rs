@@ -74,6 +74,12 @@ impl FaultState for (ThreeColor, u8) {
 /// [`SwitchProcess::for_each_changed`]). The switch is a phase clock that
 /// advances every vertex every round, so the rule keeps the default
 /// [`LocalRule::PARTIAL_ACTIVATION`] of `false`.
+///
+/// As a stone-age algorithm, a vertex sends its `(color, level)` as one of
+/// 18 letters. The engine's neighbor input (some neighbor is black) is
+/// "heard a black letter", and the level letters a vertex hears give the
+/// neighborhood maximum its switch's max rule reads: those are all the
+/// letters the rule and its switch read.
 #[derive(Debug, Clone)]
 pub struct ThreeColorRule<S> {
     switch: S,
@@ -104,10 +110,10 @@ impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
         state.is_black()
     }
 
-    fn classify(&self, u: VertexId, state: ThreeColor, black_nbrs: u32) -> VertexClass {
+    fn classify(&self, u: VertexId, state: ThreeColor, hears_black: bool) -> VertexClass {
         let active = match state {
-            ThreeColor::Black => black_nbrs > 0,
-            ThreeColor::White => black_nbrs == 0,
+            ThreeColor::Black => hears_black,
+            ThreeColor::White => !hears_black,
             ThreeColor::Gray => {
                 return VertexClass {
                     active: false,
@@ -392,13 +398,13 @@ mod tests {
         let always = |on: bool| ThreeColorRule {
             switch: FixedPeriodSwitch::new(1, usize::from(on), usize::from(!on)),
         };
-        assert_eq!(always(true).classify(0, Gray, 0), class(false, true));
-        assert_eq!(always(false).classify(0, Gray, 0), class(false, false));
+        assert_eq!(always(true).classify(0, Gray, false), class(false, true));
+        assert_eq!(always(false).classify(0, Gray, false), class(false, false));
         let rule = always(true);
-        assert_eq!(rule.classify(0, Black, 1), class(true, true));
-        assert_eq!(rule.classify(0, Black, 0), class(false, false));
-        assert_eq!(rule.classify(0, White, 0), class(true, true));
-        assert_eq!(rule.classify(0, White, 2), class(false, false));
+        assert_eq!(rule.classify(0, Black, true), class(true, true));
+        assert_eq!(rule.classify(0, Black, false), class(false, false));
+        assert_eq!(rule.classify(0, White, false), class(true, true));
+        assert_eq!(rule.classify(0, White, true), class(false, false));
         assert_eq!(Rule::decide(Black, Some(true)), Black);
         assert_eq!(Rule::decide(Black, Some(false)), Gray);
         assert_eq!(Rule::decide(White, Some(true)), Black);

@@ -67,6 +67,11 @@ impl FaultState for ThreeState {
 /// vertex (one with a `black1` neighbor) retires to white, so every black
 /// vertex is pending. A white vertex is pending iff it is active (no black
 /// neighbor).
+///
+/// As a stone-age algorithm, `black1` sends letter 0 and `black0` letter 1.
+/// The engine's neighbor input (some neighbor is black) is "heard some
+/// letter", and the rule's `black1` counter above 0 is "heard letter 0":
+/// the two letter bits are all the rule reads.
 #[derive(Debug, Clone)]
 pub struct ThreeStateRule {
     black1_nbrs: AtomicU32Vec,
@@ -98,14 +103,11 @@ impl LocalRule for ThreeStateRule {
         state.is_black()
     }
 
-    fn classify(&self, u: VertexId, state: ThreeState, black_nbrs: u32) -> VertexClass {
+    fn classify(&self, u: VertexId, state: ThreeState, hears_black: bool) -> VertexClass {
         let (active, pending) = match state {
             ThreeState::Black1 => (true, true),
             ThreeState::Black0 => (self.black1_nbrs.get(u) == 0, true),
-            ThreeState::White => {
-                let a = black_nbrs == 0;
-                (a, a)
-            }
+            ThreeState::White => (!hears_black, !hears_black),
         };
         VertexClass { active, pending }
     }
@@ -361,11 +363,11 @@ mod tests {
         let g = generators::path(3);
         let p = ThreeStateProcess::new(&g, vec![Black1, Black0, Black0]);
         let class = |active, pending| VertexClass { active, pending };
-        assert_eq!(p.rule.classify(0, Black1, 1), class(true, true));
-        assert_eq!(p.rule.classify(1, Black0, 2), class(false, true));
-        assert_eq!(p.rule.classify(2, Black0, 1), class(true, true));
-        assert_eq!(p.rule.classify(2, White, 0), class(true, true));
-        assert_eq!(p.rule.classify(2, White, 1), class(false, false));
+        assert_eq!(p.rule.classify(0, Black1, true), class(true, true));
+        assert_eq!(p.rule.classify(1, Black0, true), class(false, true));
+        assert_eq!(p.rule.classify(2, Black0, true), class(true, true));
+        assert_eq!(p.rule.classify(2, White, false), class(true, true));
+        assert_eq!(p.rule.classify(2, White, true), class(false, false));
         for state in [Black1, Black0, White] {
             assert_eq!(ThreeStateRule::decide(state, Some(true)), Black1);
             assert_eq!(ThreeStateRule::decide(state, Some(false)), Black0);

@@ -48,7 +48,8 @@ impl FaultState for Color {
 /// The 2-state local rule (Definition 4): a vertex is active (and pending —
 /// the two coincide for this rule) iff it is black with a black neighbor or
 /// white with no black neighbor, and an active vertex takes the color its
-/// coin shows.
+/// coin shows. Its one neighbor input is the beep bit: black vertices beep,
+/// and a vertex hears whether some neighbor beeped.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct TwoStateRule;
 
@@ -76,11 +77,8 @@ impl LocalRule for TwoStateRule {
         state.is_black()
     }
 
-    fn classify(&self, _u: VertexId, state: Color, black_nbrs: u32) -> VertexClass {
-        let active = match state {
-            Color::Black => black_nbrs > 0,
-            Color::White => black_nbrs == 0,
-        };
+    fn classify(&self, _u: VertexId, state: Color, hears_black: bool) -> VertexClass {
+        let active = state.is_black() == hears_black;
         VertexClass {
             active,
             pending: active,
@@ -282,14 +280,14 @@ mod tests {
     /// vertex takes the color its coin shows.
     #[test]
     fn rule_follows_definition_4() {
-        for (state, black_nbrs, active) in [
-            (Color::Black, 0, false),
-            (Color::Black, 3, true),
-            (Color::White, 0, true),
-            (Color::White, 1, false),
+        for (state, hears_black, active) in [
+            (Color::Black, false, false),
+            (Color::Black, true, true),
+            (Color::White, false, true),
+            (Color::White, true, false),
         ] {
             let pending = active;
-            let class = TwoStateRule.classify(0, state, black_nbrs);
+            let class = TwoStateRule.classify(0, state, hears_black);
             assert_eq!(class, VertexClass { active, pending }, "{state:?}");
         }
         for state in [Color::Black, Color::White] {

@@ -126,6 +126,31 @@ struct JobState {
     mis: Option<Vec<usize>>,
 }
 
+/// The store's job count per [`JobStatus`]: a job is counted in as
+/// `Queued` when it is created, and [`Job::set_status`] moves it at every
+/// later status write, so [`JobStore::gauges`] reads six counters instead
+/// of locking every retained job.
+#[derive(Default)]
+struct StatusCounts([AtomicU64; 6]);
+
+impl StatusCounts {
+    fn slot(&self, status: JobStatus) -> &AtomicU64 {
+        let index = match status {
+            JobStatus::Queued => 0,
+            JobStatus::Running => 1,
+            JobStatus::Completed => 2,
+            JobStatus::Cancelled => 3,
+            JobStatus::Failed => 4,
+            JobStatus::Interrupted => 5,
+        };
+        &self.0[index]
+    }
+
+    fn get(&self, status: JobStatus) -> u64 {
+        self.slot(status).load(Ordering::Relaxed)
+    }
+}
+
 /// One submitted job.
 pub struct Job {
     /// Job id.
@@ -155,6 +180,8 @@ pub struct Job {
     /// The store's index of non-terminal jobs, which the job leaves at its
     /// terminal transition.
     live: Arc<LiveJobs>,
+    /// The store's per-status job counts.
+    status_counts: Arc<StatusCounts>,
 }
 
 impl Job {
@@ -186,6 +213,18 @@ impl Job {
         Arc::clone(&self.events)
     }
 
+    /// Writes `status` into the locked `state` and moves the job between
+    /// the store's status counts; every status write goes through here.
+    fn set_status(&self, state: &mut JobState, status: JobStatus) {
+        self.status_counts
+            .slot(state.status)
+            .fetch_sub(1, Ordering::Relaxed);
+        self.status_counts
+            .slot(status)
+            .fetch_add(1, Ordering::Relaxed);
+        state.status = status;
+    }
+
     /// Leaves the live index; called under the state lock at the terminal
     /// transition, so the index never lists a terminal job.
     fn leave_live(&self) {
@@ -215,7 +254,7 @@ impl Job {
         let mut state = sync::lock(&self.state);
         match state.status {
             JobStatus::Queued => {
-                state.status = JobStatus::Cancelled;
+                self.set_status(&mut state, JobStatus::Cancelled);
                 self.leave_live();
                 self.cancel.store(true, Ordering::SeqCst);
                 self.events.push("{\"event\":\"cancelled\"}".to_string());
@@ -311,6 +350,8 @@ pub struct JobStore {
     /// Non-terminal jobs by graph. A job enters on submit or restore,
     /// before it is visible, and leaves at its terminal transition.
     live: Arc<LiveJobs>,
+    /// Jobs per status, for [`gauges`](Self::gauges).
+    status_counts: Arc<StatusCounts>,
     queue: Mutex<VecDeque<Arc<Job>>>,
     capacity: usize,
     available: Condvar,
@@ -347,6 +388,7 @@ impl JobStore {
         let store = Arc::new(JobStore {
             jobs: RwLock::new(BTreeMap::new()),
             live: Arc::new(Mutex::new(BTreeSet::new())),
+            status_counts: Arc::new(StatusCounts::default()),
             queue: Mutex::new(VecDeque::new()),
             capacity,
             available: Condvar::new(),
@@ -371,10 +413,15 @@ impl JobStore {
         self.capacity
     }
 
+    /// A new `Queued` job, counted in the status counts; submit and restore
+    /// insert every job they create.
     fn new_job(&self, id: u64, entry: Arc<GraphEntry>, request: JobRequest) -> Arc<Job> {
         let topology_capable = builtin_registry()
             .get(&request.algorithm)
             .is_some_and(|factory| factory.capabilities().topology_change);
+        self.status_counts
+            .slot(JobStatus::Queued)
+            .fetch_add(1, Ordering::Relaxed);
         Arc::new(Job {
             id,
             entry,
@@ -393,6 +440,7 @@ impl JobStore {
             drain_flag: Arc::clone(&self.draining),
             journal: self.journal.clone(),
             live: Arc::clone(&self.live),
+            status_counts: Arc::clone(&self.status_counts),
         })
     }
 
@@ -478,12 +526,12 @@ impl JobStore {
         let job = self.new_job(recovered.id, entry, recovered.request);
         {
             let mut state = sync::lock(&job.state);
-            state.status = recovered.status;
+            job.set_status(&mut state, recovered.status);
             state.outcome = recovered.outcome;
             state.error = recovered.error;
             state.mis = recovered.mis;
             if state.status == JobStatus::Queued && graph_missing {
-                state.status = JobStatus::Failed;
+                job.set_status(&mut state, JobStatus::Failed);
                 state.error = Some(format!(
                     "graph {} was deleted before the crash; the job cannot be re-run",
                     job.request.graph
@@ -535,23 +583,19 @@ impl JobStore {
         ids.iter().filter_map(|id| jobs.get(id).cloned()).collect()
     }
 
-    /// Aggregate job gauges for `GET /v1/metrics`.
+    /// Aggregate job gauges for `GET /v1/metrics`, read off the per-status
+    /// counts in `O(1)`.
     pub fn gauges(&self) -> JobGauges {
-        let mut gauges = JobGauges {
+        let count = |status| self.status_counts.get(status);
+        JobGauges {
             submitted: self.submitted.load(Ordering::Relaxed),
-            ..JobGauges::default()
-        };
-        for job in self.list() {
-            match job.status() {
-                JobStatus::Queued => gauges.queued += 1,
-                JobStatus::Running => gauges.running += 1,
-                JobStatus::Completed => gauges.completed += 1,
-                JobStatus::Cancelled => gauges.cancelled += 1,
-                JobStatus::Failed => gauges.failed += 1,
-                JobStatus::Interrupted => gauges.interrupted += 1,
-            }
+            queued: count(JobStatus::Queued),
+            running: count(JobStatus::Running),
+            completed: count(JobStatus::Completed),
+            cancelled: count(JobStatus::Cancelled),
+            failed: count(JobStatus::Failed),
+            interrupted: count(JobStatus::Interrupted),
         }
-        gauges
     }
 
     /// `true` once [`drain`](Self::drain) was called.
@@ -639,7 +683,7 @@ fn execute(job: &Arc<Job>) {
         if state.status != JobStatus::Queued {
             return; // cancelled while queued
         }
-        state.status = JobStatus::Running;
+        job.set_status(&mut state, JobStatus::Running);
     }
     job.journal_append(&Record::JobStarted { id: job.id });
     let result = catch_unwind(AssertUnwindSafe(|| run_job(job))).unwrap_or_else(|panic| {
@@ -656,21 +700,21 @@ fn execute(job: &Arc<Job>) {
                 "{{\"event\":\"done\",\"status\":\"completed\",\"rounds\":{},\"stabilized\":{},\"valid_mis\":{}}}",
                 outcome.rounds, outcome.stabilized, outcome.valid_mis
             ));
-            state.status = JobStatus::Completed;
+            job.set_status(&mut state, JobStatus::Completed);
             state.outcome = Some(outcome);
             state.mis = Some(mis);
         }
         Ok(RunEnd::Cancelled) => {
             job.events
                 .push("{\"event\":\"done\",\"status\":\"cancelled\"}".to_string());
-            state.status = JobStatus::Cancelled;
+            job.set_status(&mut state, JobStatus::Cancelled);
         }
         Err(message) => {
             job.events.push(format!(
                 "{{\"event\":\"done\",\"status\":\"failed\",\"error\":{}}}",
                 serde_json::to_string(&message).expect("strings serialize")
             ));
-            state.status = JobStatus::Failed;
+            job.set_status(&mut state, JobStatus::Failed);
             state.error = Some(message);
         }
     }
@@ -1200,6 +1244,117 @@ mod tests {
             store.submit(Arc::clone(&entry), JobRequest::new(entry.id, "greedy")),
             Err(SubmitError::Draining)
         ));
+    }
+
+    /// The gauges by locking every job and tallying its status.
+    fn tallied(store: &JobStore) -> JobGauges {
+        let mut gauges = JobGauges {
+            submitted: store.submitted.load(Ordering::Relaxed),
+            ..JobGauges::default()
+        };
+        for job in store.list() {
+            *match job.status() {
+                JobStatus::Queued => &mut gauges.queued,
+                JobStatus::Running => &mut gauges.running,
+                JobStatus::Completed => &mut gauges.completed,
+                JobStatus::Cancelled => &mut gauges.cancelled,
+                JobStatus::Failed => &mut gauges.failed,
+                JobStatus::Interrupted => &mut gauges.interrupted,
+            } += 1;
+        }
+        gauges
+    }
+
+    #[test]
+    fn gauges_equal_the_tally_through_the_lifecycle() {
+        let (_registry, entry) = registry_with_path(10);
+        let agree = |store: &JobStore| assert_eq!(store.gauges(), tallied(store));
+        let store = JobStore::start(1, 0, None);
+        let done = store
+            .submit(Arc::clone(&entry), JobRequest::new(entry.id, "greedy"))
+            .unwrap();
+        assert_eq!(wait_terminal(&done), JobStatus::Completed);
+        agree(&store);
+        let mut refused = JobRequest::new(entry.id, "luby");
+        refused.scheduler = mis_sim::spec::SchedulerSpec::RandomSubset { p: 0.5 };
+        let failed = store.submit(Arc::clone(&entry), refused).unwrap();
+        assert_eq!(wait_terminal(&failed), JobStatus::Failed);
+        agree(&store);
+        // A lingering job holds the single worker, so the next one queues.
+        let mut slow = JobRequest::new(entry.id, "two-state");
+        slow.linger_micros = 60_000_000;
+        let running = store.submit(Arc::clone(&entry), slow).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(20);
+        while running.status() != JobStatus::Running {
+            assert!(Instant::now() < deadline);
+            thread::sleep(Duration::from_millis(2));
+        }
+        agree(&store);
+        let queued = store
+            .submit(Arc::clone(&entry), JobRequest::new(entry.id, "greedy"))
+            .unwrap();
+        assert_eq!(queued.status(), JobStatus::Queued);
+        agree(&store);
+        assert!(queued.cancel());
+        agree(&store);
+        assert!(running.cancel());
+        assert_eq!(wait_terminal(&running), JobStatus::Cancelled);
+        agree(&store);
+        let gauges = store.gauges();
+        assert_eq!(
+            (gauges.completed, gauges.failed, gauges.cancelled),
+            (1, 1, 2)
+        );
+        store.drain();
+
+        // Restore one job of every status, plus a queued job whose graph
+        // is gone (it fails at once); the queued one with a graph runs.
+        let restored = JobStore::start(1, 0, None);
+        let statuses = [
+            JobStatus::Running,
+            JobStatus::Completed,
+            JobStatus::Cancelled,
+            JobStatus::Failed,
+            JobStatus::Interrupted,
+        ];
+        for (id, status) in (1..).zip(statuses) {
+            let recovered = SnapshotJob {
+                id,
+                request: JobRequest::new(entry.id, "greedy"),
+                status,
+                outcome: None,
+                error: None,
+                mis: None,
+            };
+            restored.restore(recovered, Some(Arc::clone(&entry)));
+            agree(&restored);
+        }
+        let queued = |id| SnapshotJob {
+            id,
+            request: JobRequest::new(entry.id, "greedy"),
+            status: JobStatus::Queued,
+            outcome: None,
+            error: None,
+            mis: None,
+        };
+        restored.restore(queued(6), None);
+        agree(&restored);
+        let rerun = restored.restore(queued(7), Some(Arc::clone(&entry)));
+        assert_eq!(wait_terminal(&rerun), JobStatus::Completed);
+        agree(&restored);
+        let gauges = restored.gauges();
+        assert_eq!(
+            [
+                gauges.queued,
+                gauges.running,
+                gauges.completed,
+                gauges.cancelled,
+                gauges.failed,
+                gauges.interrupted
+            ],
+            [0, 1, 2, 1, 2, 1]
+        );
+        restored.drain();
     }
 
     /// Ids of `graph_id`'s non-terminal jobs, by filtering every job.

@@ -69,9 +69,9 @@ const TABLE: [Declared; 10] = [
     row("two-state", "full-state-exchange", [1, 1, 1, 1, 1, 1]),
     row("three-state", "full-state-exchange", [1, 1, 1, 1, 1, 1]),
     row("three-color", "full-state-exchange", [1, 1, 0, 1, 1, 1]),
-    row("beeping-two-state", "beeping", [0, 0, 1, 1, 1, 1]),
-    row("stone-age-three-state", "stone-age", [0, 0, 1, 1, 1, 1]),
-    row("stone-age-three-color", "stone-age", [0, 0, 0, 1, 1, 1]),
+    row("beeping-two-state", "beeping", [1, 1, 1, 1, 1, 1]),
+    row("stone-age-three-state", "stone-age", [1, 1, 1, 1, 1, 1]),
+    row("stone-age-three-color", "stone-age", [1, 1, 0, 1, 1, 1]),
     row("random-priority", "message-passing", [0, 0, 0, 1, 0, 1]),
     row("luby", "message-passing", [0, 0, 0, 0, 0, 0]),
     row("greedy", "centralized", [0, 0, 0, 0, 0, 0]),
@@ -307,9 +307,16 @@ fn patched_jobs_equal_the_driver_with_the_same_delta() {
         ExecutionMode::Sequential,
         ExecutionMode::Parallel { threads: 2 },
     ];
-    for (i, key) in ["two-state", "three-state", "three-color"]
-        .into_iter()
-        .enumerate()
+    for (i, key) in [
+        "two-state",
+        "three-state",
+        "three-color",
+        "beeping-two-state",
+        "stone-age-three-state",
+        "stone-age-three-color",
+    ]
+    .into_iter()
+    .enumerate()
     {
         for execution in executions {
             let label = format!("{key} / {execution:?}");

@@ -1,9 +1,9 @@
 //! Experiment harness for the `selfstab-mis` workspace.
 //!
 //! This crate turns every algorithm of the workspace — the `mis-core`
-//! processes, the `mis-comm` weak-communication adaptations, and the
-//! `mis-baselines` comparators — into reproducible, parallel Monte-Carlo
-//! experiments:
+//! processes (under their direct keys and their beeping / stone-age keys)
+//! and the `mis-baselines` comparators — into reproducible, parallel
+//! Monte-Carlo experiments:
 //!
 //! * [`registry`] — the builtin string-keyed algorithm registry
 //!   ([`registry::builtin_registry`]): ten algorithms behind one object-safe
@@ -48,7 +48,7 @@
 //! use mis_sim::spec::{ExperimentSpec, GraphSpec};
 //! use mis_sim::runner::run_experiment;
 //!
-//! // The beeping-model adaptation, addressed by registry key.
+//! // The 2-state process reported as a beeping algorithm, by registry key.
 //! let spec = ExperimentSpec::builder()
 //!     .name("quick-demo")
 //!     .graph(GraphSpec::Gnp { n: 100, p: 0.05 })

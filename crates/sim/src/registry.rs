@@ -6,14 +6,17 @@
 //! | `two-state` | 2-state MIS process (Definition 4) | `mis-core` |
 //! | `three-state` | 3-state MIS process (Definition 5) | `mis-core` |
 //! | `three-color` | 3-color process + randomized switch (Definition 28) | `mis-core` |
-//! | `beeping-two-state` | 2-state process over the beeping channel | `mis-comm` |
-//! | `stone-age-three-state` | 3-state process over the stone-age channel | `mis-comm` |
-//! | `stone-age-three-color` | 3-color process over the stone-age channel | `mis-comm` |
+//! | `beeping-two-state` | the `two-state` rule, reported as a beeping algorithm | `mis-core` |
+//! | `stone-age-three-state` | the `three-state` rule, reported as a stone-age algorithm | `mis-core` |
+//! | `stone-age-three-color` | the `three-color` rule, reported as a stone-age algorithm | `mis-core` |
 //! | `luby` | Luby's algorithm (baseline) | `mis-baselines` |
 //! | `random-priority` | random-priority self-stabilizing baseline | `mis-baselines` |
 //! | `greedy` | sequential greedy (baseline) | `mis-baselines` |
 //! | `sequential-selfstab` | deterministic sequential self-stab (baseline) | `mis-baselines` |
 //!
+//! Both keys of a pair build the same engine process, whose rule reads
+//! only what the beeping or stone-age channel delivers (`mis-comm` keeps
+//! each channel as a reference round for tests).
 //! Each entry is an [`AlgorithmFactory`](mis_core::AlgorithmFactory) that
 //! declares once what its instances support
 //! ([`Capabilities`](mis_core::Capabilities)); the runner, the service's job
@@ -28,11 +31,10 @@ use std::sync::OnceLock;
 
 use mis_core::Registry;
 
-/// Registers every builtin algorithm (core processes, communication-model
-/// adaptations, baselines) into `registry`.
+/// Registers every builtin algorithm (the paper's processes under their
+/// direct and weak-communication keys, and the baselines) into `registry`.
 pub fn register_builtin_algorithms(registry: &mut Registry) {
     mis_core::register_core_algorithms(registry);
-    mis_comm::register_comm_algorithms(registry);
     mis_baselines::register_baseline_algorithms(registry);
 }
 

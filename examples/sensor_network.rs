@@ -6,16 +6,18 @@
 //! standard model for sensor deployments. The nodes then run the 2-state MIS
 //! process in the beeping model (black nodes beep, white nodes listen, one
 //! carrier-sense bit per round), starting from *arbitrary* states, exactly as
-//! a self-stabilizing deployment would after a reboot or radio glitch.
+//! a self-stabilizing deployment would after a reboot or radio glitch. The
+//! run is built through the `beeping-two-state` registry key, whose rule
+//! reads nothing but that carrier-sense bit.
 //!
 //! Run with: `cargo run --release --example sensor_network`
 
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
-use selfstab_mis::comm::beeping::BeepingTwoStateMis;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::Algorithm;
+use selfstab_mis::core::{AlgorithmConfig, ExecutionMode, RoundStrategy};
 use selfstab_mis::graph::{generators, mis_check};
+use selfstab_mis::sim::builtin_registry;
 
 fn main() {
     let mut rng = ChaCha8Rng::seed_from_u64(77);
@@ -34,7 +36,16 @@ fn main() {
     );
 
     // The nodes wake up in arbitrary states (e.g. after a power glitch).
-    let mut network = BeepingTwoStateMis::with_init(&g, InitStrategy::Random, &mut rng);
+    let config = AlgorithmConfig {
+        init: InitStrategy::Random,
+        execution: ExecutionMode::Sequential,
+        strategy: RoundStrategy::Auto,
+        counter_seed: 0,
+    };
+    let beeping = builtin_registry()
+        .get("beeping-two-state")
+        .expect("builtin key");
+    let mut network = beeping.init(&g, &config, &mut rng);
     let rounds = network
         .run_to_stabilization(&mut rng, 1_000_000)
         .expect("the beeping MIS process stabilizes with probability 1");

@@ -130,4 +130,5 @@ ci:
     cargo run --release -p mis-bench --bin svc_chaos -- --quick
     test -s results/svc_chaos.json
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload gnp-two-state --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'
+    cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload gnp-three-color --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload service-mix --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'

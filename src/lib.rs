@@ -13,8 +13,10 @@
 //!   MIS processes and the randomized logarithmic switch, plus the one
 //!   [`Algorithm`](mis_core::Algorithm) trait every runnable algorithm
 //!   implements and the registry that declares what each supports.
-//! * [`comm`] — weak-communication network models (beeping, synchronous stone
-//!   age) and message-passing adaptations of the processes.
+//! * [`comm`] — weak-communication channels (beeping, synchronous stone age)
+//!   and reference rounds of the processes over them; the registry's
+//!   beeping and stone-age keys run the [`core`] processes, whose rules read
+//!   only what those channels deliver.
 //! * [`baselines`] — classical and self-stabilizing MIS baselines (Luby,
 //!   greedy, sequential self-stabilizing, Turau-style randomized).
 //! * [`sim`] — experiment harness: trial runner, metrics, statistics, sweeps,

@@ -5,11 +5,14 @@
 use rand::SeedableRng;
 use rand_chacha::ChaCha8Rng;
 use selfstab_mis::baselines::{greedy_mis, luby_mis, RandomPriorityMis};
-use selfstab_mis::comm::beeping::BeepingTwoStateMis;
-use selfstab_mis::comm::stone_age::{StoneAgeThreeColorMis, StoneAgeThreeStateMis};
+use selfstab_mis::comm::beeping::two_state_round;
 use selfstab_mis::core::init::InitStrategy;
-use selfstab_mis::core::{Algorithm, ThreeColorProcess, ThreeStateProcess, TwoStateProcess};
+use selfstab_mis::core::{
+    Algorithm, AlgorithmConfig, ExecutionMode, RoundStrategy, ThreeColorProcess, ThreeStateProcess,
+    TwoStateProcess,
+};
 use selfstab_mis::graph::{generators, mis_check, Graph};
+use selfstab_mis::sim::builtin_registry;
 
 fn rng(seed: u64) -> ChaCha8Rng {
     ChaCha8Rng::seed_from_u64(seed)
@@ -74,24 +77,23 @@ fn all_processes_reach_an_mis_on_the_graph_zoo() {
 #[test]
 fn communication_model_adaptations_reach_an_mis_on_the_graph_zoo() {
     let mut r = rng(2);
+    let config = AlgorithmConfig {
+        init: InitStrategy::Random,
+        execution: ExecutionMode::Sequential,
+        strategy: RoundStrategy::Auto,
+        counter_seed: 0,
+    };
     for (name, g) in graph_zoo(&mut r) {
-        let mut p = BeepingTwoStateMis::with_init(&g, InitStrategy::Random, &mut r);
-        p.run_to_stabilization(&mut r, 1_000_000).unwrap();
-        assert!(mis_check::is_mis(&g, &p.black_set()), "beeping on {name}");
-
-        let mut p = StoneAgeThreeStateMis::with_init(&g, InitStrategy::Random, &mut r);
-        p.run_to_stabilization(&mut r, 1_000_000).unwrap();
-        assert!(
-            mis_check::is_mis(&g, &p.black_set()),
-            "stone-age 3-state on {name}"
-        );
-
-        let mut p = StoneAgeThreeColorMis::with_init(&g, InitStrategy::Random, &mut r);
-        p.run_to_stabilization(&mut r, 1_000_000).unwrap();
-        assert!(
-            mis_check::is_mis(&g, &p.black_set()),
-            "stone-age 3-color on {name}"
-        );
+        for key in [
+            "beeping-two-state",
+            "stone-age-three-state",
+            "stone-age-three-color",
+        ] {
+            let factory = builtin_registry().get(key).expect("builtin key");
+            let mut p = factory.init(&g, &config, &mut r);
+            p.run_to_stabilization(&mut r, 1_000_000).unwrap();
+            assert!(mis_check::is_mis(&g, &p.black_set()), "{key} on {name}");
+        }
     }
 }
 
@@ -110,22 +112,26 @@ fn baselines_reach_an_mis_on_the_graph_zoo() {
     }
 }
 
+/// The engine's 2-state process against the beeping reference round, which
+/// updates each node from its color and its "heard a beep" bit only.
 #[test]
 fn beeping_adaptation_is_trace_equivalent_to_the_direct_process() {
     let mut setup = rng(4);
     let g = generators::gnp(120, 0.06, &mut setup);
-    let init = InitStrategy::Random.two_state(g.n(), &mut setup);
-    let mut direct = TwoStateProcess::new(&g, init.clone());
-    let mut beeping = BeepingTwoStateMis::new(&g, init);
+    let mut beeping = InitStrategy::Random.two_state(g.n(), &mut setup);
+    let mut direct = TwoStateProcess::new(&g, beeping.clone());
     let mut ra = rng(5);
     let mut rb = rng(5);
+    let mut beeping_bits = 0;
     while !direct.is_stabilized() {
-        assert_eq!(direct.states(), beeping.states());
+        assert_eq!(direct.states(), beeping);
         direct.step(&mut ra);
-        beeping.step(&mut rb);
+        beeping_bits += two_state_round(&g, &mut beeping, None, &mut rb);
         assert!(direct.round() < 1_000_000);
     }
-    assert_eq!(direct.black_set(), beeping.black_set());
+    assert_eq!(direct.states(), beeping);
+    assert_eq!(direct.random_bits_used(), beeping_bits);
+    assert!(selfstab_mis::comm::is_stabilized(&g, |u| beeping[u].is_black()));
 }
 
 #[test]

@@ -18,13 +18,10 @@ fn facade_reexports_resolve() {
     let mut rng = ChaCha8Rng::seed_from_u64(0);
     let proc = selfstab_mis::core::TwoStateProcess::with_init(&g, InitStrategy::AllWhite, &mut rng);
     assert_eq!(proc.round(), 0);
-    // comm
-    let beeps = selfstab_mis::comm::beeping::BeepingTwoStateMis::with_init(
-        &g,
-        InitStrategy::Random,
-        &mut rng,
-    );
-    assert_eq!(beeps.round(), 0);
+    // comm: in a clique, one beeping node is heard by every other node.
+    let mut heard = [false; 4];
+    selfstab_mis::comm::beeping::beep_round(&g, |u| u == 0, &mut heard);
+    assert_eq!(heard, [false, true, true, true]);
     // baselines
     let out = selfstab_mis::baselines::luby_mis(&g, &mut rng);
     assert!(mis_check::is_mis(&g, &out.mis));
