@@ -2,8 +2,9 @@
 //! 2-state, 3-state, and 3-color processes on sparse `G(n, 8/n)`, across
 //! all four adversary strategies and random vs hub-targeted placement.
 //!
-//! Writes the machine-readable report to `results/exp_byzantine.json` and
-//! the headline evidence file `BENCH_byzantine.json` at the workspace root.
+//! Writes the machine-readable report to `results/exp_byzantine.json` and,
+//! on a full run only, the headline evidence file `BENCH_byzantine.json` in
+//! the working directory.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin exp_byzantine [-- --quick]`
 //!
@@ -15,7 +16,7 @@
 //!   radius-2 zone of the Byzantine set.
 
 use mis_bench::experiments::byzantine::exp_byzantine;
-use mis_bench::report::{print_section, write_results_file};
+use mis_bench::report::{print_section, write_report};
 use mis_bench::Scale;
 
 const HELP: &str = "\
@@ -25,7 +26,8 @@ USAGE: exp_byzantine [--quick] [--help]
 
   --quick  n = 10^5, random placement at the 1% gate fraction only (CI
            smoke); default is n = 10^6 across f in {0.1%, 1%, 5%} plus a
-           hub-targeted placement at 1%
+           hub-targeted placement at 1%; only a full run writes
+           BENCH_byzantine.json (both write results/exp_byzantine.json)
   --help   print this help
 
 METHOD
@@ -81,13 +83,7 @@ fn main() {
     );
 
     let json = report.to_json();
-    if let Ok(path) = write_results_file("exp_byzantine.json", &json) {
-        println!("wrote {}", path.display());
-    }
-    match std::fs::write("BENCH_byzantine.json", &json) {
-        Ok(()) => println!("wrote BENCH_byzantine.json"),
-        Err(e) => eprintln!("could not write BENCH_byzantine.json: {e}"),
-    }
+    write_report(scale, "exp_byzantine.json", "BENCH_byzantine.json", &json);
 
     let mut failed = false;
     if !report.gate_passes() {

@@ -2,8 +2,9 @@
 //! engine vs a cold restart after Poisson edge-churn bursts, for the
 //! 2-state, 3-state, and 3-color processes on sparse `G(n, 8/n)`.
 //!
-//! Writes the machine-readable report to `results/exp_churn.json` and the
-//! headline evidence file `BENCH_churn.json` at the workspace root.
+//! Writes the machine-readable report to `results/exp_churn.json` and, on a
+//! full run only, the headline evidence file `BENCH_churn.json` in the
+//! working directory.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin exp_churn [-- --quick]`
 //!
@@ -15,7 +16,7 @@
 //!   graph.
 
 use mis_bench::experiments::churn::exp_churn;
-use mis_bench::report::{print_section, write_results_file};
+use mis_bench::report::{print_section, write_report};
 use mis_bench::Scale;
 
 const HELP: &str = "\
@@ -24,7 +25,8 @@ exp_churn — live-mutation engine: incremental re-stabilization vs cold restart
 USAGE: exp_churn [--quick] [--help]
 
   --quick  n = 10^5 at the 1% gate fraction only (CI smoke); default is
-           n = 10^6 across a churn-fraction sweep
+           n = 10^6 across a churn-fraction sweep; only a full run
+           writes BENCH_churn.json (both write results/exp_churn.json)
   --help   print this help
 
 METHOD
@@ -66,13 +68,7 @@ fn main() {
     );
 
     let json = report.to_json();
-    if let Ok(path) = write_results_file("exp_churn.json", &json) {
-        println!("wrote {}", path.display());
-    }
-    match std::fs::write("BENCH_churn.json", &json) {
-        Ok(()) => println!("wrote BENCH_churn.json"),
-        Err(e) => eprintln!("could not write BENCH_churn.json: {e}"),
-    }
+    write_report(scale, "exp_churn.json", "BENCH_churn.json", &json);
 
     let mut failed = false;
     if !report.gate_passes() {

@@ -3,8 +3,9 @@
 //! counter-based parallel engine's early-phase thread sweep, on sparse
 //! `G(n, 8/n)`.
 //!
-//! Writes the machine-readable report to `results/exp_scale.json` and the
-//! headline evidence file `BENCH_scale.json` at the workspace root.
+//! Writes the machine-readable report to `results/exp_scale.json` and, on a
+//! full run only, the headline evidence file `BENCH_scale.json` in the
+//! working directory.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin exp_scale [-- --quick]
 //! [--strategy auto|sparse|dense]`
@@ -18,7 +19,7 @@
 //!   `n = 10⁵` below the sequential engine's (accidental serialization).
 
 use mis_bench::experiments::scale::exp_scale;
-use mis_bench::report::{print_section, write_results_file};
+use mis_bench::report::{print_section, write_report};
 use mis_bench::Scale;
 use mis_core::RoundStrategy;
 
@@ -28,7 +29,9 @@ exp_scale — frontier-engine scale experiment on sparse G(n, 8/n)
 USAGE: exp_scale [--quick] [--strategy auto|sparse|dense]
                  [--require-multicore] [--help]
 
-  --quick       n = 10^5 only (CI smoke); default is n in {10^4, ..., 10^7}
+  --quick       n = 10^5 only (CI smoke); default is n in {10^4, ..., 10^7};
+                only a full run writes BENCH_scale.json (both write
+                results/exp_scale.json)
   --strategy S  round strategy of the fast path (default: auto — the
                 direction-optimizing dense/sparse switch; results are
                 bit-identical across strategies, only throughput changes)
@@ -110,13 +113,7 @@ fn main() {
     );
 
     let json = report.to_json();
-    if let Ok(path) = write_results_file("exp_scale.json", &json) {
-        println!("wrote {}", path.display());
-    }
-    match std::fs::write("BENCH_scale.json", &json) {
-        Ok(()) => println!("wrote BENCH_scale.json"),
-        Err(e) => eprintln!("could not write BENCH_scale.json: {e}"),
-    }
+    write_report(scale, "exp_scale.json", "BENCH_scale.json", &json);
 
     let mut failed = false;
     // A CI config that passes --require-multicore promises a multi-core

@@ -1,8 +1,8 @@
 //! Chaos harness for the crash-safe graph service: repeated kill-and-restart
 //! cycles under concurrent submit/PATCH traffic routed through a
 //! fault-injecting TCP proxy, plus slowloris and malformed-frame attacks
-//! straight at the listener. Evidence lands in `results/svc_chaos.json` and
-//! `BENCH_recovery.json`.
+//! straight at the listener. Evidence lands in `results/svc_chaos.json` and,
+//! on a full run only, in `BENCH_recovery.json` in the working directory.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin svc_chaos [-- --quick]`
 //!
@@ -23,7 +23,7 @@ use std::sync::{Arc, Mutex};
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mis_bench::report::{git_commit, print_section, write_results_file, Host};
+use mis_bench::report::{git_commit, print_section, write_report, Host};
 use mis_bench::Scale;
 use mis_service::api::{GraphInfo, JobInfo, JobStatus};
 use mis_service::{Service, ServiceConfig};
@@ -36,7 +36,8 @@ svc_chaos — kill-and-restart cycles against the crash-safe daemon
 USAGE: svc_chaos [--quick] [--help]
 
   --quick  4 crash cycles over 4 client threads (CI smoke); default is
-           20 cycles over 8 client threads
+           20 cycles over 8 client threads; only a full run writes
+           BENCH_recovery.json (both write results/svc_chaos.json)
   --help   print this help
 
 METHOD
@@ -825,13 +826,7 @@ fn main() {
         &report.to_pretty(),
     );
     let json = serde_json::to_string_pretty(&report).expect("report JSON");
-    if let Ok(path) = write_results_file("svc_chaos.json", &json) {
-        println!("wrote {}", path.display());
-    }
-    match std::fs::write("BENCH_recovery.json", &json) {
-        Ok(()) => println!("wrote BENCH_recovery.json"),
-        Err(e) => eprintln!("could not write BENCH_recovery.json: {e}"),
-    }
+    write_report(scale, "svc_chaos.json", "BENCH_recovery.json", &json);
 
     if !report.gates_pass() {
         if report.lost_acked > 0 {

@@ -1,8 +1,8 @@
 //! Load generator for the graph-service daemon: hammer an in-process
 //! `mis-service` instance with thousands of concurrent jobs across
 //! algorithms and graph sizes (plus live `PATCH` traffic), and record
-//! throughput + tail latency to `results/svc_load.json` and
-//! `BENCH_service.json`.
+//! throughput + tail latency to `results/svc_load.json` and, on a full run
+//! only, to `BENCH_service.json` in the working directory.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin svc_load [-- --quick]`
 //!
@@ -17,7 +17,7 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-use mis_bench::report::{git_commit, print_section, write_results_file, Host};
+use mis_bench::report::{git_commit, print_section, write_report, Host};
 use mis_bench::Scale;
 use mis_service::api::{JobInfo, JobStatus, MetricsReport};
 use mis_service::{Service, ServiceConfig};
@@ -30,7 +30,9 @@ svc_load — graph-service daemon under thousands of concurrent jobs
 USAGE: svc_load [--quick] [--help]
 
   --quick  ~160 jobs over 8 client threads (CI smoke); default is 2000
-           jobs over 16 client threads with a >=1000-concurrency gate
+           jobs over 16 client threads with a >=1000-concurrency gate;
+           only a full run writes BENCH_service.json (both write
+           results/svc_load.json)
   --help   print this help
 
 METHOD
@@ -388,13 +390,7 @@ fn main() {
         &report.to_pretty(),
     );
     let json = serde_json::to_string_pretty(&report).expect("report JSON");
-    if let Ok(path) = write_results_file("svc_load.json", &json) {
-        println!("wrote {}", path.display());
-    }
-    match std::fs::write("BENCH_service.json", &json) {
-        Ok(()) => println!("wrote BENCH_service.json"),
-        Err(e) => eprintln!("could not write BENCH_service.json: {e}"),
-    }
+    write_report(scale, "svc_load.json", "BENCH_service.json", &json);
 
     if !report.gates_pass() {
         if report.jobs_unfinished > 0 {

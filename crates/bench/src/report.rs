@@ -9,6 +9,8 @@ use std::process::Command;
 
 use serde::{Deserialize, Serialize};
 
+use crate::Scale;
+
 /// Directory (relative to the workspace root / current directory) where
 /// experiment binaries drop their CSV and JSON outputs.
 pub const RESULTS_DIR: &str = "results";
@@ -25,6 +27,23 @@ pub fn write_results_file(name: &str, contents: &str) -> io::Result<PathBuf> {
     let path = dir.join(name);
     fs::write(&path, contents)?;
     Ok(path)
+}
+
+/// Writes a run's JSON report to `results/<results_name>` and, on a
+/// [`Scale::Full`] run only, to the evidence file `bench_name` (a
+/// `BENCH_*.json`) in the current directory, printing each path written. A
+/// `--quick` run leaves the committed full-run record as it is. A failed
+/// write does not stop the run: its gates still decide the exit status.
+pub fn write_report(scale: Scale, results_name: &str, bench_name: &str, json: &str) {
+    if let Ok(path) = write_results_file(results_name, json) {
+        println!("wrote {}", path.display());
+    }
+    if scale == Scale::Full {
+        match fs::write(bench_name, json) {
+            Ok(()) => println!("wrote {bench_name}"),
+            Err(e) => eprintln!("could not write {bench_name}: {e}"),
+        }
+    }
 }
 
 /// The machine a `BENCH_*.json` file was measured on: its core count and
@@ -100,17 +119,48 @@ pub fn print_section(title: &str, body: &str) {
 mod tests {
     use super::*;
 
-    #[test]
-    fn writes_into_results_dir() {
-        let dir = std::env::temp_dir().join(format!("mis-bench-report-{}", std::process::id()));
+    use std::sync::Mutex;
+
+    /// Serializes the tests that change the process's working directory.
+    static CWD: Mutex<()> = Mutex::new(());
+
+    /// Runs `f` inside a fresh temporary directory named after `tag`.
+    fn in_temp_dir(tag: &str, f: impl FnOnce()) {
+        let _guard = CWD.lock().unwrap_or_else(|e| e.into_inner());
+        let dir = std::env::temp_dir().join(format!("mis-bench-{tag}-{}", std::process::id()));
         std::fs::create_dir_all(&dir).unwrap();
         let old = std::env::current_dir().unwrap();
         std::env::set_current_dir(&dir).unwrap();
-        let path = write_results_file("unit_test.csv", "a,b\n1,2\n").unwrap();
-        assert!(path.ends_with("results/unit_test.csv"));
-        assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        f();
         std::env::set_current_dir(old).unwrap();
         std::fs::remove_dir_all(&dir).unwrap();
+    }
+
+    #[test]
+    fn writes_into_results_dir() {
+        in_temp_dir("report", || {
+            let path = write_results_file("unit_test.csv", "a,b\n1,2\n").unwrap();
+            assert!(path.ends_with("results/unit_test.csv"));
+            assert_eq!(std::fs::read_to_string(&path).unwrap(), "a,b\n1,2\n");
+        });
+    }
+
+    #[test]
+    fn only_full_runs_write_the_bench_file() {
+        in_temp_dir("bench-file", || {
+            write_report(Scale::Quick, "unit_test.json", "BENCH_unit.json", "{}");
+            assert_eq!(
+                std::fs::read_to_string("results/unit_test.json").unwrap(),
+                "{}"
+            );
+            assert!(!Path::new("BENCH_unit.json").exists());
+            write_report(Scale::Full, "unit_test.json", "BENCH_unit.json", "[]");
+            assert_eq!(
+                std::fs::read_to_string("results/unit_test.json").unwrap(),
+                "[]"
+            );
+            assert_eq!(std::fs::read_to_string("BENCH_unit.json").unwrap(), "[]");
+        });
     }
 
     #[test]

@@ -124,25 +124,38 @@ pub trait SwitchProcess: Sync {
 ///
 /// # Incremental rounds
 ///
-/// A step evaluates only the vertices that can move. Every level-5 vertex
-/// draws its coin, in ascending vertex order (the same stream and counter
-/// draws as a full sweep); a fired coin moves it to 4 without reading
-/// neighbors. Below level 5, the max rule runs only on the *pending* set
-/// `P`, which the moves build: when `u` moves from level `a` to level `b`,
-/// it marks itself and each neighbor `v` at level `ℓ_v` with `b > ℓ_v + 1`
-/// (the maximum over `N⁺(v)` rose) or `a = ℓ_v + 1` (`v` lost a holder of
-/// its maximum). This is exact under one invariant: every unmarked vertex
-/// at levels 1–4 already sits at `max N⁺(v) − 1`, the rule's fixed point,
-/// and no other move can change that maximum. A level-0 vertex is always
-/// marked, because reaching level 0 is itself a move.
-/// [`set_level`](SwitchProcess::set_level) marks the same way; construction,
-/// [`rebind_graph`](SwitchProcess::rebind_graph) and a full sweep mark
-/// every vertex.
+/// A step evaluates only the vertices that can move, and evaluates each in
+/// `O(1)`. Every level-5 vertex draws its coin, in ascending vertex order
+/// (the same stream and counter draws as a full sweep); a fired coin moves it
+/// to 4 without reading neighbors. Below level 5, the max rule reads two
+/// exact per-vertex counters instead of the neighbor list: `holders[v]`, the
+/// neighbors at level `ℓ_v + 1`, and `above[v]`, the highest neighbor level
+/// above `ℓ_v + 1` (0 if there is none). Then `max N⁺(v)` is `above[v]` if
+/// that is positive, else `ℓ_v + 1` if `v` has a holder, else `ℓ_v`.
 ///
-/// A step costs `O(|L₅| + Σ_{v∈P} deg v + Σ_{u moved} deg u + n/64)` for
-/// the level-5 set `L₅`, instead of the `O(n + m)` of
+/// The rule runs only on the *pending* set `P`. This is exact under one
+/// invariant: every unmarked vertex at levels 1–4 sits at `max N⁺(v) − 1`,
+/// the rule's fixed point (`above[v] = 0` and `holders[v] > 0`). A level-0
+/// vertex is always marked, because reaching level 0 is itself a move. Every
+/// pending vertex is evaluated, so a vertex that does not move in a step had
+/// no neighbor above `ℓ_v + 1` when the step began.
+///
+/// A step applies its moves in two passes. The first sets every mover's new
+/// level. The second walks each mover `u`'s neighbor list once: it recounts
+/// `u`'s own counters from the new levels and marks `u` only if it is off
+/// its fixed point; at each neighbor `v` that did not move it adjusts
+/// `holders[v]` and `above[v]` by the move and marks `v` if its holders ran
+/// out or `u` rose above `ℓ_v + 1`. A neighbor that moved recounts itself.
+/// [`set_level`](SwitchProcess::set_level) recounts `N⁺(u)` from scratch and
+/// marks all of it, since a fault can lower a neighbor's maximum, which a
+/// counter adjustment cannot see; construction,
+/// [`rebind_graph`](SwitchProcess::rebind_graph) and a full sweep recount
+/// and mark every vertex.
+///
+/// A step costs `O(|L₅| + |P| + Σ_{u moved} deg u + n/64)` for the level-5
+/// set `L₅`, instead of the `O(n + m)` of
 /// [`step_reference`](SwitchProcess::step_reference), which keeps the full
-/// sweep.
+/// sweep: a vertex's neighbor list is read only when that vertex moves.
 ///
 /// # Example
 ///
@@ -164,14 +177,18 @@ pub struct RandomizedLogSwitch<'g> {
     /// Scratch: during a step, the next level of every vertex that moves;
     /// once the step has applied its moves, their old level.
     next: Vec<u8>,
+    /// Per vertex `v`: how many neighbors sit at level `ℓ_v + 1`.
+    holders: Vec<u32>,
+    /// Per vertex `v`: the highest neighbor level above `ℓ_v + 1`, or 0.
+    above: Vec<u8>,
     /// The vertices at level 5; each draws a coin every step.
     at_five: VertexSet,
     /// The vertices whose level moved in the most recent step (every vertex
     /// after construction, a graph rebind, or a full sweep).
     changed: VertexSet,
-    /// The vertices the next step runs the max rule on: those a move may
-    /// have pushed off `max N⁺(v) − 1` (see the type-level docs). Level-5
-    /// vertices in it are skipped; their coin decides.
+    /// The vertices the next step runs the max rule on: those a move or a
+    /// fault may have pushed off `max N⁺(v) − 1` (see the type-level docs).
+    /// Level-5 vertices in it are skipped; their coin decides.
     pending: VertexSet,
     zeta: f64,
     /// Random bits one ζ-coin costs: `⌈log₂(1/ζ)⌉`.
@@ -202,6 +219,8 @@ impl<'g> RandomizedLogSwitch<'g> {
             next: levels.clone(),
             graph: GraphRef::Borrowed(graph),
             levels,
+            holders: Vec::new(),
+            above: Vec::new(),
             at_five: VertexSet::new(0),
             changed: VertexSet::new(0),
             pending: VertexSet::new(0),
@@ -234,10 +253,17 @@ impl<'g> RandomizedLogSwitch<'g> {
         self.round
     }
 
-    /// Rebuilds the level-5 set from the levels and marks every vertex
-    /// pending and changed, so the next step evaluates all of them.
+    /// Rebuilds the level-5 set and both counters from the levels and marks
+    /// every vertex pending and changed, so the next step evaluates all of
+    /// them.
     fn mark_all(&mut self) {
+        let graph = self.graph.get();
         let n = self.levels.len();
+        self.holders.resize(n, 0);
+        self.above.resize(n, 0);
+        for u in 0..n {
+            (self.holders[u], self.above[u]) = count_fields(graph, &self.levels, u);
+        }
         let levels = &self.levels;
         self.at_five = VertexSet::from_indices(n, (0..n).filter(|&u| levels[u] == 5));
         self.changed = VertexSet::full(n);
@@ -252,11 +278,16 @@ impl<'g> RandomizedLogSwitch<'g> {
         let RandomizedLogSwitch {
             levels,
             next,
+            holders,
+            above,
             at_five,
             changed,
             pending,
             ..
         } = self;
+        // Slices keep the lengths out of memory while the walk stores.
+        let (levels, next) = (&mut levels[..], &mut next[..]);
+        let (holders, above) = (&mut holders[..], &mut above[..]);
         changed.clear();
         // A fired coin moves u to max N⁺(u) − 1 = 4: its own 5 is the
         // maximum, so no neighbor needs reading.
@@ -271,7 +302,7 @@ impl<'g> RandomizedLogSwitch<'g> {
             let new = match levels[u] {
                 5 => continue,
                 0 => 5,
-                _ => max_closed(graph, levels, u) - 1,
+                level => max_rule(level, holders[u], above[u]),
             };
             if new != levels[u] {
                 next[u] = new;
@@ -283,7 +314,35 @@ impl<'g> RandomizedLogSwitch<'g> {
         // each mover's old level in `next`.
         for u in changed.iter() {
             std::mem::swap(&mut levels[u], &mut next[u]);
-            record_move(graph, levels, at_five, pending, u, next[u]);
+            track_five(at_five, u, next[u], levels[u]);
+        }
+        // Then bring the counters to the new levels, one walk per mover: it
+        // recounts the mover's own and adjusts those of the neighbors that
+        // stayed. Every such neighbor sat at its fixed point, so before the
+        // step none of its neighbors was above its holders' level. The
+        // adjustment is arithmetic on masks, with no branch per neighbor: a
+        // neighbor that moved gets a zero adjustment and recounts itself.
+        for u in changed.iter() {
+            let (from, to) = (next[u], levels[u]);
+            let (mut own_holders, mut own_above) = (0, 0);
+            for v in graph.neighbors(u) {
+                let lv = levels[v];
+                own_holders += u32::from(lv == to + 1);
+                own_above = own_above.max(if lv > to + 1 { lv } else { 0 });
+                let stays = !changed.contains(v);
+                let hold = lv + 1;
+                debug_assert!(!stays || from <= hold);
+                let rises = stays & (to > hold);
+                let leaves = stays & (from == hold);
+                let h = holders[v] + u32::from(stays & (to == hold)) - u32::from(leaves);
+                holders[v] = h;
+                above[v] = above[v].max(if rises { to } else { 0 });
+                pending.insert_if(v, rises | (leaves & (h == 0)));
+            }
+            (holders[u], above[u]) = (own_holders, own_above);
+            if off_fixed_point(to, own_holders, own_above) {
+                pending.insert(u);
+            }
         }
         self.round += 1;
     }
@@ -314,31 +373,54 @@ impl<'g> RandomizedLogSwitch<'g> {
     }
 }
 
-/// Books the move of `u` from level `from` to its current level: updates
-/// the level-5 set and marks `u` plus each neighbor `v` whose maximum over
-/// `N⁺(v)` the move may have changed — it rose above `ℓ_v + 1`, or a holder
-/// of `ℓ_v + 1` left. A neighbor that also moved is marked by its own move,
-/// so reading its level before or after that move is equally correct.
-fn record_move(
-    graph: &Graph,
-    levels: &[u8],
-    at_five: &mut VertexSet,
-    pending: &mut VertexSet,
-    u: VertexId,
-    from: u8,
-) {
-    let to = levels[u];
+/// The max rule at a vertex at level 1–4 from its counters: `max N⁺(u) − 1`,
+/// where the maximum is `above` if positive, else `level + 1` if some
+/// neighbor holds it, else `level`.
+fn max_rule(level: u8, holders: u32, above: u8) -> u8 {
+    if above > 0 {
+        above - 1
+    } else if holders > 0 {
+        level
+    } else {
+        level - 1
+    }
+}
+
+/// Whether the next step must evaluate a vertex at `level` with these
+/// counters: level 0 resets, and levels 1–4 move unless they sit at the max
+/// rule's fixed point. Level 5 waits for its coin.
+fn off_fixed_point(level: u8, holders: u32, above: u8) -> bool {
+    match level {
+        0 => true,
+        5 => false,
+        _ => above > 0 || holders == 0,
+    }
+}
+
+/// `(holders, above)` of `u`, counted from its neighbors' levels.
+fn count_fields(graph: &Graph, levels: &[u8], u: VertexId) -> (u32, u8) {
+    let hold = levels[u] + 1;
+    graph
+        .neighbors(u)
+        .iter()
+        .map(|v| levels[v])
+        .fold((0, 0), |(holders, above), lv| {
+            if lv == hold {
+                (holders + 1, above)
+            } else if lv > hold {
+                (holders, above.max(lv))
+            } else {
+                (holders, above)
+            }
+        })
+}
+
+/// Keeps the level-5 set in step with a move of `u` from `from` to `to`.
+fn track_five(at_five: &mut VertexSet, u: VertexId, from: u8, to: u8) {
     if to == 5 {
         at_five.insert(u);
     } else if from == 5 {
         at_five.remove(u);
-    }
-    pending.insert(u);
-    for v in graph.neighbors(u) {
-        let lv = levels[v];
-        if to > lv + 1 || from == lv + 1 {
-            pending.insert(v);
-        }
     }
 }
 
@@ -394,21 +476,20 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
         self.levels[u]
     }
 
-    /// Overwrites the level of one vertex (fault injection). The vertex is
-    /// marked as if it had moved, so the next step evaluates it and the
-    /// neighbors whose maximum the new level may have changed.
+    /// Overwrites the level of one vertex (fault injection). A fault can
+    /// lower a neighbor's maximum, which no counter adjustment can see, so
+    /// the counters of `N⁺(u)` are recounted and all of it is marked.
     fn set_level(&mut self, u: VertexId, level: u8) {
         assert!(level <= 5, "levels must be in 0..=5");
         let from = std::mem::replace(&mut self.levels[u], level);
-        if from != level {
-            record_move(
-                self.graph.get(),
-                &self.levels,
-                &mut self.at_five,
-                &mut self.pending,
-                u,
-                from,
-            );
+        if from == level {
+            return;
+        }
+        track_five(&mut self.at_five, u, from, level);
+        let graph = self.graph.get();
+        for w in std::iter::once(u).chain(graph.neighbors(u)) {
+            (self.holders[w], self.above[w]) = count_fields(graph, &self.levels, w);
+            self.pending.insert(w);
         }
     }
 
@@ -704,9 +785,12 @@ mod tests {
     /// steps on `gnp_counter(10⁴, 8/n)`: max-rule evaluations against the
     /// `|N⁺(changed) \ L₅|` that re-evaluating the closed neighborhoods of
     /// the moves would cost, plus the coins and moves that pin the
-    /// trajectory. The first step evaluates every vertex under either rule,
-    /// so the work counts cover the 1,999 steps after it. Every step's
-    /// pending set lies inside `N⁺(changed)`.
+    /// trajectory. A neighbor is marked only when its holders run out or a
+    /// mover rises above them, and a mover only when it is off its fixed
+    /// point, so evaluations are 13% of that count. The first step
+    /// evaluates every vertex under either rule, so the work counts cover
+    /// the 1,999 steps after it. Every step's pending set lies inside
+    /// `N⁺(changed)`.
     #[test]
     fn pending_marks_halve_max_rule_evaluations() {
         let n = 10_000;
@@ -729,7 +813,7 @@ mod tests {
         }
         assert_eq!(
             (evaluations, neighborhood_evaluations, coins, moves),
-            (439_013, 976_694, 559_375, 142_617)
+            (131_709, 976_694, 559_375, 142_617)
         );
     }
 
@@ -767,20 +851,22 @@ mod tests {
         #![proptest_config(ProptestConfig::with_cases(48))]
 
         /// The incremental step, in both randomness models, matches the full
-        /// sweep under arbitrary interleavings of steps, level faults, and
-        /// graph growth: equal levels and random-bit tallies after every
-        /// operation. Sizes straddle the 64-bit word boundary; sparse graphs
-        /// and unwired joiners leave isolated vertices, and dense ones give
-        /// a maximum several holders. Ops are mostly steps, so levels cycle
-        /// through 0–5. After every op the marking invariant holds (an
-        /// unmarked vertex at levels 1–4 sits at `max N⁺(v) − 1`), and after
-        /// a step `for_each_changed` reports exactly the vertices that moved.
+        /// sweep under arbitrary interleavings of steps, level faults (alone,
+        /// or 2–6 with no step between them, as `inject_faults` applies
+        /// them), and graph growth: equal levels and random-bit tallies after
+        /// every operation. Sizes straddle the 64-bit word boundary; sparse
+        /// graphs and unwired joiners leave isolated vertices, and dense ones
+        /// give a maximum several holders. Ops are mostly steps, so levels
+        /// cycle through 0–5. After every op both counters equal a count from
+        /// scratch and the marking invariant holds (an unmarked vertex at
+        /// levels 1–4 sits at `max N⁺(v) − 1`), and after a step
+        /// `for_each_changed` reports exactly the vertices that moved.
         #[test]
         fn incremental_step_matches_full_sweep(
             seed in 0u64..10_000,
             n in 1usize..140,
             p_edge in 0.0f64..0.3,
-            ops in proptest::collection::vec((0u8..16, any::<u64>()), 1..120),
+            ops in proptest::collection::vec((0u8..17, any::<u64>()), 1..120),
         ) {
             let g = generators::gnp(n, p_edge, &mut rng(seed));
             let zeta = 0.25;
@@ -806,6 +892,15 @@ mod tests {
                         let level = ((x >> 32) % 6) as u8;
                         fast.set_level(u, level);
                         slow.set_level(u, level);
+                    }
+                    15 => {
+                        let mut faults = rng(x);
+                        for _ in 0..faults.gen_range(2..=6) {
+                            let u = faults.gen_range(0..fast.n());
+                            let level = faults.gen_range(0..=5u8);
+                            fast.set_level(u, level);
+                            slow.set_level(u, level);
+                        }
                     }
                     _ => {
                         // One joiner, wired to two existing vertices or (x
@@ -850,6 +945,20 @@ mod tests {
                 let graph = fast.graph.get();
                 for u in graph.vertices() {
                     let level = fast.levels[u];
+                    let nbr_levels = || graph.neighbors(u).iter().map(|v| fast.levels[v]);
+                    let holders = nbr_levels().filter(|&l| l == level + 1).count();
+                    let above = nbr_levels().filter(|&l| l > level + 1).max().unwrap_or(0);
+                    prop_assert!(
+                        (fast.holders[u] as usize, fast.above[u]) == (holders, above),
+                        "counters of vertex {} are ({}, {}), not ({}, {}), after op {} (kind {})",
+                        u,
+                        fast.holders[u],
+                        fast.above[u],
+                        holders,
+                        above,
+                        i,
+                        kind
+                    );
                     prop_assert!(
                         fast.pending.contains(u)
                             || !(1..=4).contains(&level)

@@ -198,10 +198,12 @@ impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
 /// gray vertex whose switch is off waits off the frontier until the switch
 /// reports that its output changed. With the [`RandomizedLogSwitch`], which
 /// also steps incrementally, a round costs
-/// `O(|F_t| + vol(C_t) + |L₅| + vol(P_t) + vol(Δ_t) + n/64)`: the frontier,
-/// the volume of the color changes `C_t`, one coin per level-5 vertex, the
-/// max rule at the switch's pending vertices `P_t`, the neighbor lists of
-/// the level changes `Δ_t`, and one pass over the switch's bitset words.
+/// `O(|F_t| + vol(C_t) + |L₅| + |P_t| + vol(Δ_t) + n/64)`: the frontier,
+/// the volume of the color changes `C_t`, one coin per level-5 vertex, an
+/// `O(1)` max rule at each of the switch's pending vertices `P_t` (it reads
+/// two exact counters, not the neighbor list), one walk of the neighbor list
+/// of each level change in `Δ_t`, and one pass over the switch's bitset
+/// words.
 /// [`is_stabilized`](Algorithm::is_stabilized) is `O(1)`.
 /// [`step_reference`](ThreeColorProcess::step_reference) retains the naive
 /// full scan of colors and levels for differential testing. Under

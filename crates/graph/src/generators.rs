@@ -520,12 +520,15 @@ pub fn barabasi_albert<R: Rng + ?Sized>(n: usize, attach: usize, rng: &mut R) ->
     if endpoints.is_empty() {
         endpoints.push(0);
     }
+    // The targets are kept in draw order, so the endpoint list, and with it
+    // every later draw, depends on the seed alone.
+    let mut targets = Vec::with_capacity(attach);
     for v in attach.max(1)..n {
-        let mut targets = std::collections::HashSet::new();
+        targets.clear();
         while targets.len() < attach.min(v) {
             let target = endpoints[rng.gen_range(0..endpoints.len())];
-            if target != v {
-                targets.insert(target);
+            if target != v && !targets.contains(&target) {
+                targets.push(target);
             }
         }
         for &t in &targets {
@@ -809,6 +812,16 @@ mod tests {
         // Degenerate and invalid parameters.
         assert_eq!(barabasi_albert(0, 2, &mut rng(15)).n(), 0);
         assert_eq!(barabasi_albert(5, 1, &mut rng(16)).m(), 4);
+    }
+
+    #[test]
+    fn barabasi_albert_is_a_function_of_the_seed() {
+        let edges = || {
+            barabasi_albert(2_000, 3, &mut rng(7))
+                .edges()
+                .collect::<Vec<_>>()
+        };
+        assert_eq!(edges(), edges());
     }
 
     #[test]

@@ -116,6 +116,20 @@ impl VertexSet {
         !was
     }
 
+    /// Inserts `u` if `cond` holds, with no branch on `cond` or on whether
+    /// `u` was present (for hot loops whose condition is data-dependent).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `u >= self.universe()`.
+    #[inline]
+    pub fn insert_if(&mut self, u: VertexId, cond: bool) {
+        assert!(u < self.n, "vertex {u} out of range");
+        let (w, bit) = (u / 64, u64::from(cond) << (u % 64));
+        self.len += usize::from(self.words[w] & bit != bit);
+        self.words[w] |= bit;
+    }
+
     /// Removes `u`; returns `true` if it was present.
     ///
     /// # Panics
@@ -256,6 +270,11 @@ mod tests {
         assert!(s.remove(64));
         assert!(!s.remove(64));
         assert_eq!(s.len(), 2);
+        s.insert_if(64, false);
+        s.insert_if(129, true);
+        assert_eq!((s.len(), s.contains(64)), (2, false));
+        s.insert_if(64, true);
+        assert_eq!((s.len(), s.contains(64)), (3, true));
     }
 
     #[test]

@@ -31,12 +31,16 @@ fix:
     cargo clippy --workspace --all-targets --fix --allow-dirty -- -D warnings
 
 # Churn experiment: incremental re-stabilization vs cold restart after
-# edge-churn bursts (full scale: n = 10^6 across a fraction sweep).
+# edge-churn bursts (full scale: n = 10^6 across a fraction sweep). Writes
+# results/exp_churn.json; a full run also writes BENCH_churn.json, --quick
+# does not.
 churn *ARGS:
     cargo run --release -p mis-bench --bin exp_churn -- {{ARGS}}
 
 # Byzantine experiment: adversarial containment within radius 2 of the
 # Byzantine set (full scale: n = 10^6, fraction sweep + hub placement).
+# Writes results/exp_byzantine.json; a full run also writes
+# BENCH_byzantine.json, --quick does not.
 byzantine *ARGS:
     cargo run --release -p mis-bench --bin exp_byzantine -- {{ARGS}}
 
@@ -45,13 +49,15 @@ serve *ARGS:
     cargo run --release -p mis-service --bin mis-serve -- {{ARGS}}
 
 # Service load generator: thousands of concurrent jobs against an
-# in-process daemon; writes results/svc_load.json and BENCH_service.json.
+# in-process daemon; writes results/svc_load.json, and a full run also
+# BENCH_service.json (--quick does not).
 load *ARGS:
     cargo run --release -p mis-bench --bin svc_load -- {{ARGS}}
 
 # Chaos harness: kill-and-restart cycles under concurrent traffic through
 # a fault-injecting proxy, verifying zero acknowledged-job loss; writes
-# results/svc_chaos.json and BENCH_recovery.json.
+# results/svc_chaos.json, and a full run also BENCH_recovery.json (--quick
+# does not).
 chaos *ARGS:
     cargo run --release -p mis-bench --bin svc_chaos -- {{ARGS}}
 
@@ -95,7 +101,8 @@ bench-phase:
 bench-pool:
     cargo bench -p mis-bench --bench pool_overhead
 
-# Run one experiment binary at paper scale: `just exp e1_clique`.
+# Run one experiment binary at paper scale: `just exp e1_clique`. The
+# scale, churn and byzantine experiments then rewrite their BENCH_*.json.
 exp NAME *ARGS:
     cargo run --release -p mis-bench --bin exp_{{NAME}} -- {{ARGS}}
 
@@ -103,7 +110,9 @@ exp NAME *ARGS:
 smoke NAME:
     cargo run --release -p mis-bench --bin exp_{{NAME}} -- --quick
 
-# Everything CI enforces, in CI's order.
+# Everything CI enforces, in CI's order. The smoke runs are --quick, which
+# writes results/ only, so the committed BENCH_*.json records must come out
+# unchanged.
 ci:
     cargo fmt --check
     cargo clippy --workspace --all-targets -- -D warnings
@@ -132,3 +141,4 @@ ci:
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload gnp-two-state --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload gnp-three-color --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload service-mix --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'
+    git diff --exit-code -- 'BENCH_*.json'
