@@ -344,7 +344,8 @@ impl<'g> ThreeStateProcess<'g> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use mis_graph::{generators, mis_check, GraphDelta};
+    use crate::exec::RoundStrategy;
+    use mis_graph::{generators, mis_check, GraphDelta, VertexSet};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
@@ -603,6 +604,98 @@ mod tests {
     fn mismatched_init_panics() {
         let g = generators::path(3);
         ThreeStateProcess::new(&g, vec![ThreeState::White; 5]);
+    }
+
+    /// Fails unless `p` agrees with a process built fresh from its graph and
+    /// states: every vertex's flags and neighbor counts, and the counts.
+    fn check_against_fresh(p: &ThreeStateProcess<'_>, ctx: &str) -> Result<(), TestCaseError> {
+        let g = p.graph().clone();
+        let fresh = ThreeStateProcess::new(&g, p.states());
+        prop_assert!(fresh.counts() == p.counts(), "counts: {ctx}");
+        for u in g.vertices() {
+            prop_assert!(fresh.is_active(u) == p.is_active(u), "active {u}: {ctx}");
+            prop_assert!(fresh.is_stable(u) == p.is_stable(u), "stable {u}: {ctx}");
+            prop_assert!(
+                fresh.is_stable_black(u) == p.is_stable_black(u),
+                "stable black {u}: {ctx}"
+            );
+            prop_assert!(
+                fresh.black_neighbor_count(u) == p.black_neighbor_count(u),
+                "black neighbors {u}: {ctx}"
+            );
+            prop_assert!(
+                fresh.black1_neighbor_count(u) == p.black1_neighbor_count(u),
+                "black1 neighbors {u}: {ctx}"
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(64))]
+
+        /// Full and scheduled rounds, faults, Byzantine overrides and
+        /// topology mutations, interleaved under each round strategy and
+        /// both randomness models: after every op the process agrees with
+        /// one built fresh from its graph and states. A `black1`↔`black0`
+        /// flip keeps a vertex black, so only the re-queue of its neighbors
+        /// keeps their classification exact on a sparse round, a scheduled
+        /// round and a fault.
+        #[test]
+        fn interleaved_ops_match_a_fresh_process(
+            seed in 0u64..10_000,
+            n in 2usize..40,
+            p_edge in 0.0f64..0.4,
+            strategy in 0u8..3,
+            parallel in any::<bool>(),
+            ops in proptest::collection::vec((0u8..5, 0.0f64..1.0, 0usize..64, 0usize..64), 1..16),
+        ) {
+            let mut r = rng(seed);
+            let g = generators::gnp(n, p_edge, &mut r);
+            let mut p = ThreeStateProcess::with_init(&g, InitStrategy::Random, &mut r);
+            p.set_strategy(match strategy {
+                0 => RoundStrategy::Sparse,
+                1 => RoundStrategy::Dense,
+                _ => RoundStrategy::Auto,
+            });
+            if parallel {
+                p.set_execution(ExecutionMode::Parallel { threads: 2 }, seed);
+            }
+            for (i, &(kind, x, a, b)) in ops.iter().enumerate() {
+                let n = p.n();
+                let (a, b) = (a % n, b % n);
+                match kind {
+                    0 => p.step(&mut r),
+                    1 => {
+                        let scheduled = VertexSet::from_indices(n, (0..n).filter(|_| r.gen_bool(x)));
+                        p.step_scheduled(&scheduled, &mut r);
+                    }
+                    2 => {
+                        p.inject_faults(x, &mut r);
+                    }
+                    3 => {
+                        p.set_byzantine_state(a, x < 0.5);
+                    }
+                    _ => {
+                        let mut delta = GraphDelta::new();
+                        if a != b {
+                            if p.graph().has_edge(a, b) {
+                                delta.remove_edge(a, b);
+                            } else {
+                                delta.add_edge(a, b);
+                            }
+                        }
+                        if x < 0.3 {
+                            delta.add_vertex([a]);
+                        } else if x > 0.7 {
+                            delta.detach_vertex(b);
+                        }
+                        p.apply_mutation(&delta).expect("valid delta");
+                    }
+                }
+                check_against_fresh(&p, &format!("op {i} (kind {kind}), seed {seed}"))?;
+            }
+        }
     }
 
     proptest! {
