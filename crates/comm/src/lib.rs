@@ -12,10 +12,10 @@
 //!   neighbor sent it.
 //!
 //! The engine passes every rule of `mis-core` one neighbor bit, "some
-//! neighbor is black" ([`mis_core::LocalRule::classify`]), and the 3-state
-//! and 3-color rules read their other letters through their own counters
-//! and switch: all of it is what these channels deliver, so the registry
-//! keys `beeping-two-state`, `stone-age-three-state` and
+//! neighbor is black" ([`mis_core::LocalRule::classify`]); the 3-state rule
+//! asks for its other letter on demand, and the 3-color rule reads its
+//! letters through its switch: all of it is what these channels deliver, so
+//! the registry keys `beeping-two-state`, `stone-age-three-state` and
 //! `stone-age-three-color` run the engine processes of `mis-core`. This
 //! crate keeps the channels ([`beeping::beep_round`],
 //! [`stone_age::stone_age_round`]) and one **reference round** per

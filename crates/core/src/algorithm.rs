@@ -284,7 +284,7 @@ pub trait Algorithm {
 
     /// Forces vertex `u`'s protocol-visible blackness to `black`,
     /// delta-repairing any incremental bookkeeping (frontier membership,
-    /// black/black1 neighbor counters) exactly like the
+    /// black-neighbor counters) exactly like the
     /// [`apply_mutation`](Self::apply_mutation) state-carryover path, and
     /// returns whether the memory actually changed. The vertex shows
     /// [`FaultState::displayed`] of its memory, so richer state (the 3-color

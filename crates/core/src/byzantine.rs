@@ -141,7 +141,7 @@ impl Adversary for Oscillator {
 
 /// Reports **black** to its neighbors while internally holding **white**:
 /// the overlay writes white-then-black every round, so the engine's
-/// black/black1 neighbor counters absorb a full down-then-up delta-repair
+/// black-neighbor counters absorb a full down-then-up delta-repair
 /// per round per spoofing vertex — the counter-stress attack.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct Spoofer;
@@ -218,7 +218,7 @@ impl fmt::Display for ByzantineStrategy {
 /// first round and again after every step, re-overriding the adversarial
 /// vertices' states through
 /// [`Algorithm::set_byzantine_state`] — which delta-repairs the frontier
-/// engine's black/black1 counters exactly like `apply_mutation`'s
+/// engine's black-neighbor counters exactly like `apply_mutation`'s
 /// state-carryover path, so the honest vertices' incremental bookkeeping
 /// stays exact under attack.
 pub struct ByzantineOverlay {

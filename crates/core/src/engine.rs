@@ -46,14 +46,15 @@
 //! projection, black-neighbor counters, stability tracking, the frontier, and
 //! the cached counts. A process is a [`LocalRule`](crate::LocalRule) run by
 //! [`RuleProcess`](crate::RuleProcess), which owns the packed states and the
-//! rule's own data (the 3-state rule's `black1` counters, the 3-color rule's
-//! switch). The engine sees the rule only through a classifier
-//! `Fn(VertexId, u32) -> VertexClass` built from
-//! [`LocalRule::classify`](crate::LocalRule::classify): is the vertex active
-//! (it will draw a coin), and is it pending (it may change state at all; a
-//! superset of active)? Every round moves exactly the pending vertices, to
-//! [`LocalRule::decide`](crate::LocalRule::decide) of their state, with a
-//! coin exactly at the active ones. `RuleProcess` has two round drivers:
+//! rule's own data (the 3-color rule's switch). The engine sees the rule
+//! only through a classifier `Fn(VertexId, u32) -> VertexClass` built from
+//! [`LocalRule::classify`](crate::LocalRule::classify), which reads any
+//! other letter (the 3-state rule's `black1`) from `N(u)` on demand: is the
+//! vertex active (it will draw a coin), and is it pending (it may change
+//! state at all; a superset of active)? Every round moves exactly the
+//! pending vertices, to [`LocalRule::decide`](crate::LocalRule::decide) of
+//! their state, with a coin exactly at the active ones. `RuleProcess` has
+//! two round drivers:
 //!
 //! * the **stream-model driver** (sequential rounds) draws coins from one
 //!   shared stream in ascending vertex order, which keeps the stream
@@ -64,9 +65,9 @@
 //!   2. each pending vertex is decided from its old state and the cached
 //!      flags, so its change can be applied at once:
 //!      [`set_black`](FrontierEngine::set_black) delta-propagates the
-//!      counters and marks the neighborhood dirty, and the rule's scatter
-//!      hook updates its own counters and
-//!      [`mark_dirty`](FrontierEngine::mark_dirty)s what they move;
+//!      counters and marks the neighborhood dirty, and a change that moves
+//!      a letter the neighbors read
+//!      [`mark_dirty`](FrontierEngine::mark_dirty)s them too;
 //!   3. [`flush`](FrontierEngine::flush) reclassifies the dirty vertices,
 //!      updates the cached counts, and repairs the frontier. A dense round
 //!      instead stages blackness with
@@ -75,8 +76,7 @@
 //! * the **counter-model driver** (parallel rounds, below) runs a sparse
 //!   round as [`par_round`](FrontierEngine::par_round) and a dense one as
 //!   [`dense_sweep`](FrontierEngine::dense_sweep) plus
-//!   [`recount_par`](FrontierEngine::recount_par), with the rule's counter
-//!   hook fused into the recount.
+//!   [`recount_par`](FrontierEngine::recount_par).
 //!
 //! A sub-process (the 3-color switch) steps after the decide phase; on a
 //! sparse round the vertices whose classification that step may have
@@ -456,29 +456,18 @@ impl FrontierEngine {
     /// every thread count; the frontier is assembled from the per-range
     /// segments in range order and therefore comes out sorted, same as the
     /// sequential recount. Below the parallel threshold or on one thread it
-    /// runs `pre(0..n)` and the sequential recount inline.
-    ///
-    /// `pre` is the rule's counter hook: it runs over every owned range in
-    /// pass 1, so a rule can rebuild its own auxiliary counters (e.g. the
-    /// 3-state rule's `black1` neighbor counts) in the same dispatch — its
-    /// output is settled before the classification pass reads it, because
-    /// the barrier separates them. `pre` must not read the engine counters
-    /// being rebuilt in the same pass.
-    pub fn recount_par<C, P>(&mut self, graph: &Graph, threads: usize, classify: C, pre: P)
+    /// runs the sequential recount inline.
+    pub fn recount_par<C>(&mut self, graph: &Graph, threads: usize, classify: C)
     where
         C: Fn(VertexId, u32) -> VertexClass + Sync,
-        P: Fn(Range<VertexId>) + Sync,
     {
         debug_assert!(self.dirty.is_empty(), "recount requires a flushed engine");
         assert_eq!(graph.n(), self.n, "graph size must match the engine");
-        let n = self.n;
-        if n < PAR_WORK_THRESHOLD || threads <= 1 {
-            pre(0..n);
+        if self.n < PAR_WORK_THRESHOLD || threads <= 1 {
             return self.recount(graph, classify);
         }
         let ranges = graph.balanced_ranges(threads);
         if ranges.len() <= 1 {
-            pre(0..n);
             return self.recount(graph, classify);
         }
         self.stable_black_nbrs.clear_all();
@@ -487,15 +476,14 @@ impl FrontierEngine {
         let engine = &*self;
         let ranges_ref = &ranges;
         let classify = &classify;
-        let pre = &pre;
         // Participants without a range (the pool can be wider than the range
         // count) skip the work but still hit the barrier.
         let parts: Vec<(StateCounts, usize, Vec<VertexId>)> = pool.broadcast(|ctx| {
             let range = ranges_ref.get(ctx.index()).map(|&(lo, hi)| lo..hi);
-            // Pass 1: pull the black-neighbor counts, push the stable-black
-            // +1s, and rebuild the rule's counters.
+            // Pass 1: pull the black-neighbor counts and push the
+            // stable-black +1s.
             if let Some(range) = range.clone() {
-                for u in range.clone() {
+                for u in range {
                     let nbrs = graph.neighbors(u).as_compact();
                     let count: u32 = nbrs
                         .iter()
@@ -508,7 +496,6 @@ impl FrontierEngine {
                         }
                     }
                 }
-                pre(range);
             }
             ctx.barrier();
             // Pass 2: flags + per-range counts and frontier segments.
@@ -744,7 +731,8 @@ impl FrontierEngine {
 
     /// Queues `u` for reclassification by the next [`flush`](Self::flush).
     /// Needed whenever something the classifier reads changed without a
-    /// blackness flip (e.g. the 3-state process's `black1` counters).
+    /// blackness flip (e.g. a neighbor's `black1`↔`black0` flip in the
+    /// 3-state process).
     #[inline]
     pub fn mark_dirty(&mut self, u: VertexId) {
         if !self.dirty_mark.test_and_set_mut(u) {
@@ -1381,25 +1369,22 @@ mod tests {
 
     /// Builds a fresh engine for `black` through the sequential push
     /// recount, restages `reused` (whatever configuration it last held) to
-    /// `black`, recounts it with the pool pull on `threads` threads and
-    /// `pre`, and asserts the two agree, down to the stable-black counters
-    /// and the frontier order.
-    fn assert_pull_matches_push<P>(
+    /// `black`, recounts it with the pool pull on `threads` threads, and
+    /// asserts the two agree, down to the stable-black counters and the
+    /// frontier order.
+    fn assert_pull_matches_push(
         g: &Graph,
         black: &[bool],
         reused: &mut FrontierEngine,
         threads: usize,
-        pre: P,
         ctx: &str,
-    ) where
-        P: Fn(Range<VertexId>) + Sync,
-    {
+    ) {
         let mut push = FrontierEngine::new(g.n());
         push.rebuild(g, |u| black[u], two_state_like(black));
         for (u, &b) in black.iter().enumerate() {
             reused.stage_black(u, b);
         }
-        reused.recount_par(g, threads, two_state_like(black), pre);
+        reused.recount_par(g, threads, two_state_like(black));
         assert_engines_agree(&push, reused, ctx);
         for u in 0..g.n() {
             assert_eq!(
@@ -1444,25 +1429,25 @@ mod tests {
         for threads in [2usize, 3, 8, 11] {
             for (label, black) in [("half", &half), ("quarter", &quarter), ("mis", &mis_like)] {
                 let ctx = format!("{label}, {threads} threads");
-                assert_pull_matches_push(&g, black, &mut reused, threads, |_| {}, &ctx);
+                assert_pull_matches_push(&g, black, &mut reused, threads, &ctx);
             }
             if threads >= 3 {
                 assert_eq!(star.balanced_ranges(threads)[0], (0, 1), "hub alone");
             }
             for (label, black) in [("black hub", &hub_black), ("white hub", &leaves)] {
                 let ctx = format!("star, {label}, {threads} threads");
-                assert_pull_matches_push(&star, black, &mut reused_star, threads, |_| {}, &ctx);
+                assert_pull_matches_push(&star, black, &mut reused_star, threads, &ctx);
             }
             // Under the white hub every black leaf is stable black.
             assert_eq!(reused_star.counts().stable_black, 2000, "{threads} threads");
         }
     }
 
-    /// The 3-state rule's counter hook (`black1` counts) through the pool
-    /// recount: a process built under `Parallel { threads }` equals the one
-    /// built inline, engine and `black1` counters alike.
+    /// A 3-state process built on the pool under `Parallel { threads }`,
+    /// whose recount pulls `black1` on demand, equals the one built inline,
+    /// engine and `black1` neighbor counts alike.
     #[test]
-    fn recount_par_runs_the_rule_counter_hook() {
+    fn three_state_process_built_on_the_pool_equals_the_inline_one() {
         use crate::exec::ExecutionMode;
         use crate::init::InitStrategy;
         use crate::three_state::ThreeStateProcess;
@@ -1587,7 +1572,7 @@ mod tests {
             }
             range.len() as u64
         });
-        e.recount_par(&g, threads, two_state_like(&black), |_| {});
+        e.recount_par(&g, threads, two_state_like(&black));
         let after = pool.stats();
         assert_eq!(staged, n as u64);
         assert_eq!(after.dispatches - before.dispatches, 2, "dispatches");

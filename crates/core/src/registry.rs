@@ -10,9 +10,10 @@
 //!
 //! The engine passes a rule one neighbor bit, "some neighbor is black"
 //! (see [`LocalRule::classify`]), which a beeping channel delivers; the
-//! 3-state and 3-color rules read their other stone-age letters through
-//! their own counters and switch. So both keys of a pair share one init fn and one [`Capabilities`]; they
-//! differ only in the [`CommunicationModel`] their runs are reported under.
+//! 3-state rule asks for its other stone-age letter on demand, and the
+//! 3-color rule reads its letters through its switch. So both keys of a
+//! pair share one init fn and one [`Capabilities`]; they differ only in the
+//! [`CommunicationModel`] their runs are reported under.
 //! `mis-comm` keeps each channel as a reference round for tests.
 
 use mis_graph::Graph;

@@ -27,16 +27,16 @@
 //! [`ThreeColorProcess`](crate::ThreeColorProcess) are `RuleProcess` with
 //! their rule. Devismes, Masuzawa & Tixeuil measure communication by what
 //! a vertex reads from its neighbors; the engine passes a rule one bit,
-//! "some neighbor is black", which is what a beeping channel delivers (the
-//! 3-state and 3-color rules read their other stone-age letters through
-//! their own `black1` counters and switch). So the registry's beeping and
-//! stone-age keys run the same `RuleProcess` as the direct keys, and
-//! `mis-comm` keeps the channels only as reference rounds.
+//! "some neighbor is black", which is what a beeping channel delivers, and
+//! answers "some neighbor sends this letter" on demand (the 3-state rule's
+//! `black1`; the 3-color rule reads its level letters through its switch).
+//! So the registry's beeping and stone-age keys run the same `RuleProcess`
+//! as the direct keys, and `mis-comm` keeps the channels only as reference
+//! rounds.
 
-use std::ops::Range;
 use std::sync::Arc;
 
-use mis_graph::{CommittedDelta, Graph, GraphDelta, VertexId, VertexSet};
+use mis_graph::{CommittedDelta, CompactId, Graph, GraphDelta, VertexId, VertexSet};
 use rand::{Rng, RngCore};
 
 use crate::algorithm::{corrupt, unsupported, Algorithm, FaultState, StateCounts};
@@ -54,8 +54,8 @@ use crate::packed::PackedStates;
 /// then moves every pending vertex to [`decide`](Self::decide) of its
 /// state, with a coin exactly at the active ones. A vertex's
 /// [`Memory`](Self::Memory) is what faults and adversaries overwrite. The
-/// remaining methods are hooks with no-op defaults for what a rule keeps
-/// beside its states: the 3-state rule's `black1`-neighbor counters and the
+/// remaining methods are hooks with no-op defaults: which changes re-queue
+/// the neighbors (the 3-state rule's `black1`↔`black0` flip), and the
 /// 3-color rule's switch sub-process.
 pub trait LocalRule: Sync {
     /// The per-vertex state.
@@ -80,8 +80,16 @@ pub trait LocalRule: Sync {
 
     /// Classifies vertex `u` in `state`; `hears_black` is whether some
     /// neighbor of `u` is black — the beep bit of the beeping channel, and
-    /// the only neighbor input the engine passes a rule.
-    fn classify(&self, u: VertexId, state: Self::State, hears_black: bool) -> VertexClass;
+    /// the one neighbor input the engine keeps. `hears(s)` scans `N(u)` for
+    /// a neighbor in state `s`, in `O(deg u)`, for a rule that reads
+    /// another letter.
+    fn classify(
+        &self,
+        u: VertexId,
+        state: Self::State,
+        hears_black: bool,
+        hears: impl Fn(Self::State) -> bool,
+    ) -> VertexClass;
 
     /// The next state of a pending vertex in `state`: `coin` is its fair
     /// coin if it is active and `None` otherwise.
@@ -97,28 +105,11 @@ pub trait LocalRule: Sync {
     /// part.
     fn set_memory(&mut self, u: VertexId, memory: Self::Memory) -> Self::State;
 
-    /// Hook: vertex `u` changed from `old` to `new`. Updates the rule's
-    /// neighbor counters and passes every vertex whose classification they
-    /// moved to `mark`. Called concurrently for distinct vertices by the
-    /// counter-model driver, so updates must be commutative atomics.
-    fn scatter(
-        &self,
-        _graph: &Graph,
-        _u: VertexId,
-        _old: Self::State,
-        _new: Self::State,
-        _mark: impl FnMut(VertexId),
-    ) {
-    }
-
-    /// Hook: recomputes the rule's counters of the vertices in `range` from
-    /// `states`. Called over disjoint ranges concurrently by the dense
-    /// recount, before it classifies any vertex.
-    fn recount(&self, _graph: &Graph, _states: &PackedStates, _range: Range<VertexId>) {}
-
-    /// Hook: the edge `{u, v}` was inserted (or removed); `states` already
-    /// covers both endpoints. The engine re-classifies both.
-    fn edge_update(&mut self, _states: &PackedStates, _u: VertexId, _v: VertexId, _inserted: bool) {
+    /// Whether a vertex's change from `old` to `new` may reclassify its
+    /// neighbors though its blackness stayed: the change moves a letter
+    /// they read through `hears`. A blackness change re-queues them anyway.
+    fn requeues_neighbors(_old: Self::State, _new: Self::State) -> bool {
+        false
     }
 
     /// Hook: the topology is about to change to `graph` (same vertex ids,
@@ -182,12 +173,41 @@ pub struct RuleProcess<'g, R> {
     change_pool: Vec<Vec<(VertexId, u8, u8)>>,
 }
 
-/// The engine classifier of `rule` over the current `states`.
+/// The engine classifier of `rule` over the current `states`: `hears`
+/// scans `N(u)` in `graph`.
 fn classifier<'a, R: LocalRule>(
     rule: &'a R,
+    graph: &'a Graph,
     states: &'a PackedStates,
 ) -> impl Fn(VertexId, u32) -> VertexClass + Sync + 'a {
-    move |u, black_nbrs| rule.classify(u, R::from_code(states.get(u)), black_nbrs > 0)
+    move |u, black_nbrs| {
+        let hears = |state| {
+            let code = R::code(state);
+            graph.neighbors(u).iter().any(|v| states.get(v) == code)
+        };
+        rule.classify(u, R::from_code(states.get(u)), black_nbrs > 0, hears)
+    }
+}
+
+/// `N(u)` if `u`'s change from `old` to `new` moves a letter its neighbors
+/// read ([`LocalRule::requeues_neighbors`]) and `u` was not stable black by
+/// the engine's flag before it, else nothing. A stable-black vertex's
+/// neighbors are non-black: one that stays so never reads the letter, and
+/// one that turns black this round is re-queued by its own blackness
+/// scatter.
+#[inline]
+fn requeued_neighbors<'g, R: LocalRule>(
+    graph: &'g Graph,
+    engine: &FrontierEngine,
+    u: VertexId,
+    old: R::State,
+    new: R::State,
+) -> &'g [CompactId] {
+    if R::requeues_neighbors(old, new) && !engine.is_stable_black(u) {
+        graph.neighbors(u).as_compact()
+    } else {
+        &[]
+    }
 }
 
 /// Decides `u` against the pre-round flags: a pending vertex moves to
@@ -362,10 +382,10 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         }
         self.states.set_mut(u, R::code(state));
         let graph = self.graph.get();
-        let engine = &mut self.engine;
-        self.rule
-            .scatter(graph, u, old, state, |v| engine.mark_dirty(v));
-        engine.set_black(graph, u, R::is_black(state));
+        for v in requeued_neighbors::<R>(graph, &self.engine, u, old, state) {
+            self.engine.mark_dirty(v.index());
+        }
+        self.engine.set_black(graph, u, R::is_black(state));
         self.flush();
     }
 
@@ -392,24 +412,23 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         old
     }
 
-    /// Rebuilds the rule's counters and every engine counter, flag and
-    /// count from the states in `O(n + m)`: stages every vertex's blackness,
-    /// then runs the dense recount on `threads` threads.
+    /// Rebuilds every engine counter, flag and count from the states in
+    /// `O(n + m)`: stages every vertex's blackness, then runs the dense
+    /// recount on `threads` threads.
     pub(crate) fn rebuild_engine(&mut self, threads: usize) {
         let graph = self.graph.get();
         let (rule, states, engine) = (&self.rule, &self.states, &mut self.engine);
         for u in 0..graph.n() {
             engine.stage_black(u, R::is_black(R::from_code(states.get(u))));
         }
-        engine.recount_par(graph, threads, classifier(rule, states), |range| {
-            rule.recount(graph, states, range)
-        });
+        engine.recount_par(graph, threads, classifier(rule, graph, states));
     }
 
     /// Reclassifies the engine's dirty vertices.
     pub(crate) fn flush(&mut self) {
+        let graph = self.graph.get();
         self.engine
-            .flush(self.graph.get(), classifier(&self.rule, &self.states));
+            .flush(graph, classifier(&self.rule, graph, &self.states));
     }
 
     /// The stream-model driver: walks `walk` in ascending order, moves every
@@ -424,7 +443,6 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         let RuleProcess {
             graph,
             states,
-            rule,
             engine,
             worklist,
             ..
@@ -441,7 +459,9 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
                 if dense {
                     engine.stage_black(u, R::is_black(new));
                 } else {
-                    rule.scatter(graph, u, old, new, |v| engine.mark_dirty(v));
+                    for v in requeued_neighbors::<R>(graph, engine, u, old, new) {
+                        engine.mark_dirty(v.index());
+                    }
                     engine.set_black(graph, u, R::is_black(new));
                 }
             }
@@ -505,12 +525,12 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
                 },
                 |engine, &(u, old, new), sink| {
                     let (old, new) = (R::from_code(old), R::from_code(new));
-                    rule.scatter(graph, u, old, new, |v| {
-                        engine.mark_dirty_concurrent(v, sink)
-                    });
+                    for v in requeued_neighbors::<R>(graph, engine, u, old, new) {
+                        engine.mark_dirty_concurrent(v.index(), sink);
+                    }
                     engine.scatter_black(graph, u, R::is_black(new), sink);
                 },
-                classifier(rule, states),
+                classifier(rule, graph, states),
                 change_pool,
             )
         };
@@ -520,21 +540,18 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
     }
 
     /// Ends a round after the sub-process stepped: a dense round recounts
-    /// every counter (with the rule's counter hook fused in); a sparse round
-    /// re-queues the vertices the sub-process step may have reclassified
-    /// and flushes.
+    /// every counter; a sparse round re-queues the vertices the sub-process
+    /// step may have reclassified and flushes.
     fn finish_round(&mut self, dense: bool, threads: usize) {
         let graph = self.graph.get();
         let (rule, states) = (&self.rule, &self.states);
         if dense {
             self.engine
-                .recount_par(graph, threads, classifier(rule, states), |range| {
-                    rule.recount(graph, states, range)
-                });
+                .recount_par(graph, threads, classifier(rule, graph, states));
         } else {
             let engine = &mut self.engine;
             rule.for_each_requeue(states, |u| engine.mark_dirty(u));
-            engine.flush(graph, classifier(rule, states));
+            engine.flush(graph, classifier(rule, graph, states));
         }
         self.round += 1;
     }
@@ -650,7 +667,6 @@ impl<R: LocalRule> Algorithm for RuleProcess<'_, R> {
         for (edges, inserted) in [(&committed.removed, false), (&committed.inserted, true)] {
             for &(u, v) in edges {
                 self.engine.edge_update(u, v, inserted);
-                self.rule.edge_update(&self.states, u, v, inserted);
             }
         }
         self.graph = GraphRef::Owned(graph);

@@ -110,7 +110,13 @@ impl<S: SwitchProcess> LocalRule for ThreeColorRule<S> {
         state.is_black()
     }
 
-    fn classify(&self, u: VertexId, state: ThreeColor, hears_black: bool) -> VertexClass {
+    fn classify(
+        &self,
+        u: VertexId,
+        state: ThreeColor,
+        hears_black: bool,
+        _hears: impl Fn(ThreeColor) -> bool,
+    ) -> VertexClass {
         let active = match state {
             ThreeColor::Black => hears_black,
             ThreeColor::White => !hears_black,
@@ -400,13 +406,20 @@ mod tests {
         let always = |on: bool| ThreeColorRule {
             switch: FixedPeriodSwitch::new(1, usize::from(on), usize::from(!on)),
         };
-        assert_eq!(always(true).classify(0, Gray, false), class(false, true));
-        assert_eq!(always(false).classify(0, Gray, false), class(false, false));
+        let deaf = |_| unreachable!("the 3-color rule reads no other letter");
+        assert_eq!(
+            always(true).classify(0, Gray, false, deaf),
+            class(false, true)
+        );
+        assert_eq!(
+            always(false).classify(0, Gray, false, deaf),
+            class(false, false)
+        );
         let rule = always(true);
-        assert_eq!(rule.classify(0, Black, true), class(true, true));
-        assert_eq!(rule.classify(0, Black, false), class(false, false));
-        assert_eq!(rule.classify(0, White, false), class(true, true));
-        assert_eq!(rule.classify(0, White, true), class(false, false));
+        assert_eq!(rule.classify(0, Black, true, deaf), class(true, true));
+        assert_eq!(rule.classify(0, Black, false, deaf), class(false, false));
+        assert_eq!(rule.classify(0, White, false, deaf), class(true, true));
+        assert_eq!(rule.classify(0, White, true, deaf), class(false, false));
         assert_eq!(Rule::decide(Black, Some(true)), Black);
         assert_eq!(Rule::decide(Black, Some(false)), Gray);
         assert_eq!(Rule::decide(White, Some(true)), Black);

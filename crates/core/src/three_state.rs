@@ -1,6 +1,3 @@
-use std::ops::Range;
-use std::sync::Arc;
-
 use mis_graph::{Graph, VertexId};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
@@ -9,10 +6,7 @@ use crate::algorithm::{Algorithm, FaultState};
 use crate::engine::VertexClass;
 use crate::exec::ExecutionMode;
 use crate::init::InitStrategy;
-use crate::mutation::MutationError;
-use crate::packed::PackedStates;
 use crate::rule::{LocalRule, RuleProcess};
-use crate::sync::AtomicU32Vec;
 
 /// Vertex state of the 3-state MIS process (Definition 5).
 ///
@@ -38,8 +32,8 @@ impl ThreeState {
 }
 
 /// The 3-state family: a fault draws one of the three states uniformly,
-/// and an adversary claims membership loudly, as `Black1`, maximally
-/// perturbing the `black1` counters its neighbors keep.
+/// and an adversary claims membership loudly, as `Black1`, the letter that
+/// retires every `black0` neighbor.
 impl FaultState for ThreeState {
     fn random(rng: &mut dyn RngCore) -> Self {
         match rng.gen_range(0..3u8) {
@@ -58,10 +52,7 @@ impl FaultState for ThreeState {
     }
 }
 
-/// The 3-state local rule (Definition 5), with the number of `black1`
-/// neighbors of every vertex, delta-maintained beside the engine's
-/// black-neighbor counters (atomically typed so the counter-model scatter
-/// can update it concurrently).
+/// The 3-state local rule (Definition 5).
 ///
 /// Active vertices re-draw from `{black1, black0}`; a non-active `black0`
 /// vertex (one with a `black1` neighbor) retires to white, so every black
@@ -70,12 +61,12 @@ impl FaultState for ThreeState {
 ///
 /// As a stone-age algorithm, `black1` sends letter 0 and `black0` letter 1.
 /// The engine's neighbor input (some neighbor is black) is "heard some
-/// letter", and the rule's `black1` counter above 0 is "heard letter 0":
-/// the two letter bits are all the rule reads.
-#[derive(Debug, Clone)]
-pub struct ThreeStateRule {
-    black1_nbrs: AtomicU32Vec,
-}
+/// letter", and a `black0` vertex that heard some asks `hears(Black1)`,
+/// "heard letter 0", by scanning its neighbors: the two letter bits are all
+/// the rule reads. A black vertex's `black1`↔`black0` flip re-queues its
+/// neighbors, since a `black0` one may read it.
+#[derive(Debug, Clone, Copy, Default)]
+pub struct ThreeStateRule;
 
 impl LocalRule for ThreeStateRule {
     type State = ThreeState;
@@ -103,10 +94,16 @@ impl LocalRule for ThreeStateRule {
         state.is_black()
     }
 
-    fn classify(&self, u: VertexId, state: ThreeState, hears_black: bool) -> VertexClass {
+    fn classify(
+        &self,
+        _u: VertexId,
+        state: ThreeState,
+        hears_black: bool,
+        hears: impl Fn(ThreeState) -> bool,
+    ) -> VertexClass {
         let (active, pending) = match state {
             ThreeState::Black1 => (true, true),
-            ThreeState::Black0 => (self.black1_nbrs.get(u) == 0, true),
+            ThreeState::Black0 => (!hears_black || !hears(ThreeState::Black1), true),
             ThreeState::White => (!hears_black, !hears_black),
         };
         VertexClass { active, pending }
@@ -133,56 +130,8 @@ impl LocalRule for ThreeStateRule {
         memory
     }
 
-    fn scatter(
-        &self,
-        graph: &Graph,
-        u: VertexId,
-        old: ThreeState,
-        new: ThreeState,
-        mut mark: impl FnMut(VertexId),
-    ) {
-        let is_black1 = new == ThreeState::Black1;
-        if (old == ThreeState::Black1) == is_black1 {
-            return;
-        }
-        for v in graph.neighbors(u) {
-            if is_black1 {
-                self.black1_nbrs.add(v, 1);
-            } else {
-                self.black1_nbrs.sub(v, 1);
-            }
-            mark(v);
-        }
-    }
-
-    fn recount(&self, graph: &Graph, states: &PackedStates, range: Range<VertexId>) {
-        let black1 = Self::code(ThreeState::Black1);
-        for v in range {
-            let count = graph
-                .neighbors(v)
-                .iter()
-                .filter(|&w| states.get(w) == black1)
-                .count();
-            self.black1_nbrs.set(v, count as u32);
-        }
-    }
-
-    fn edge_update(&mut self, states: &PackedStates, u: VertexId, v: VertexId, inserted: bool) {
-        let black1 = Self::code(ThreeState::Black1);
-        for (a, b) in [(u, v), (v, u)] {
-            if states.get(a) == black1 {
-                if inserted {
-                    self.black1_nbrs.add_mut(b, 1);
-                } else {
-                    self.black1_nbrs.sub_mut(b, 1);
-                }
-            }
-        }
-    }
-
-    fn rebind(&mut self, graph: &Arc<Graph>) -> Result<(), MutationError> {
-        self.black1_nbrs.grow(graph.n());
-        Ok(())
+    fn requeues_neighbors(old: ThreeState, new: ThreeState) -> bool {
+        old.is_black() && new.is_black() && old != new
     }
 }
 
@@ -244,10 +193,7 @@ impl<'g> ThreeStateProcess<'g> {
     /// [`new`](Self::new) under `execution`, whose recount builds the
     /// engine (see [`RuleProcess::from_parts`]).
     fn new_on(graph: &'g Graph, states: Vec<ThreeState>, execution: ExecutionMode) -> Self {
-        let rule = ThreeStateRule {
-            black1_nbrs: AtomicU32Vec::new(graph.n()),
-        };
-        RuleProcess::from_parts(graph, states, rule, execution)
+        RuleProcess::from_parts(graph, states, ThreeStateRule, execution)
     }
 
     /// Creates the process with states drawn from an [`InitStrategy`].
@@ -279,9 +225,11 @@ impl<'g> ThreeStateProcess<'g> {
         self.state_vec()
     }
 
-    /// Number of `black1` neighbors of `u` (delta-maintained).
+    /// Number of `black1` neighbors of `u`, counted over `N(u)` in
+    /// `O(deg u)`.
     pub fn black1_neighbor_count(&self, u: VertexId) -> usize {
-        self.rule.black1_nbrs.get(u) as usize
+        let black1 = |&v: &VertexId| self.state(v) == ThreeState::Black1;
+        self.graph().neighbors(u).iter().filter(black1).count()
     }
 
     /// Overwrites the state of one vertex (transient-fault injection). All
@@ -361,14 +309,16 @@ mod tests {
     fn rule_follows_definition_5() {
         use ThreeState::{Black0, Black1, White};
         // Path 0 - 1 - 2: vertex 1 has a black1 neighbor, vertex 2 none.
-        let g = generators::path(3);
-        let p = ThreeStateProcess::new(&g, vec![Black1, Black0, Black0]);
+        let g = &generators::path(3);
+        let states = [Black1, Black0, Black0];
+        let hears = |u: VertexId| move |s| g.neighbors(u).into_iter().any(|v| states[v] == s);
+        let rule = ThreeStateRule;
         let class = |active, pending| VertexClass { active, pending };
-        assert_eq!(p.rule.classify(0, Black1, true), class(true, true));
-        assert_eq!(p.rule.classify(1, Black0, true), class(false, true));
-        assert_eq!(p.rule.classify(2, Black0, true), class(true, true));
-        assert_eq!(p.rule.classify(2, White, false), class(true, true));
-        assert_eq!(p.rule.classify(2, White, true), class(false, false));
+        assert_eq!(rule.classify(0, Black1, true, hears(0)), class(true, true));
+        assert_eq!(rule.classify(1, Black0, true, hears(1)), class(false, true));
+        assert_eq!(rule.classify(2, Black0, true, hears(2)), class(true, true));
+        assert_eq!(rule.classify(2, White, false, hears(2)), class(true, true));
+        assert_eq!(rule.classify(2, White, true, hears(2)), class(false, false));
         for state in [Black1, Black0, White] {
             assert_eq!(ThreeStateRule::decide(state, Some(true)), Black1);
             assert_eq!(ThreeStateRule::decide(state, Some(false)), Black0);
@@ -413,7 +363,7 @@ mod tests {
             assert_eq!(
                 fresh.black1_neighbor_count(u),
                 p.black1_neighbor_count(u),
-                "black1_nbrs {u}"
+                "black1 neighbors {u}"
             );
         }
         p.run_to_stabilization(&mut r, 100_000).unwrap();

@@ -77,7 +77,13 @@ impl LocalRule for TwoStateRule {
         state.is_black()
     }
 
-    fn classify(&self, _u: VertexId, state: Color, hears_black: bool) -> VertexClass {
+    fn classify(
+        &self,
+        _u: VertexId,
+        state: Color,
+        hears_black: bool,
+        _hears: impl Fn(Color) -> bool,
+    ) -> VertexClass {
         let active = state.is_black() == hears_black;
         VertexClass {
             active,
@@ -287,7 +293,7 @@ mod tests {
             (Color::White, true, false),
         ] {
             let pending = active;
-            let class = TwoStateRule.classify(0, state, hears_black);
+            let class = TwoStateRule.classify(0, state, hears_black, |_| unreachable!());
             assert_eq!(class, VertexClass { active, pending }, "{state:?}");
         }
         for state in [Color::Black, Color::White] {

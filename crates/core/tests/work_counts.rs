@@ -100,9 +100,10 @@ fn check_counter_matrix<P: Algorithm, S: std::fmt::Debug + PartialEq>(
 }
 
 /// The counter-model rounds above the parallel threshold for all three
-/// processes: `par_round` with the 3-state `black1` scatter, the
-/// multi-range dense sweep and the dense recount with its counter hook,
-/// on `gnp(2·10⁴, 6/n)` (the large `parallel_determinism` instance).
+/// processes: `par_round` with the 3-state `black1`↔`black0` re-queue,
+/// the multi-range dense sweep and the dense recount with its on-demand
+/// `black1` reads, on `gnp(2·10⁴, 6/n)` (the large `parallel_determinism`
+/// instance).
 #[test]
 fn counter_model_rounds_agree_across_threads_and_strategies() {
     let n = 20_000;

@@ -569,14 +569,35 @@ pub fn barbell(k: usize, bridge: usize) -> Graph {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::components::is_connected;
     use crate::properties;
+    use crate::traversal::{bfs_distances, UNREACHABLE};
     use proptest::prelude::*;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
     fn rng(seed: u64) -> ChaCha8Rng {
         ChaCha8Rng::seed_from_u64(seed)
+    }
+
+    /// Whether every vertex is reachable from vertex 0 (the empty graph
+    /// is connected).
+    fn is_connected(g: &Graph) -> bool {
+        g.n() == 0 || !bfs_distances(g, 0).contains(&UNREACHABLE)
+    }
+
+    /// The sizes of the connected components of `g`, one BFS per component.
+    fn component_sizes(g: &Graph) -> Vec<usize> {
+        let mut seen = vec![false; g.n()];
+        let mut sizes = Vec::new();
+        for source in g.vertices() {
+            if !seen[source] {
+                let dist = bfs_distances(g, source);
+                let members: Vec<_> = g.vertices().filter(|&v| dist[v] != UNREACHABLE).collect();
+                members.iter().for_each(|&v| seen[v] = true);
+                sizes.push(members.len());
+            }
+        }
+        sizes
     }
 
     #[test]
@@ -697,9 +718,9 @@ mod tests {
         let g = disjoint_cliques(4, 3);
         assert_eq!(g.n(), 12);
         assert_eq!(g.m(), 4 * 3);
-        let cc = crate::components::connected_components(&g);
-        assert_eq!(cc.count(), 4);
-        assert!(cc.iter().all(|c| c.len() == 3));
+        let sizes = component_sizes(&g);
+        assert_eq!(sizes.len(), 4);
+        assert!(sizes.iter().all(|&size| size == 3));
     }
 
     #[test]

@@ -15,7 +15,7 @@
 //!   of Definition 17.
 //! * [`mis_check`] — validation of independence and maximality of a vertex
 //!   set, used to verify that every process stabilizes to a correct MIS.
-//! * [`traversal`], [`components`], [`union_find`] — supporting algorithms.
+//! * [`traversal`] — breadth-first distances and eccentricity.
 //!
 //! # Example
 //!
@@ -46,21 +46,17 @@ mod builder;
 mod csr;
 mod delta;
 mod error;
-mod subgraph;
 mod vertex_set;
 
-pub mod components;
 pub mod generators;
 pub mod mis_check;
 pub mod properties;
 pub mod traversal;
-pub mod union_find;
 
 pub use builder::GraphBuilder;
 pub use csr::{CompactId, Graph, NeighborIter, Neighbors};
 pub use delta::{CommittedDelta, DynamicGraph, GraphDelta, Mutation};
 pub use error::GraphError;
-pub use subgraph::InducedSubgraph;
 pub use vertex_set::VertexSet;
 
 /// Vertex identifier. Vertices of an `n`-vertex graph are `0..n`.
