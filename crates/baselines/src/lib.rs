@@ -24,7 +24,7 @@
 //! Every algorithm validates its output against
 //! [`mis_graph::mis_check::is_mis`] in its tests, and reports the resource
 //! metrics (rounds/moves, random bits) used by the comparison experiment
-//! (E10 in `EXPERIMENTS.md`). [`registry`] holds their registry entries:
+//! (E10, `exp_e10_baselines`). [`registry`] holds their registry entries:
 //! random-priority implements [`mis_core::Algorithm`] itself, and the
 //! one-shot baselines run inside their entry's `init` and return a
 //! terminated [`FinishedMis`].

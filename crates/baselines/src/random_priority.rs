@@ -91,11 +91,6 @@ impl<'g> RandomPriorityMis<'g> {
         }
     }
 
-    /// Creates the algorithm with every vertex initially `Out`.
-    pub fn all_out(graph: &'g Graph) -> Self {
-        Self::new(graph, vec![Membership::Out; graph.n()])
-    }
-
     /// Creates the algorithm with a uniformly random membership vector
     /// (an arbitrary initial configuration, as self-stabilization demands):
     /// every vertex starts in a [`FaultState::random`] membership.
@@ -111,16 +106,6 @@ impl<'g> RandomPriorityMis<'g> {
     /// Panics if `u` is out of range.
     pub fn membership(&self, u: VertexId) -> Membership {
         self.membership[u]
-    }
-
-    /// Overwrites the membership of vertex `u` in place, modelling a
-    /// transient fault that corrupts the vertex's memory.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `u` is out of range.
-    pub fn set_membership(&mut self, u: VertexId, membership: Membership) {
-        self.membership[u] = membership;
     }
 
     /// Runs until stabilization (at most `max_rounds` rounds) and returns the
@@ -290,7 +275,7 @@ mod tests {
     fn stabilizes_quickly_on_random_graphs() {
         let mut r = rng(0);
         let g = generators::gnp(1000, 0.01, &mut r);
-        let mut alg = RandomPriorityMis::all_out(&g);
+        let mut alg = RandomPriorityMis::new(&g, vec![Membership::Out; g.n()]);
         let out = alg.run(&mut r, 10_000).unwrap();
         assert!(mis_check::is_mis(&g, &out.mis));
         assert!(out.rounds < 60, "took {} rounds", out.rounds);

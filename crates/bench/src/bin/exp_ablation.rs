@@ -1,4 +1,4 @@
-//! Ablation experiments (DESIGN.md §5): the switch probability `ζ`, the
+//! Ablation experiments: the switch probability `ζ`, the
 //! switch implementation, and the initial-state strategy.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin exp_ablation [-- --quick]`

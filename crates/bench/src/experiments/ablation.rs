@@ -1,6 +1,6 @@
-//! Ablation experiments for the design choices called out in `DESIGN.md`:
-//! the switch probability `ζ`, the switch implementation (randomized vs
-//! deterministic oracle), and the initial-state strategy.
+//! Ablation experiments for three design choices: the switch probability
+//! `ζ`, the switch implementation (randomized vs deterministic oracle), and
+//! the initial-state strategy.
 
 use mis_core::init::InitStrategy;
 use mis_core::{

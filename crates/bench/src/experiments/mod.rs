@@ -1,4 +1,5 @@
-//! One module per experiment group; see `EXPERIMENTS.md` for the index.
+//! One module per experiment group; README's "Running experiments" lists
+//! the binaries.
 //!
 //! * [`stabilization`] — stabilization-time scaling experiments
 //!   (E1–E6, E9): each theorem's graph family, swept over `n` (or `p` or

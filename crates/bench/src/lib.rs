@@ -1,10 +1,10 @@
-//! Experiment and benchmark harness.
+//! Experiment harness.
 //!
-//! Every experiment listed in `EXPERIMENTS.md` (E1–E13) has a function in
-//! [`experiments`] that produces its table, and a thin binary `exp_<id>`
-//! under `src/bin/` that runs it and prints/writes the result. Criterion
-//! micro-benchmarks for the per-round update cost and full stabilization live
-//! under `benches/`.
+//! Every experiment listed in README's "Running experiments" (E1–E13,
+//! ablation, scale, churn, byzantine) has a function in [`experiments`] that
+//! produces its table, and a thin binary `exp_<id>` under `src/bin/` that
+//! runs it and prints/writes the result. `svc_chaos` under `src/bin/` drives
+//! the graph-service daemon through crash-and-replay cycles.
 //!
 //! All experiments accept a [`Scale`] so that the full evaluation (paper
 //! scale) and a quick smoke-test scale share the same code path; the
@@ -22,7 +22,7 @@ pub mod report;
 pub enum Scale {
     /// Small sizes and few trials: finishes in seconds, used by tests and CI.
     Quick,
-    /// The full evaluation reported in `EXPERIMENTS.md` (minutes).
+    /// The full, paper-scale evaluation (minutes).
     Full,
 }
 

@@ -26,13 +26,6 @@ pub enum Activation {
     Subset(VertexSet),
 }
 
-impl Activation {
-    /// `true` if this activation wakes every vertex.
-    pub fn is_all(&self) -> bool {
-        matches!(self, Activation::All)
-    }
-}
-
 /// A per-round activation policy.
 ///
 /// Implementations may consume randomness from the shared trial RNG; the
@@ -132,7 +125,7 @@ mod tests {
         let mut rng_b = ChaCha8Rng::seed_from_u64(1);
         let mut s = Synchronous;
         assert_eq!(s.next_activation(10, 0, &mut rng_a), Activation::All);
-        assert!(s.next_activation(10, 1, &mut rng_a).is_all());
+        assert_eq!(s.next_activation(10, 1, &mut rng_a), Activation::All);
         // No randomness was consumed.
         assert_eq!(rng_a.next_u64(), rng_b.next_u64());
         assert_eq!(s.label(), "synchronous");
@@ -149,7 +142,7 @@ mod tests {
             }
         }
         // Degenerate empty graph: nothing to pick.
-        assert!(s.next_activation(0, 0, &mut rng).is_all());
+        assert_eq!(s.next_activation(0, 0, &mut rng), Activation::All);
     }
 
     #[test]

@@ -1,6 +1,6 @@
 use std::sync::Arc;
 
-use mis_graph::{Graph, VertexId, VertexSet};
+use mis_graph::{Graph, VertexId};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
@@ -311,17 +311,6 @@ impl<'g, S: SwitchProcess> ThreeColorProcess<'g, S> {
     /// The full color vector, materialized from the packed storage in `O(n)`.
     pub fn colors(&self) -> Vec<ThreeColor> {
         self.state_vec()
-    }
-
-    /// The current set of gray vertices `Γ_t`.
-    pub fn gray_set(&self) -> VertexSet {
-        VertexSet::from_indices(
-            self.n(),
-            self.graph
-                .get()
-                .vertices()
-                .filter(|&u| self.color(u) == ThreeColor::Gray),
-        )
     }
 
     /// Overwrites the color of one vertex (transient-fault injection). The
@@ -697,25 +686,6 @@ mod tests {
         p.set_execution(ExecutionMode::Parallel { threads: 2 }, 18);
         p.run_to_stabilization(&mut r, 200_000).unwrap();
         assert!(mis_check::is_mis(&g, &p.black_set()));
-    }
-
-    #[test]
-    fn gray_set_tracks_gray_vertices() {
-        let mut r = rng(11);
-        let g = generators::gnp(60, 0.2, &mut r);
-        let mut p = ThreeColorProcess::with_randomized_switch(&g, InitStrategy::AllBlack, &mut r);
-        for _ in 0..30 {
-            let gray = p.gray_set();
-            for u in g.vertices() {
-                assert_eq!(gray.contains(u), p.color(u) == ThreeColor::Gray);
-            }
-            let c = p.counts();
-            assert_eq!(c.black + c.non_black, g.n());
-            if p.is_stabilized() {
-                break;
-            }
-            p.step(&mut r);
-        }
     }
 
     #[test]

@@ -1,4 +1,4 @@
-use mis_graph::{Graph, VertexId, VertexSet};
+use mis_graph::{Graph, VertexId};
 use rand::{Rng, RngCore};
 use serde::{Deserialize, Serialize};
 
@@ -206,26 +206,6 @@ impl<'g> TwoStateProcess<'g> {
     /// Panics if `u` is out of range.
     pub fn set_color(&mut self, u: VertexId, color: Color) {
         self.overwrite(u, color);
-    }
-
-    /// The set `A^k_t` of *k-active* vertices: active vertices with at most
-    /// `k` active neighbors (Section 4.1).
-    pub fn k_active_set(&self, k: usize) -> VertexSet {
-        let active = self.active_set();
-        let mut out = VertexSet::new(self.n());
-        for u in active.iter() {
-            let active_nbrs = self
-                .graph
-                .get()
-                .neighbors(u)
-                .iter()
-                .filter(|&v| active.contains(v))
-                .count();
-            if active_nbrs <= k {
-                out.insert(u);
-            }
-        }
-        out
     }
 
     /// Executes one synchronous round with the naive full-scan reference
@@ -556,15 +536,6 @@ mod tests {
         assert_eq!(p.states(), before_states);
         assert_eq!(p.counts(), before_counts);
         assert_eq!(p.n(), 4);
-    }
-
-    #[test]
-    fn k_active_set_respects_threshold() {
-        let g = generators::complete(6);
-        let p = TwoStateProcess::new(&g, vec![Color::Black; 6]);
-        // Every vertex is active with 5 active neighbors.
-        assert_eq!(p.k_active_set(4).len(), 0);
-        assert_eq!(p.k_active_set(5).len(), 6);
     }
 
     #[test]

@@ -53,7 +53,9 @@ struct Outcome<S> {
 /// no other test here uses (so the pool's dispatch counters are this
 /// test's alone), with each round strategy forced, for at most 40 rounds.
 /// Every run must observe the same outcome; the rounds, the random bits
-/// and the dispatches of each strategy's multi-thread runs are pinned.
+/// and the dispatches of each strategy's multi-thread runs are pinned, and
+/// no sparse round may cost more than 2 pool dispatches or 4 barrier
+/// crossings (the fused decide+scatter/flush budget).
 fn check_counter_matrix<P: Algorithm, S: std::fmt::Debug + PartialEq>(
     label: &str,
     make: impl Fn(ExecutionMode, RoundStrategy) -> P,
@@ -75,7 +77,18 @@ fn check_counter_matrix<P: Algorithm, S: std::fmt::Debug + PartialEq>(
             let mut p = make(ExecutionMode::Parallel { threads }, strategy);
             let mut unused = ChaCha8Rng::seed_from_u64(0);
             while !p.is_stabilized() && p.round() < 40 {
+                let round_before = pool.stats();
                 p.step(&mut unused);
+                let round_after = pool.stats();
+                if strategy == RoundStrategy::Sparse {
+                    let used = round_after.dispatches - round_before.dispatches;
+                    let crossed = round_after.barriers - round_before.barriers;
+                    assert!(
+                        used <= 2 && crossed <= 4,
+                        "{ctx}, round {}: {used} dispatches, {crossed} barriers (budget: 2, 4)",
+                        p.round()
+                    );
+                }
             }
             if threads > 1 {
                 let used = pool.stats().dispatches - before;

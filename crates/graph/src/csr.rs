@@ -359,11 +359,6 @@ impl Graph {
         self.vertices().map(|u| self.degree(u)).max().unwrap_or(0)
     }
 
-    /// Minimum degree of the graph; `0` for the edgeless graph.
-    pub fn min_degree(&self) -> usize {
-        self.vertices().map(|u| self.degree(u)).min().unwrap_or(0)
-    }
-
     /// Average degree `2m / n`; `0.0` for the graph on zero vertices.
     pub fn average_degree(&self) -> f64 {
         if self.n() == 0 {
@@ -419,28 +414,6 @@ impl Graph {
             start = end;
         }
         ranges
-    }
-
-    /// Number of common neighbors `|N(u) ∩ N(v)|`, computed by merging the
-    /// two sorted adjacency lists in `O(deg(u) + deg(v))`.
-    pub fn common_neighbors(&self, u: VertexId, v: VertexId) -> usize {
-        let (a, b) = (
-            self.neighbors(u).as_compact(),
-            self.neighbors(v).as_compact(),
-        );
-        let (mut i, mut j, mut count) = (0, 0, 0);
-        while i < a.len() && j < b.len() {
-            match a[i].cmp(&b[j]) {
-                std::cmp::Ordering::Less => i += 1,
-                std::cmp::Ordering::Greater => j += 1,
-                std::cmp::Ordering::Equal => {
-                    count += 1;
-                    i += 1;
-                    j += 1;
-                }
-            }
-        }
-        count
     }
 }
 
@@ -564,7 +537,6 @@ mod tests {
     fn degree_statistics() {
         let g = path4();
         assert_eq!(g.max_degree(), 2);
-        assert_eq!(g.min_degree(), 1);
         assert!((g.average_degree() - 1.5).abs() < 1e-12);
         assert_eq!(g.degrees(), vec![1, 2, 2, 1]);
     }
@@ -593,15 +565,6 @@ mod tests {
         assert!(Graph::empty(0).balanced_ranges(4).is_empty());
         assert_eq!(Graph::empty(3).balanced_ranges(8).len(), 3);
         assert_eq!(path4().balanced_ranges(1), vec![(0, 4)]);
-    }
-
-    #[test]
-    fn common_neighbors_counts() {
-        // Triangle 0-1-2 plus vertex 3 adjacent to 0 and 1.
-        let g = Graph::from_edges(4, [(0, 1), (1, 2), (0, 2), (3, 0), (3, 1)]).unwrap();
-        assert_eq!(g.common_neighbors(0, 1), 2); // 2 and 3
-        assert_eq!(g.common_neighbors(2, 3), 2); // 0 and 1
-        assert_eq!(g.common_neighbors(0, 3), 1); // 1
     }
 
     #[test]

@@ -145,16 +145,6 @@ impl CommittedDelta {
     pub fn is_empty(&self) -> bool {
         self.old_n == self.new_n && self.inserted.is_empty() && self.removed.is_empty()
     }
-
-    /// Number of net edge changes (insertions plus removals).
-    pub fn edge_changes(&self) -> usize {
-        self.inserted.len() + self.removed.len()
-    }
-
-    /// Number of vertices joined by the batch.
-    pub fn vertices_added(&self) -> usize {
-        self.new_n - self.old_n
-    }
 }
 
 /// A mutable overlay over an immutable CSR [`Graph`]: staged edge add/remove
@@ -393,14 +383,6 @@ impl<'a> DynamicGraph<'a> {
         }
     }
 
-    /// Number of staged per-vertex overlay entries — a cheap proxy for when
-    /// periodic compaction is due.
-    pub fn overlay_size(&self) -> usize {
-        let adds: usize = self.added.values().map(BTreeSet::len).sum();
-        let removes: usize = self.removed.values().map(BTreeSet::len).sum();
-        adds + removes + self.extra_n
-    }
-
     /// The net effect staged so far, as a canonical [`CommittedDelta`].
     pub fn committed(&self) -> CommittedDelta {
         let flatten = |map: &BTreeMap<VertexId, BTreeSet<VertexId>>| {
@@ -488,8 +470,6 @@ mod tests {
         let (g2, c) = g.apply_delta(&GraphDelta::new()).unwrap();
         assert_eq!(g, g2);
         assert!(c.is_empty());
-        assert_eq!(c.edge_changes(), 0);
-        assert_eq!(c.vertices_added(), 0);
     }
 
     #[test]
@@ -558,7 +538,6 @@ mod tests {
         assert!(g2.has_edge(4, 0) && g2.has_edge(4, 2) && g2.has_edge(4, 5));
         assert_eq!(c.old_n, 4);
         assert_eq!(c.new_n, 6);
-        assert_eq!(c.vertices_added(), 2);
         assert_eq!(c.inserted, vec![(0, 4), (2, 4), (4, 5)]);
     }
 
@@ -585,7 +564,7 @@ mod tests {
         assert_eq!(g2.degree(4), 0);
         assert_eq!(c.inserted, vec![]);
         assert_eq!(c.removed, vec![]);
-        assert_eq!(c.vertices_added(), 1);
+        assert_eq!((c.old_n, c.new_n), (4, 5));
     }
 
     #[test]
@@ -632,7 +611,6 @@ mod tests {
         assert!(!dg.has_edge(2, 3));
         assert_eq!(dg.degree(2), 2);
         assert_eq!(dg.neighbors_vec(2), vec![0, 1]);
-        assert!(dg.overlay_size() > 0);
         let flat = dg.compact();
         assert_eq!(flat.neighbors(2).to_vec(), vec![0, 1]);
         assert_eq!(flat.m(), 3);

@@ -5,8 +5,8 @@
 //!   `O(n + m)` rather than `O(n²)`.
 //! * [`complete`] and [`disjoint_cliques`] — the clique families of
 //!   Theorem 8 and Remark 9.
-//! * [`random_tree`], [`path`], [`star`], [`binary_tree`], [`forest_union`]
-//!   — trees and bounded-arboricity graphs (Theorem 11).
+//! * [`random_tree`], [`path`], [`star`], [`forest_union`] — trees and
+//!   bounded-arboricity graphs (Theorem 11).
 //! * [`regular`] — random `d`-regular multigraph-free graphs (Theorem 12's
 //!   `O(Δ log n)` bound).
 //! * [`cycle`], [`grid`], [`bipartite`], [`barbell`] — additional families
@@ -312,20 +312,6 @@ pub fn random_tree<R: Rng + ?Sized>(n: usize, rng: &mut R) -> Graph {
     builder.build()
 }
 
-/// The complete binary tree on `n` vertices: vertex `i` has children `2i + 1`
-/// and `2i + 2` when those are `< n`.
-pub fn binary_tree(n: usize) -> Graph {
-    let mut builder = GraphBuilder::new(n);
-    for i in 0..n {
-        for child in [2 * i + 1, 2 * i + 2] {
-            if child < n {
-                builder.add_edge(i, child);
-            }
-        }
-    }
-    builder.build()
-}
-
 /// Union of `forests` independently sampled random spanning forests on the
 /// same vertex set, giving a graph of arboricity at most `forests`.
 ///
@@ -608,7 +594,7 @@ mod tests {
             assert_eq!(g.m(), n * n.saturating_sub(1) / 2);
             if n > 0 {
                 assert_eq!(g.max_degree(), n - 1);
-                assert_eq!(g.min_degree(), n - 1);
+                assert!(g.vertices().all(|u| g.degree(u) == n - 1));
             }
         }
     }
@@ -754,15 +740,6 @@ mod tests {
         }
         assert_eq!(random_tree(0, &mut rng(0)).n(), 0);
         assert_eq!(random_tree(1, &mut rng(0)).m(), 0);
-    }
-
-    #[test]
-    fn binary_tree_is_a_tree() {
-        let g = binary_tree(15);
-        assert_eq!(g.m(), 14);
-        assert!(is_connected(&g));
-        assert_eq!(g.degree(0), 2);
-        assert!(g.max_degree() <= 3);
     }
 
     #[test]

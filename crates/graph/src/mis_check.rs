@@ -53,18 +53,6 @@ pub fn is_independent(g: &Graph, s: &VertexSet) -> bool {
     check_independent(g, s).is_none()
 }
 
-/// Returns `true` if every vertex outside `s` has a neighbor in `s`.
-///
-/// Note this is *dominance of the complement*, the maximality condition for
-/// independent sets; it does not by itself imply independence.
-///
-/// # Panics
-///
-/// Panics if `s.universe() != g.n()`.
-pub fn is_maximal(g: &Graph, s: &VertexSet) -> bool {
-    check_maximal(g, s).is_none()
-}
-
 /// Graphs whose volume `n + 2m` is at least this are checked by [`is_mis`]
 /// on the persistent pool. Below it a check takes a few milliseconds at
 /// most and stays inline, so callers that check many small graphs at once
@@ -227,28 +215,10 @@ pub fn check_mis_outside(
     None
 }
 
-/// Greedily extends an independent set `s` to a maximal one by scanning
-/// vertices in increasing id order. The input must be independent.
-///
-/// # Panics
-///
-/// Panics if `s` is not independent or its universe does not match `g`.
-pub fn greedy_completion(g: &Graph, s: &VertexSet) -> VertexSet {
-    assert!(is_independent(g, s), "input set must be independent");
-    let mut result = s.clone();
-    for u in g.vertices() {
-        if !result.contains(u) && !g.neighbors(u).iter().any(|v| result.contains(v)) {
-            result.insert(u);
-        }
-    }
-    result
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::GraphBuilder;
-    use proptest::prelude::*;
     use rand::SeedableRng;
 
     fn cycle(n: usize) -> Graph {
@@ -257,6 +227,17 @@ mod tests {
             b.add_edge(i, (i + 1) % n);
         }
         b.build()
+    }
+
+    /// The MIS the greedy scan in increasing id order picks.
+    fn greedy_mis(g: &Graph) -> VertexSet {
+        let mut mis = VertexSet::new(g.n());
+        for u in g.vertices() {
+            if !g.neighbors(u).iter().any(|v| mis.contains(v)) {
+                mis.insert(u);
+            }
+        }
+        mis
     }
 
     #[test]
@@ -274,7 +255,7 @@ mod tests {
 
         let not_maximal = VertexSet::from_indices(6, [0]);
         assert!(is_independent(&g, &not_maximal));
-        assert!(!is_maximal(&g, &not_maximal));
+        assert!(check_maximal(&g, &not_maximal).is_some());
         assert!(matches!(
             check_mis(&g, &not_maximal),
             Some(MisViolation::MaximalityViolated { .. })
@@ -321,7 +302,7 @@ mod tests {
             crate::generators::star(40),
         ];
         for g in &graphs {
-            let mis = greedy_completion(g, &VertexSet::new(g.n()));
+            let mis = greedy_mis(g);
             for threads in [2usize, 3, 8, 11] {
                 let ranges = g.balanced_ranges(threads);
                 assert!(ranges.len() > 1, "the split must reach the pool");
@@ -369,7 +350,7 @@ mod tests {
         let n = 1 << 17;
         let large = crate::generators::gnp_counter(n, 8.0 / n as f64, 1);
         assert!(volume(&large) >= PAR_MIS_VOLUME);
-        let mis = greedy_completion(&large, &VertexSet::new(n));
+        let mis = greedy_mis(&large);
         assert!(is_mis(&large, &mis));
         let planted = break_maximality(&large, &mis, n - 1);
         assert_eq!(
@@ -456,37 +437,10 @@ mod tests {
     }
 
     #[test]
-    fn greedy_completion_produces_mis() {
-        let g = cycle(7);
-        let partial = VertexSet::from_indices(7, [1]);
-        let full = greedy_completion(&g, &partial);
-        assert!(full.contains(1));
-        assert!(is_mis(&g, &full));
-    }
-
-    #[test]
-    #[should_panic(expected = "must be independent")]
-    fn greedy_completion_rejects_dependent_input() {
-        let g = cycle(4);
-        greedy_completion(&g, &VertexSet::from_indices(4, [0, 1]));
-    }
-
-    #[test]
     fn violation_display() {
         let v = MisViolation::IndependenceViolated { u: 1, v: 2 };
         assert!(v.to_string().contains("1"));
         let v = MisViolation::MaximalityViolated { vertex: 5 };
         assert!(v.to_string().contains("5"));
-    }
-
-    proptest! {
-        /// Greedy completion of the empty set is always an MIS, on random graphs.
-        #[test]
-        fn greedy_completion_is_mis_on_random_graphs(seed in 0u64..500, n in 1usize..40, p in 0.0f64..1.0) {
-            let mut rng = rand_chacha::ChaCha8Rng::seed_from_u64(seed);
-            let g = crate::generators::gnp(n, p, &mut rng);
-            let mis = greedy_completion(&g, &VertexSet::new(n));
-            prop_assert!(is_mis(&g, &mis));
-        }
     }
 }

@@ -69,47 +69,6 @@ pub fn degeneracy(g: &Graph) -> usize {
     degeneracy
 }
 
-/// Peeling order and core numbers: returns `(order, core)` where `order` is
-/// the smallest-degree-first elimination order and `core[v]` is the core
-/// number (the largest `k` such that `v` belongs to the `k`-core).
-pub fn core_decomposition(g: &Graph) -> (Vec<VertexId>, Vec<usize>) {
-    let n = g.n();
-    let mut degree: Vec<usize> = g.degrees();
-    let max_deg = g.max_degree();
-    let mut buckets: Vec<Vec<VertexId>> = vec![Vec::new(); max_deg + 1];
-    for v in 0..n {
-        buckets[degree[v]].push(v);
-    }
-    let mut removed = vec![false; n];
-    let mut core = vec![0usize; n];
-    let mut order = Vec::with_capacity(n);
-    let mut current = 0usize;
-    let mut cursor = 0usize;
-    while order.len() < n {
-        while cursor > 0 && !buckets[cursor - 1].is_empty() {
-            cursor -= 1;
-        }
-        while buckets[cursor].is_empty() {
-            cursor += 1;
-        }
-        let v = buckets[cursor].pop().unwrap();
-        if removed[v] || degree[v] != cursor {
-            continue;
-        }
-        removed[v] = true;
-        current = current.max(cursor);
-        core[v] = current;
-        order.push(v);
-        for w in g.neighbors(v) {
-            if !removed[w] {
-                degree[w] -= 1;
-                buckets[degree[w]].push(w);
-            }
-        }
-    }
-    (order, core)
-}
-
 /// Exact diameter of a connected graph by all-pairs BFS (`O(n · (n + m))`).
 ///
 /// Returns `None` if the graph is disconnected or has no vertices.
@@ -174,70 +133,10 @@ pub fn max_common_neighbors(g: &Graph) -> usize {
     counts.values().copied().max().unwrap_or(0)
 }
 
-/// Average degree of the subgraph induced by `vertices`, without
-/// materializing the subgraph. Returns `0.0` for an empty selection.
-pub fn induced_average_degree(g: &Graph, vertices: &crate::VertexSet) -> f64 {
-    if vertices.is_empty() {
-        return 0.0;
-    }
-    let mut internal_edge_endpoints = 0usize;
-    for u in vertices.iter() {
-        internal_edge_endpoints += g
-            .neighbors(u)
-            .iter()
-            .filter(|&v| vertices.contains(v))
-            .count();
-    }
-    internal_edge_endpoints as f64 / vertices.len() as f64
-}
-
-/// The `θ_u(i)` quantity of equation (3) in the paper, approximated greedily:
-/// the maximum, over subsets `S ⊆ N(u)` with `|S| ≤ i`, of
-/// `|N(u) ∩ N⁺(S)|`, where we greedily pick the neighbors whose closed
-/// neighborhoods cover the most of `N(u)`.
-///
-/// The exact maximum is NP-hard in general (max-coverage); the greedy value
-/// is within a `(1 - 1/e)` factor and is what the experiments report.
-pub fn theta_greedy(g: &Graph, u: VertexId, i: usize) -> usize {
-    let nbrs = g.neighbors(u);
-    if nbrs.is_empty() || i == 0 {
-        return 0;
-    }
-    let nbr_set: std::collections::HashSet<VertexId> = nbrs.iter().collect();
-    let mut covered: std::collections::HashSet<VertexId> = std::collections::HashSet::new();
-    let mut chosen = 0usize;
-    while chosen < i {
-        let mut best: Option<(VertexId, usize)> = None;
-        for s in nbrs {
-            let gain = std::iter::once(s)
-                .chain(g.neighbors(s).iter())
-                .filter(|w| nbr_set.contains(w) && !covered.contains(w))
-                .count();
-            if best.map_or(true, |(_, g0)| gain > g0) {
-                best = Some((s, gain));
-            }
-        }
-        match best {
-            Some((s, gain)) if gain > 0 => {
-                covered.insert(s);
-                for w in g.neighbors(s) {
-                    if nbr_set.contains(&w) {
-                        covered.insert(w);
-                    }
-                }
-                chosen += 1;
-            }
-            _ => break,
-        }
-    }
-    covered.len()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::generators;
-    use crate::VertexSet;
     use rand::SeedableRng;
     use rand_chacha::ChaCha8Rng;
 
@@ -252,16 +151,6 @@ mod tests {
         assert_eq!(degeneracy(&generators::grid(4, 4)), 2);
         let mut rng = ChaCha8Rng::seed_from_u64(1);
         assert_eq!(degeneracy(&generators::random_tree(100, &mut rng)), 1);
-    }
-
-    #[test]
-    fn core_decomposition_matches_degeneracy() {
-        let mut rng = ChaCha8Rng::seed_from_u64(2);
-        let g = generators::gnp(80, 0.1, &mut rng);
-        let (order, core) = core_decomposition(&g);
-        assert_eq!(order.len(), g.n());
-        let d = degeneracy(&g);
-        assert_eq!(core.iter().copied().max().unwrap_or(0), d);
     }
 
     #[test]
@@ -312,29 +201,5 @@ mod tests {
         assert_eq!(max_common_neighbors(&generators::star(6)), 1);
         assert_eq!(max_common_neighbors(&generators::cycle(4)), 2);
         assert_eq!(max_common_neighbors(&Graph::empty(3)), 0);
-    }
-
-    #[test]
-    fn induced_average_degree_of_clique_subset() {
-        let g = generators::complete(6);
-        let s = VertexSet::from_indices(6, [0, 1, 2]);
-        // Induced K_3: average degree 2.
-        assert!((induced_average_degree(&g, &s) - 2.0).abs() < 1e-12);
-        assert_eq!(induced_average_degree(&g, &VertexSet::new(6)), 0.0);
-    }
-
-    #[test]
-    fn theta_greedy_simple_cases() {
-        // Star: N(hub) = leaves, no two leaves adjacent, so one chosen leaf
-        // covers only itself.
-        let g = generators::star(6);
-        assert_eq!(theta_greedy(&g, 0, 1), 1);
-        assert_eq!(theta_greedy(&g, 0, 3), 3);
-        // Clique: any single neighbor covers all of N(u).
-        let g = generators::complete(6);
-        assert_eq!(theta_greedy(&g, 0, 1), 5);
-        // Degenerate inputs.
-        assert_eq!(theta_greedy(&generators::path(3), 0, 0), 0);
-        assert_eq!(theta_greedy(&Graph::empty(2), 0, 2), 0);
     }
 }

@@ -106,26 +106,6 @@ pub fn eccentricity(g: &Graph, source: VertexId) -> Option<usize> {
     Some(ecc)
 }
 
-/// BFS order (vertices in the order they are first discovered) from `source`.
-pub fn bfs_order(g: &Graph, source: VertexId) -> Vec<VertexId> {
-    assert!(source < g.n(), "source {source} out of range");
-    let mut seen = vec![false; g.n()];
-    let mut order = Vec::new();
-    let mut queue = VecDeque::new();
-    seen[source] = true;
-    queue.push_back(source);
-    while let Some(u) = queue.pop_front() {
-        order.push(u);
-        for v in g.neighbors(u) {
-            if !seen[v] {
-                seen[v] = true;
-                queue.push_back(v);
-            }
-        }
-    }
-    order
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -146,17 +126,6 @@ mod tests {
         assert_eq!(d[1], 1);
         assert_eq!(d[2], UNREACHABLE);
         assert_eq!(eccentricity(&g, 0), None);
-    }
-
-    #[test]
-    fn bfs_order_visits_each_reachable_vertex_once() {
-        let g = Graph::from_edges(6, [(0, 1), (0, 2), (1, 3), (2, 3), (4, 5)]).unwrap();
-        let order = bfs_order(&g, 0);
-        assert_eq!(order.len(), 4);
-        assert_eq!(order[0], 0);
-        let set: std::collections::HashSet<_> = order.iter().collect();
-        assert_eq!(set.len(), 4);
-        assert!(!set.contains(&4));
     }
 
     #[test]
@@ -186,6 +155,5 @@ mod tests {
         let g = Graph::empty(1);
         assert_eq!(bfs_distances(&g, 0), vec![0]);
         assert_eq!(eccentricity(&g, 0), Some(0));
-        assert_eq!(bfs_order(&g, 0), vec![0]);
     }
 }

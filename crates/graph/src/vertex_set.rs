@@ -60,17 +60,6 @@ impl VertexSet {
         s
     }
 
-    /// Creates a set over `0..flags.len()` containing vertices whose flag is `true`.
-    pub fn from_flags(flags: &[bool]) -> Self {
-        let mut s = VertexSet::new(flags.len());
-        for (u, &f) in flags.iter().enumerate() {
-            if f {
-                s.insert(u);
-            }
-        }
-        s
-    }
-
     /// Size of the universe (number of vertices of the underlying graph).
     #[inline]
     pub fn universe(&self) -> usize {
@@ -196,32 +185,6 @@ impl VertexSet {
             .all(|(a, b)| a & !b == 0)
     }
 
-    /// In-place union with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different universes.
-    pub fn union_with(&mut self, other: &VertexSet) {
-        assert_eq!(self.n, other.n, "universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a |= b;
-        }
-        self.recount();
-    }
-
-    /// In-place intersection with `other`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if the two sets have different universes.
-    pub fn intersect_with(&mut self, other: &VertexSet) {
-        assert_eq!(self.n, other.n, "universe mismatch");
-        for (a, b) in self.words.iter_mut().zip(&other.words) {
-            *a &= b;
-        }
-        self.recount();
-    }
-
     /// In-place difference `self \ other`.
     ///
     /// # Panics
@@ -296,24 +259,17 @@ mod tests {
     fn set_algebra() {
         let a = VertexSet::from_indices(10, [1, 2, 3]);
         let b = VertexSet::from_indices(10, [3, 4]);
-        let mut u = a.clone();
-        u.union_with(&b);
-        assert_eq!(u.to_vec(), vec![1, 2, 3, 4]);
-        let mut i = a.clone();
-        i.intersect_with(&b);
-        assert_eq!(i.to_vec(), vec![3]);
         let mut d = a.clone();
         d.difference_with(&b);
         assert_eq!(d.to_vec(), vec![1, 2]);
-        assert!(i.is_subset(&a));
+        assert!(d.is_subset(&a));
+        assert!(!a.is_subset(&d));
         assert!(!a.is_disjoint(&b));
         assert!(d.is_disjoint(&b));
     }
 
     #[test]
-    fn from_flags_and_from_iter() {
-        let s = VertexSet::from_flags(&[true, false, true]);
-        assert_eq!(s.to_vec(), vec![0, 2]);
+    fn from_iter_spans_the_largest_id() {
         let s: VertexSet = [2usize, 5, 5].into_iter().collect();
         assert_eq!(s.universe(), 6);
         assert_eq!(s.to_vec(), vec![2, 5]);

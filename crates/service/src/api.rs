@@ -439,15 +439,6 @@ impl ApiError {
         }
     }
 
-    /// 404 Not Found.
-    pub fn not_found(message: impl Into<String>) -> ApiError {
-        ApiError {
-            status: 404,
-            message: message.into(),
-            retry_after: None,
-        }
-    }
-
     /// 409 Conflict.
     pub fn conflict(message: impl Into<String>) -> ApiError {
         ApiError {

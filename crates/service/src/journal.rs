@@ -29,10 +29,15 @@
 //! Replay stops at the first record that is truncated, mis-framed, or fails
 //! its checksum — the torn tail a crash mid-append leaves behind — and the
 //! file is truncated back to the last good record before appending resumes.
-//! An intact frame whose record this build cannot decode (an unknown `type`,
-//! say) is not a torn tail: [`Journal::open`] fails with
-//! [`io::ErrorKind::InvalidData`], naming its seq and byte offset, and leaves
-//! the file untouched rather than drop it and every record after it.
+//! Two cases are not a torn tail, and [`Journal::open`] fails on them with
+//! [`io::ErrorKind::InvalidData`], naming the byte offset, and leaves the
+//! file untouched rather than drop the record and every record after it:
+//!
+//! * a damaged frame followed by an intact one: a failed append leaves only
+//!   an unterminated fragment at the end of the file, so this is damage in
+//!   place;
+//! * an intact frame whose record this build cannot decode (an unknown
+//!   `type`, say).
 //!
 //! # Compaction
 //!
@@ -395,11 +400,12 @@ impl Journal {
     ///
     /// # Errors
     ///
-    /// Propagates I/O failures creating the directory or files. A broken
-    /// frame never errors: replay stops at the first one (torn tail) and the
-    /// file is truncated back to the last good byte. An intact frame whose
-    /// record does not decode fails with [`io::ErrorKind::InvalidData`]
-    /// naming its seq and byte offset, and the file is left as it was.
+    /// Propagates I/O failures reading or creating the directory or files.
+    /// A broken frame with no intact frame after it is a torn tail: replay
+    /// stops there and the file is truncated back to the last good byte. A
+    /// broken frame with an intact frame after it, or an intact frame whose
+    /// record does not decode, fails with [`io::ErrorKind::InvalidData`]
+    /// naming its byte offset, and the file is left as it was.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<(Journal, Recovery)> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -429,17 +435,13 @@ impl Journal {
         let mut max_seq = last_seq;
         if let Ok(file) = File::open(&journal_path) {
             let mut reader = BufReader::new(file);
-            let mut line = String::new();
+            let mut line = Vec::new();
             loop {
                 line.clear();
-                let n = match read_journal_line(&mut reader, &mut line) {
-                    Ok(0) => break,
-                    Ok(n) => n,
-                    Err(_) => {
-                        torn_tail = true;
-                        break;
-                    }
-                };
+                let n = reader.read_until(b'\n', &mut line)?;
+                if n == 0 {
+                    break;
+                }
                 match parse_frame(&line) {
                     Frame::Record(seq, record) => {
                         max_seq = max_seq.max(seq);
@@ -456,6 +458,18 @@ impl Journal {
                         ends.push((seq, good_bytes));
                     }
                     Frame::Torn => {
+                        let next = good_bytes + n as u64;
+                        if let Some(intact) = next_intact_frame(&mut reader, next)? {
+                            return Err(io::Error::new(
+                                io::ErrorKind::InvalidData,
+                                format!(
+                                    "{}: the frame at byte {good_bytes} is damaged, but an \
+                                     intact frame follows at byte {intact}; refusing to drop \
+                                     it and the records after it",
+                                    journal_path.display()
+                                ),
+                            ));
+                        }
                         torn_tail = true;
                         break;
                     }
@@ -751,27 +765,29 @@ fn sync_dir(dir: &Path) -> io::Result<()> {
     File::open(dir)?.sync_all()
 }
 
-/// Reads one line (including the trailing newline) into `line`; a final
-/// line without a newline is a torn tail and errors.
-fn read_journal_line(reader: &mut impl BufRead, line: &mut String) -> io::Result<usize> {
-    let mut bytes = Vec::new();
-    let n = reader.read_until(b'\n', &mut bytes)?;
-    if n == 0 {
-        return Ok(0);
+/// The offset of the first intact frame among the lines left in `reader`,
+/// which starts at byte `offset` of the journal.
+fn next_intact_frame(reader: &mut impl BufRead, mut offset: u64) -> io::Result<Option<u64>> {
+    let mut line = Vec::new();
+    loop {
+        line.clear();
+        let n = reader.read_until(b'\n', &mut line)?;
+        if n == 0 {
+            return Ok(None);
+        }
+        if intact_json(&line).is_some() {
+            return Ok(Some(offset));
+        }
+        offset += n as u64;
     }
-    if bytes.last() != Some(&b'\n') {
-        return Err(io::Error::other("torn tail: unterminated line"));
-    }
-    *line = String::from_utf8(bytes).map_err(|_| io::Error::other("torn tail: non-UTF-8"))?;
-    Ok(n)
 }
 
 /// What one journal line holds.
 enum Frame {
     /// An intact record and its seq.
     Record(u64, Record),
-    /// A wrong length, checksum or framing: the torn tail of a crash
-    /// mid-append.
+    /// A wrong length, checksum or framing, or no final newline: the torn
+    /// tail of a crash mid-append if no intact frame follows.
     Torn,
     /// Length and checksum match, but the record does not decode.
     Undecodable {
@@ -782,18 +798,21 @@ enum Frame {
     },
 }
 
-/// Parses `<len> <crc32-hex> <json>\n`, verifying length and checksum
-/// before decoding the record.
-fn parse_frame(line: &str) -> Frame {
-    let intact = || {
-        let body = line.strip_suffix('\n')?;
-        let (len_str, rest) = body.split_once(' ')?;
-        let (crc_str, json) = rest.split_once(' ')?;
-        let len: usize = len_str.parse().ok()?;
-        let crc = u32::from_str_radix(crc_str, 16).ok()?;
-        (json.len() == len && crc32(json.as_bytes()) == crc).then_some(json)
-    };
-    let Some(json) = intact() else {
+/// The JSON of a `<len> <crc32-hex> <json>\n` line whose length and
+/// checksum match, or `None` for a damaged or unterminated frame.
+fn intact_json(line: &[u8]) -> Option<&str> {
+    let body = std::str::from_utf8(line.strip_suffix(b"\n")?).ok()?;
+    let (len_str, rest) = body.split_once(' ')?;
+    let (crc_str, json) = rest.split_once(' ')?;
+    let len: usize = len_str.parse().ok()?;
+    let crc = u32::from_str_radix(crc_str, 16).ok()?;
+    (json.len() == len && crc32(json.as_bytes()) == crc).then_some(json)
+}
+
+/// Parses one journal line, verifying length and checksum before decoding
+/// the record.
+fn parse_frame(line: &[u8]) -> Frame {
+    let Some(json) = intact_json(line) else {
         return Frame::Torn;
     };
     let envelope: Value = match serde_json::from_str(json) {
@@ -1392,6 +1411,77 @@ mod tests {
         assert!(recovery.torn_tail);
         assert_eq!(recovery.graphs.len(), 1);
         assert_eq!(recovery.graphs[0].id, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flipping any one byte of a three-record journal (XOR 0x20 or 0x80)
+    /// has exactly one of three outcomes: a CRC hex letter that changes case
+    /// goes unseen; damage in the last line is a torn tail that keeps every
+    /// frame before it; damage before it fails the open with `InvalidData`
+    /// and leaves the file as it was. No intact record is ever dropped.
+    #[test]
+    fn a_flipped_byte_never_drops_an_intact_record() {
+        let dir = tmpdir("flip");
+        {
+            let (journal, _) = Journal::open(&dir).unwrap();
+            for id in 1..=3 {
+                journal
+                    .append(&Record::GraphCreated {
+                        id,
+                        name: format!("g{id}"),
+                        create: upload(3, vec![(0, 1), (1, 2)]),
+                    })
+                    .unwrap();
+            }
+        }
+        let path = dir.join(JOURNAL_FILE);
+        let original = fs::read(&path).unwrap();
+        let mut ends = Vec::new();
+        for line in original.split_inclusive(|&b| b == b'\n') {
+            ends.push(ends.last().copied().unwrap_or(0) + line.len());
+        }
+        assert_eq!(ends.len(), 3);
+        let graph_ids =
+            |recovery: &Recovery| -> Vec<u64> { recovery.graphs.iter().map(|g| g.id).collect() };
+        for at in 0..original.len() {
+            for mask in [0x20u8, 0x80] {
+                let ctx = format!("byte {at} ^ {mask:#x}");
+                let mut damaged = original.clone();
+                damaged[at] ^= mask;
+                fs::write(&path, &damaged).unwrap();
+                // `<len> <crc32-hex> <json>`: the CRC takes the 8 bytes after
+                // the first space of the line.
+                let start = ends.iter().copied().filter(|&e| e <= at).max().unwrap_or(0);
+                let crc = start + original[start..].iter().position(|&b| b == b' ').unwrap() + 1;
+                let unseen = (crc..crc + 8).contains(&at)
+                    && mask == 0x20
+                    && original[at].is_ascii_lowercase();
+                // A flipped newline merges its frame into the next line.
+                let last_line = damaged[..damaged.len() - 1]
+                    .iter()
+                    .rposition(|&b| b == b'\n')
+                    .map_or(0, |i| i + 1);
+                match Journal::open(&dir) {
+                    Ok((_, recovery)) if !recovery.torn_tail => {
+                        assert!(unseen, "{ctx}: the damage went unseen");
+                        assert_eq!(graph_ids(&recovery), [1, 2, 3], "{ctx}");
+                    }
+                    Ok((_, recovery)) => {
+                        assert!(!unseen && at >= last_line, "{ctx}: torn tail");
+                        let kept = ends.iter().filter(|&&e| e <= last_line).count();
+                        let ids: Vec<u64> = (1..=kept as u64).collect();
+                        assert_eq!(graph_ids(&recovery), ids, "{ctx}");
+                        let len = fs::metadata(&path).unwrap().len() as usize;
+                        assert_eq!(len, last_line, "{ctx}: truncated to the kept frames");
+                    }
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{ctx}: {e}");
+                        assert!(!unseen && at < last_line, "{ctx}: {e}");
+                        assert_eq!(fs::read(&path).unwrap(), damaged, "{ctx}: file changed");
+                    }
+                }
+            }
+        }
         let _ = fs::remove_dir_all(&dir);
     }
 

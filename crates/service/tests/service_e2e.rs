@@ -1,6 +1,6 @@
 //! End-to-end tests: a real daemon on a loopback port, driven through the
-//! vendored HTTP client — the same path the CI smoke gate and `svc_load`
-//! use.
+//! vendored HTTP client — the same path the `service-mix` benchmark
+//! workload and `svc_chaos` use.
 
 use std::sync::Arc;
 use std::thread;
@@ -517,4 +517,115 @@ fn shutdown_endpoint_flags_and_drain_refuses_new_jobs() {
     // After shutdown the store refuses work (the daemon would have exited).
     assert!(state.jobs.is_draining());
     drop(graph);
+}
+
+/// At least 1,000 jobs stay resident behind one pinned worker, the daemon
+/// counts exactly the submissions its clients made, and once the worker is
+/// freed every queued job completes with a valid MIS.
+#[test]
+fn a_thousand_queued_jobs_stay_resident_and_all_complete() {
+    const JOBS: usize = 1_000;
+    const CLIENTS: usize = 16;
+    let service = Service::start(&ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        queue_capacity: JOBS,
+        ..ServiceConfig::default()
+    })
+    .expect("bind loopback");
+    let addr = service.local_addr().to_string();
+    let mut client = Client::new(addr.clone());
+    let keys: Vec<String> = parse::<Vec<AlgorithmInfo>>(&client.get("/v1/algorithms").unwrap())
+        .into_iter()
+        .map(|a| a.key)
+        .collect();
+    let graphs: Vec<u64> = [
+        "{\"spec\": {\"Gnp\": {\"n\": 64, \"p\": 0.1}}, \"seed\": 1}",
+        "{\"spec\": {\"Complete\": {\"n\": 16}}}",
+        "{\"spec\": {\"RandomTree\": {\"n\": 64}}, \"seed\": 2}",
+        "{\"spec\": {\"DisjointCliques\": {\"count\": 4, \"size\": 8}}}",
+    ]
+    .into_iter()
+    .map(|body| {
+        let resp = client.post_json("/v1/graphs", body).unwrap();
+        assert_eq!(resp.status, 201, "{:?}", resp.text());
+        parse::<GraphInfo>(&resp).id
+    })
+    .collect();
+
+    // Pin the single worker with a lingering job, so every later job waits.
+    let resp = client
+        .post_json(
+            "/v1/jobs",
+            format!(
+                "{{\"graph\": {}, \"algorithm\": \"two-state\", \"linger_micros\": 60000000}}",
+                graphs[0]
+            ),
+        )
+        .unwrap();
+    assert_eq!(resp.status, 202, "{:?}", resp.text());
+    let pin: JobInfo = parse(&resp);
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while poll_job(&mut client, pin.id).status != JobStatus::Running {
+        assert!(Instant::now() < deadline, "the pinning job never started");
+        thread::sleep(Duration::from_millis(2));
+    }
+
+    // Concurrent clients submit round-robin over every key and graph.
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let (addr, keys, graphs) = (addr.clone(), keys.clone(), graphs.clone());
+            thread::spawn(move || {
+                let mut client = Client::new(addr);
+                (t..JOBS)
+                    .step_by(CLIENTS)
+                    .map(|i| {
+                        let graph = graphs[(i / keys.len()) % graphs.len()];
+                        let key = &keys[i % keys.len()];
+                        let body = format!(
+                            "{{\"graph\": {graph}, \"algorithm\": \"{key}\", \"seed\": {i}}}"
+                        );
+                        let resp = client.post_json("/v1/jobs", body).unwrap();
+                        assert_eq!(resp.status, 202, "job {i}: {:?}", resp.text());
+                        parse::<JobInfo>(&resp).id
+                    })
+                    .collect::<Vec<u64>>()
+            })
+        })
+        .collect();
+    let ids: Vec<u64> = clients
+        .into_iter()
+        .flat_map(|c| c.join().expect("client thread"))
+        .collect();
+    assert_eq!(ids.len(), JOBS);
+
+    let metrics: MetricsReport = parse(&client.get("/v1/metrics").unwrap());
+    assert!(
+        metrics.jobs.queued + metrics.jobs.running >= JOBS as u64,
+        "{:?}",
+        metrics.jobs
+    );
+
+    // Free the worker: every queued job then runs to completion.
+    let resp = client.delete(&format!("/v1/jobs/{}", pin.id)).unwrap();
+    assert_eq!(resp.status, 202);
+    assert_eq!(
+        wait_terminal(&mut client, pin.id).status,
+        JobStatus::Cancelled
+    );
+    for id in ids {
+        let info = wait_terminal(&mut client, id);
+        assert_eq!(info.status, JobStatus::Completed, "{info:?}");
+        assert!(
+            info.outcome.as_ref().is_some_and(|o| o.valid_mis),
+            "{info:?}"
+        );
+    }
+    let metrics: MetricsReport = parse(&client.get("/v1/metrics").unwrap());
+    assert_eq!(
+        metrics.jobs.submitted,
+        JOBS as u64 + 1,
+        "the pin and {JOBS} jobs"
+    );
+    service.shutdown();
 }

@@ -22,12 +22,6 @@ impl RoundTrace {
     pub fn is_empty(&self) -> bool {
         self.counts.is_empty()
     }
-
-    /// The earliest recorded round at which the number of non-stable vertices
-    /// `|V_t|` dropped to at most `threshold`, if any.
-    pub fn first_round_with_unstable_at_most(&self, threshold: usize) -> Option<usize> {
-        self.counts.iter().position(|c| c.unstable <= threshold)
-    }
 }
 
 /// Outcome of a single trial (one process run on one graph from one seed).
@@ -76,12 +70,7 @@ mod tests {
         };
         assert_eq!(trace.len(), 3);
         assert!(!trace.is_empty());
-        assert_eq!(trace.first_round_with_unstable_at_most(5), Some(1));
-        assert_eq!(trace.first_round_with_unstable_at_most(0), Some(2));
-        assert_eq!(
-            RoundTrace::default().first_round_with_unstable_at_most(0),
-            None
-        );
+        assert!(RoundTrace::default().is_empty());
     }
 
     #[test]

@@ -88,16 +88,6 @@ impl Summary {
         let v: Vec<f64> = samples.into_iter().map(|x| x as f64).collect();
         Summary::from_samples(&v)
     }
-
-    /// Half-width of an approximate 95% confidence interval of the mean
-    /// (normal approximation, `1.96 · s/√n`); 0 for fewer than two samples.
-    pub fn ci95_half_width(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            1.96 * self.std_dev / (self.count as f64).sqrt()
-        }
-    }
 }
 
 /// Linear-interpolation quantile of an already sorted, non-empty slice.
@@ -123,7 +113,6 @@ mod tests {
         let s = Summary::from_samples(&[]);
         assert_eq!(s.count, 0);
         assert_eq!(s.mean, 0.0);
-        assert_eq!(s.ci95_half_width(), 0.0);
     }
 
     #[test]
@@ -145,7 +134,6 @@ mod tests {
         assert_eq!(s.min, 2.0);
         assert_eq!(s.max, 9.0);
         assert!((s.median - 4.5).abs() < 1e-12);
-        assert!(s.ci95_half_width() > 0.0);
     }
 
     #[test]

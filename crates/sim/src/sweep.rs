@@ -1,15 +1,13 @@
 //! Parameter sweeps: run the same experiment across a range of graph sizes
 //! or densities and tabulate the results (one row per parameter value).
 //!
-//! The experiment binaries in `crates/bench` use these helpers to print the
-//! tables recorded in `EXPERIMENTS.md`.
+//! The experiment binaries in `crates/bench` use these helpers to print
+//! their tables (see README's "Running experiments").
 
-use mis_core::init::InitStrategy;
-use mis_core::ExecutionMode;
 use serde::{Deserialize, Serialize};
 
 use crate::runner::{run_experiment, ExperimentResult};
-use crate::spec::{ExperimentSpec, GraphSpec};
+use crate::spec::ExperimentSpec;
 use crate::stats::Summary;
 
 /// One row of a sweep table: the parameter value and the summaries of the
@@ -111,51 +109,6 @@ pub fn row_from_result(parameter: f64, result: &ExperimentResult) -> SweepRow {
     }
 }
 
-/// Builds the large-n scale sweep: one sparse `G(n, d̄/n)` point per entry of
-/// `ns`, at a fixed average degree `avg_degree`, suitable for feeding into
-/// [`run_sweep`].
-///
-/// This is the workload the incremental round engine targets: at millions of
-/// vertices a naive `O(n + m)`-per-round simulator spends almost all of its
-/// time rescanning quiet regions, while the engine's cost tracks the active
-/// frontier. Used by the `exp_scale` binary and the scale smoke tests.
-///
-/// # Panics
-///
-/// Panics if `avg_degree` is negative or exceeds `n - 1` for some `n` (the
-/// edge probability must stay in `[0, 1]`).
-pub fn scale_sweep_specs(
-    ns: &[usize],
-    avg_degree: f64,
-    algorithm: &str,
-    execution: ExecutionMode,
-    trials: usize,
-    base_seed: u64,
-) -> Vec<(f64, ExperimentSpec)> {
-    ns.iter()
-        .map(|&n| {
-            let p = if n <= 1 { 0.0 } else { avg_degree / n as f64 };
-            assert!(
-                (0.0..=1.0).contains(&p),
-                "avg_degree {avg_degree} is invalid for n = {n}"
-            );
-            let spec = ExperimentSpec {
-                name: format!("scale-{algorithm}-{}-n{n}", execution.label()),
-                graph: GraphSpec::Gnp { n, p },
-                algorithm: algorithm.to_string(),
-                init: InitStrategy::Random,
-                execution,
-                trials,
-                max_rounds: 1_000_000,
-                base_seed,
-                record_trace: false,
-                ..ExperimentSpec::default()
-            };
-            (n as f64, spec)
-        })
-        .collect()
-}
-
 /// Runs one experiment per `(parameter, spec)` pair and collects the rows.
 ///
 /// The caller supplies fully formed specs (typically produced by a closure
@@ -180,6 +133,7 @@ mod tests {
     use super::*;
     use crate::spec::GraphSpec;
     use mis_core::init::InitStrategy;
+    use mis_core::ExecutionMode;
 
     fn spec_for_n(n: usize) -> ExperimentSpec {
         ExperimentSpec {
@@ -194,6 +148,31 @@ mod tests {
             record_trace: false,
             ..ExperimentSpec::default()
         }
+    }
+
+    /// One trial of the two-state process on a sparse `G(n, d̄/n)`.
+    fn gnp_point(
+        n: usize,
+        avg_degree: f64,
+        execution: ExecutionMode,
+        base_seed: u64,
+    ) -> (f64, ExperimentSpec) {
+        let spec = ExperimentSpec {
+            name: format!("sweep-gnp-{n}"),
+            graph: GraphSpec::Gnp {
+                n,
+                p: avg_degree / n as f64,
+            },
+            algorithm: "two-state".into(),
+            init: InitStrategy::Random,
+            execution,
+            trials: 1,
+            max_rounds: 1_000_000,
+            base_seed,
+            record_trace: false,
+            ..ExperimentSpec::default()
+        };
+        (n as f64, spec)
     }
 
     #[test]
@@ -235,38 +214,13 @@ mod tests {
     }
 
     #[test]
-    fn scale_specs_build_sparse_gnp_points() {
-        let points = scale_sweep_specs(
-            &[1_000, 10_000],
-            8.0,
-            "two-state",
-            ExecutionMode::Sequential,
-            2,
-            9,
-        );
-        assert_eq!(points.len(), 2);
-        for (param, spec) in &points {
-            match spec.graph {
-                GraphSpec::Gnp { n, p } => {
-                    assert_eq!(n as f64, *param);
-                    assert!((p * n as f64 - 8.0).abs() < 1e-9);
-                }
-                ref other => panic!("expected Gnp, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
     fn parallel_sweep_rows_record_their_execution() {
-        let points = scale_sweep_specs(
-            &[3_000],
+        let table = run_sweep([gnp_point(
+            3_000,
             4.0,
-            "two-state",
             ExecutionMode::Parallel { threads: 2 },
-            1,
             33,
-        );
-        let table = run_sweep(points);
+        )]);
         assert_eq!(table.rows[0].execution_mode, "parallel");
         assert_eq!(table.rows[0].threads, 2);
         assert_eq!(table.rows[0].stabilized_fraction, 1.0);
@@ -278,15 +232,7 @@ mod tests {
     /// activity-proportional round engine.
     #[test]
     fn large_n_scale_sweep_runs_quickly() {
-        let points = scale_sweep_specs(
-            &[40_000],
-            6.0,
-            "two-state",
-            ExecutionMode::Sequential,
-            1,
-            21,
-        );
-        let table = run_sweep(points);
+        let table = run_sweep([gnp_point(40_000, 6.0, ExecutionMode::Sequential, 21)]);
         assert_eq!(table.rows.len(), 1);
         assert_eq!(table.rows[0].stabilized_fraction, 1.0);
     }

@@ -4,7 +4,7 @@
 default:
     @just --list
 
-# Release build of every target (libs, 17 exp_* bins, 5 benches, examples, tests).
+# Release build of every target (libs, 17 exp_* bins, svc_chaos, examples, tests).
 build:
     cargo build --release --workspace --all-targets
 
@@ -48,12 +48,6 @@ byzantine *ARGS:
 serve *ARGS:
     cargo run --release -p mis-service --bin mis-serve -- {{ARGS}}
 
-# Service load generator: thousands of concurrent jobs against an
-# in-process daemon; writes results/svc_load.json, and a full run also
-# BENCH_service.json (--quick does not).
-load *ARGS:
-    cargo run --release -p mis-bench --bin svc_load -- {{ARGS}}
-
 # Chaos harness: kill-and-restart cycles under concurrent traffic through
 # a fault-injecting proxy, verifying zero acknowledged-job loss; writes
 # results/svc_chaos.json, and a full run also BENCH_recovery.json (--quick
@@ -86,20 +80,6 @@ recover:
     echo
     kill $pid
     rm -rf "$dir"
-
-# Criterion micro-benchmarks.
-bench:
-    cargo bench -p mis-bench
-
-# Early-phase dense vs sparse round cost at n = 10^6 (the direction-
-# optimizing engine's crossover group).
-bench-phase:
-    cargo bench -p mis-bench --bench dense_vs_sparse
-
-# Persistent-pool dispatch overhead vs spawn-per-broadcast, plus the
-# ≤2-dispatches-per-round budget assertion.
-bench-pool:
-    cargo bench -p mis-bench --bench pool_overhead
 
 # Run one experiment binary at paper scale: `just exp e1_clique`. The
 # scale, churn and byzantine experiments then rewrite their BENCH_*.json.
@@ -134,8 +114,6 @@ ci:
     test -s results/exp_churn.json
     cargo run --release -p mis-bench --bin exp_byzantine -- --quick
     test -s results/exp_byzantine.json
-    cargo run --release -p mis-bench --bin svc_load -- --quick
-    test -s results/svc_load.json
     cargo run --release -p mis-bench --bin svc_chaos -- --quick
     test -s results/svc_chaos.json
     cargo run --quiet --release --offline --manifest-path benchmark/Cargo.toml -- --workload gnp-two-state --seed 1 --seconds 1 --trace 1 | tail -n 1 | grep -q '"correct": true'

@@ -1,6 +1,6 @@
 //! Integration tests of the experiment harness itself: specifications are
 //! reproducible, sweeps produce well-formed CSV, and the quick scale of every
-//! experiment in EXPERIMENTS.md runs end to end.
+//! experiment runs end to end.
 //!
 //! (The per-experiment assertions live in `crates/bench`; here we only check
 //! that the harness wiring — spec → runner → sweep → CSV — holds together
