@@ -1,8 +1,9 @@
 //! Chaos harness for the crash-safe graph service: repeated kill-and-restart
-//! cycles under concurrent submit/PATCH traffic routed through a
-//! fault-injecting TCP proxy, plus slowloris and malformed-frame attacks
-//! straight at the listener. Evidence lands in `results/svc_chaos.json` and,
-//! on a full run only, in `BENCH_recovery.json` in the working directory.
+//! cycles under concurrent submit/PATCH traffic (two mutators PATCH one
+//! graph at once) routed through a fault-injecting TCP proxy, plus slowloris
+//! and malformed-frame attacks straight at the listener. Evidence lands in
+//! `results/svc_chaos.json` and, on a full run only, in
+//! `BENCH_recovery.json` in the working directory.
 //!
 //! Usage: `cargo run --release -p mis-bench --bin svc_chaos [-- --quick]`
 //!
@@ -43,12 +44,13 @@ USAGE: svc_chaos [--quick] [--help]
 METHOD
   Start an in-process daemon with a durable --data-dir, put a
   fault-injecting TCP proxy in front of it (connection drops, truncated
-  forwards), and drive job submissions + live PATCH traffic through the
-  proxy from N client threads using the retrying HTTP client. Each cycle:
+  forwards), and drive job submissions from N client threads, plus live
+  PATCH traffic from two mutator threads on the same graph, through the
+  proxy using the retrying HTTP client. Each cycle:
   let traffic run, force one journal compaction halfway through
   (AppState::install_snapshot; the byte-triggered compaction thread may
   add more), wait (at most 10 s) for a job acknowledged since the
-  cycle's restart, pause the mutator, snapshot the graph registry straight
+  cycle's restart, pause the mutators, snapshot the graph registry straight
   from the service, crash it mid-traffic (sealed journal, aborted
   listener, abandoned workers), restart on the same data directory, and
   compare the replayed registry against the pre-crash snapshot exactly.
@@ -564,42 +566,47 @@ fn main() {
         }));
     }
 
-    // Mutator: live PATCH traffic through the proxy, pausable around the
-    // authoritative pre-crash snapshot.
+    // Mutators: live PATCH traffic through the proxy, pausable around the
+    // authoritative pre-crash snapshot. Two threads PATCH the same graph,
+    // each with its own edge pattern, so the registry-drift gate sees
+    // concurrent PATCHes replayed across crashes.
     let pause_mutator = Arc::new(AtomicBool::new(false));
     let patches_acked = Arc::new(AtomicU64::new(0));
-    let mutator = {
-        let proxy = proxy_addr.clone();
-        let stop = Arc::clone(&stop);
-        let pause = Arc::clone(&pause_mutator);
-        let patches = Arc::clone(&patches_acked);
-        let target = graphs[0];
-        thread::spawn(move || {
-            let mut client = retrying_client(&proxy);
-            let mut round = 0u64;
-            while !stop.load(Ordering::Relaxed) {
-                if pause.load(Ordering::Relaxed) {
-                    thread::sleep(Duration::from_millis(5));
-                    continue;
-                }
-                let a = round as usize;
-                let body = format!(
-                    "{{\"add\": [[{}, {}]], \"remove\": [[{}, {}]]}}",
-                    a % 90,
-                    (a + 7) % 90,
-                    (a + 3) % 90,
-                    (a + 11) % 90
-                );
-                if let Ok(resp) = client.patch_json(&format!("/v1/graphs/{target}/edges"), body) {
-                    if resp.status == 200 {
-                        patches.fetch_add(1, Ordering::Relaxed);
+    let mutators: Vec<_> = (0..2usize)
+        .map(|w| {
+            let proxy = proxy_addr.clone();
+            let stop = Arc::clone(&stop);
+            let pause = Arc::clone(&pause_mutator);
+            let patches = Arc::clone(&patches_acked);
+            let target = graphs[0];
+            thread::spawn(move || {
+                let mut client = retrying_client(&proxy);
+                let mut round = 0u64;
+                while !stop.load(Ordering::Relaxed) {
+                    if pause.load(Ordering::Relaxed) {
+                        thread::sleep(Duration::from_millis(5));
+                        continue;
                     }
+                    let a = round as usize + 45 * w;
+                    let body = format!(
+                        "{{\"add\": [[{}, {}]], \"remove\": [[{}, {}]]}}",
+                        a % 90,
+                        (a + 7 + 6 * w) % 90,
+                        (a + 3) % 90,
+                        (a + 11 + 6 * w) % 90
+                    );
+                    if let Ok(resp) = client.patch_json(&format!("/v1/graphs/{target}/edges"), body)
+                    {
+                        if resp.status == 200 {
+                            patches.fetch_add(1, Ordering::Relaxed);
+                        }
+                    }
+                    round += 1;
+                    thread::sleep(Duration::from_millis(8));
                 }
-                round += 1;
-                thread::sleep(Duration::from_millis(8));
-            }
+            })
         })
-    };
+        .collect();
 
     // ------------------------------------------------------------------
     // Crash cycles
@@ -706,7 +713,9 @@ fn main() {
     for h in submitters {
         h.join().expect("submitter thread");
     }
-    mutator.join().expect("mutator thread");
+    for mutator in mutators {
+        mutator.join().expect("mutator thread");
+    }
     // Unblock the proxy accept loop.
     let _ = TcpStream::connect(&proxy_addr);
     proxy_handle.join().expect("proxy thread");

@@ -14,24 +14,24 @@
 //!
 //! The design mirrors the transient-fault seam:
 //!
-//! * [`Adversary`] decides, per `(vertex, round)`, which state an
-//!   adversarial vertex displays. Implementations are **pure functions**
-//!   of their coordinates (randomized strategies go through
-//!   [`CounterRng`] on the dedicated [`DRAW_BYZANTINE`] axis), so a
-//!   Byzantine run stays bit-identical across thread counts and never
-//!   consumes the trial's sequential RNG stream.
+//! * an [`Adversary`] — a [`ByzantineStrategy`] bound to its seed by
+//!   [`ByzantineStrategy::build`] — decides, per `(vertex, round)`, which
+//!   state an adversarial vertex displays. It is a **pure function** of its
+//!   coordinates (the randomized strategies draw through [`CounterRng`] on
+//!   the dedicated [`DRAW_BYZANTINE`] axis), so a Byzantine run stays
+//!   bit-identical across thread counts and never consumes the trial's
+//!   sequential RNG stream.
 //! * [`ByzantineOverlay`] applies an adversary to any registry
-//!   [`Algorithm`] through the new
+//!   [`Algorithm`] through the
 //!   [`set_byzantine_state`](Algorithm::set_byzantine_state) hook — the
 //!   same packed-state override + engine delta-repair discipline that
 //!   `inject_faults` and `apply_mutation` use — so every algorithm,
 //!   including the comm-model adaptations, runs under attack without
 //!   per-algorithm forks.
 //!
-//! The four built-in strategies ([`ByzantineStrategy`]) cover the
-//! qualitatively different attack shapes: a dead node ([`Frozen`]), white
-//! noise ([`Flipper`]), a resonant destabilizer ([`Oscillator`]), and a
-//! counter-stressing liar ([`Spoofer`]).
+//! The four strategies cover the qualitatively different attack shapes: a
+//! dead node (`Frozen`), white noise (`Flipper`), a resonant destabilizer
+//! (`Oscillator`), and a counter-stressing liar (`Spoofer`).
 
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -43,133 +43,21 @@ use serde::{Deserialize, Serialize};
 use crate::algorithm::Algorithm;
 use crate::counter_rng::{CounterRng, DRAW_BYZANTINE};
 
-/// A Byzantine adversary: decides the state each adversarial vertex
-/// displays in each round.
-///
-/// Implementations must be pure functions of `(vertex, round)` (plus the
-/// seed baked in at construction): the overlay may re-evaluate any
-/// coordinate at any time, and determinism across thread counts depends on
-/// it. Randomness goes through [`CounterRng`] on the [`DRAW_BYZANTINE`]
-/// axis, never through the trial's sequential stream.
-pub trait Adversary: Send + Sync {
-    /// The strategy's display name.
-    fn name(&self) -> &'static str;
-
-    /// Whether `vertex` displays **black** to its neighbors in `round`.
-    fn displays_black(&self, vertex: VertexId, round: usize) -> bool;
-
-    /// The state the vertex "really" holds, when the strategy
-    /// distinguishes it from the displayed one (spoofing). When the two
-    /// differ the overlay writes the internal state first and the
-    /// displayed state second, forcing a state transition — and the
-    /// corresponding counter delta-repair — every single round.
-    fn internal_black(&self, vertex: VertexId, round: usize) -> bool {
-        self.displays_black(vertex, round)
-    }
-}
-
-/// Stuck forever in one arbitrary (per-vertex pseudo-random) state — the
-/// crashed-node end of the Byzantine spectrum.
-#[derive(Debug, Clone, Copy)]
-pub struct Frozen {
-    rng: CounterRng,
-}
-
-impl Frozen {
-    /// A frozen adversary whose per-vertex stuck states are keyed by
-    /// `seed`.
-    pub fn new(seed: u64) -> Self {
-        Frozen {
-            rng: CounterRng::new(seed),
-        }
-    }
-}
-
-impl Adversary for Frozen {
-    fn name(&self) -> &'static str {
-        "frozen"
-    }
-
-    fn displays_black(&self, vertex: VertexId, _round: usize) -> bool {
-        self.rng.coin(vertex as u64, 0, DRAW_BYZANTINE)
-    }
-}
-
-/// Re-randomizes every round: an independent fair coin per
-/// `(vertex, round)` via the counter RNG, so the attack is bit-identical
-/// across thread counts.
-#[derive(Debug, Clone, Copy)]
-pub struct Flipper {
-    rng: CounterRng,
-}
-
-impl Flipper {
-    /// A flipper adversary keyed by `seed`.
-    pub fn new(seed: u64) -> Self {
-        Flipper {
-            rng: CounterRng::new(seed),
-        }
-    }
-}
-
-impl Adversary for Flipper {
-    fn name(&self) -> &'static str {
-        "flipper"
-    }
-
-    fn displays_black(&self, vertex: VertexId, round: usize) -> bool {
-        self.rng.coin(vertex as u64, round as u64, DRAW_BYZANTINE)
-    }
-}
-
-/// Alternates black/white deterministically every round — the
-/// maximally-destabilizing periodic attack: neighbors that committed to
-/// white because the Byzantine vertex was black see it turn white one
-/// round later, and vice versa.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Oscillator;
-
-impl Adversary for Oscillator {
-    fn name(&self) -> &'static str {
-        "oscillator"
-    }
-
-    fn displays_black(&self, _vertex: VertexId, round: usize) -> bool {
-        round % 2 == 0
-    }
-}
-
-/// Reports **black** to its neighbors while internally holding **white**:
-/// the overlay writes white-then-black every round, so the engine's
-/// black-neighbor counters absorb a full down-then-up delta-repair
-/// per round per spoofing vertex — the counter-stress attack.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Spoofer;
-
-impl Adversary for Spoofer {
-    fn name(&self) -> &'static str {
-        "spoofer"
-    }
-
-    fn displays_black(&self, _vertex: VertexId, _round: usize) -> bool {
-        true
-    }
-
-    fn internal_black(&self, _vertex: VertexId, _round: usize) -> bool {
-        false
-    }
-}
-
 /// The built-in adversary strategies, as a spec-friendly enum.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum ByzantineStrategy {
-    /// [`Frozen`]: stuck in one arbitrary state forever.
+    /// Stuck forever in one per-vertex pseudo-random state: the
+    /// crashed-node end of the Byzantine spectrum.
     Frozen,
-    /// [`Flipper`]: fresh counter-RNG coin every round.
+    /// A fresh fair coin per `(vertex, round)`: white noise.
     Flipper,
-    /// [`Oscillator`]: alternates black/white each round.
+    /// Black on even rounds and white on odd ones, at every victim in step:
+    /// neighbors that committed to white because the vertex was black see
+    /// it turn white one round later, and vice versa.
     Oscillator,
-    /// [`Spoofer`]: displays black, internally white.
+    /// Displays black while holding white: the overlay writes white, then
+    /// black, every round, so the engine's black-neighbor counters absorb a
+    /// full down-then-up delta-repair per round per spoofing vertex.
     Spoofer,
 }
 
@@ -195,12 +83,10 @@ impl ByzantineStrategy {
     }
 
     /// Builds the adversary, keying any randomized strategy by `seed`.
-    pub fn build(self, seed: u64) -> Box<dyn Adversary> {
-        match self {
-            ByzantineStrategy::Frozen => Box::new(Frozen::new(seed)),
-            ByzantineStrategy::Flipper => Box::new(Flipper::new(seed)),
-            ByzantineStrategy::Oscillator => Box::new(Oscillator),
-            ByzantineStrategy::Spoofer => Box::new(Spoofer),
+    pub fn build(self, seed: u64) -> Adversary {
+        Adversary {
+            strategy: self,
+            rng: CounterRng::new(seed),
         }
     }
 }
@@ -208,6 +94,43 @@ impl ByzantineStrategy {
 impl fmt::Display for ByzantineStrategy {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(self.label())
+    }
+}
+
+/// A [`ByzantineStrategy`] bound to its seed: decides the state each
+/// adversarial vertex displays in each round.
+///
+/// Both methods are pure functions of `(vertex, round)` and the seed: the
+/// overlay may re-evaluate any coordinate at any time, and determinism
+/// across thread counts depends on it. Randomness goes through
+/// [`CounterRng`] on the [`DRAW_BYZANTINE`] axis, never through the trial's
+/// sequential stream.
+#[derive(Debug, Clone, Copy)]
+pub struct Adversary {
+    strategy: ByzantineStrategy,
+    rng: CounterRng,
+}
+
+impl Adversary {
+    /// Whether `vertex` displays **black** to its neighbors in `round`.
+    pub fn displays_black(&self, vertex: VertexId, round: usize) -> bool {
+        match self.strategy {
+            ByzantineStrategy::Frozen => self.rng.coin(vertex as u64, 0, DRAW_BYZANTINE),
+            ByzantineStrategy::Flipper => {
+                self.rng.coin(vertex as u64, round as u64, DRAW_BYZANTINE)
+            }
+            ByzantineStrategy::Oscillator => round % 2 == 0,
+            ByzantineStrategy::Spoofer => true,
+        }
+    }
+
+    /// The state the vertex really holds: white for a spoofer, the
+    /// displayed one otherwise. When the two differ the overlay writes the
+    /// internal state first and the displayed state second, forcing a state
+    /// transition — and the corresponding counter delta-repair — every
+    /// single round.
+    pub fn internal_black(&self, vertex: VertexId, round: usize) -> bool {
+        self.strategy != ByzantineStrategy::Spoofer && self.displays_black(vertex, round)
     }
 }
 
@@ -222,8 +145,7 @@ impl fmt::Display for ByzantineStrategy {
 /// state-carryover path, so the honest vertices' incremental bookkeeping
 /// stays exact under attack.
 pub struct ByzantineOverlay {
-    adversary: Box<dyn Adversary>,
-    strategy: ByzantineStrategy,
+    adversary: Adversary,
     /// Interior mutability so the set can be
     /// [re-sampled](ByzantineOverlay::resample_departed) under churn while
     /// the containment tracker holds a shared borrow of the overlay.
@@ -247,7 +169,6 @@ impl ByzantineOverlay {
         vertices.dedup();
         ByzantineOverlay {
             adversary: strategy.build(seed),
-            strategy,
             vertices: RwLock::new(vertices),
             resample: false,
             rng: CounterRng::new(seed ^ 0xB12A_97A1_5EED_0001),
@@ -275,7 +196,7 @@ impl ByzantineOverlay {
 
     /// The strategy this overlay runs.
     pub fn strategy(&self) -> ByzantineStrategy {
-        self.strategy
+        self.adversary.strategy
     }
 
     /// `true` if no vertex is adversarial (the overlay is then a no-op).
@@ -364,7 +285,7 @@ impl ByzantineOverlay {
 impl fmt::Debug for ByzantineOverlay {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("ByzantineOverlay")
-            .field("strategy", &self.strategy)
+            .field("strategy", &self.adversary.strategy)
             .field("vertices", &*self.read_vertices())
             .field("resample", &self.resample)
             .finish()
@@ -399,8 +320,8 @@ mod tests {
 
     #[test]
     fn frozen_never_moves_flipper_does() {
-        let frozen = Frozen::new(3);
-        let flipper = Flipper::new(3);
+        let frozen = ByzantineStrategy::Frozen.build(3);
+        let flipper = ByzantineStrategy::Flipper.build(3);
         let mut flips = 0;
         for u in 0..32 {
             let f0 = frozen.displays_black(u, 0);
@@ -416,12 +337,12 @@ mod tests {
 
     #[test]
     fn oscillator_alternates_and_spoofer_lies() {
-        let osc = Oscillator;
+        let osc = ByzantineStrategy::Oscillator.build(0);
         assert!(osc.displays_black(5, 0));
         assert!(!osc.displays_black(5, 1));
         assert!(osc.displays_black(5, 2));
         assert_eq!(osc.internal_black(5, 0), osc.displays_black(5, 0));
-        let spoof = Spoofer;
+        let spoof = ByzantineStrategy::Spoofer.build(0);
         for t in 0..4 {
             assert!(spoof.displays_black(0, t));
             assert!(!spoof.internal_black(0, t));
@@ -431,7 +352,6 @@ mod tests {
     #[test]
     fn strategy_labels_and_serde_roundtrip() {
         for s in ByzantineStrategy::all() {
-            assert_eq!(s.build(0).name(), s.label());
             let json = serde_json::to_string(&s).unwrap();
             let back: ByzantineStrategy = serde_json::from_str(&json).unwrap();
             assert_eq!(back, s);

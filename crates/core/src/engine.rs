@@ -68,9 +68,9 @@
 //!      counters and marks the neighborhood dirty, and a change that moves
 //!      a letter the neighbors read
 //!      [`mark_dirty`](FrontierEngine::mark_dirty)s them too;
-//!   3. [`flush`](FrontierEngine::flush) reclassifies the dirty vertices,
-//!      updates the cached counts, and repairs the frontier. A dense round
-//!      instead stages blackness with
+//!   3. [`flush`](FrontierEngine::flush) on one thread reclassifies the
+//!      dirty vertices, updates the cached counts, and repairs the
+//!      frontier. A dense round instead stages blackness with
 //!      [`stage_black`](FrontierEngine::stage_black) and ends in one fused
 //!      [`recount`](FrontierEngine::recount).
 //! * the **counter-model driver** (parallel rounds, below) runs a sparse
@@ -95,44 +95,37 @@
 //!
 //! 1. [`begin_round_unsorted`](FrontierEngine::begin_round_unsorted) —
 //!    compact the frontier without sorting;
-//! 2. a **fused decide+scatter dispatch** ([`par_round`](FrontierEngine::par_round)):
+//! 2. a **decide-and-scatter dispatch** ([`par_round`](FrontierEngine::par_round)):
 //!    workers claim worklist chunks from per-worker work-stealing deques
-//!    ([`rayon::ChunkQueue`]), compute next states from old states/cached
-//!    flags with counter-based draws, and immediately scatter each change's
-//!    neighbor deltas through [`scatter_black`](FrontierEngine::scatter_black)
-//!    into a recycled per-worker [`ScatterSink`]. Fusing is safe because the
-//!    decide step reads only pre-round-cached flags and the decided vertex's
-//!    own state, while the scatter step writes blackness, commutative
-//!    counters, and dirty marks — disjoint from every other vertex's decide
-//!    inputs;
-//! 3. a **fused reclassification dispatch**
-//!    ([`par_flush`](FrontierEngine::par_flush)) with one internal barrier:
-//!    the first half recomputes stable-black flags over stolen dirty chunks
-//!    and scatters the flips' neighbor deltas (collecting the second-wave
-//!    vertices it won the dirty-mark race for); after the barrier the second
-//!    half recomputes stability/activity/pending flags over the dirty
-//!    chunks plus each worker's own second wave, accumulating count deltas
-//!    and frontier additions per worker, merged as order-insensitive sums
-//!    and unions.
+//!    ([`rayon::ChunkQueue`]), and each vertex's move is computed from its
+//!    old state and the cached flags with a counter-based draw and
+//!    scattered at once through [`scatter_black`](FrontierEngine::scatter_black)
+//!    into the worker's recycled [`ScatterSink`]. This is sound because a
+//!    move reads only the flags cached by the last flush and the vertex's
+//!    own state, while a scatter writes blackness, commutative counters,
+//!    and dirty marks;
+//! 3. the same [`flush`](FrontierEngine::flush) as a sequential round, on
+//!    the round's threads: one dispatch whose two passes (settle the
+//!    stable-black flags, then reclassify) are separated by an internal
+//!    barrier, with count deltas and frontier additions gathered per worker
+//!    and merged as order-insensitive sums and unions.
 //!
 //! The whole sparse round is therefore **two pool dispatches** (two full
-//! barriers plus one internal barrier), down from the historical four-phase
-//! spawn-per-broadcast structure. A dense round is two dispatches as well:
-//! the volume-balanced [`dense_sweep`](FrontierEngine::dense_sweep) and the
-//! [`recount_par`](FrontierEngine::recount_par) *pull*, where each
+//! barriers plus one internal barrier). A dense round is two dispatches as
+//! well: the volume-balanced [`dense_sweep`](FrontierEngine::dense_sweep)
+//! and the [`recount_par`](FrontierEngine::recount_par) *pull*, where each
 //! participant counts its own vertices' black neighbors (one internal
 //! barrier, no atomic adds but the stable-black +1s); building a
 //! process's engine under `Parallel { threads ≥ 2 }` is that recount alone,
 //! one dispatch. The sequential [`recount`](FrontierEngine::recount) keeps
 //! the push, which walks only the black vertices' lists. Every pass buffer
-//! (change lists, sinks, flush scratch, recount segments) is drawn from a
-//! recycled pool. A
-//! round that runs inline (sequential mode, one thread, or a worklist below
-//! the parallel threshold, as in the sparse tail) therefore allocates
-//! nothing once its buffers are warm, which `tests/round_allocations.rs`
-//! gates; a round that dispatches still allocates its broadcast result
-//! vector and chunk queues, and a dense one its `balanced_ranges` split.
-//! All dispatches run on the process-wide persistent worker pool
+//! (sinks, recount segments) is drawn from a recycled pool. A round that
+//! runs inline (sequential mode, one thread, or a worklist below the
+//! parallel threshold, as in the sparse tail) therefore allocates nothing
+//! once its buffers are warm, which `tests/round_allocations.rs` gates; a
+//! round that dispatches still allocates its broadcast result vector and
+//! chunk queues, and a dense one its `balanced_ranges` split. All
+//! dispatches run on the process-wide persistent worker pool
 //! ([`rayon::global_pool`]); see that function's docs for the pool
 //! lifecycle. The chunk→worker assignment made by work stealing is
 //! scheduling-dependent, but every merge is commutative and every random
@@ -140,8 +133,10 @@
 //! tallies) stay **bit-identical for every thread count**.
 
 use std::ops::Range;
+use std::sync::Mutex;
 
 use mis_graph::{Graph, VertexId, VertexSet};
+use rayon::ChunkQueue;
 
 use crate::algorithm::StateCounts;
 use crate::exec::{StealChunks, DENSE_SWITCH_DIVISOR, PAR_WORK_THRESHOLD};
@@ -169,36 +164,45 @@ const STABLE: u8 = 1 << 2;
 /// Bit: the vertex is pending (logically on the frontier).
 const PENDING: u8 = 1 << 3;
 
-/// Per-thread scratch of the concurrent scatter phase: locally collected
-/// dirty vertices and the thread's contribution to the black-count delta.
-/// Merged deterministically by [`par_round`](FrontierEngine::par_round).
+/// Net changes to the cached counts from one worker's share of a pass,
+/// merged as sums.
+#[derive(Debug, Default, Clone, Copy)]
+struct Deltas {
+    black: isize,
+    stable_black: isize,
+    unstable: isize,
+    active: isize,
+    pending: isize,
+    pending_volume: isize,
+}
+
+/// Per-worker scratch of a counter-model scatter or a dispatched flush: the
+/// vertices this worker won the dirty-mark race for, the frontier entries
+/// it added, and its count changes. Merged deterministically after the
+/// pass and recycled, so its buffers keep their capacity across rounds.
 #[derive(Debug, Default, Clone)]
 pub struct ScatterSink {
-    /// Vertices this thread won the dirty-mark race for.
     dirty: Vec<VertexId>,
-    /// Net change to the number of black vertices from this thread's batch.
-    black_delta: isize,
-}
-
-/// Per-worker count deltas of one fused `par_flush` dispatch, merged
-/// deterministically (all sums).
-#[derive(Debug, Default)]
-struct FlushDeltas {
-    stable_black_delta: isize,
-    unstable_delta: isize,
-    active_delta: isize,
-    pending_delta: isize,
-    pending_volume_delta: isize,
-}
-
-/// Recycled per-worker buffers of the fused `par_flush` dispatch: the
-/// second-wave vertices this worker won the dirty-mark race for in the
-/// stable-black half, and the frontier entries it added in the
-/// reclassification half. Pooled so their capacity survives across rounds.
-#[derive(Debug, Default, Clone)]
-struct FlushScratch {
-    wave2: Vec<VertexId>,
     frontier_adds: Vec<VertexId>,
+    deltas: Deltas,
+}
+
+/// `+1` for a flag that turned on, `-1` for one that turned off.
+#[inline]
+fn unit(on: bool) -> isize {
+    if on {
+        1
+    } else {
+        -1
+    }
+}
+
+/// Pops a recycled buffer from a shared pool, or makes a new one.
+fn recycled<T: Default>(pool: &Mutex<Vec<T>>) -> T {
+    pool.lock()
+        .expect("buffer pool mutex is never poisoned")
+        .pop()
+        .unwrap_or_default()
 }
 
 /// Incremental bookkeeping for one process instance: black projection,
@@ -236,19 +240,16 @@ pub struct FrontierEngine {
     pending_count: usize,
     /// `vol(F_t) = Σ_{u pending} deg(u)`, kept exact for the same reason.
     pending_volume: usize,
-    /// Recycled per-thread scatter sinks: `par_round` reuses their `dirty`
-    /// buffers across rounds instead of reallocating every round.
+    /// Recycled per-worker sinks of the dispatched `par_round` and `flush`.
     sink_pool: Vec<ScatterSink>,
-    /// Recycled per-worker flush buffers (second wave + frontier adds),
-    /// same lifecycle as `sink_pool`.
-    flush_scratch_pool: Vec<FlushScratch>,
     /// Recycled per-chunk frontier segments of the parallel recount.
     seg_pool: Vec<Vec<VertexId>>,
 }
 
 impl FrontierEngine {
     /// Creates an engine for `n` vertices with every vertex white and no
-    /// bookkeeping established; call [`rebuild`](Self::rebuild) before use.
+    /// bookkeeping established; stage the blackness with
+    /// [`stage_black`](Self::stage_black) and run a recount before use.
     pub fn new(n: usize) -> Self {
         FrontierEngine {
             n,
@@ -268,7 +269,6 @@ impl FrontierEngine {
             pending_count: 0,
             pending_volume: 0,
             sink_pool: Vec::new(),
-            flush_scratch_pool: Vec::new(),
             seg_pool: Vec::new(),
         }
     }
@@ -277,30 +277,6 @@ impl FrontierEngine {
     #[inline]
     pub fn n(&self) -> usize {
         self.n
-    }
-
-    /// Rebuilds every counter, flag, count, and the frontier from scratch in
-    /// `O(n + m)` on one thread, with `black` as the blackness projection.
-    ///
-    /// A process builds its engine by staging its blackness and running
-    /// [`recount_par`](Self::recount_par) instead, on its execution mode's
-    /// threads; the incremental round protocols never need either.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `graph.n()` differs from the engine's vertex count.
-    pub fn rebuild<B, C>(&mut self, graph: &Graph, black: B, classify: C)
-    where
-        B: Fn(VertexId) -> bool,
-        C: Fn(VertexId, u32) -> VertexClass,
-    {
-        assert_eq!(graph.n(), self.n, "graph size must match the engine");
-        for u in 0..self.n {
-            self.black.set(u, black(u));
-        }
-        self.dirty.clear();
-        self.dirty_mark.clear_all();
-        self.recount(graph, classify);
     }
 
     /// Stages the blackness projection of `u` **without** any delta
@@ -472,7 +448,7 @@ impl FrontierEngine {
         }
         self.stable_black_nbrs.clear_all();
         let pool = rayon::global_pool(threads);
-        let seg_source = std::sync::Mutex::new(std::mem::take(&mut self.seg_pool));
+        let segments = Mutex::new(std::mem::take(&mut self.seg_pool));
         let engine = &*self;
         let ranges_ref = &ranges;
         let classify = &classify;
@@ -499,17 +475,13 @@ impl FrontierEngine {
             }
             ctx.barrier();
             // Pass 2: flags + per-range counts and frontier segments.
-            let mut segment = seg_source
-                .lock()
-                .expect("segment pool mutex is never poisoned")
-                .pop()
-                .unwrap_or_default();
+            let mut segment = recycled(&segments);
             let (counts, pending_volume) = range.map_or_else(Default::default, |range| {
                 engine.classify_range(graph, range, classify, &mut segment)
             });
             (counts, pending_volume, segment)
         });
-        self.seg_pool = seg_source
+        self.seg_pool = segments
             .into_inner()
             .expect("segment pool mutex is never poisoned");
         let mut counts = StateCounts::default();
@@ -753,7 +725,7 @@ impl FrontierEngine {
             return;
         }
         self.black.set(u, black);
-        sink.black_delta += if black { 1 } else { -1 };
+        sink.deltas.black += unit(black);
         for v in graph.neighbors(u) {
             if black {
                 self.black_nbrs.add(v, 1);
@@ -774,46 +746,248 @@ impl FrontierEngine {
         }
     }
 
-    /// Drains one sink's dirty vertices into the engine's queue (keeping the
-    /// sink's buffer capacity, so it can be recycled) and returns its
-    /// black-count delta.
-    fn drain_sink(&mut self, sink: &mut ScatterSink) -> isize {
-        self.dirty.extend_from_slice(&sink.dirty);
-        sink.dirty.clear();
-        std::mem::take(&mut sink.black_delta)
+    /// Adds one pass's count changes to the cached counts.
+    fn apply_deltas(&mut self, d: Deltas) {
+        let counts = &mut self.counts;
+        counts.black = counts.black.wrapping_add_signed(d.black);
+        counts.non_black = counts.non_black.wrapping_add_signed(-d.black);
+        counts.stable_black = counts.stable_black.wrapping_add_signed(d.stable_black);
+        counts.unstable = counts.unstable.wrapping_add_signed(d.unstable);
+        counts.active = counts.active.wrapping_add_signed(d.active);
+        self.pending_count = self.pending_count.wrapping_add_signed(d.pending);
+        self.pending_volume = self.pending_volume.wrapping_add_signed(d.pending_volume);
     }
 
-    /// Applies a net blackness change to the cached counts.
-    fn apply_black_delta(&mut self, delta: isize) {
-        self.counts.black = (self.counts.black as isize + delta) as usize;
-        self.counts.non_black = (self.counts.non_black as isize - delta) as usize;
+    /// Merges one worker's sink — its count changes, its dirty vertices
+    /// into the queue, its frontier entries — and recycles its buffers.
+    fn absorb(&mut self, mut sink: ScatterSink) {
+        self.apply_deltas(std::mem::take(&mut sink.deltas));
+        self.dirty.append(&mut sink.dirty);
+        self.frontier.append(&mut sink.frontier_adds);
+        self.sink_pool.push(sink);
+    }
+
+    /// Runs one complete counter-based round over `worklist`: one
+    /// **decide-and-scatter dispatch** with chunk-granular work stealing,
+    /// then a [`flush`](Self::flush) on the same threads — two pool
+    /// dispatches per round in total. Returns the sum of the draw counts
+    /// `visit` reports.
+    ///
+    /// This is the sparse round of the counter-model driver of
+    /// [`RuleProcess`](crate::RuleProcess). `visit` moves one vertex: it
+    /// decides the vertex from its own state and the cached flags, writes
+    /// the new state, and scatters the change at once through the engine's
+    /// concurrent primitives ([`scatter_black`](Self::scatter_black) /
+    /// [`mark_dirty_concurrent`](Self::mark_dirty_concurrent)) into the
+    /// worker's sink. Other workers may still be deciding meanwhile, which
+    /// is sound because a decision never reads the live blackness, counters,
+    /// or dirty marks a scatter writes, and every vertex is visited by
+    /// exactly one worker. Work is claimed from per-worker stealing deques
+    /// ([`rayon::ChunkQueue`]), so a degree-skewed worklist does not
+    /// serialize the round on whichever worker drew the fattest chunk; the
+    /// chunk→worker mapping varies, but all merges (counter deltas, dirty
+    /// dedup, draw-count sums) are order-insensitive. Sub-threshold
+    /// worklists (e.g. the near-empty late stabilization tail) run inline
+    /// with no dispatch, and allocate nothing once the recycled sinks are
+    /// warm; a dispatched round still allocates its result vector and chunk
+    /// queue.
+    pub fn par_round<V, C>(
+        &mut self,
+        graph: &Graph,
+        worklist: &[VertexId],
+        threads: usize,
+        visit: V,
+        classify: C,
+    ) -> u64
+    where
+        V: Fn(&Self, VertexId, &mut ScatterSink) -> u64 + Sync,
+        C: Fn(VertexId, u32) -> VertexClass + Sync,
+    {
+        let chunks = StealChunks::new(worklist.len(), threads);
+        let mut draws = 0u64;
+        if chunks.count() == 1 {
+            let mut sink = self.sink_pool.pop().unwrap_or_default();
+            draws = worklist.iter().map(|&u| visit(self, u, &mut sink)).sum();
+            self.absorb(sink);
+        } else if chunks.count() > 1 {
+            let pool = rayon::global_pool(threads);
+            let queue = ChunkQueue::new(chunks.count(), pool.current_num_threads());
+            let sinks = Mutex::new(std::mem::take(&mut self.sink_pool));
+            let engine = &*self;
+            let parts = pool.broadcast(|ctx| {
+                let mut sink = recycled(&sinks);
+                let mut draws = 0u64;
+                while let Some(chunk) = queue.pop(ctx.index()) {
+                    for &u in &worklist[chunks.range(chunk)] {
+                        draws += visit(engine, u, &mut sink);
+                    }
+                }
+                (draws, sink)
+            });
+            self.sink_pool = sinks
+                .into_inner()
+                .expect("sink pool mutex is never poisoned");
+            for (part, sink) in parts {
+                draws += part;
+                self.absorb(sink);
+            }
+        }
+        self.flush(graph, threads, classify);
+        draws
+    }
+
+    /// Pass 1 of a flush at dirty vertex `u`: settles its stable-black flag
+    /// from its blackness and black-neighbor count, and returns the new
+    /// value if it flipped. The caller then moves the neighbors'
+    /// stable-black counters and marks them dirty.
+    #[inline]
+    fn settle_stable_black(&self, u: VertexId, deltas: &mut Deltas) -> Option<bool> {
+        let stable_black = self.black.get(u) && self.black_nbrs.get(u) == 0;
+        let f = self.flags.get(u);
+        if stable_black == (f & STABLE_BLACK != 0) {
+            return None;
+        }
+        self.flags.set(u, f ^ STABLE_BLACK);
+        deltas.stable_black += unit(stable_black);
+        Some(stable_black)
+    }
+
+    /// Pass 2 of a flush at `u`: clears its dirty mark, recomputes its
+    /// stable, active, and pending flags from the settled counters and
+    /// `classify`, records the changes in `deltas`, and pushes `u` to
+    /// `frontier` if it starts pending without an entry. Writes only `u`'s
+    /// own slots.
+    #[inline]
+    fn reclassify<C>(
+        &self,
+        graph: &Graph,
+        u: VertexId,
+        classify: &C,
+        deltas: &mut Deltas,
+        frontier: &mut Vec<VertexId>,
+    ) where
+        C: Fn(VertexId, u32) -> VertexClass,
+    {
+        self.dirty_mark.set(u, false);
+        let old = self.flags.get(u);
+        let class = classify(u, self.black_nbrs.get(u));
+        debug_assert!(
+            class.pending || !class.active,
+            "active vertices must be pending"
+        );
+        let stable = old & STABLE_BLACK != 0 || self.stable_black_nbrs.get(u) > 0;
+        let new = (old & STABLE_BLACK)
+            | if stable { STABLE } else { 0 }
+            | if class.active { ACTIVE } else { 0 }
+            | if class.pending { PENDING } else { 0 };
+        let changed = old ^ new;
+        if changed & STABLE != 0 {
+            deltas.unstable -= unit(stable);
+        }
+        if changed & ACTIVE != 0 {
+            deltas.active += unit(class.active);
+        }
+        if changed & PENDING != 0 {
+            deltas.pending += unit(class.pending);
+            deltas.pending_volume += unit(class.pending) * graph.degree(u) as isize;
+            // A vertex that stopped pending keeps its (now stale) entry
+            // until the next begin_round compaction.
+            if class.pending && !self.frontier_contains.get(u) {
+                self.frontier_contains.set(u, true);
+                frontier.push(u);
+            }
+        }
+        if changed != 0 {
+            self.flags.set(u, new);
+        }
     }
 
     /// Reclassifies every dirty vertex, updating stability bookkeeping,
     /// cached counts, and frontier membership by diffing against the stored
-    /// flags. Stable-black flips delta-propagate to the flipping vertex's
-    /// neighborhood (re-queueing it), so the cost is `O(|dirty| + vol(S_t))`
-    /// where `S_t` is the set of vertices whose stable-black status flipped.
-    pub fn flush<C>(&mut self, graph: &Graph, classify: C)
+    /// flags, in two passes:
+    ///
+    /// 1. settle the stable-black flag of every dirty vertex, and push each
+    ///    flip into its neighbors' stable-black counters, marking them dirty
+    ///    (the second wave). One generation suffices: stable-black status
+    ///    depends only on blackness and black-neighbor counts, and whatever
+    ///    moves those marks the vertex dirty;
+    /// 2. reclassify the dirty vertices and the second wave, once each.
+    ///
+    /// The cost is `O(|dirty| + vol(S_t))`, where `S_t` is the set of
+    /// vertices whose stable-black status flipped. A dirty list below the
+    /// parallel threshold, or `threads ≤ 1`, runs both passes inline with
+    /// plain neighbor updates. A larger one runs them as **one** dispatch on
+    /// the persistent pool, over chunks claimed from work-stealing deques,
+    /// with an internal barrier between the passes; each worker reclassifies
+    /// the second-wave vertices it won the dirty-mark race for. Counts merge
+    /// as sums and frontier entries as a union, so the result is identical
+    /// for every thread count.
+    pub fn flush<C>(&mut self, graph: &Graph, threads: usize, classify: C)
     where
-        C: Fn(VertexId, u32) -> VertexClass,
+        C: Fn(VertexId, u32) -> VertexClass + Sync,
     {
-        let mut head = 0;
-        while head < self.dirty.len() {
-            let u = self.dirty[head];
-            head += 1;
-            self.dirty_mark.set(u, false);
-
-            let stable_black = self.black.get(u) && self.black_nbrs.get(u) == 0;
-            if stable_black != (self.flags.get(u) & STABLE_BLACK != 0) {
-                self.flags.xor_mut(u, STABLE_BLACK);
-                if stable_black {
-                    self.counts.stable_black += 1;
-                } else {
-                    self.counts.stable_black -= 1;
+        let chunks = StealChunks::new(self.dirty.len(), threads);
+        if chunks.count() > 1 {
+            let mut dirty = std::mem::take(&mut self.dirty);
+            let pool = rayon::global_pool(threads);
+            let workers = pool.current_num_threads();
+            // Independent claim queues for the two passes over the same chunks.
+            let q1 = ChunkQueue::new(chunks.count(), workers);
+            let q2 = ChunkQueue::new(chunks.count(), workers);
+            let sinks = Mutex::new(std::mem::take(&mut self.sink_pool));
+            let (engine, dirty_ref, classify) = (&*self, &dirty, &classify);
+            let parts = pool.broadcast(|ctx| {
+                let mut sink = recycled(&sinks);
+                while let Some(chunk) = q1.pop(ctx.index()) {
+                    for &u in &dirty_ref[chunks.range(chunk)] {
+                        if let Some(on) = engine.settle_stable_black(u, &mut sink.deltas) {
+                            for v in graph.neighbors(u) {
+                                if on {
+                                    engine.stable_black_nbrs.add(v, 1);
+                                } else {
+                                    engine.stable_black_nbrs.sub(v, 1);
+                                }
+                                engine.mark_dirty_concurrent(v, &mut sink);
+                            }
+                        }
+                    }
                 }
+                ctx.barrier();
+                // The second waves are disjoint across workers (the dirty
+                // mark dedups them) and from the dirty list (already
+                // marked), so every vertex is reclassified exactly once.
+                let ScatterSink {
+                    dirty: wave2,
+                    frontier_adds,
+                    deltas,
+                } = &mut sink;
+                while let Some(chunk) = q2.pop(ctx.index()) {
+                    for &u in &dirty_ref[chunks.range(chunk)] {
+                        engine.reclassify(graph, u, classify, deltas, frontier_adds);
+                    }
+                }
+                for u in wave2.drain(..) {
+                    engine.reclassify(graph, u, classify, deltas, frontier_adds);
+                }
+                sink
+            });
+            self.sink_pool = sinks
+                .into_inner()
+                .expect("sink pool mutex is never poisoned");
+            dirty.clear();
+            self.dirty = dirty;
+            for sink in parts {
+                self.absorb(sink);
+            }
+            return;
+        }
+        let mut deltas = Deltas::default();
+        // The second wave this pass appends waits for pass 2.
+        for i in 0..self.dirty.len() {
+            let u = self.dirty[i];
+            if let Some(on) = self.settle_stable_black(u, &mut deltas) {
                 for v in graph.neighbors(u) {
-                    if stable_black {
+                    if on {
                         self.stable_black_nbrs.add_mut(v, 1);
                     } else {
                         self.stable_black_nbrs.sub_mut(v, 1);
@@ -821,309 +995,16 @@ impl FrontierEngine {
                     self.mark_dirty(v);
                 }
             }
-
-            let stable = stable_black || self.stable_black_nbrs.get(u) > 0;
-            if stable != (self.flags.get(u) & STABLE != 0) {
-                self.flags.xor_mut(u, STABLE);
-                if stable {
-                    self.counts.unstable -= 1;
-                } else {
-                    self.counts.unstable += 1;
-                }
-            }
-
-            let class = classify(u, self.black_nbrs.get(u));
-            debug_assert!(
-                class.pending || !class.active,
-                "active vertices must be pending"
-            );
-            if class.active != (self.flags.get(u) & ACTIVE != 0) {
-                self.flags.xor_mut(u, ACTIVE);
-                if class.active {
-                    self.counts.active += 1;
-                } else {
-                    self.counts.active -= 1;
-                }
-            }
-            if class.pending != (self.flags.get(u) & PENDING != 0) {
-                self.flags.xor_mut(u, PENDING);
-                if class.pending {
-                    self.pending_count += 1;
-                    self.pending_volume += graph.degree(u);
-                    if !self.frontier_contains.test_and_set_mut(u) {
-                        self.frontier.push(u);
-                    }
-                } else {
-                    self.pending_count -= 1;
-                    self.pending_volume -= graph.degree(u);
-                }
-                // A vertex that stopped pending keeps its (now stale) entry
-                // until the next begin_round compaction.
-            }
         }
-        self.dirty.clear();
-    }
-
-    /// Runs one complete counter-based parallel round over `worklist`: one
-    /// **fused decide+scatter dispatch** with chunk-granular work stealing,
-    /// the deterministic commit, and the fused
-    /// [`par_flush`](Self::par_flush) dispatch — two pool dispatches per
-    /// round in total. Returns the total number of random draws reported by
-    /// the decide closures.
-    ///
-    /// This is the sparse round of the counter-model driver of
-    /// [`RuleProcess`](crate::RuleProcess); it keeps the phase ordering and
-    /// the empty-worklist handling in one place. `decide` maps one worklist
-    /// chunk to its state changes (of the change type `Ch`), writing new
-    /// states as it goes, and returns its draw count; `scatter` applies one
-    /// change's neighbor deltas through the engine's concurrent primitives
-    /// ([`scatter_black`](Self::scatter_black) /
-    /// [`mark_dirty_concurrent`](Self::mark_dirty_concurrent)) into the
-    /// per-worker sink.
-    ///
-    /// **Fusion contract:** each worker scatters a chunk's changes
-    /// immediately after deciding it, while other workers may still be
-    /// deciding. This is sound because `decide` reads only the
-    /// pre-round-cached flags and the decided vertex's own state/counters
-    /// snapshot — never the live blackness or neighbor counters that
-    /// `scatter` mutates — and every vertex is decided by exactly one
-    /// worker. Work is claimed from per-worker stealing deques
-    /// ([`rayon::ChunkQueue`]), so a degree-skewed worklist does not
-    /// serialize the round on whichever worker drew the fattest chunk; the
-    /// chunk→worker mapping varies, but all merges (counter deltas, dirty
-    /// dedup, draw-count sums) are order-insensitive. Sub-threshold
-    /// worklists (e.g. the near-empty late stabilization tail) run inline
-    /// with no dispatch. Change buffers are recycled through the
-    /// caller-owned `change_pool` and sinks through the engine's own pool,
-    /// so an inline round allocates nothing once they are warm; a
-    /// dispatched one still allocates its result vector and chunk queue.
-    #[allow(clippy::too_many_arguments)]
-    pub fn par_round<Ch, D, S, C>(
-        &mut self,
-        graph: &Graph,
-        worklist: &[VertexId],
-        threads: usize,
-        decide: D,
-        scatter: S,
-        classify: C,
-        change_pool: &mut Vec<Vec<Ch>>,
-    ) -> u64
-    where
-        Ch: Send + Sync,
-        D: Fn(&Self, &[VertexId], &mut Vec<Ch>) -> u64 + Sync,
-        S: Fn(&Self, &Ch, &mut ScatterSink) + Sync,
-        C: Fn(VertexId, u32) -> VertexClass + Sync,
-    {
-        let chunks = StealChunks::new(worklist.len(), threads);
-        let mut draws_total = 0u64;
-        if chunks.count() == 1 {
-            // Inline path: no dispatch, same logic.
-            let mut changes = change_pool.pop().unwrap_or_default();
-            let mut sink = self.sink_pool.pop().unwrap_or_default();
-            draws_total = decide(&*self, worklist, &mut changes);
-            for change in &changes {
-                scatter(&*self, change, &mut sink);
-            }
-            let delta = self.drain_sink(&mut sink);
-            self.sink_pool.push(sink);
-            changes.clear();
-            change_pool.push(changes);
-            self.apply_black_delta(delta);
-        } else if chunks.count() > 1 {
-            let pool = rayon::global_pool(threads);
-            let queue = rayon::ChunkQueue::new(chunks.count(), pool.current_num_threads());
-            let sink_source = std::sync::Mutex::new(std::mem::take(&mut self.sink_pool));
-            let change_source = std::sync::Mutex::new(std::mem::take(change_pool));
-            let engine = &*self;
-            let parts: Vec<(u64, Vec<Ch>, ScatterSink)> = pool.broadcast(|ctx| {
-                // Buffers come from the recycled pools (one uncontended
-                // lock per worker per round), keeping their capacity across
-                // rounds.
-                let mut changes = change_source
-                    .lock()
-                    .expect("change pool mutex is never poisoned")
-                    .pop()
-                    .unwrap_or_default();
-                let mut sink = sink_source
-                    .lock()
-                    .expect("sink pool mutex is never poisoned")
-                    .pop()
-                    .unwrap_or_default();
-                let mut draws = 0u64;
-                while let Some(chunk) = queue.pop(ctx.index()) {
-                    let before = changes.len();
-                    draws += decide(engine, &worklist[chunks.range(chunk)], &mut changes);
-                    for change in &changes[before..] {
-                        scatter(engine, change, &mut sink);
-                    }
-                }
-                (draws, changes, sink)
-            });
-            self.sink_pool = sink_source
-                .into_inner()
-                .expect("sink pool mutex is never poisoned");
-            *change_pool = change_source
-                .into_inner()
-                .expect("change pool mutex is never poisoned");
-            let mut delta = 0isize;
-            for (draws, mut changes, mut sink) in parts {
-                draws_total += draws;
-                delta += self.drain_sink(&mut sink);
-                self.sink_pool.push(sink);
-                changes.clear();
-                change_pool.push(changes);
-            }
-            self.apply_black_delta(delta);
+        let mut dirty = std::mem::take(&mut self.dirty);
+        let mut frontier = std::mem::take(&mut self.frontier);
+        for &u in &dirty {
+            self.reclassify(graph, u, &classify, &mut deltas, &mut frontier);
         }
-        self.par_flush(graph, threads, classify);
-        draws_total
-    }
-
-    /// Parallel counterpart of [`flush`](Self::flush): reclassifies the
-    /// dirty set as **one** dispatch on the persistent pool, two passes
-    /// separated by an internal barrier.
-    ///
-    /// Pass 1 recomputes the stable-black flag of every dirty vertex
-    /// (chunks claimed from work-stealing deques) and scatters the flips'
-    /// neighbor deltas; one generation suffices because a vertex's
-    /// stable-black status depends only on the (already settled) blackness
-    /// and black-neighbor counters, so only scatter-dirty vertices can
-    /// flip. Each worker keeps the second-wave vertices it won the
-    /// dirty-mark race for. After the barrier, pass 2 recomputes the
-    /// stability/activity/pending flags of the dirty set (a second round of
-    /// stolen chunks) plus each worker's own second wave, accumulating
-    /// count deltas and frontier additions per worker; all merges are
-    /// order-insensitive sums/unions, so the result is identical for every
-    /// thread count. Sub-threshold dirty sets fall back to the sequential
-    /// [`flush`](Self::flush) (same fixed point, no dispatch).
-    pub fn par_flush<C>(&mut self, graph: &Graph, threads: usize, classify: C)
-    where
-        C: Fn(VertexId, u32) -> VertexClass + Sync,
-    {
-        if self.dirty.is_empty() {
-            return;
-        }
-        let chunks = StealChunks::new(self.dirty.len(), threads);
-        if chunks.count() <= 1 {
-            return self.flush(graph, classify);
-        }
-        let dirty = std::mem::take(&mut self.dirty);
-        let pool = rayon::global_pool(threads);
-        let workers = pool.current_num_threads();
-        // Independent claim queues for the two passes over the same chunks.
-        let q1 = rayon::ChunkQueue::new(chunks.count(), workers);
-        let q2 = rayon::ChunkQueue::new(chunks.count(), workers);
-        let scratch_source = std::sync::Mutex::new(std::mem::take(&mut self.flush_scratch_pool));
-        let black = &self.black;
-        let black_nbrs = &self.black_nbrs;
-        let stable_black_nbrs = &self.stable_black_nbrs;
-        let flags = &self.flags;
-        let dirty_mark = &self.dirty_mark;
-        let frontier_contains = &self.frontier_contains;
-        let dirty_ref = &dirty;
-        let classify = &classify;
-        let parts: Vec<(FlushDeltas, FlushScratch)> = pool.broadcast(|ctx| {
-            let mut scratch = scratch_source
-                .lock()
-                .expect("flush scratch mutex is never poisoned")
-                .pop()
-                .unwrap_or_default();
-            let mut deltas = FlushDeltas::default();
-            // Pass 1: stable-black recompute + neighbor-delta scatter.
-            while let Some(chunk) = q1.pop(ctx.index()) {
-                for &u in &dirty_ref[chunks.range(chunk)] {
-                    let stable_black = black.get(u) && black_nbrs.get(u) == 0;
-                    if stable_black != (flags.get(u) & STABLE_BLACK != 0) {
-                        flags.xor(u, STABLE_BLACK);
-                        deltas.stable_black_delta += if stable_black { 1 } else { -1 };
-                        for v in graph.neighbors(u) {
-                            if stable_black {
-                                stable_black_nbrs.add(v, 1);
-                            } else {
-                                stable_black_nbrs.sub(v, 1);
-                            }
-                            if !dirty_mark.test_and_set(v) {
-                                scratch.wave2.push(v);
-                            }
-                        }
-                    }
-                }
-            }
-            ctx.barrier();
-            // Pass 2: stability/activity/pending recompute over the dirty
-            // chunks plus this worker's second wave. Wave-2 sets are
-            // disjoint across workers (global dirty-mark dedup) and
-            // disjoint from the original dirty list (its vertices were
-            // already marked), so every vertex is reclassified exactly
-            // once.
-            {
-                let FlushScratch {
-                    wave2,
-                    frontier_adds,
-                } = &mut scratch;
-                let mut reclassify = |u: VertexId| {
-                    dirty_mark.set(u, false);
-                    let f = flags.get(u);
-                    let stable_black = f & STABLE_BLACK != 0;
-                    let stable = stable_black || stable_black_nbrs.get(u) > 0;
-                    if stable != (f & STABLE != 0) {
-                        flags.xor(u, STABLE);
-                        deltas.unstable_delta += if stable { -1 } else { 1 };
-                    }
-                    let class = classify(u, black_nbrs.get(u));
-                    debug_assert!(
-                        class.pending || !class.active,
-                        "active vertices must be pending"
-                    );
-                    if class.active != (f & ACTIVE != 0) {
-                        flags.xor(u, ACTIVE);
-                        deltas.active_delta += if class.active { 1 } else { -1 };
-                    }
-                    if class.pending != (f & PENDING != 0) {
-                        flags.xor(u, PENDING);
-                        let vol = graph.degree(u) as isize;
-                        if class.pending {
-                            deltas.pending_delta += 1;
-                            deltas.pending_volume_delta += vol;
-                            if !frontier_contains.test_and_set(u) {
-                                frontier_adds.push(u);
-                            }
-                        } else {
-                            deltas.pending_delta -= 1;
-                            deltas.pending_volume_delta -= vol;
-                        }
-                    }
-                };
-                while let Some(chunk) = q2.pop(ctx.index()) {
-                    for &u in &dirty_ref[chunks.range(chunk)] {
-                        reclassify(u);
-                    }
-                }
-                for &u in wave2.iter() {
-                    reclassify(u);
-                }
-            }
-            (deltas, scratch)
-        });
-        self.flush_scratch_pool = scratch_source
-            .into_inner()
-            .expect("flush scratch mutex is never poisoned");
-        for (deltas, mut scratch) in parts {
-            self.counts.stable_black =
-                (self.counts.stable_black as isize + deltas.stable_black_delta) as usize;
-            self.counts.unstable = (self.counts.unstable as isize + deltas.unstable_delta) as usize;
-            self.counts.active = (self.counts.active as isize + deltas.active_delta) as usize;
-            self.pending_count = (self.pending_count as isize + deltas.pending_delta) as usize;
-            self.pending_volume =
-                (self.pending_volume as isize + deltas.pending_volume_delta) as usize;
-            self.frontier.extend_from_slice(&scratch.frontier_adds);
-            scratch.wave2.clear();
-            scratch.frontier_adds.clear();
-            self.flush_scratch_pool.push(scratch);
-        }
-        let mut dirty = dirty;
         dirty.clear();
         self.dirty = dirty;
+        self.frontier = frontier;
+        self.apply_deltas(deltas);
     }
 
     /// The cached per-round counts; `O(1)`.
@@ -1243,13 +1124,22 @@ mod tests {
         }
     }
 
+    /// A from-scratch build of `black` on `g`: staging plus the sequential
+    /// push recount.
+    fn rebuilt(g: &Graph, black: &[bool]) -> FrontierEngine {
+        let mut e = FrontierEngine::new(g.n());
+        for (u, &b) in black.iter().enumerate() {
+            e.stage_black(u, b);
+        }
+        e.recount(g, two_state_like(black));
+        e
+    }
+
     #[test]
     fn rebuild_matches_definitions() {
         let g = generators::path(5);
         // Colors: B W B B W  -> vertex 0 stable black? nbr 1 white -> yes.
-        let black = vec![true, false, true, true, false];
-        let mut e = FrontierEngine::new(5);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
+        let e = rebuilt(&g, &[true, false, true, true, false]);
         assert_eq!(e.black_neighbor_count(0), 0);
         assert_eq!(e.black_neighbor_count(1), 2);
         assert_eq!(e.black_neighbor_count(2), 1);
@@ -1274,16 +1164,14 @@ mod tests {
     fn set_black_delta_matches_rebuild() {
         let g = generators::grid(4, 4);
         let mut black = vec![false; 16];
-        let mut e = FrontierEngine::new(16);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
+        let mut e = rebuilt(&g, &black);
         // Flip a few vertices through the delta path.
         for &(u, b) in &[(0usize, true), (5, true), (5, false), (10, true)] {
             black[u] = b;
             e.set_black(&g, u, b);
-            e.flush(&g, two_state_like(&black));
+            e.flush(&g, 1, two_state_like(&black));
         }
-        let mut fresh = FrontierEngine::new(16);
-        fresh.rebuild(&g, |u| black[u], two_state_like(&black));
+        let fresh = rebuilt(&g, &black);
         for u in 0..16 {
             assert_eq!(e.black_neighbor_count(u), fresh.black_neighbor_count(u));
             assert_eq!(e.is_active(u), fresh.is_active(u), "vertex {u}");
@@ -1325,8 +1213,7 @@ mod tests {
     fn recount_after_staging_matches_rebuild_and_delta_paths() {
         let g = generators::grid(6, 6);
         let mut black = vec![false; 36];
-        let mut delta = FrontierEngine::new(36);
-        delta.rebuild(&g, |u| black[u], two_state_like(&black));
+        let mut delta = rebuilt(&g, &black);
         // Flip through the incremental path...
         for &(u, b) in &[
             (0usize, true),
@@ -1337,12 +1224,10 @@ mod tests {
         ] {
             black[u] = b;
             delta.set_black(&g, u, b);
-            delta.flush(&g, two_state_like(&black));
+            delta.flush(&g, 1, two_state_like(&black));
         }
         // ...and through staging + dense recount.
-        let mut dense = FrontierEngine::new(36);
-        let all_white = [false; 36];
-        dense.rebuild(&g, |_| false, two_state_like(&all_white));
+        let mut dense = rebuilt(&g, &[false; 36]);
         for (u, &b) in black.iter().enumerate() {
             dense.stage_black(u, b);
         }
@@ -1379,8 +1264,7 @@ mod tests {
         threads: usize,
         ctx: &str,
     ) {
-        let mut push = FrontierEngine::new(g.n());
-        push.rebuild(g, |u| black[u], two_state_like(black));
+        let push = rebuilt(g, black);
         for (u, &b) in black.iter().enumerate() {
             reused.stage_black(u, b);
         }
@@ -1503,32 +1387,28 @@ mod tests {
 
     #[test]
     fn sparse_round_costs_at_most_two_dispatches() {
-        // The headline contract of the fused round path: one fused
-        // decide+scatter dispatch plus one fused flush dispatch. Uses an
+        // The headline contract of the sparse round path: one
+        // decide-and-scatter dispatch plus one flush dispatch. Uses an
         // uncommon thread count so the global pool's counters are not
         // perturbed by other tests running concurrently.
         let threads = 13;
         let n = 6000; // above PAR_WORK_THRESHOLD so dispatches actually run
         let g = generators::grid(60, 100);
-        let black = vec![false; n];
-        let mut e = FrontierEngine::new(n);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
+        let mut e = rebuilt(&g, &vec![false; n]);
         let mut worklist = Vec::new();
         e.begin_round_unsorted(&mut worklist);
         assert!(worklist.len() >= crate::exec::PAR_WORK_THRESHOLD);
         let pool = rayon::global_pool(threads);
         let before = pool.stats();
-        let mut change_pool: Vec<Vec<(VertexId, bool)>> = Vec::new();
         // Flip every worklist vertex black: plenty of scatter + flush work.
         e.par_round(
             &g,
             &worklist,
             threads,
-            |_, chunk, changes| {
-                changes.extend(chunk.iter().map(|&u| (u, true)));
-                chunk.len() as u64
+            |engine, u, sink| {
+                engine.scatter_black(&g, u, true, sink);
+                1
             },
-            |engine, &(u, b), sink| engine.scatter_black(&g, u, b, sink),
             |u, bn| {
                 let active = if u % 2 == 0 { bn > 0 } else { bn == 0 };
                 VertexClass {
@@ -1536,7 +1416,6 @@ mod tests {
                     pending: active,
                 }
             },
-            &mut change_pool,
         );
         let after = pool.stats();
         assert!(
@@ -1544,7 +1423,7 @@ mod tests {
             "sparse round used {} dispatches (expected <= 2)",
             after.dispatches - before.dispatches
         );
-        // The barrier budget the `pool_overhead` bench asserts.
+        // The barrier budget `work_counts` holds every sparse round to.
         assert!(
             after.barriers - before.barriers <= 4,
             "sparse round crossed {} barriers (expected <= 4)",
@@ -1562,8 +1441,7 @@ mod tests {
         let n = 6000;
         let g = generators::grid(60, 100);
         let black: Vec<bool> = (0..n).map(|u| u % 2 == 0).collect();
-        let mut e = FrontierEngine::new(n);
-        e.rebuild(&g, |_| false, two_state_like(&vec![false; n]));
+        let mut e = rebuilt(&g, &vec![false; n]);
         let pool = rayon::global_pool(threads);
         let before = pool.stats();
         let staged = e.dense_sweep(&g, threads, |engine, range| {
@@ -1584,74 +1462,91 @@ mod tests {
     fn prefers_dense_tracks_frontier_mass() {
         let g = generators::path(64);
         // Everything black: every vertex pending -> dense.
-        let black = vec![true; 64];
-        let mut e = FrontierEngine::new(64);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
-        assert!(e.prefers_dense(&g));
+        assert!(rebuilt(&g, &[true; 64]).prefers_dense(&g));
         // A stable MIS configuration: empty frontier -> sparse.
         let alternating: Vec<bool> = (0..64).map(|u| u % 2 == 0).collect();
-        e.rebuild(&g, |u| alternating[u], two_state_like(&alternating));
+        let e = rebuilt(&g, &alternating);
         assert_eq!(e.frontier_len(), 0);
         assert!(!e.prefers_dense(&g));
     }
 
+    /// A flush whose dirty list exceeds the parallel threshold runs as one
+    /// dispatch with one internal barrier, and leaves exactly what a
+    /// from-scratch recount builds: flags, black-neighbor and stable-black
+    /// counters, counts, and the frontier. The batch makes stable blacks and
+    /// unmakes others, so second-wave vertices (not dirty before the flush)
+    /// change their stable flag both ways.
     #[test]
-    fn scatter_and_par_flush_match_sequential_path() {
-        // Apply the same batch of blackness flips through set_black + flush
-        // and through scatter_black + the sink merge of par_round + par_flush
-        // (at several thread counts); all bookkeeping must agree.
-        let g = generators::grid(5, 5);
-        let black = vec![false; 25];
-        let batch: Vec<(VertexId, bool)> = vec![(0, true), (6, true), (12, true), (13, true)];
-
-        let mut sequential = FrontierEngine::new(25);
-        sequential.rebuild(&g, |u| black[u], two_state_like(&black));
-        let mut after = black.clone();
-        for &(u, b) in &batch {
-            after[u] = b;
-        }
-        for &(u, b) in &batch {
-            sequential.set_black(&g, u, b);
-        }
-        sequential.flush(&g, two_state_like(&after));
-
-        for threads in [1usize, 2, 4] {
-            let mut parallel = FrontierEngine::new(25);
-            parallel.rebuild(&g, |u| black[u], two_state_like(&black));
-            let mut sink = ScatterSink::default();
-            for &(u, b) in &batch {
-                parallel.scatter_black(&g, u, b, &mut sink);
+    fn dispatched_flush_matches_a_recount() {
+        // A thread count no other test here uses keeps the pool's counters
+        // this test's own.
+        let threads = 12;
+        let (rows, cols) = (60, 100);
+        let g = generators::grid(rows, cols);
+        let at = |r: usize, c: usize| r * cols + c;
+        // Rows 0 mod 4 hold black pairs at columns 4k and 4k + 1; rows 2
+        // mod 4 hold a lone (stable) black at column 4k + 2.
+        let mut black = vec![false; g.n()];
+        for r in (0..rows).step_by(2) {
+            for c in (0..cols).step_by(4) {
+                if r % 4 == 0 {
+                    black[at(r, c)] = true;
+                    black[at(r, c + 1)] = true;
+                } else {
+                    black[at(r, c + 2)] = true;
+                }
             }
-            let delta = parallel.drain_sink(&mut sink);
-            parallel.apply_black_delta(delta);
-            parallel.par_flush(&g, threads, two_state_like(&after));
-
-            for u in 0..25 {
-                assert_eq!(
-                    parallel.black_neighbor_count(u),
-                    sequential.black_neighbor_count(u),
-                    "threads {threads}, vertex {u}"
-                );
-                assert_eq!(parallel.is_active(u), sequential.is_active(u));
-                assert_eq!(parallel.is_stable(u), sequential.is_stable(u));
-                assert_eq!(parallel.is_stable_black(u), sequential.is_stable_black(u));
-                assert_eq!(parallel.is_pending(u), sequential.is_pending(u));
-            }
-            assert_eq!(parallel.counts(), sequential.counts(), "threads {threads}");
-            let mut wl_par = Vec::new();
-            let mut wl_seq = Vec::new();
-            parallel.begin_round(&mut wl_par);
-            sequential.begin_round(&mut wl_seq);
-            assert_eq!(wl_par, wl_seq, "threads {threads}");
         }
+        let mut e = rebuilt(&g, &black);
+        let stable_before: Vec<bool> = (0..g.n()).map(|u| e.is_stable(u)).collect();
+        // Break every pair (its left end turns stable black) and give every
+        // lone black a black neighbor (both stop being stable black).
+        for r in (0..rows).step_by(2) {
+            for c in (0..cols).step_by(4) {
+                let u = if r % 4 == 0 {
+                    at(r, c + 1)
+                } else {
+                    at(r, c + 3)
+                };
+                black[u] = !black[u];
+                e.set_black(&g, u, black[u]);
+            }
+        }
+        assert!(e.dirty.len() >= PAR_WORK_THRESHOLD, "{}", e.dirty.len());
+        let queued: Vec<bool> = (0..g.n()).map(|u| e.dirty_mark.get(u)).collect();
+        let pool = rayon::global_pool(threads);
+        let before = pool.stats();
+        e.flush(&g, threads, two_state_like(&black));
+        let after = pool.stats();
+        assert_eq!(after.dispatches - before.dispatches, 1, "dispatches");
+        assert_eq!(after.barriers - before.barriers, 1, "barriers");
+
+        let mut fresh = rebuilt(&g, &black);
+        assert_engines_agree(&e, &fresh, "dispatched flush vs recount");
+        for u in 0..g.n() {
+            assert_eq!(
+                e.stable_black_nbrs.get(u),
+                fresh.stable_black_nbrs.get(u),
+                "stable_black_nbrs, vertex {u}"
+            );
+            assert!(!e.dirty_mark.get(u), "vertex {u} still marked");
+        }
+        assert!(e.dirty.is_empty());
+        let second_wave = |to: bool| {
+            (0..g.n()).any(|u| !queued[u] && stable_before[u] != to && e.is_stable(u) == to)
+        };
+        assert!(second_wave(true) && second_wave(false));
+        let (mut wl_e, mut wl_fresh) = (Vec::new(), Vec::new());
+        e.begin_round(&mut wl_e);
+        fresh.begin_round(&mut wl_fresh);
+        assert_eq!(wl_e, wl_fresh);
     }
 
     #[test]
     fn begin_round_is_sorted_and_deduplicated() {
         let g = generators::complete(6);
         let black = vec![true; 6];
-        let mut e = FrontierEngine::new(6);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
+        let mut e = rebuilt(&g, &black);
         let mut out = Vec::new();
         e.begin_round(&mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
@@ -1659,10 +1554,10 @@ mod tests {
         let mut black2 = black.clone();
         black2[3] = false; // 3 becomes white with black nbrs: not pending
         e.set_black(&g, 3, false);
-        e.flush(&g, two_state_like(&black2));
+        e.flush(&g, 1, two_state_like(&black2));
         black2[3] = true;
         e.set_black(&g, 3, true);
-        e.flush(&g, two_state_like(&black2));
+        e.flush(&g, 1, two_state_like(&black2));
         e.begin_round(&mut out);
         assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
         // The unsorted variant returns the same set.
@@ -1680,8 +1575,7 @@ mod tests {
         for &u in &[0usize, 6, 12, 24, 13] {
             black[u] = true;
         }
-        let mut e = FrontierEngine::new(25);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
+        let mut e = rebuilt(&g, &black);
 
         // A batch mixing every mutation kind.
         let mut d = GraphDelta::new();
@@ -1703,10 +1597,9 @@ mod tests {
         for &(u, v) in &c.inserted {
             e.edge_update(u, v, true);
         }
-        e.flush(&g2, two_state_like(&black));
+        e.flush(&g2, 1, two_state_like(&black));
 
-        let mut fresh = FrontierEngine::new(c.new_n);
-        fresh.rebuild(&g2, |u| black[u], two_state_like(&black));
+        let mut fresh = rebuilt(&g2, &black);
         assert_engines_agree(&e, &fresh, "incremental migration vs rebuild");
         let mut wl_inc = Vec::new();
         let mut wl_fresh = Vec::new();
@@ -1723,8 +1616,7 @@ mod tests {
         use mis_graph::GraphDelta;
         let mut g = generators::grid(4, 4);
         let mut black = vec![false; 16];
-        let mut e = FrontierEngine::new(16);
-        e.rebuild(&g, |u| black[u], two_state_like(&black));
+        let mut e = rebuilt(&g, &black);
 
         let script: Vec<(bool, usize, usize)> = vec![
             (true, 0, 0),   // flip vertex 0 black
@@ -1739,7 +1631,7 @@ mod tests {
             if is_flip {
                 black[u] = !black[u];
                 e.set_black(&g, u, black[u]);
-                e.flush(&g, two_state_like(&black));
+                e.flush(&g, 1, two_state_like(&black));
             } else {
                 let mut d = GraphDelta::new();
                 if g.has_edge(u, v) {
@@ -1756,26 +1648,16 @@ mod tests {
                     e.edge_update(a, b, true);
                 }
                 g = g2;
-                e.flush(&g, two_state_like(&black));
+                e.flush(&g, 1, two_state_like(&black));
             }
-            let mut fresh = FrontierEngine::new(g.n());
-            fresh.rebuild(&g, |u| black[u], two_state_like(&black));
+            let fresh = rebuilt(&g, &black);
             assert_engines_agree(&e, &fresh, &format!("after op {i}"));
         }
     }
 
     #[test]
     fn empty_graph_is_trivially_consistent() {
-        let g = mis_graph::Graph::empty(0);
-        let mut e = FrontierEngine::new(0);
-        e.rebuild(
-            &g,
-            |_| false,
-            |_, _| VertexClass {
-                active: false,
-                pending: false,
-            },
-        );
+        let e = rebuilt(&Graph::empty(0), &[]);
         assert!(e.is_stabilized());
         assert_eq!(e.counts(), StateCounts::default());
     }

@@ -41,7 +41,7 @@ use rand::{Rng, RngCore};
 
 use crate::algorithm::{corrupt, unsupported, Algorithm, FaultState, StateCounts};
 use crate::counter_rng::{CounterRng, DRAW_STATE};
-use crate::engine::{FrontierEngine, VertexClass};
+use crate::engine::{FrontierEngine, ScatterSink, VertexClass};
 use crate::exec::{resolve_threads, ExecutionMode, RoundStrategy};
 use crate::mutation::{GraphRef, MutationError};
 use crate::packed::PackedStates;
@@ -168,9 +168,6 @@ pub struct RuleProcess<'g, R> {
     pub(crate) random_bits: u64,
     /// Scratch: the frontier snapshot of the round being executed.
     worklist: Vec<VertexId>,
-    /// Recycled per-chunk change buffers (vertex, old code, new code) of
-    /// the counter-model sparse round.
-    change_pool: Vec<Vec<(VertexId, u8, u8)>>,
 }
 
 /// The engine classifier of `rule` over the current `states`: `hears`
@@ -275,7 +272,6 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
             round: 0,
             random_bits: 0,
             worklist: Vec::new(),
-            change_pool: Vec::new(),
         };
         p.rebuild_engine(execution.threads());
         p
@@ -424,11 +420,11 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         engine.recount_par(graph, threads, classifier(rule, graph, states));
     }
 
-    /// Reclassifies the engine's dirty vertices.
+    /// Reclassifies the engine's dirty vertices on this thread.
     pub(crate) fn flush(&mut self) {
         let graph = self.graph.get();
         self.engine
-            .flush(graph, classifier(&self.rule, graph, &self.states));
+            .flush(graph, 1, classifier(&self.rule, graph, &self.states));
     }
 
     /// The stream-model driver: walks `walk` in ascending order, moves every
@@ -477,10 +473,10 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
     }
 
     /// The counter-model driver on `threads` threads: a sparse round is one
-    /// fused decide+scatter dispatch plus the fused flush
-    /// ([`FrontierEngine::par_round`]); a dense round is the volume-balanced
-    /// decide sweep plus the fused recount. Coins are counter-based, so the
-    /// result is bit-identical for every thread count.
+    /// dispatch that moves each vertex and scatters its change at once, plus
+    /// the flush ([`FrontierEngine::par_round`]); a dense round is the
+    /// volume-balanced decide sweep plus the fused recount. Coins are
+    /// counter-based, so the result is bit-identical for every thread count.
     fn counter_round(&mut self, dense: bool, threads: usize) {
         let (round, counter) = (self.round as u64, self.counter);
         let coin = |u: VertexId| counter.gen_bool(0.5, u as u64, round, DRAW_STATE);
@@ -490,7 +486,6 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
             rule,
             engine,
             worklist,
-            change_pool,
             ..
         } = self;
         let (graph, states, rule) = (graph.get(), &*states, &*rule);
@@ -508,30 +503,24 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
             })
         } else {
             engine.begin_round_unsorted(worklist);
-            engine.par_round(
-                graph,
-                worklist,
-                threads,
-                |engine, chunk, changes| {
-                    let mut draws = 0u64;
-                    for &u in chunk {
-                        let decided = decide_vertex::<R>(engine, states, u, &mut draws, || coin(u));
-                        if let Some((old, new)) = decided {
-                            states.set(u, R::code(new));
-                            changes.push((u, R::code(old), R::code(new)));
-                        }
-                    }
-                    draws
-                },
-                |engine, &(u, old, new), sink| {
-                    let (old, new) = (R::from_code(old), R::from_code(new));
+            let visit = |engine: &FrontierEngine, u, sink: &mut ScatterSink| {
+                let mut draws = 0u64;
+                let decided = decide_vertex::<R>(engine, states, u, &mut draws, || coin(u));
+                if let Some((old, new)) = decided {
+                    states.set(u, R::code(new));
                     for v in requeued_neighbors::<R>(graph, engine, u, old, new) {
                         engine.mark_dirty_concurrent(v.index(), sink);
                     }
                     engine.scatter_black(graph, u, R::is_black(new), sink);
-                },
+                }
+                draws
+            };
+            engine.par_round(
+                graph,
+                worklist,
+                threads,
+                visit,
                 classifier(rule, graph, states),
-                change_pool,
             )
         };
         self.random_bits += draws;
@@ -551,7 +540,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         } else {
             let engine = &mut self.engine;
             rule.for_each_requeue(states, |u| engine.mark_dirty(u));
-            engine.flush(graph, classifier(rule, graph, states));
+            engine.flush(graph, 1, classifier(rule, graph, states));
         }
         self.round += 1;
     }

@@ -5,11 +5,13 @@
 //! readers (job workers, listing handlers) take cheap `Arc` snapshots, and a
 //! `PATCH` swaps in a freshly compacted graph under the write lock while
 //! bumping the entry's version — running jobs keep their snapshot and
-//! receive the same delta through their mailbox instead.
+//! receive the same delta through their mailbox instead. A second,
+//! per-entry mutex orders whole PATCHes (apply, journal append, fan-out),
+//! so readers never wait on a PATCH's fsync.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, RwLock};
+use std::sync::{Arc, Mutex, MutexGuard, RwLock};
 
 use mis_graph::{CommittedDelta, Graph, GraphDelta, GraphError};
 
@@ -26,6 +28,9 @@ pub struct GraphEntry {
     pub source: String,
     /// `(current graph, version)`; version starts at 1 and bumps per patch.
     state: RwLock<(Arc<Graph>, u64)>,
+    /// Held by a PATCH from its apply through its journal append and its
+    /// fan-out to jobs; see [`lock_patches`](Self::lock_patches).
+    patches: Mutex<()>,
 }
 
 impl GraphEntry {
@@ -46,7 +51,33 @@ impl GraphEntry {
             name,
             source,
             state: RwLock::new((Arc::new(graph), 1)),
+            patches: Mutex::new(()),
         })
+    }
+
+    /// Orders PATCHes on this graph: a handler that holds the guard from
+    /// [`apply_delta`](Self::apply_delta) until its record is journaled and
+    /// its delta forwarded makes the journal and every job mailbox see the
+    /// versions in order. Replay needs that order; out of order, it stops
+    /// at the first gap. Readers take only the state lock and never wait on
+    /// this one.
+    pub fn lock_patches(&self) -> MutexGuard<'_, ()> {
+        sync::lock(&self.patches)
+    }
+
+    /// Applies `delta` to the current graph, swapping in the mutated
+    /// topology and bumping the version. Returns the normalized commit and
+    /// the new version.
+    ///
+    /// # Errors
+    ///
+    /// A [`GraphError`] for an invalid delta; the stored graph is unchanged.
+    pub fn apply_delta(&self, delta: &GraphDelta) -> Result<(CommittedDelta, u64), GraphError> {
+        let mut state = sync::write(&self.state);
+        let (graph, committed) = state.0.apply_delta(delta)?;
+        state.0 = Arc::new(graph);
+        state.1 += 1;
+        Ok((committed, state.1))
     }
 
     /// The entry as an API [`GraphInfo`].
@@ -110,6 +141,7 @@ impl GraphRegistry {
             name,
             source,
             state: RwLock::new((Arc::new(graph), version)),
+            patches: Mutex::new(()),
         });
         sync::write(&self.entries).insert(id, Arc::clone(&entry));
         entry
@@ -128,31 +160,6 @@ impl GraphRegistry {
     /// All entries, in id order.
     pub fn list(&self) -> Vec<Arc<GraphEntry>> {
         sync::read(&self.entries).values().cloned().collect()
-    }
-
-    /// Applies `delta` to the stored graph of `id`, swapping in the mutated
-    /// topology and bumping the version. Returns the normalized commit and
-    /// the new version.
-    ///
-    /// # Errors
-    ///
-    /// `Ok(Err(_))` carries a [`GraphError`] for invalid deltas (the stored
-    /// graph is unchanged); the outer `None` means the id is unknown.
-    pub fn apply_delta(
-        &self,
-        id: u64,
-        delta: &GraphDelta,
-    ) -> Option<Result<(CommittedDelta, u64), GraphError>> {
-        let entry = self.get(id)?;
-        let mut state = sync::write(&entry.state);
-        match state.0.apply_delta(delta) {
-            Ok((graph, committed)) => {
-                state.0 = Arc::new(graph);
-                state.1 += 1;
-                Some(Ok((committed, state.1)))
-            }
-            Err(e) => Some(Err(e)),
-        }
     }
 }
 
@@ -197,7 +204,7 @@ mod tests {
         let (snap_before, v1) = entry.snapshot();
         let mut delta = GraphDelta::new();
         delta.add_edge(0, 2);
-        let (committed, v2) = reg.apply_delta(entry.id, &delta).unwrap().unwrap();
+        let (committed, v2) = entry.apply_delta(&delta).unwrap();
         assert_eq!(committed.inserted, vec![(0, 2)]);
         assert_eq!((v1, v2), (1, 2));
         // Old snapshots are untouched; new snapshots see the mutation.
@@ -212,9 +219,8 @@ mod tests {
         let entry = reg.insert("a".into(), "upload".into(), path3());
         let mut delta = GraphDelta::new();
         delta.add_edge(0, 99);
-        assert!(reg.apply_delta(entry.id, &delta).unwrap().is_err());
+        assert!(entry.apply_delta(&delta).is_err());
         let (snap, version) = entry.snapshot();
         assert_eq!((snap.n(), version), (3, 1));
-        assert!(reg.apply_delta(999, &delta).is_none());
     }
 }

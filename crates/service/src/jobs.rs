@@ -980,7 +980,7 @@ mod tests {
 
     #[test]
     fn live_delta_reaches_a_lingering_job_and_restabilizes() {
-        let (registry, entry) = registry_with_path(30);
+        let (_registry, entry) = registry_with_path(30);
         let store = JobStore::start(1, 0, None);
         let mut request = JobRequest::new(entry.id, "two-state");
         request.linger_micros = 30_000_000;
@@ -992,7 +992,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_vertex([0, 2, 4]);
         delta.remove_edge(0, 1);
-        let (_committed, version) = registry.apply_delta(entry.id, &delta).unwrap().unwrap();
+        let (_committed, version) = entry.apply_delta(&delta).unwrap();
         assert_eq!(job.push_delta(&delta, version), Some(true));
 
         // Give it time to apply + re-stabilize, then cancel the linger.
@@ -1056,7 +1056,7 @@ mod tests {
 
     #[test]
     fn push_delta_answers_by_start_and_capability() {
-        let (registry, entry) = registry_with_path(30);
+        let (_registry, entry) = registry_with_path(30);
         let store = JobStore::start(2, 0, None);
         let lingering = |key| {
             let mut request = JobRequest::new(entry.id, key);
@@ -1076,7 +1076,7 @@ mod tests {
 
         let mut delta = GraphDelta::new();
         delta.add_edge(0, 2);
-        let (_committed, version) = registry.apply_delta(entry.id, &delta).unwrap().unwrap();
+        let (_committed, version) = entry.apply_delta(&delta).unwrap();
         assert_eq!(queued.push_delta(&delta, version), None, "queued");
         assert_eq!(greedy.push_delta(&delta, version), Some(false), "greedy");
         assert_eq!(
@@ -1095,7 +1095,7 @@ mod tests {
 
     #[test]
     fn traced_patched_job_streams_rounds_around_the_topology_event() {
-        let (registry, entry) = registry_with_path(30);
+        let (_registry, entry) = registry_with_path(30);
         let store = JobStore::start(1, 0, None);
         let mut request = JobRequest::new(entry.id, "two-state");
         request.record_trace = true;
@@ -1107,7 +1107,7 @@ mod tests {
         let mut delta = GraphDelta::new();
         delta.add_vertex([0, 1]);
         delta.remove_edge(10, 11);
-        let (_committed, version) = registry.apply_delta(entry.id, &delta).unwrap().unwrap();
+        let (_committed, version) = entry.apply_delta(&delta).unwrap();
         assert_eq!(job.push_delta(&delta, version), Some(true));
         wait_event(&job, "topology");
         store.drain();

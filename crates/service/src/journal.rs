@@ -39,6 +39,10 @@
 //! * an intact frame whose record this build cannot decode (an unknown
 //!   `type`, say).
 //!
+//! The same holds for a `snapshot.json` that exists but cannot be read,
+//! parsed, or decoded: the journal beside it holds only the records after
+//! it, so opening without it would lose every record it covers.
+//!
 //! # Compaction
 //!
 //! `snapshot.json` bounds journal growth: it holds the full state plus the
@@ -405,7 +409,10 @@ impl Journal {
     /// stops there and the file is truncated back to the last good byte. A
     /// broken frame with an intact frame after it, or an intact frame whose
     /// record does not decode, fails with [`io::ErrorKind::InvalidData`]
-    /// naming its byte offset, and the file is left as it was.
+    /// naming its byte offset, and the file is left as it was. So does a
+    /// `snapshot.json` that exists but is not UTF-8, does not parse, or
+    /// holds a graph that does not build; neither file is touched. A
+    /// missing snapshot, or a leftover `snapshot.json.tmp`, opens as usual.
     pub fn open(dir: impl Into<PathBuf>) -> io::Result<(Journal, Recovery)> {
         let dir = dir.into();
         fs::create_dir_all(&dir)?;
@@ -414,16 +421,29 @@ impl Journal {
         let mut last_seq = 0u64;
         let mut snapshot_bytes = 0u64;
 
-        // 1. Snapshot, if any. A snapshot that fails to parse is ignored
-        //    (it is only ever written atomically, so this means external
-        //    corruption; the journal may still recover a prefix).
+        // 1. Snapshot, if any. It is only ever written atomically, so one
+        //    that does not read or decode was damaged in place; the journal
+        //    no longer holds the records it covers, so refuse to open.
         let snapshot_path = dir.join(SNAPSHOT_FILE);
-        if let Ok(text) = fs::read_to_string(&snapshot_path) {
-            if let Ok(snap) = serde_json::from_str::<SnapshotDoc>(&text) {
+        let damaged = |e: &dyn std::fmt::Display| {
+            io::Error::new(
+                io::ErrorKind::InvalidData,
+                format!(
+                    "{}: {e}; refusing to open without the records it covers",
+                    snapshot_path.display()
+                ),
+            )
+        };
+        match fs::read_to_string(&snapshot_path) {
+            Ok(text) => {
+                let snap: SnapshotDoc = serde_json::from_str(&text).map_err(|e| damaged(&e))?;
                 last_seq = snap.last_seq;
                 snapshot_bytes = text.len() as u64;
-                state = snap.into_state();
+                state = snap.into_state().map_err(|e| damaged(&e))?;
             }
+            Err(e) if e.kind() == io::ErrorKind::NotFound => {}
+            Err(e) if e.kind() == io::ErrorKind::InvalidData => return Err(damaged(&e)),
+            Err(e) => return Err(e),
         }
 
         // 2. Journal replay with torn-tail truncation.
@@ -446,10 +466,11 @@ impl Journal {
                     Frame::Record(seq, record) => {
                         max_seq = max_seq.max(seq);
                         if seq > last_seq {
-                            // A semantically impossible record (e.g. a patch
-                            // for a graph deleted by a later-corrupted
-                            // prefix) is skipped rather than fatal: replay
-                            // is best-effort past it.
+                            // A record `apply` rejects is skipped, not fatal:
+                            // a PATCH that already holds its graph can still
+                            // journal after a concurrent DELETE's
+                            // `GraphDeleted`, and that must not make a valid
+                            // directory unopenable.
                             if state.apply(record).is_ok() {
                                 replayed += 1;
                             }
@@ -920,13 +941,16 @@ impl SnapshotDoc {
         out.write_all(b"]}")
     }
 
-    fn into_state(self) -> ReplayState {
+    /// The replay state the snapshot describes; fails on a graph whose
+    /// edges do not build.
+    fn into_state(self) -> Result<ReplayState, String> {
         let graphs = self
             .graphs
             .into_iter()
-            .filter_map(|g| {
-                let graph = Graph::from_edges(g.n, g.edges.iter().copied()).ok()?;
-                Some(RecoveredGraph {
+            .map(|g| {
+                let graph = Graph::from_edges(g.n, g.edges.iter().copied())
+                    .map_err(|e| format!("graph {}: {e}", g.id))?;
+                Ok(RecoveredGraph {
                     id: g.id,
                     name: g.name,
                     source: g.source,
@@ -934,11 +958,11 @@ impl SnapshotDoc {
                     version: g.version,
                 })
             })
-            .collect();
-        ReplayState {
+            .collect::<Result<_, String>>()?;
+        Ok(ReplayState {
             graphs,
             jobs: self.jobs,
-        }
+        })
     }
 }
 
@@ -1482,6 +1506,91 @@ mod tests {
                 }
             }
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// Flipping any one byte of a snapshot (XOR 0x20 or 0x80) never drops a
+    /// record it covers: the open either fails with `InvalidData` and leaves
+    /// both files as they were, or recovers every graph id, version and edge
+    /// set of the undamaged open. (A case flip inside a name or a source
+    /// label goes unseen: the snapshot has no checksum.) A leftover
+    /// `snapshot.json.tmp` changes neither outcome.
+    #[test]
+    fn a_flipped_snapshot_byte_never_drops_a_covered_record() {
+        let dir = tmpdir("snap-flip");
+        {
+            let (journal, _) = Journal::open(&dir).unwrap();
+            let created = |id| Record::GraphCreated {
+                id,
+                name: format!("g{id}"),
+                create: upload(3, vec![(0, 1), (1, 2)]),
+            };
+            journal.append(&created(1)).unwrap();
+            let snapshot = SnapshotDoc {
+                last_seq: journal.current_seq(),
+                graphs: vec![SnapshotGraph {
+                    id: 1,
+                    name: "g1".into(),
+                    source: "upload(n=3,m=2)".into(),
+                    n: 3,
+                    edges: vec![(0, 1), (1, 2)],
+                    version: 1,
+                }],
+                jobs: Vec::new(),
+            };
+            journal.install_snapshot(&snapshot).unwrap();
+            journal.append(&created(2)).unwrap();
+            journal
+                .append(&Record::GraphPatched {
+                    id: 1,
+                    version: 2,
+                    patch: PatchEdgesRequest {
+                        add: vec![(0, 2)],
+                        ..Default::default()
+                    },
+                })
+                .unwrap();
+        }
+        fs::write(dir.join("snapshot.json.tmp"), "{\"last_seq\":").unwrap();
+        type Graphs = Vec<(u64, u64, Vec<(VertexId, VertexId)>)>;
+        let graphs = |recovery: &Recovery| -> Graphs {
+            let edges = |g: &RecoveredGraph| g.graph.edges().collect();
+            recovery
+                .graphs
+                .iter()
+                .map(|g| (g.id, g.version, edges(g)))
+                .collect()
+        };
+        let expected = graphs(&Journal::open(&dir).unwrap().1);
+        let versions: Vec<(u64, u64)> = expected.iter().map(|g| (g.0, g.1)).collect();
+        assert_eq!(versions, [(1, 2), (2, 1)]);
+        let (snapshot_path, journal_path) = (dir.join(SNAPSHOT_FILE), dir.join(JOURNAL_FILE));
+        let original = fs::read(&snapshot_path).unwrap();
+        let journal_bytes = fs::read(&journal_path).unwrap();
+        let mut refused = 0;
+        for at in 0..original.len() {
+            for mask in [0x20u8, 0x80] {
+                let ctx = format!("byte {at} ({:?}) ^ {mask:#x}", char::from(original[at]));
+                let mut damaged = original.clone();
+                damaged[at] ^= mask;
+                fs::write(&snapshot_path, &damaged).unwrap();
+                match Journal::open(&dir) {
+                    Ok((_, recovery)) => assert_eq!(graphs(&recovery), expected, "{ctx}"),
+                    Err(e) => {
+                        assert_eq!(e.kind(), io::ErrorKind::InvalidData, "{ctx}: {e}");
+                        assert_eq!(fs::read(&snapshot_path).unwrap(), damaged, "{ctx}");
+                        assert_eq!(fs::read(&journal_path).unwrap(), journal_bytes, "{ctx}");
+                        refused += 1;
+                    }
+                }
+            }
+        }
+        // Every 0x80 flip leaves invalid UTF-8.
+        assert!(
+            refused >= original.len(),
+            "{refused} of {} refused",
+            original.len()
+        );
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -180,10 +180,15 @@ pub fn build(state: &Arc<AppState>) -> Router {
             return error(400, "empty patch: nothing to apply");
         }
         let delta = body.delta();
-        let (committed, version) = match s.graphs.apply_delta(id, &delta) {
-            None => return error(404, format!("no graph {id}")),
-            Some(Err(e)) => return error(400, format!("invalid delta: {e}")),
-            Some(Ok(applied)) => applied,
+        let Some(entry) = s.graphs.get(id) else {
+            return error(404, format!("no graph {id}"));
+        };
+        // Held until the delta is journaled and forwarded: concurrent
+        // PATCHes on one graph reach the journal in version order.
+        let _in_order = entry.lock_patches();
+        let (committed, version) = match entry.apply_delta(&delta) {
+            Err(e) => return error(400, format!("invalid delta: {e}")),
+            Ok(applied) => applied,
         };
         let record = Record::GraphPatched {
             id,

@@ -336,10 +336,7 @@ fn patched_jobs_equal_the_driver_with_the_same_delta() {
             }
             // Let the job snapshot its graph (and converge) before the patch.
             thread::sleep(Duration::from_millis(50));
-            let (_, version) = registry
-                .apply_delta(entry.id, &delta)
-                .expect("graph present")
-                .expect("valid delta");
+            let (_, version) = entry.apply_delta(&delta).expect("valid delta");
             assert_eq!(job.push_delta(&delta, version), Some(true), "{label}");
 
             // The job streams its `topology` event when it applies the delta.

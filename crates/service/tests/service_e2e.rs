@@ -503,6 +503,66 @@ fn crash_recovery_restores_graphs_and_jobs() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// Concurrent PATCHes on one graph reach the journal in version order, so
+/// replay after a crash recovers the live version and edge count, not the
+/// prefix before the first out-of-order record.
+#[test]
+fn concurrent_patches_on_one_graph_all_replay_after_a_crash() {
+    const CLIENTS: usize = 8;
+    const PATCHES: usize = 40;
+    let dir = std::env::temp_dir().join(format!("mis-e2e-patch-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(&config).expect("bind loopback");
+    let addr = service.local_addr().to_string();
+    let graph = create_gnp(&mut Client::new(addr.clone()), 64, 0.1, 5);
+    let path = format!("/v1/graphs/{}/edges", graph.id);
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let (addr, path) = (addr.clone(), path.clone());
+            thread::spawn(move || {
+                let mut client = Client::new(addr);
+                for k in 0..PATCHES {
+                    // A patch removes the edge the patch at `a + 1` adds, so
+                    // the final edge set depends on the order of the patches.
+                    let a = (8 * t + k) % 64;
+                    let body = format!(
+                        "{{\"add\": [[{a}, {}]], \"remove\": [[{}, {}]]}}",
+                        (a + 5) % 64,
+                        (a + 1) % 64,
+                        (a + 6) % 64
+                    );
+                    let resp = client.patch_json(&path, body).unwrap();
+                    assert_eq!(resp.status, 200, "{:?}", resp.text());
+                }
+            })
+        })
+        .collect();
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    let info = |client: &mut Client| -> GraphInfo {
+        parse(&client.get(&format!("/v1/graphs/{}", graph.id)).unwrap())
+    };
+    let live = info(&mut Client::new(addr));
+    assert_eq!(live.version, 1 + (CLIENTS * PATCHES) as u64);
+    service.crash();
+
+    let service = Service::start(&config).expect("rebind after crash");
+    let recovered = info(&mut Client::new(service.local_addr().to_string()));
+    assert_eq!(
+        (recovered.version, recovered.n, recovered.m),
+        (live.version, live.n, live.m)
+    );
+    service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn shutdown_endpoint_flags_and_drain_refuses_new_jobs() {
     let (service, mut client) = start_service();
