@@ -127,11 +127,14 @@ pub trait SwitchProcess: Sync {
 /// A step evaluates only the vertices that can move, and evaluates each in
 /// `O(1)`. Every level-5 vertex draws its coin, in ascending vertex order
 /// (the same stream and counter draws as a full sweep); a fired coin moves it
-/// to 4 without reading neighbors. Below level 5, the max rule reads two
-/// exact per-vertex counters instead of the neighbor list: `holders[v]`, the
-/// neighbors at level `ℓ_v + 1`, and `above[v]`, the highest neighbor level
-/// above `ℓ_v + 1` (0 if there is none). Then `max N⁺(v)` is `above[v]` if
-/// that is positive, else `ℓ_v + 1` if `v` has a holder, else `ℓ_v`.
+/// to 4 without reading neighbors. [`step`](SwitchProcess::step) reads the
+/// `|L₅|` coin words with one `fill_bytes` call, the words `gen_bool` would
+/// take one at a time, in the same order, and compares each as `gen_bool`
+/// does. Below level 5, the max rule reads two exact per-vertex counters
+/// instead of the neighbor list: `holders[v]`, the neighbors at level
+/// `ℓ_v + 1`, and `above[v]`, the highest neighbor level above `ℓ_v + 1` (0
+/// if there is none). Then `max N⁺(v)` is `above[v]` if that is positive,
+/// else `ℓ_v + 1` if `v` has a holder, else `ℓ_v`.
 ///
 /// The rule runs only on the *pending* set `P`. This is exact under one
 /// invariant: every unmarked vertex at levels 1–4 sits at `max N⁺(v) − 1`,
@@ -191,6 +194,8 @@ pub struct RandomizedLogSwitch<'g> {
     /// Level-5 vertices in it are skipped; their coin decides.
     pending: VertexSet,
     zeta: f64,
+    /// Scratch: the stream bytes of one step's coins, eight per coin.
+    coin_bytes: Vec<u8>,
     /// Random bits one ζ-coin costs: `⌈log₂(1/ζ)⌉`.
     coin_bits: u64,
     round: usize,
@@ -225,6 +230,7 @@ impl<'g> RandomizedLogSwitch<'g> {
             changed: VertexSet::new(0),
             pending: VertexSet::new(0),
             zeta,
+            coin_bytes: Vec::new(),
             coin_bits: (1.0 / zeta).log2().ceil() as u64,
             round: 0,
             random_bits: 0,
@@ -441,8 +447,19 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
-        let zeta = self.zeta;
-        self.advance(|_| rng.gen_bool(zeta));
+        // One read of the stream for every coin of the step, then the
+        // comparison `gen_bool` makes on each word.
+        let mut bytes = std::mem::take(&mut self.coin_bytes);
+        bytes.resize(8 * self.at_five.len(), 0);
+        rng.fill_bytes(&mut bytes);
+        let threshold = self.zeta * (1u64 << 53) as f64;
+        let mut words = bytes.chunks_exact(8);
+        self.advance(|_| {
+            let word = words.next().expect("one word per level-5 vertex");
+            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            ((word >> 11) as f64) < threshold
+        });
+        self.coin_bytes = bytes;
     }
 
     fn step_reference(&mut self, rng: &mut dyn RngCore) {
@@ -857,10 +874,12 @@ mod tests {
         /// every operation. Sizes straddle the 64-bit word boundary; sparse
         /// graphs and unwired joiners leave isolated vertices, and dense ones
         /// give a maximum several holders. Ops are mostly steps, so levels
-        /// cycle through 0–5. After every op both counters equal a count from
-        /// scratch and the marking invariant holds (an unmarked vertex at
-        /// levels 1–4 sits at `max N⁺(v) − 1`), and after a step
-        /// `for_each_changed` reports exactly the vertices that moved.
+        /// cycle through 0–5. After every op both streams are at the same
+        /// position (a step draws as many words as the full sweep), both
+        /// counters equal a count from scratch and the marking invariant
+        /// holds (an unmarked vertex at levels 1–4 sits at `max N⁺(v) − 1`),
+        /// and after a step `for_each_changed` reports exactly the vertices
+        /// that moved.
         #[test]
         fn incremental_step_matches_full_sweep(
             seed in 0u64..10_000,
@@ -927,6 +946,12 @@ mod tests {
                 prop_assert!(
                     fast.random_bits_used() == slow.random_bits_used(),
                     "random bits diverged after op {} (kind {})",
+                    i,
+                    kind
+                );
+                prop_assert!(
+                    r_fast.clone().next_u64() == r_slow.clone().next_u64(),
+                    "streams at different positions after op {} (kind {})",
                     i,
                     kind
                 );

@@ -7,7 +7,7 @@
 //! bumping the entry's version — running jobs keep their snapshot and
 //! receive the same delta through their mailbox instead. A second,
 //! per-entry mutex orders whole PATCHes (apply, journal append, fan-out),
-//! so readers never wait on a PATCH's fsync.
+//! and a DELETE behind them, so readers never wait on a PATCH's fsync.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -59,7 +59,11 @@ impl GraphEntry {
     /// [`apply_delta`](Self::apply_delta) until its record is journaled and
     /// its delta forwarded makes the journal and every job mailbox see the
     /// versions in order. Replay needs that order; out of order, it stops
-    /// at the first gap. Readers take only the state lock and never wait on
+    /// at the first gap. A DELETE holds it too, from before it unregisters
+    /// the entry until it has journaled the deletion, and a PATCH that gets
+    /// the guard after that finds the entry gone
+    /// ([`GraphRegistry::holds`]), so no patch is journaled after its
+    /// graph's deletion. Readers take only the state lock and never wait on
     /// this one.
     pub fn lock_patches(&self) -> MutexGuard<'_, ()> {
         sync::lock(&self.patches)
@@ -150,6 +154,15 @@ impl GraphRegistry {
     /// Looks up an entry by id.
     pub fn get(&self, id: u64) -> Option<Arc<GraphEntry>> {
         sync::read(&self.entries).get(&id).cloned()
+    }
+
+    /// Whether `entry` is still registered: a handler that waited for
+    /// [`GraphEntry::lock_patches`] checks that no DELETE, and no POST the
+    /// journal refused, unregistered it meanwhile.
+    pub fn holds(&self, entry: &Arc<GraphEntry>) -> bool {
+        sync::read(&self.entries)
+            .get(&entry.id)
+            .is_some_and(|registered| Arc::ptr_eq(registered, entry))
     }
 
     /// Removes an entry by id; running jobs keep their `Arc` snapshots.

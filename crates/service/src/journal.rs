@@ -467,10 +467,11 @@ impl Journal {
                         max_seq = max_seq.max(seq);
                         if seq > last_seq {
                             // A record `apply` rejects is skipped, not fatal:
-                            // a PATCH that already holds its graph can still
-                            // journal after a concurrent DELETE's
-                            // `GraphDeleted`, and that must not make a valid
-                            // directory unopenable.
+                            // a snapshot captured after a DELETE unregistered
+                            // its graph can cover a seq before that graph's
+                            // last `GraphPatched`, and a directory written
+                            // before DELETE took the graph's patch mutex can
+                            // hold a `GraphPatched` after its `GraphDeleted`.
                             if state.apply(record).is_ok() {
                                 replayed += 1;
                             }

@@ -155,15 +155,19 @@ pub fn build(state: &Arc<AppState>) -> Router {
             Ok(id) => id,
             Err(resp) => return resp,
         };
-        match s.graphs.remove(id) {
-            Some(_) => {
-                if let Err(resp) = journal_ack(&s, Record::GraphDeleted { id }) {
-                    return resp;
-                }
-                Response::new(204)
-            }
-            None => error(404, format!("no graph {id}")),
+        let Some(entry) = s.graphs.get(id) else {
+            return error(404, format!("no graph {id}"));
+        };
+        // Behind the PATCHes that already hold the entry, and ahead of the
+        // ones waiting for it, which then find it gone.
+        let _in_order = entry.lock_patches();
+        if s.graphs.remove(id).is_none() {
+            return error(404, format!("no graph {id}"));
         }
+        if let Err(resp) = journal_ack(&s, Record::GraphDeleted { id }) {
+            return resp;
+        }
+        Response::new(204)
     });
 
     let s = Arc::clone(state);
@@ -186,6 +190,11 @@ pub fn build(state: &Arc<AppState>) -> Router {
         // Held until the delta is journaled and forwarded: concurrent
         // PATCHes on one graph reach the journal in version order.
         let _in_order = entry.lock_patches();
+        if !s.graphs.holds(&entry) {
+            // Unregistered while this waited: by a DELETE, or by the POST
+            // whose `GraphCreated` the journal refused.
+            return error(404, format!("no graph {id}"));
+        }
         let (committed, version) = match entry.apply_delta(&delta) {
             Err(e) => return error(400, format!("invalid delta: {e}")),
             Ok(applied) => applied,

@@ -2,6 +2,8 @@
 //! vendored HTTP client — the same path the `service-mix` benchmark
 //! workload and `svc_chaos` use.
 
+use std::path::Path;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -10,6 +12,7 @@ use mis_graph::{mis_check, Graph, VertexSet};
 use mis_service::api::{
     AlgorithmInfo, GraphInfo, JobInfo, JobStatus, MetricsReport, PatchResponse,
 };
+use mis_service::journal::{Journal, Record, JOURNAL_FILE};
 use mis_service::{Service, ServiceConfig};
 use serde::Deserialize;
 use warp::{Client, ClientResponse};
@@ -560,6 +563,107 @@ fn concurrent_patches_on_one_graph_all_replay_after_a_crash() {
         (live.version, live.n, live.m)
     );
     service.shutdown();
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// One journal frame's payload (its `seq` is not needed here).
+#[derive(Deserialize)]
+struct Frame {
+    record: Record,
+}
+
+/// The records of a data directory's journal, in file order.
+fn journal_records(dir: &Path) -> Vec<Record> {
+    let text = std::fs::read_to_string(dir.join(JOURNAL_FILE)).expect("journal file");
+    text.lines()
+        .map(|line| {
+            // `<len> <crc32-hex> <json>`
+            let json = line.splitn(3, ' ').nth(2).expect("framed line");
+            serde_json::from_str::<Frame>(json)
+                .expect("frame JSON")
+                .record
+        })
+        .collect()
+}
+
+/// A DELETE waits for the PATCH that holds its graph, and the PATCHes
+/// queued behind it answer 404: no `GraphPatched` follows the graph's
+/// `GraphDeleted` in the journal, every acknowledged PATCH is journaled,
+/// and replay applies every record.
+#[test]
+fn no_patch_is_journaled_after_its_graph_is_deleted() {
+    const CLIENTS: usize = 8;
+    let dir = std::env::temp_dir().join(format!("mis-e2e-delete-order-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let config = ServiceConfig {
+        addr: "127.0.0.1:0".to_string(),
+        workers: 1,
+        data_dir: Some(dir.clone()),
+        ..ServiceConfig::default()
+    };
+    let service = Service::start(&config).expect("bind loopback");
+    let addr = service.local_addr().to_string();
+    let graph = create_gnp(&mut Client::new(addr.clone()), 64, 0.1, 5);
+    let path = format!("/v1/graphs/{}/edges", graph.id);
+    let acked = Arc::new(AtomicUsize::new(0));
+    let clients: Vec<_> = (0..CLIENTS)
+        .map(|t| {
+            let (addr, path, acked) = (addr.clone(), path.clone(), Arc::clone(&acked));
+            thread::spawn(move || {
+                let mut client = Client::new(addr);
+                for k in 0.. {
+                    let a = (8 * t + k) % 64;
+                    let body = format!(
+                        "{{\"add\": [[{a}, {}]], \"remove\": [[{}, {}]]}}",
+                        (a + 5) % 64,
+                        (a + 1) % 64,
+                        (a + 6) % 64
+                    );
+                    let resp = client.patch_json(&path, body).unwrap();
+                    match resp.status {
+                        200 => acked.fetch_add(1, Ordering::SeqCst),
+                        404 => break,
+                        status => panic!("PATCH answered {status}: {:?}", resp.text()),
+                    };
+                }
+            })
+        })
+        .collect();
+    // Delete once every client is PATCHing: most of them then wait on the
+    // graph's patch mutex.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    while acked.load(Ordering::SeqCst) < 2 * CLIENTS {
+        assert!(Instant::now() < deadline, "PATCHes are not acknowledged");
+        thread::sleep(Duration::from_millis(1));
+    }
+    let resp = Client::new(addr)
+        .delete(&format!("/v1/graphs/{}", graph.id))
+        .unwrap();
+    assert_eq!(resp.status, 204);
+    for client in clients {
+        client.join().expect("client thread");
+    }
+    service.crash();
+
+    let records = journal_records(&dir);
+    let deleted = records
+        .iter()
+        .position(|r| matches!(r, Record::GraphDeleted { id } if *id == graph.id))
+        .expect("the deletion is journaled");
+    let late = records[deleted..]
+        .iter()
+        .filter(|r| matches!(r, Record::GraphPatched { id, .. } if *id == graph.id))
+        .count();
+    assert_eq!(
+        late, 0,
+        "{late} GraphPatched records follow the GraphDeleted"
+    );
+    // Before the deletion: the `GraphCreated` and one record per
+    // acknowledged PATCH.
+    assert_eq!(deleted, 1 + acked.load(Ordering::SeqCst));
+    let (_, recovery) = Journal::open(&dir).expect("reopen");
+    assert_eq!(recovery.replayed, records.len());
+    assert!(recovery.graphs.is_empty());
     let _ = std::fs::remove_dir_all(&dir);
 }
 
