@@ -131,11 +131,26 @@
 //! scheduling-dependent, but every merge is commutative and every random
 //! draw is counter-based, so results (states, black sets, counts, draw
 //! tallies) stay **bit-identical for every thread count**.
+//!
+//! # Vertex-id buffers
+//!
+//! Every buffer of vertex ids (the frontier, the dirty queue, the sinks'
+//! dirty vertices and frontier additions, the recount segments, and the
+//! worklists [`begin_round`](FrontierEngine::begin_round) fills and
+//! [`par_round`](FrontierEngine::par_round) walks) holds the CSR's 4-byte
+//! [`CompactId`]s, half the bytes of a `usize` id; the neighbor loops read
+//! them straight from [`as_compact`](mis_graph::Neighbors::as_compact).
+//! [`new`](FrontierEngine::new) and [`grow`](FrontierEngine::grow) check
+//! once that the vertex count fits `u32`, so every id converts without a
+//! check. [`mark_dirty`](FrontierEngine::mark_dirty) and
+//! [`mark_dirty_concurrent`](FrontierEngine::mark_dirty_concurrent) take a
+//! `CompactId` (most callers hold a neighbor's); the rest of the API takes
+//! and yields `VertexId`s.
 
 use std::ops::Range;
 use std::sync::Mutex;
 
-use mis_graph::{Graph, VertexId, VertexSet};
+use mis_graph::{CompactId, Graph, VertexId, VertexSet};
 use rayon::ChunkQueue;
 
 use crate::algorithm::StateCounts;
@@ -182,8 +197,8 @@ struct Deltas {
 /// pass and recycled, so its buffers keep their capacity across rounds.
 #[derive(Debug, Default, Clone)]
 pub struct ScatterSink {
-    dirty: Vec<VertexId>,
-    frontier_adds: Vec<VertexId>,
+    dirty: Vec<CompactId>,
+    frontier_adds: Vec<CompactId>,
     deltas: Deltas,
 }
 
@@ -195,6 +210,23 @@ fn unit(on: bool) -> isize {
     } else {
         -1
     }
+}
+
+/// The compact id of vertex `u < n`. The engine's vertex count fits `u32`
+/// (checked once where the engine is sized), so the cast is exact.
+#[inline]
+fn compact(u: VertexId) -> CompactId {
+    debug_assert!(u32::try_from(u).is_ok(), "vertex {u} has no compact id");
+    CompactId::from_raw(u as u32)
+}
+
+/// Panics unless `n` vertices have compact ids (the bound
+/// [`GraphBuilder::new`](mis_graph::GraphBuilder::new) enforces).
+fn assert_compact_count(n: usize) {
+    assert!(
+        u32::try_from(n).is_ok(),
+        "the engine's 4-byte vertex ids support at most u32::MAX vertices, got {n}"
+    );
 }
 
 /// Pops a recycled buffer from a shared pool, or makes a new one.
@@ -227,12 +259,12 @@ pub struct FrontierEngine {
     counts: StateCounts,
     /// The frontier container: every pending vertex is in it; entries whose
     /// vertex stopped pending are removed lazily by `begin_round`.
-    frontier: Vec<VertexId>,
+    frontier: Vec<CompactId>,
     /// `frontier_contains[u]` — `u` has an entry in `frontier` (possibly a
     /// stale one awaiting compaction). Guards against duplicate entries.
     frontier_contains: AtomicFlagVec,
     /// Worklist of vertices whose flags must be recomputed by `flush`.
-    dirty: Vec<VertexId>,
+    dirty: Vec<CompactId>,
     /// `dirty_mark[u]` — `u` is currently queued in `dirty`.
     dirty_mark: AtomicFlagVec,
     /// Number of pending vertices (`|F_t|`), kept exact so the dense/sparse
@@ -243,14 +275,20 @@ pub struct FrontierEngine {
     /// Recycled per-worker sinks of the dispatched `par_round` and `flush`.
     sink_pool: Vec<ScatterSink>,
     /// Recycled per-chunk frontier segments of the parallel recount.
-    seg_pool: Vec<Vec<VertexId>>,
+    seg_pool: Vec<Vec<CompactId>>,
 }
 
 impl FrontierEngine {
     /// Creates an engine for `n` vertices with every vertex white and no
     /// bookkeeping established; stage the blackness with
     /// [`stage_black`](Self::stage_black) and run a recount before use.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `n` exceeds `u32::MAX`: the engine's worklists hold the
+    /// CSR's 4-byte [`CompactId`]s.
     pub fn new(n: usize) -> Self {
+        assert_compact_count(n);
         FrontierEngine {
             n,
             black: AtomicFlagVec::new(n),
@@ -363,7 +401,7 @@ impl FrontierEngine {
         graph: &Graph,
         range: Range<VertexId>,
         classify: &C,
-        frontier: &mut Vec<VertexId>,
+        frontier: &mut Vec<CompactId>,
     ) -> (StateCounts, usize)
     where
         C: Fn(VertexId, u32) -> VertexClass,
@@ -401,7 +439,7 @@ impl FrontierEngine {
             if class.pending {
                 f |= PENDING;
                 pending_volume += graph.degree(u);
-                frontier.push(u);
+                frontier.push(compact(u));
             }
             self.frontier_contains.set(u, class.pending);
             self.flags.set(u, f);
@@ -454,7 +492,7 @@ impl FrontierEngine {
         let classify = &classify;
         // Participants without a range (the pool can be wider than the range
         // count) skip the work but still hit the barrier.
-        let parts: Vec<(StateCounts, usize, Vec<VertexId>)> = pool.broadcast(|ctx| {
+        let parts: Vec<(StateCounts, usize, Vec<CompactId>)> = pool.broadcast(|ctx| {
             let range = ranges_ref.get(ctx.index()).map(|&(lo, hi)| lo..hi);
             // Pass 1: pull the black-neighbor counts and push the
             // stable-black +1s.
@@ -553,15 +591,15 @@ impl FrontierEngine {
     /// Compacts the frontier (dropping vertices that stopped pending) and
     /// copies it into `out`, sorting it in ascending vertex order when
     /// `sort` is set.
-    fn begin_round_impl(&mut self, out: &mut Vec<VertexId>, sort: bool) {
+    fn begin_round_impl(&mut self, out: &mut Vec<CompactId>, sort: bool) {
         debug_assert!(self.dirty.is_empty(), "flush must run before begin_round");
         let flags = &self.flags;
         let contains = &self.frontier_contains;
         self.frontier.retain(|&u| {
-            if flags.get(u) & PENDING != 0 {
+            if flags.get(u.index()) & PENDING != 0 {
                 true
             } else {
-                contains.set(u, false);
+                contains.set(u.index(), false);
                 false
             }
         });
@@ -578,14 +616,14 @@ impl FrontierEngine {
     /// The copy lets the caller iterate the round's worklist while mutating
     /// the engine; `O(|A_t| log |A_t|)`. Sequential rounds need the order so
     /// the shared RNG stream is drawn in ascending vertex id.
-    pub fn begin_round(&mut self, out: &mut Vec<VertexId>) {
+    pub fn begin_round(&mut self, out: &mut Vec<CompactId>) {
         self.begin_round_impl(out, true);
     }
 
     /// Like [`begin_round`](Self::begin_round) but without the sort:
     /// `O(|A_t|)`. Correct only when the round's randomness does not depend
     /// on draw order (the counter-based parallel path).
-    pub fn begin_round_unsorted(&mut self, out: &mut Vec<VertexId>) {
+    pub fn begin_round_unsorted(&mut self, out: &mut Vec<CompactId>) {
         self.begin_round_impl(out, false);
     }
 
@@ -602,13 +640,14 @@ impl FrontierEngine {
     /// # Panics
     ///
     /// Panics if `new_n` is smaller than the current vertex count (vertices
-    /// never disappear; leavers are detached instead).
+    /// never disappear; leavers are detached instead) or exceeds `u32::MAX`.
     pub fn grow(&mut self, new_n: usize) {
         assert!(
             new_n >= self.n,
             "engine cannot shrink: {} -> {new_n}",
             self.n
         );
+        assert_compact_count(new_n);
         let old_n = self.n;
         self.black.grow(new_n);
         self.black_nbrs.grow(new_n);
@@ -620,7 +659,7 @@ impl FrontierEngine {
         self.counts.non_black += new_n - old_n;
         self.counts.unstable += new_n - old_n;
         for u in old_n..new_n {
-            self.mark_dirty(u);
+            self.mark_dirty(compact(u));
         }
     }
 
@@ -667,7 +706,7 @@ impl FrontierEngine {
                     self.pending_volume -= 1;
                 }
             }
-            self.mark_dirty(a);
+            self.mark_dirty(compact(a));
         }
     }
 
@@ -679,7 +718,7 @@ impl FrontierEngine {
     /// marking `u` dirty (useful when a state change does not cross the
     /// black/non-black boundary).
     pub fn set_black(&mut self, graph: &Graph, u: VertexId, black: bool) {
-        self.mark_dirty(u);
+        self.mark_dirty(compact(u));
         if self.black.get(u) == black {
             return;
         }
@@ -691,11 +730,11 @@ impl FrontierEngine {
             self.counts.black -= 1;
             self.counts.non_black += 1;
         }
-        for v in graph.neighbors(u) {
+        for &v in graph.neighbors(u).as_compact() {
             if black {
-                self.black_nbrs.add_mut(v, 1);
+                self.black_nbrs.add_mut(v.index(), 1);
             } else {
-                self.black_nbrs.sub_mut(v, 1);
+                self.black_nbrs.sub_mut(v.index(), 1);
             }
             self.mark_dirty(v);
         }
@@ -706,8 +745,8 @@ impl FrontierEngine {
     /// blackness flip (e.g. a neighbor's `black1`↔`black0` flip in the
     /// 3-state process).
     #[inline]
-    pub fn mark_dirty(&mut self, u: VertexId) {
-        if !self.dirty_mark.test_and_set_mut(u) {
+    pub fn mark_dirty(&mut self, u: CompactId) {
+        if !self.dirty_mark.test_and_set_mut(u.index()) {
             self.dirty.push(u);
         }
     }
@@ -720,17 +759,17 @@ impl FrontierEngine {
     /// black-count delta is accumulated locally; [`par_round`](Self::par_round)
     /// merges the sinks afterwards.
     pub fn scatter_black(&self, graph: &Graph, u: VertexId, black: bool, sink: &mut ScatterSink) {
-        self.mark_dirty_concurrent(u, sink);
+        self.mark_dirty_concurrent(compact(u), sink);
         if self.black.get(u) == black {
             return;
         }
         self.black.set(u, black);
         sink.deltas.black += unit(black);
-        for v in graph.neighbors(u) {
+        for &v in graph.neighbors(u).as_compact() {
             if black {
-                self.black_nbrs.add(v, 1);
+                self.black_nbrs.add(v.index(), 1);
             } else {
-                self.black_nbrs.sub(v, 1);
+                self.black_nbrs.sub(v.index(), 1);
             }
             self.mark_dirty_concurrent(v, sink);
         }
@@ -740,8 +779,8 @@ impl FrontierEngine {
     /// per-vertex mark race at most once across all threads and records the
     /// vertex in the caller's sink.
     #[inline]
-    pub fn mark_dirty_concurrent(&self, u: VertexId, sink: &mut ScatterSink) {
-        if !self.dirty_mark.test_and_set(u) {
+    pub fn mark_dirty_concurrent(&self, u: CompactId, sink: &mut ScatterSink) {
+        if !self.dirty_mark.test_and_set(u.index()) {
             sink.dirty.push(u);
         }
     }
@@ -794,7 +833,7 @@ impl FrontierEngine {
     pub fn par_round<V, C>(
         &mut self,
         graph: &Graph,
-        worklist: &[VertexId],
+        worklist: &[CompactId],
         threads: usize,
         visit: V,
         classify: C,
@@ -807,7 +846,10 @@ impl FrontierEngine {
         let mut draws = 0u64;
         if chunks.count() == 1 {
             let mut sink = self.sink_pool.pop().unwrap_or_default();
-            draws = worklist.iter().map(|&u| visit(self, u, &mut sink)).sum();
+            draws = worklist
+                .iter()
+                .map(|&u| visit(self, u.index(), &mut sink))
+                .sum();
             self.absorb(sink);
         } else if chunks.count() > 1 {
             let pool = rayon::global_pool(threads);
@@ -819,7 +861,7 @@ impl FrontierEngine {
                 let mut draws = 0u64;
                 while let Some(chunk) = queue.pop(ctx.index()) {
                     for &u in &worklist[chunks.range(chunk)] {
-                        draws += visit(engine, u, &mut sink);
+                        draws += visit(engine, u.index(), &mut sink);
                     }
                 }
                 (draws, sink)
@@ -861,13 +903,14 @@ impl FrontierEngine {
     fn reclassify<C>(
         &self,
         graph: &Graph,
-        u: VertexId,
+        id: CompactId,
         classify: &C,
         deltas: &mut Deltas,
-        frontier: &mut Vec<VertexId>,
+        frontier: &mut Vec<CompactId>,
     ) where
         C: Fn(VertexId, u32) -> VertexClass,
     {
+        let u = id.index();
         self.dirty_mark.set(u, false);
         let old = self.flags.get(u);
         let class = classify(u, self.black_nbrs.get(u));
@@ -894,7 +937,7 @@ impl FrontierEngine {
             // until the next begin_round compaction.
             if class.pending && !self.frontier_contains.get(u) {
                 self.frontier_contains.set(u, true);
-                frontier.push(u);
+                frontier.push(id);
             }
         }
         if changed != 0 {
@@ -940,12 +983,13 @@ impl FrontierEngine {
                 let mut sink = recycled(&sinks);
                 while let Some(chunk) = q1.pop(ctx.index()) {
                     for &u in &dirty_ref[chunks.range(chunk)] {
+                        let u = u.index();
                         if let Some(on) = engine.settle_stable_black(u, &mut sink.deltas) {
-                            for v in graph.neighbors(u) {
+                            for &v in graph.neighbors(u).as_compact() {
                                 if on {
-                                    engine.stable_black_nbrs.add(v, 1);
+                                    engine.stable_black_nbrs.add(v.index(), 1);
                                 } else {
-                                    engine.stable_black_nbrs.sub(v, 1);
+                                    engine.stable_black_nbrs.sub(v.index(), 1);
                                 }
                                 engine.mark_dirty_concurrent(v, &mut sink);
                             }
@@ -984,13 +1028,13 @@ impl FrontierEngine {
         let mut deltas = Deltas::default();
         // The second wave this pass appends waits for pass 2.
         for i in 0..self.dirty.len() {
-            let u = self.dirty[i];
+            let u = self.dirty[i].index();
             if let Some(on) = self.settle_stable_black(u, &mut deltas) {
-                for v in graph.neighbors(u) {
+                for &v in graph.neighbors(u).as_compact() {
                     if on {
-                        self.stable_black_nbrs.add_mut(v, 1);
+                        self.stable_black_nbrs.add_mut(v.index(), 1);
                     } else {
-                        self.stable_black_nbrs.sub_mut(v, 1);
+                        self.stable_black_nbrs.sub_mut(v.index(), 1);
                     }
                     self.mark_dirty(v);
                 }
@@ -1547,9 +1591,10 @@ mod tests {
         let g = generators::complete(6);
         let black = vec![true; 6];
         let mut e = rebuilt(&g, &black);
+        let all: Vec<CompactId> = (0..6).map(CompactId::new).collect();
         let mut out = Vec::new();
         e.begin_round(&mut out);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(out, all);
         // Leaving and re-entering the frontier must not duplicate entries.
         let mut black2 = black.clone();
         black2[3] = false; // 3 becomes white with black nbrs: not pending
@@ -1559,12 +1604,12 @@ mod tests {
         e.set_black(&g, 3, true);
         e.flush(&g, 1, two_state_like(&black2));
         e.begin_round(&mut out);
-        assert_eq!(out, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(out, all);
         // The unsorted variant returns the same set.
         let mut unsorted = Vec::new();
         e.begin_round_unsorted(&mut unsorted);
         unsorted.sort_unstable();
-        assert_eq!(unsorted, vec![0, 1, 2, 3, 4, 5]);
+        assert_eq!(unsorted, all);
     }
 
     #[test]
@@ -1653,6 +1698,14 @@ mod tests {
             let fresh = rebuilt(&g, &black);
             assert_engines_agree(&e, &fresh, &format!("after op {i}"));
         }
+    }
+
+    /// The worklists hold 4-byte ids, so the engine refuses a vertex count
+    /// they cannot hold, before it allocates anything.
+    #[test]
+    #[should_panic(expected = "at most u32::MAX vertices")]
+    fn new_refuses_a_vertex_count_past_compact_ids() {
+        FrontierEngine::new(u32::MAX as usize + 1);
     }
 
     #[test]

@@ -128,13 +128,14 @@ pub trait SwitchProcess: Sync {
 /// `O(1)`. Every level-5 vertex draws its coin, in ascending vertex order
 /// (the same stream and counter draws as a full sweep); a fired coin moves it
 /// to 4 without reading neighbors. [`step`](SwitchProcess::step) reads the
-/// `|L₅|` coin words with one `fill_bytes` call, the words `gen_bool` would
-/// take one at a time, in the same order, and compares each as `gen_bool`
-/// does. Below level 5, the max rule reads two exact per-vertex counters
-/// instead of the neighbor list: `holders[v]`, the neighbors at level
-/// `ℓ_v + 1`, and `above[v]`, the highest neighbor level above `ℓ_v + 1` (0
-/// if there is none). Then `max N⁺(v)` is `above[v]` if that is positive,
-/// else `ℓ_v + 1` if `v` has a holder, else `ℓ_v`.
+/// `|L₅|` coin words, the words `gen_bool` would take one at a time, in the
+/// same order, with one `fill_bytes` call per chunk of 256 words, and
+/// compares each as `gen_bool` does. Below level 5, the max rule reads two
+/// exact per-vertex counters instead of the neighbor list: `holders[v]`,
+/// the neighbors at level `ℓ_v + 1`, and `above[v]`, the highest neighbor
+/// level above `ℓ_v + 1` (0 if there is none). Then `max N⁺(v)` is
+/// `above[v]` if that is positive, else `ℓ_v + 1` if `v` has a holder, else
+/// `ℓ_v`.
 ///
 /// The rule runs only on the *pending* set `P`. This is exact under one
 /// invariant: every unmarked vertex at levels 1–4 sits at `max N⁺(v) − 1`,
@@ -194,8 +195,6 @@ pub struct RandomizedLogSwitch<'g> {
     /// Level-5 vertices in it are skipped; their coin decides.
     pending: VertexSet,
     zeta: f64,
-    /// Scratch: the stream bytes of one step's coins, eight per coin.
-    coin_bytes: Vec<u8>,
     /// Random bits one ζ-coin costs: `⌈log₂(1/ζ)⌉`.
     coin_bits: u64,
     round: usize,
@@ -230,7 +229,6 @@ impl<'g> RandomizedLogSwitch<'g> {
             changed: VertexSet::new(0),
             pending: VertexSet::new(0),
             zeta,
-            coin_bytes: Vec::new(),
             coin_bits: (1.0 / zeta).log2().ceil() as u64,
             round: 0,
             random_bits: 0,
@@ -379,6 +377,10 @@ impl<'g> RandomizedLogSwitch<'g> {
     }
 }
 
+/// Coin words [`RandomizedLogSwitch::step`] reads with one `fill_bytes`:
+/// 2 KiB on the stack, whatever `|L₅|` is.
+const COIN_CHUNK: usize = 256;
+
 /// The max rule at a vertex at level 1–4 from its counters: `max N⁺(u) − 1`,
 /// where the maximum is `above` if positive, else `level + 1` if some
 /// neighbor holds it, else `level`.
@@ -447,19 +449,25 @@ impl SwitchProcess for RandomizedLogSwitch<'_> {
     }
 
     fn step(&mut self, rng: &mut dyn RngCore) {
-        // One read of the stream for every coin of the step, then the
-        // comparison `gen_bool` makes on each word.
-        let mut bytes = std::mem::take(&mut self.coin_bytes);
-        bytes.resize(8 * self.at_five.len(), 0);
-        rng.fill_bytes(&mut bytes);
+        // The step's coin words come from the stream in chunks of at most
+        // `COIN_CHUNK` words, each read with one `fill_bytes`; the last chunk
+        // reads only the coins left, so the stream ends where `|L₅|` single
+        // reads would leave it. Each word is compared as `gen_bool` does.
         let threshold = self.zeta * (1u64 << 53) as f64;
-        let mut words = bytes.chunks_exact(8);
+        let mut chunk = [0u8; 8 * COIN_CHUNK];
+        let (mut left, mut read, mut at) = (self.at_five.len(), 0, 0);
         self.advance(|_| {
-            let word = words.next().expect("one word per level-5 vertex");
-            let word = u64::from_le_bytes(word.try_into().expect("eight bytes"));
+            if at == read {
+                assert!(left > 0, "one word per level-5 vertex");
+                read = 8 * left.min(COIN_CHUNK);
+                left -= read / 8;
+                rng.fill_bytes(&mut chunk[..read]);
+                at = 0;
+            }
+            let word = u64::from_le_bytes(chunk[at..at + 8].try_into().expect("eight bytes"));
+            at += 8;
             ((word >> 11) as f64) < threshold
         });
-        self.coin_bytes = bytes;
     }
 
     fn step_reference(&mut self, rng: &mut dyn RngCore) {
@@ -765,6 +773,28 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// A step whose `|L₅|` is three coin chunks plus one reads four chunks,
+    /// the last of one word, and leaves the levels and the stream where the
+    /// full sweep's one-word-per-coin reads leave them.
+    #[test]
+    fn chunked_coin_reads_match_the_full_sweep() {
+        let n = 1_000;
+        let g = generators::gnp(n, 0.01, &mut rng(11));
+        let at_five = 3 * COIN_CHUNK + 1;
+        let levels = (0..n)
+            .map(|u| if u < at_five { 5 } else { (u % 5) as u8 })
+            .collect();
+        let mut fast = RandomizedLogSwitch::new(&g, levels, 0.5);
+        let mut slow = fast.clone();
+        assert_eq!(fast.at_five.len(), at_five);
+        let (mut r_fast, mut r_slow) = (rng(12), rng(12));
+        fast.step(&mut r_fast);
+        slow.step_reference(&mut r_slow);
+        assert_eq!(fast.levels, slow.levels);
+        assert_eq!(fast.random_bits_used(), slow.random_bits_used());
+        assert_eq!(r_fast.next_u64(), r_slow.next_u64(), "stream positions");
     }
 
     #[test]

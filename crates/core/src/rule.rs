@@ -167,7 +167,7 @@ pub struct RuleProcess<'g, R> {
     pub(crate) round: usize,
     pub(crate) random_bits: u64,
     /// Scratch: the frontier snapshot of the round being executed.
-    worklist: Vec<VertexId>,
+    worklist: Vec<CompactId>,
 }
 
 /// The engine classifier of `rule` over the current `states`: `hears`
@@ -378,8 +378,8 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         }
         self.states.set_mut(u, R::code(state));
         let graph = self.graph.get();
-        for v in requeued_neighbors::<R>(graph, &self.engine, u, old, state) {
-            self.engine.mark_dirty(v.index());
+        for &v in requeued_neighbors::<R>(graph, &self.engine, u, old, state) {
+            self.engine.mark_dirty(v);
         }
         self.engine.set_black(graph, u, R::is_black(state));
         self.flush();
@@ -399,7 +399,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
         if old != memory {
             let state = self.rule.set_memory(u, memory);
             if state == self.state_of(u) {
-                self.engine.mark_dirty(u);
+                self.engine.mark_dirty(CompactId::new(u));
                 self.flush();
             } else {
                 self.overwrite(u, state);
@@ -455,15 +455,15 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
                 if dense {
                     engine.stage_black(u, R::is_black(new));
                 } else {
-                    for v in requeued_neighbors::<R>(graph, engine, u, old, new) {
-                        engine.mark_dirty(v.index());
+                    for &v in requeued_neighbors::<R>(graph, engine, u, old, new) {
+                        engine.mark_dirty(v);
                     }
                     engine.set_black(graph, u, R::is_black(new));
                 }
             }
         };
         match walk {
-            Walk::Frontier => worklist.iter().for_each(|&u| visit(u)),
+            Walk::Frontier => worklist.iter().for_each(|&u| visit(u.index())),
             Walk::Scheduled(set) => set.iter().for_each(visit),
             Walk::All => (0..graph.n()).for_each(visit),
         }
@@ -508,8 +508,8 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
                 let decided = decide_vertex::<R>(engine, states, u, &mut draws, || coin(u));
                 if let Some((old, new)) = decided {
                     states.set(u, R::code(new));
-                    for v in requeued_neighbors::<R>(graph, engine, u, old, new) {
-                        engine.mark_dirty_concurrent(v.index(), sink);
+                    for &v in requeued_neighbors::<R>(graph, engine, u, old, new) {
+                        engine.mark_dirty_concurrent(v, sink);
                     }
                     engine.scatter_black(graph, u, R::is_black(new), sink);
                 }
@@ -539,7 +539,7 @@ impl<'g, R: LocalRule> RuleProcess<'g, R> {
                 .recount_par(graph, threads, classifier(rule, graph, states));
         } else {
             let engine = &mut self.engine;
-            rule.for_each_requeue(states, |u| engine.mark_dirty(u));
+            rule.for_each_requeue(states, |u| engine.mark_dirty(CompactId::new(u)));
             engine.flush(graph, 1, classifier(rule, graph, states));
         }
         self.round += 1;

@@ -47,6 +47,13 @@ impl CompactId {
     pub fn raw(self) -> u32 {
         self.0
     }
+
+    /// The id whose raw 32-bit value is `raw` (inverse of
+    /// [`raw`](Self::raw)); every `u32` is a valid compact id.
+    #[inline]
+    pub const fn from_raw(raw: u32) -> Self {
+        CompactId(raw)
+    }
 }
 
 /// Adjacency offsets of the CSR layout.

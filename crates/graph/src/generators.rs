@@ -15,10 +15,12 @@
 //! All generators are deterministic given the supplied RNG, so experiments
 //! are reproducible from a seed.
 
+use std::sync::Mutex;
+
 use rand::seq::SliceRandom;
 use rand::Rng;
 
-use crate::{Graph, GraphBuilder, GraphError, VertexId};
+use crate::{CompactId, Graph, GraphBuilder, GraphError, VertexId};
 
 /// Erdős–Rényi random graph `G(n,p)`: every unordered pair becomes an edge
 /// independently with probability `p`.
@@ -81,10 +83,17 @@ pub fn gnp<R: Rng + ?Sized>(n: usize, p: f64, rng: &mut R) -> Graph {
 /// `(seed, v)` — the per-vertex-randomness idea the round engine uses,
 /// applied to graph setup (which dominates wall-clock at `n = 10⁷` in the
 /// scale experiment). Rows are partitioned into contiguous, volume-balanced
-/// blocks; block edge lists are concatenated in row order and scattered into
-/// the compact CSR with a counting sort, which leaves every adjacency list
-/// sorted without a per-list sort (row `v` contributes its smaller neighbors
-/// in ascending order before later rows append the larger ones).
+/// blocks, and each block writes its rows' lower neighbors, ascending as
+/// drawn, into one list sized to its expected count plus six standard
+/// deviations, and each row's length into its own slice of a row-length
+/// array. The compact CSR is then assembled without a per-list sort: one
+/// pass counts every vertex's higher neighbors, a prefix pass adds the row
+/// lengths, and a fill over the rows in ascending order copies row `v`'s
+/// list to the front of `v`'s slot and appends `v` to the slot of each
+/// listed `w`, so every adjacency list is its lower neighbors followed by
+/// its higher ones, each ascending. Besides the CSR, the build holds 4
+/// bytes per edge (the lists, each dropped once its rows are filled) and 4
+/// per vertex (the row lengths, reused as the fill's cursors).
 ///
 /// Uses all available cores; see [`gnp_counter_threads`] to pin the worker
 /// count. Note the sampled graph differs from [`gnp`]'s for the same seed —
@@ -103,7 +112,8 @@ pub fn gnp_counter(n: usize, p: f64, seed: u64) -> Graph {
 ///
 /// # Panics
 ///
-/// Panics if `p` is not in `[0, 1]` or is NaN.
+/// Panics if `p` is not in `[0, 1]` or is NaN, if `n` exceeds `u32::MAX`, or
+/// if the graph has more than 2³¹ edges.
 pub fn gnp_counter_threads(n: usize, p: f64, seed: u64, threads: usize) -> Graph {
     assert!((0.0..=1.0).contains(&p), "p must be in [0, 1], got {p}");
     if n == 0 || p == 0.0 {
@@ -120,6 +130,10 @@ pub fn gnp_counter_threads(n: usize, p: f64, seed: u64, threads: usize) -> Graph
         // graph is the distributionally correct sample.
         return Graph::empty(n);
     }
+    assert!(
+        u32::try_from(n).is_ok(),
+        "gnp_counter supports at most u32::MAX vertices (got n = {n})"
+    );
 
     // Volume-balanced contiguous row blocks: the expected work of rows
     // `0..v` grows like `v²`, so boundaries at `n·sqrt(i/k)` equalize it.
@@ -138,15 +152,28 @@ pub fn gnp_counter_threads(n: usize, p: f64, seed: u64, threads: usize) -> Graph
         }
     }
 
-    // The persistent process-wide pool for this width: generation shares
-    // workers with the round engine instead of spawning its own.
-    let pool = rayon::global_pool(bounds.len().max(1));
-    let bounds_ref = &bounds;
-    // Per-block edge lists, in row order within and across blocks.
-    let block_edges: Vec<Vec<(u32, u32)>> = pool.broadcast(|ctx| {
+    // Pass 1, one block per participant of the persistent process-wide pool
+    // (generation shares workers with the round engine): each row's lower
+    // neighbors, ascending as drawn, go to the block's list, and the row's
+    // length to the block's own slice of `cursor`.
+    let mut cursor = vec![0u32; n];
+    let mut rest = &mut cursor[..];
+    let mut slices = Vec::with_capacity(bounds.len());
+    for &(lo, hi) in &bounds {
+        let (rows, tail) = rest.split_at_mut(hi - lo);
+        slices.push(Mutex::new(rows));
+        rest = tail;
+    }
+    let pool = rayon::global_pool(bounds.len());
+    let (bounds_ref, slices_ref) = (&bounds, &slices);
+    let lists: Vec<Vec<u32>> = pool.broadcast(|ctx| {
         let (lo, hi) = bounds_ref[ctx.index()];
-        let mut edges = Vec::with_capacity((p * triangle(lo, hi)).ceil() as usize + 1);
+        let mut lens = slices_ref[ctx.index()]
+            .lock()
+            .expect("a row slice is locked once, by its block's participant");
+        let mut list = Vec::with_capacity(list_capacity(p, lo, hi));
         for v in lo.max(1)..hi {
+            let start = list.len();
             let mut state = row_key(seed, v);
             let mut w: i64 = -1;
             loop {
@@ -155,46 +182,63 @@ pub fn gnp_counter_threads(n: usize, p: f64, seed: u64, threads: usize) -> Graph
                 if w >= v as i64 {
                     break;
                 }
-                edges.push((v as u32, w as u32));
+                list.push(w as u32);
             }
+            lens[v - lo] = (list.len() - start) as u32;
         }
-        edges
+        list
     });
+    drop(slices);
 
-    // Counting-sort CSR assembly. Processing edges in generation order keeps
-    // each adjacency list sorted: row v first receives its smaller neighbors
-    // (ascending w), later rows append the larger ones (ascending v).
-    let m: usize = block_edges.iter().map(Vec::len).sum();
+    let m: usize = lists.iter().map(Vec::len).sum();
     let arcs = 2 * m;
     assert!(
         u32::try_from(arcs).is_ok(),
         "gnp_counter supports at most 2^31 edges (got m = {m})"
     );
-    let mut degree = vec![0u32; n];
-    for block in &block_edges {
-        for &(v, w) in block {
-            degree[v as usize] += 1;
-            degree[w as usize] += 1;
-        }
+    // Every listed `w` gains its row as a higher neighbor: count those into
+    // `offsets[w + 1]`, then add the row lengths and take prefix sums. Each
+    // row length then becomes the cursor of its vertex's higher part.
+    let mut offsets = vec![0u32; n + 1];
+    for &w in lists.iter().flatten() {
+        offsets[w as usize + 1] += 1;
     }
-    let mut offsets = Vec::with_capacity(n + 1);
-    let mut acc = 0u32;
-    offsets.push(0u32);
-    for &d in &degree {
-        acc += d;
-        offsets.push(acc);
+    for v in 0..n {
+        offsets[v + 1] += offsets[v] + cursor[v];
+        cursor[v] += offsets[v];
     }
-    let mut cursor: Vec<u32> = offsets[..n].to_vec();
-    let mut adjacency = vec![crate::CompactId::new(0); arcs];
-    for block in &block_edges {
-        for &(v, w) in block {
-            adjacency[cursor[v as usize] as usize] = crate::CompactId::new(w as usize);
-            cursor[v as usize] += 1;
-            adjacency[cursor[w as usize] as usize] = crate::CompactId::new(v as usize);
-            cursor[w as usize] += 1;
+    // The fill, rows ascending: row v's own list is its lower part, and v
+    // goes after the neighbors already appended to each listed w's higher
+    // part, which keeps both parts ascending. No row above v has run yet,
+    // so `cursor[v]` still marks the end of v's lower part.
+    let mut adjacency = vec![CompactId::from_raw(0); arcs];
+    for (list, &(lo, hi)) in lists.into_iter().zip(&bounds) {
+        let mut rows = &list[..];
+        for v in lo..hi {
+            let start = offsets[v] as usize;
+            let (row, tail) = rows.split_at(cursor[v] as usize - start);
+            for (slot, &w) in adjacency[start..].iter_mut().zip(row) {
+                *slot = CompactId::from_raw(w);
+            }
+            for &w in row {
+                let at = &mut cursor[w as usize];
+                adjacency[*at as usize] = CompactId::from_raw(v as u32);
+                *at += 1;
+            }
+            rows = tail;
         }
     }
     Graph::from_compact_parts(offsets, adjacency, m)
+}
+
+/// Capacity of the lower-neighbor list of rows `lo..hi`: the expected count
+/// plus six standard deviations and 16 entries (at most the slot count), so
+/// the list practically never reallocates.
+fn list_capacity(p: f64, lo: usize, hi: usize) -> usize {
+    let slots = triangle(lo, hi);
+    let mean = p * slots;
+    let sd = (mean * (1.0 - p)).sqrt();
+    ((mean + 6.0 * sd).ceil() as usize + 16).min(slots as usize)
 }
 
 /// Expected number of lower-triangular slots in rows `lo..hi`.
@@ -668,6 +712,106 @@ mod tests {
             assert_eq!(baseline, gnp_counter_threads(n, p, 7, 1));
         }
         assert_ne!(gnp_counter(300, 0.1, 1), gnp_counter(300, 0.1, 2));
+    }
+
+    /// The pair-list assembly `gnp_counter_threads` used before the
+    /// pair-free build, kept as its oracle: per-block `(v, w)` edge lists in
+    /// row order, a degree count, prefix sums, and a counting-sort scatter
+    /// through a cursor array.
+    fn pair_list_reference(n: usize, p: f64, seed: u64, threads: usize) -> Graph {
+        if n == 0 || p == 0.0 {
+            return Graph::empty(n);
+        }
+        if p >= 1.0 {
+            return complete(n);
+        }
+        let log_q = (1.0 - p).ln();
+        if log_q == 0.0 {
+            return Graph::empty(n);
+        }
+        let blocks = threads.max(1).min(n);
+        let mut bounds = Vec::with_capacity(blocks);
+        let mut lo = 0usize;
+        for i in 1..=blocks {
+            let hi = if i == blocks {
+                n
+            } else {
+                (((n as f64) * (i as f64 / blocks as f64).sqrt()).round() as usize).clamp(lo, n)
+            };
+            if hi > lo {
+                bounds.push((lo, hi));
+                lo = hi;
+            }
+        }
+        let block_edges: Vec<Vec<(u32, u32)>> = bounds
+            .iter()
+            .map(|&(lo, hi)| {
+                let mut edges = Vec::new();
+                for v in lo.max(1)..hi {
+                    let mut state = row_key(seed, v);
+                    let mut w: i64 = -1;
+                    loop {
+                        let r = unit_f64(splitmix64(&mut state));
+                        w += 1 + ((1.0 - r).ln() / log_q).floor() as i64;
+                        if w >= v as i64 {
+                            break;
+                        }
+                        edges.push((v as u32, w as u32));
+                    }
+                }
+                edges
+            })
+            .collect();
+        let m: usize = block_edges.iter().map(Vec::len).sum();
+        let mut degree = vec![0u32; n];
+        for &(v, w) in block_edges.iter().flatten() {
+            degree[v as usize] += 1;
+            degree[w as usize] += 1;
+        }
+        let mut offsets = Vec::with_capacity(n + 1);
+        let mut acc = 0u32;
+        offsets.push(0u32);
+        for &d in &degree {
+            acc += d;
+            offsets.push(acc);
+        }
+        let mut cursor: Vec<u32> = offsets[..n].to_vec();
+        let mut adjacency = vec![CompactId::new(0); 2 * m];
+        for &(v, w) in block_edges.iter().flatten() {
+            adjacency[cursor[v as usize] as usize] = CompactId::new(w as usize);
+            cursor[v as usize] += 1;
+            adjacency[cursor[w as usize] as usize] = CompactId::new(v as usize);
+            cursor[w as usize] += 1;
+        }
+        Graph::from_compact_parts(offsets, adjacency, m)
+    }
+
+    /// The pair-free build equals the pair-list assembly, offsets and list
+    /// order included, at every thread count. At 64 threads some blocks
+    /// are empty and some end on rows with no lower neighbor.
+    #[test]
+    fn gnp_counter_equals_the_pair_list_assembly() {
+        let cases = [
+            (0usize, 0.5),
+            (1, 0.5),
+            (2, 0.9),
+            (3, 1e-18),
+            (123, 0.07),
+            (200, 0.3),
+            (1_000, 0.9),
+            (50_000, 8.0 / 50_000.0),
+        ];
+        for (n, p) in cases {
+            for seed in [7u64, 2_024] {
+                for threads in [1usize, 2, 3, 8, 64] {
+                    assert_eq!(
+                        gnp_counter_threads(n, p, seed, threads),
+                        pair_list_reference(n, p, seed, threads),
+                        "n={n}, p={p}, seed={seed}, threads={threads}"
+                    );
+                }
+            }
+        }
     }
 
     #[test]
